@@ -200,7 +200,8 @@ fn main() {
         durability: Durability::Sync,
         ..Default::default()
     };
-    let commit_deadline_us = config.commit_deadline.as_micros() as u64;
+    // The engine's group-commit deadline (`COMMIT_DEADLINE`, commit.rs).
+    let commit_deadline_us = 1_000u64;
     let data: SharedDevice = Arc::new(FileDevice::open(&dir.join("data")).unwrap());
     let wal: SharedDevice = Arc::new(FileDevice::open(&dir.join("wal")).unwrap());
     let tree = BLsmTree::open(data, wal, 4096, config, Arc::new(AppendOperator)).expect("open");

@@ -33,7 +33,7 @@
 //! `pass` → `tables` locks are encapsulated below `catalog` and never
 //! escape the crate.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -232,7 +232,7 @@ pub(crate) struct TreeShared {
     pub(crate) unsynced_writes: AtomicU64,
     /// Frame bytes counted into the currently-open commit group; same
     /// discipline as `unsynced_writes`. Read (Acquire, possibly stale)
-    /// by an accumulating leader as its `commit_group_bytes` early-exit
+    /// by an accumulating leader as its `COMMIT_GROUP_BYTES` early-exit
     /// trigger.
     // ordering: AcqRel RMWs / Release store under the wal mutex;
     // Acquire reads from the leader's deadline loop tolerate staleness.
@@ -241,6 +241,21 @@ pub(crate) struct TreeShared {
     /// Set once at the end of [`crate::BLsmTree::open`]; the lock is only
     /// for interior mutability, never held across I/O.
     pub(crate) recovery: RwLock<RecoveryReport>,
+    /// The merge-thread doorbell: the write tail sets it (and notifies
+    /// `work_cv`) when a write leaves the tree above `Idle`; the merge
+    /// thread parks on it once no merge is active (`threaded.rs`). Last
+    /// in the lock hierarchy — only ever taken with nothing held.
+    pub(crate) work_pending: Mutex<bool>,
+    /// Paired with `work_pending`.
+    pub(crate) work_cv: Condvar,
+    /// True while a [`crate::ThreadedBLsm`] merge thread is attached. A
+    /// bare tree has nobody to wake, so its writes never touch the
+    /// doorbell lock.
+    // ordering: Release store before the merge thread is spawned (no
+    // writer can exist yet: `start` owns the tree), Acquire loads in the
+    // write tail. The flag publishes no data — a stale read costs one
+    // skipped ring, which the merge loop's wait timeout bounds.
+    pub(crate) merge_thread_attached: AtomicBool,
 }
 
 impl TreeShared {
@@ -260,7 +275,7 @@ impl TreeShared {
     }
 
     /// Just the backpressure level — one atomic `C0` occupancy read plus
-    /// arithmetic, for per-write fast paths (the merge-kick gate) that
+    /// arithmetic, for per-write fast paths (the doorbell gate, admission) that
     /// cannot afford the full counter snapshot.
     pub(crate) fn backpressure_level(&self) -> BackpressureLevel {
         BackpressureLevel::from_occupancy(

@@ -32,7 +32,7 @@
 //! crash-enumeration harness sweeps exactly those points).
 
 use std::sync::atomic::Ordering;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -42,6 +42,24 @@ use blsm_storage::{Result, StorageError};
 
 use crate::stats;
 use crate::tree::{invariant_err, BLsmTree};
+
+/// Upper bound on how long a group-commit leader holds the door open
+/// for a group that is visibly forming before it forces the device. A
+/// *deadline*, not a pause: a leader with no co-waiters syncs
+/// immediately, so the single-writer sync latency never regresses by
+/// more than this bound. Comparable to a device fsync, far above a
+/// context switch.
+const COMMIT_DEADLINE: Duration = Duration::from_millis(1);
+
+/// Group size (leader included) that ends the deadline wait early. At 2
+/// the leader stops waiting as soon as even one more writer has joined,
+/// so batching comes from writers arriving *during* the (unlocked)
+/// device sync, not from holding commits hostage to a timer.
+const COMMIT_GROUP_COUNT: usize = 2;
+
+/// Pending WAL bytes that end the deadline wait early, whatever the
+/// waiter count.
+const COMMIT_GROUP_BYTES: u64 = 32 << 10;
 
 /// Group-commit election state, behind `TreeShared.commit`.
 ///
@@ -56,7 +74,7 @@ pub(crate) struct CommitState {
     pub(crate) leader_active: bool,
     /// Writers currently parked on `commit_cv` (excluding the leader).
     /// An accumulating leader reads this to cut its deadline short at
-    /// `commit_group_count`.
+    /// `COMMIT_GROUP_COUNT`.
     pub(crate) waiters: usize,
     /// Monotone count of groups whose device sync failed. A waiter
     /// records the value at entry; a bump while it waited means a sync
@@ -244,20 +262,16 @@ impl BLsmTree {
     /// deadline is a bound on how long it will hold the door open for a
     /// group that is visibly forming, never a pause added to a quiet
     /// tree — and the wait is cut short the moment the group reaches
-    /// `commit_group_count` writers (the leader counts as one) or
-    /// `commit_group_bytes` pending bytes.
+    /// `COMMIT_GROUP_COUNT` writers (the leader counts as one) or
+    /// `COMMIT_GROUP_BYTES` pending bytes.
     fn lead_accumulate(&self, state: &mut parking_lot::MutexGuard<'_, CommitState>) {
-        let cfg = &self.shared.config;
-        if cfg.commit_deadline.is_zero() {
-            return;
-        }
-        let deadline = Instant::now() + cfg.commit_deadline;
+        let deadline = Instant::now() + COMMIT_DEADLINE;
         while state.waiters > 0
-            && state.waiters + 1 < cfg.commit_group_count
+            && state.waiters + 1 < COMMIT_GROUP_COUNT
             // ordering: Acquire — counted under the wal lock by
             // appenders; a stale-low read only lengthens the wait by
             // one wakeup.
-            && self.shared.unsynced_bytes.load(Ordering::Acquire) < cfg.commit_group_bytes
+            && self.shared.unsynced_bytes.load(Ordering::Acquire) < COMMIT_GROUP_BYTES
         {
             let now = Instant::now();
             if now >= deadline {

@@ -1,7 +1,5 @@
 //! Engine configuration.
 
-use std::time::Duration;
-
 /// Which merge scheduler paces background work (§3.2, §4.1, §4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
@@ -68,43 +66,12 @@ pub struct BLsmConfig {
     /// Expected value size, used only to pre-size Bloom filters for the
     /// first merge (afterwards real counts are known).
     pub expected_value_size: usize,
-    /// Upper bound on how long a group-commit leader waits for more
-    /// writers to join its group before forcing the device
-    /// (`Durability::Sync` only). A *deadline*, not a pause: a leader
-    /// with no co-waiters syncs immediately, and the wait is cut short
-    /// the moment `commit_group_count` writers (or `commit_group_bytes`
-    /// bytes) are pending — so the single-writer sync latency never
-    /// regresses by more than this bound. Default 1ms: comparable to a
-    /// device fsync, far above a context switch.
-    ///
-    /// Independent of [`merge_wait_timeout`](Self::merge_wait_timeout):
-    /// the two waits can stack (a sync write may first sit out a commit
-    /// deadline and then its merge-kick may sit in the merge thread's
-    /// wait), so each is its own knob rather than one shared "latency"
-    /// setting.
-    pub commit_deadline: Duration,
-    /// Number of pending group-commit waiters that ends the leader's
-    /// deadline wait early. Default 2: the leader stops waiting as soon
-    /// as even one more writer has joined, so batching comes from
-    /// writers arriving *during* the (unlocked) device sync, not from
-    /// holding commits hostage to a timer.
-    pub commit_group_count: usize,
-    /// Pending WAL bytes that end the leader's deadline wait early,
-    /// whatever the waiter count. Default 32 KiB.
-    pub commit_group_bytes: u64,
-    /// How long the merge thread sleeps between staleness re-checks
-    /// when no writer has kicked it (the bound on how stale the
-    /// spring-and-gear schedule can go while writers bypass `kick` at
-    /// `Idle`). Default 10ms — the constant PR 8 hardcoded, now a knob
-    /// so deployments that tighten `commit_deadline` can reason about
-    /// the two waits separately.
-    pub merge_wait_timeout: Duration,
     /// When true, the write path performs no merge scheduling of its own
     /// (beyond the hard `C0` cap): an external coordinator drives merges
-    /// via `maintenance`. Used by `PartitionedBLsm` to layer a partition
-    /// scheduler over the per-tree level scheduler, as §4 envisions
-    /// ("level schedulers are designed to complement existing partition
-    /// schedulers").
+    /// via `maintenance`. Lets a partition scheduler be layered over
+    /// the per-tree level scheduler, as §4 envisions ("level schedulers
+    /// are designed to complement existing partition schedulers"; see
+    /// the `ext_partitioning` experiment).
     pub external_pacing: bool,
 }
 
@@ -122,10 +89,6 @@ impl Default for BLsmConfig {
             wal_capacity: 256 << 20,
             work_quantum: 4 << 20,
             expected_value_size: 1000,
-            commit_deadline: Duration::from_millis(1),
-            commit_group_count: 2,
-            commit_group_bytes: 32 << 10,
-            merge_wait_timeout: Duration::from_millis(10),
             external_pacing: false,
         }
     }
@@ -146,14 +109,6 @@ impl BLsmConfig {
         if let Some(r) = self.r {
             assert!(r >= 2.0, "R must be at least 2");
         }
-        assert!(
-            self.commit_group_count >= 1,
-            "commit_group_count must be at least 1"
-        );
-        assert!(
-            !self.merge_wait_timeout.is_zero(),
-            "merge_wait_timeout must be nonzero (the merge thread would spin)"
-        );
         // §4.3: the gear scheduler "requires a percent complete estimate for
         // merges between C0 and C1, which forces us to partition RAM".
         if self.scheduler == SchedulerKind::Gear {

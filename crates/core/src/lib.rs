@@ -37,10 +37,9 @@ mod commit;
 mod config;
 mod merge;
 mod meta;
-mod partitioned;
 mod progress;
 mod read;
-mod route;
+pub mod route;
 mod sched;
 mod sharded;
 mod stats;
@@ -48,7 +47,6 @@ mod threaded;
 mod tree;
 
 pub use config::{BLsmConfig, Durability, SchedulerKind};
-pub use partitioned::PartitionedBLsm;
 pub use progress::{outprogress, MergeProgress};
 pub use read::{ReadView, ScanItem, TreeScrubReport};
 pub use sched::{

@@ -116,6 +116,12 @@ impl ReadView {
         self.shared.stats_snapshot()
     }
 
+    /// Just the live backpressure level — one atomic read, for per-write
+    /// admission (see [`crate::BLsmTree::backpressure`]).
+    pub(crate) fn backpressure(&self) -> crate::sched::BackpressureLevel {
+        self.shared.backpressure_level()
+    }
+
     /// Verifies every on-disk component against the device (checksums,
     /// footers, ordering, Bloom agreement). Lock-free like every other
     /// read: the pass runs on a pinned catalog snapshot while writes and

@@ -1,11 +1,11 @@
-//! Key-range routing shared by the two partitioned layers.
+//! Key-range routing: how one keyspace is split over N trees by sorted
+//! boundary keys.
 //!
-//! Both [`crate::PartitionedBLsm`] (the in-process partition-scheduler
-//! experiment of §3.3) and [`crate::ShardedBLsm`] (the durable serving
-//! tier with per-shard WALs) split one keyspace over N trees by sorted
-//! boundary keys. The routing arithmetic — which tree owns a key, which
-//! trees a range touches, how to cut a keyspace evenly — is identical,
-//! so it lives here once.
+//! [`crate::ShardedBLsm`] (the durable serving tier with per-shard WALs)
+//! and the `ext_partitioning` experiment (a partition scheduler over
+//! bare trees) share this arithmetic — which tree owns a key, which
+//! trees a range touches, how to scatter a scan and gather it back in
+//! key order.
 //!
 //! The boundary convention: `bounds[i]` is the *inclusive lower bound*
 //! of partition `i + 1`; partition 0 covers everything below
@@ -14,10 +14,12 @@
 
 use bytes::Bytes;
 
+use blsm_storage::Result;
+
 use crate::read::ScanItem;
 
 /// Index of the partition owning `key` under sorted `bounds`.
-pub(crate) fn shard_for(bounds: &[Bytes], key: &[u8]) -> usize {
+pub fn shard_for(bounds: &[Bytes], key: &[u8]) -> usize {
     bounds.partition_point(|b| b.as_ref() <= key)
 }
 
@@ -101,6 +103,62 @@ pub(crate) fn kway_merge(streams: Vec<Vec<ScanItem>>, limit: usize) -> Vec<ScanI
         }
     }
     out
+}
+
+/// Scatter-gather scan: fan the range out to every shard whose key
+/// range overlaps `[from, to)`, then gather the per-shard (already
+/// sorted) result streams through a k-way merge into one globally
+/// key-ordered stream, truncated to `limit`.
+///
+/// With range-partitioned shards the streams are disjoint, so the merge
+/// degenerates to concatenation — but it is written as a genuine k-way
+/// merge (smallest-head heap, ties broken by shard index) so the gather
+/// step is correct for *any* boundary configuration the router is handed,
+/// which is exactly the property an online split would lean on.
+///
+/// Each overlapping shard is asked for up to the full remaining `limit`
+/// (the router cannot know how the range's rows distribute before
+/// looking); shards are visited in routing order so the common
+/// single-shard scan stops after one fetch.
+///
+/// `fetch(i, from, to, limit)` reads partition `i`.
+///
+/// # Errors
+///
+/// The first `fetch` error.
+pub fn scatter_scan(
+    bounds: &[Bytes],
+    from: &[u8],
+    to: Option<&[u8]>,
+    limit: usize,
+    fetch: impl Fn(usize, &[u8], Option<&[u8]>, usize) -> Result<Vec<ScanItem>>,
+) -> Result<Vec<ScanItem>> {
+    if limit == 0 {
+        return Ok(Vec::new());
+    }
+    let (first, last) = shards_overlapping(bounds, from, to);
+    let mut streams: Vec<Vec<ScanItem>> = Vec::with_capacity(last - first + 1);
+    let mut gathered = 0usize;
+    for i in first..=last {
+        // Scatter: shard i's slice of the range starts at `from` only
+        // for the first shard; later shards start at their lower bound
+        // (their whole range is inside the scan).
+        let shard_from: &[u8] = if i == first {
+            from
+        } else {
+            bounds[i - 1].as_ref()
+        };
+        let rows = fetch(i, shard_from, to, limit)?;
+        gathered += rows.len();
+        streams.push(rows);
+        // Range partitioning means shards are visited in key order: once
+        // `limit` rows are gathered, later shards can only contribute
+        // rows that sort after everything kept.
+        if gathered >= limit {
+            break;
+        }
+    }
+    Ok(kway_merge(streams, limit))
 }
 
 #[cfg(test)]

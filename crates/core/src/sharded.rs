@@ -2,15 +2,12 @@
 //! key-range router.
 //!
 //! The paper names key-range partitioning as its future work
-//! (§2.3.2, §3.3, §4.2.2); [`crate::PartitionedBLsm`] realizes the
-//! *scheduling* argument in-process (one coordinated merge scheduler, one
-//! WAL, deterministic single-threaded experiments). This module builds
-//! the *serving* tier on the same routing arithmetic
-//! ([`crate::route`]): every shard is a whole [`crate::BLsmTree`] wrapped
-//! in its own [`ThreadedBLsm`] — its own directory, WAL ring, `C0`,
-//! spring-and-gear scheduler, merge thread and recovery path — so write
-//! throughput, merge stalls and crash recovery are per-shard, never
-//! globally coupled:
+//! (§2.3.2, §3.3, §4.2.2). This module builds the serving tier on the
+//! routing arithmetic of [`crate::route`]: every shard is a whole
+//! [`crate::BLsmTree`] wrapped in its own [`ThreadedBLsm`] — its own
+//! directory, WAL ring, `C0`, spring-and-gear scheduler, merge thread
+//! and recovery path — so write throughput, merge stalls and crash
+//! recovery are per-shard, never globally coupled:
 //!
 //! * a hot shard's spring-and-gear backpressure paces only writers of
 //!   *its* key range ([`ShardedBLsm::backpressure`] is per shard);
@@ -20,19 +17,18 @@
 //! * scans scatter to the shards overlapping the range and gather
 //!   through a k-way merge back into one globally key-ordered stream.
 //!
+//! The store routes the in-process operations (`put`, `get`, `scan`, …);
+//! everything else a caller wants from one shard — nowait writes, commit
+//! groups, durable horizons — is that shard's own engine
+//! ([`ShardedBLsm::shard_engine`]), which derefs to the tree.
+//!
 //! Shard boundaries are fixed at creation and persisted in a
 //! checksummed, double-slot **shard manifest** (reusing
 //! [`ManifestStore`]: `crc32c | epoch | payload`, alternating slots, so
 //! a torn manifest write rolls back instead of bricking the store). The
 //! epoch is bumped on every successful open and checkpoint, recording
-//! store generations.
-//!
-//! **Online shard split is explicitly out of scope** (as re-partitioning
-//! was for the paper, §4): the seam is `split_seam` below — splitting
-//! shard `i` at key `k` means inserting `k` into the manifest bounds,
-//! opening a new shard directory, and migrating `shard(i)`'s keys `≥ k`
-//! via a scatter-scan copy; nothing else in the router needs to change
-//! because routing is already pure boundary arithmetic.
+//! store generations. Online shard split is out of scope (as
+//! re-partitioning was for the paper, §4).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -59,7 +55,7 @@ const SHARD_MANIFEST_MAGIC: u64 = 0x424C_534D_5348_5231;
 const SHARD_MANIFEST_SLOT_PAGES: u64 = 4;
 
 /// Tuning for a sharded store; `tree` applies to *each* shard (so the
-/// memory budget is per shard, as it is for `PartitionedBLsm`).
+/// memory budget is per shard).
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Per-shard engine configuration.
@@ -107,10 +103,12 @@ pub struct DegradedShard<'a> {
 /// synchronized — concurrent connections write to different shards with
 /// zero shared state between them.
 pub struct ShardedBLsm {
-    /// `bounds[i]` is the inclusive lower bound of shard `i + 1`
-    /// (see [`crate::route`]). Immutable after open.
-    bounds: Arc<[Bytes]>,
     shards: Vec<ShardSlot>,
+    /// The lock-free read handle over every shard, built once at open.
+    /// It owns the immutable boundary list (`bounds[i]` is the inclusive
+    /// lower bound of shard `i + 1`, see [`crate::route`]); the store's
+    /// own reads, stats and backpressure go through it.
+    view: ShardedReadView,
     /// The persisted shard manifest; `None` for manifest-less stores
     /// built over explicit devices ([`ShardedBLsm::from_single`]).
     /// Mutated only through `&mut self` (open/checkpoint/shutdown), so
@@ -233,12 +231,28 @@ impl ShardedBLsm {
         // Record this generation (and, on creation, the layout itself).
         store.save(&shard_manifest_payload(&bounds))?;
         let epoch = store.epoch();
-        Ok(ShardedBLsm {
-            bounds,
+        Ok(Self::assemble(bounds, shards, Some(store), epoch))
+    }
+
+    fn assemble(
+        bounds: Arc<[Bytes]>,
+        shards: Vec<ShardSlot>,
+        manifest: Option<ManifestStore>,
+        epoch: u64,
+    ) -> ShardedBLsm {
+        let views = shards
+            .iter()
+            .map(|s| match s {
+                ShardSlot::Serving(db) => Some(db.read_view()),
+                ShardSlot::Degraded(_) => None,
+            })
+            .collect();
+        ShardedBLsm {
             shards,
-            manifest: Some(store),
+            view: ShardedReadView { bounds, views },
+            manifest,
             epoch,
-        })
+        }
     }
 
     /// Opens (or creates) a durable sharded store rooted at `base`:
@@ -287,12 +301,7 @@ impl ShardedBLsm {
     /// classic one-tree deployment as the 1-shard case of the router.
     #[must_use]
     pub fn from_single(db: ThreadedBLsm) -> ShardedBLsm {
-        ShardedBLsm {
-            bounds: Arc::from(Vec::new()),
-            shards: vec![ShardSlot::Serving(db)],
-            manifest: None,
-            epoch: 0,
-        }
+        Self::assemble(Arc::from(Vec::new()), vec![ShardSlot::Serving(db)], None, 0)
     }
 
     /// Number of shards (serving + degraded).
@@ -302,7 +311,7 @@ impl ShardedBLsm {
 
     /// The boundary list (`len() == shard_count() - 1`).
     pub fn bounds(&self) -> &[Bytes] {
-        &self.bounds
+        &self.view.bounds
     }
 
     /// Manifest epoch recorded at the last open/checkpoint (0 when
@@ -313,7 +322,7 @@ impl ShardedBLsm {
 
     /// Index of the shard owning `key`.
     pub fn shard_for(&self, key: &[u8]) -> usize {
-        route::shard_for(&self.bounds, key)
+        self.view.shard_for(key)
     }
 
     /// Every degraded shard with its preserved open error.
@@ -328,30 +337,20 @@ impl ShardedBLsm {
             .collect()
     }
 
-    /// The typed error every request routed to a degraded shard gets.
-    fn degraded_error(shard: usize, e: &StorageError) -> StorageError {
-        StorageError::corruption(
-            ComponentId::Shard,
-            None,
-            format!("shard {shard} is degraded: {e}"),
-        )
-    }
-
-    /// The serving engine for shard `i`, or the typed degraded error.
-    fn shard(&self, i: usize) -> Result<&ThreadedBLsm> {
-        match &self.shards[i] {
-            ShardSlot::Serving(db) => Ok(db),
-            ShardSlot::Degraded(e) => Err(Self::degraded_error(i, e)),
-        }
-    }
-
-    /// Direct access to shard `i`'s engine (tests, diagnostics).
+    /// Shard `i`'s engine — the full per-shard operation surface
+    /// (nowait writes, `commit_group`, `durable_lsn`, …) via its deref
+    /// to [`BLsmTree`].
     ///
     /// # Errors
     ///
-    /// Typed [`ComponentId::Shard`] error when the shard is degraded.
+    /// Typed [`ComponentId::Shard`] error when the shard is degraded or
+    /// `i` is out of range.
     pub fn shard_engine(&self, i: usize) -> Result<&ThreadedBLsm> {
-        self.shard(i)
+        match self.shards.get(i) {
+            Some(ShardSlot::Serving(db)) => Ok(db),
+            Some(ShardSlot::Degraded(e)) => Err(shard_error(format!("shard {i} is degraded: {e}"))),
+            None => Err(no_such_shard(i, self.shards.len())),
+        }
     }
 
     /// The store's engine when it is exactly one serving shard, `None`
@@ -365,6 +364,10 @@ impl ShardedBLsm {
         }
     }
 
+    fn owner(&self, key: &[u8]) -> Result<&ThreadedBLsm> {
+        self.shard_engine(self.shard_for(key))
+    }
+
     /// Blind write, routed by key.
     ///
     /// # Errors
@@ -372,7 +375,7 @@ impl ShardedBLsm {
     /// Shard engine errors; typed shard error when the target is degraded.
     pub fn put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<()> {
         let key = key.into();
-        self.shard(self.shard_for(&key))?.put(key, value)
+        self.owner(&key)?.put(key, value)
     }
 
     /// Delete (tombstone write), routed by key.
@@ -382,7 +385,7 @@ impl ShardedBLsm {
     /// Shard engine errors; typed shard error when the target is degraded.
     pub fn delete(&self, key: impl Into<Bytes>) -> Result<()> {
         let key = key.into();
-        self.shard(self.shard_for(&key))?.delete(key)
+        self.owner(&key)?.delete(key)
     }
 
     /// Merge-operator delta write, routed by key.
@@ -392,7 +395,7 @@ impl ShardedBLsm {
     /// Shard engine errors; typed shard error when the target is degraded.
     pub fn apply_delta(&self, key: impl Into<Bytes>, delta: impl Into<Bytes>) -> Result<()> {
         let key = key.into();
-        self.shard(self.shard_for(&key))?.apply_delta(key, delta)
+        self.owner(&key)?.apply_delta(key, delta)
     }
 
     /// The paper's zero-seek checked insert (§3.1.2), routed by key —
@@ -408,91 +411,7 @@ impl ShardedBLsm {
         value: impl Into<Bytes>,
     ) -> Result<bool> {
         let key = key.into();
-        self.shard(self.shard_for(&key))?
-            .insert_if_not_exists(key, value)
-    }
-
-    /// Nowait blind write, routed by key: applied but not yet durable.
-    /// Returns `(shard, commit_target)` — the write is durable once
-    /// [`durable_lsn`](Self::durable_lsn) of that shard reaches the
-    /// target (see [`crate::BLsmTree::put_nowait`]); retire batches with
-    /// [`commit_group`](Self::commit_group).
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the target is degraded.
-    pub fn put_nowait(
-        &self,
-        key: impl Into<Bytes>,
-        value: impl Into<Bytes>,
-    ) -> Result<(usize, u64)> {
-        let key = key.into();
-        let i = self.shard_for(&key);
-        Ok((i, self.shard(i)?.put_nowait(key, value)?))
-    }
-
-    /// Nowait delete, routed by key (see [`put_nowait`](Self::put_nowait)).
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the target is degraded.
-    pub fn delete_nowait(&self, key: impl Into<Bytes>) -> Result<(usize, u64)> {
-        let key = key.into();
-        let i = self.shard_for(&key);
-        Ok((i, self.shard(i)?.delete_nowait(key)?))
-    }
-
-    /// Nowait delta write, routed by key (see
-    /// [`put_nowait`](Self::put_nowait)).
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the target is degraded.
-    pub fn apply_delta_nowait(
-        &self,
-        key: impl Into<Bytes>,
-        delta: impl Into<Bytes>,
-    ) -> Result<(usize, u64)> {
-        let key = key.into();
-        let i = self.shard_for(&key);
-        Ok((i, self.shard(i)?.apply_delta_nowait(key, delta)?))
-    }
-
-    /// Nowait checked insert, routed by key: `(inserted, shard,
-    /// commit_target)` (see [`put_nowait`](Self::put_nowait)).
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the target is degraded.
-    pub fn insert_if_not_exists_nowait(
-        &self,
-        key: impl Into<Bytes>,
-        value: impl Into<Bytes>,
-    ) -> Result<(bool, usize, u64)> {
-        let key = key.into();
-        let i = self.shard_for(&key);
-        let (inserted, target) = self.shard(i)?.insert_if_not_exists_nowait(key, value)?;
-        Ok((inserted, i, target))
-    }
-
-    /// Forces a commit group on shard `i`, returning its new durable
-    /// horizon (see [`crate::BLsmTree::commit_group`]).
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the shard is degraded.
-    pub fn commit_group(&self, i: usize) -> Result<u64> {
-        self.shard(i)?.commit_group()
-    }
-
-    /// Shard `i`'s durable WAL horizon — an atomic read (see
-    /// [`crate::BLsmTree::durable_lsn`]).
-    ///
-    /// # Errors
-    ///
-    /// Typed shard error when the shard is degraded.
-    pub fn durable_lsn(&self, i: usize) -> Result<u64> {
-        Ok(self.shard(i)?.durable_lsn())
+        self.owner(&key)?.insert_if_not_exists(key, value)
     }
 
     /// Point lookup — lock-free within the owning shard.
@@ -501,7 +420,7 @@ impl ShardedBLsm {
     ///
     /// Shard engine errors; typed shard error when the target is degraded.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.shard(self.shard_for(key))?.get(key)
+        self.view.get(key)
     }
 
     /// Existence check — lock-free within the owning shard.
@@ -510,20 +429,17 @@ impl ShardedBLsm {
     ///
     /// Shard engine errors; typed shard error when the target is degraded.
     pub fn exists(&self, key: &[u8]) -> Result<bool> {
-        self.shard(self.shard_for(key))?.exists(key)
+        self.view.exists(key)
     }
 
     /// Ordered scan from `from`: scatter to every shard overlapping the
-    /// range, gather with a k-way merge (see [`scatter_scan`]).
+    /// range, gather with a k-way merge (see [`route::scatter_scan`]).
     ///
     /// # Errors
     ///
     /// Fails if any overlapping shard is degraded or errors.
     pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        scatter_scan(&self.bounds, from, None, limit, |i, f, t, l| match t {
-            Some(t) => self.shard(i)?.scan_range(f, t, l),
-            None => self.shard(i)?.scan(f, l),
-        })
+        self.view.scan(from, limit)
     }
 
     /// Ordered scan of `[from, to)` — scatter-gather like
@@ -533,61 +449,33 @@ impl ShardedBLsm {
     ///
     /// Fails if any overlapping shard is degraded or errors.
     pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        scatter_scan(&self.bounds, from, Some(to), limit, |i, f, t, l| match t {
-            Some(t) => self.shard(i)?.scan_range(f, t, l),
-            None => self.shard(i)?.scan(f, l),
-        })
+        self.view.scan_range(from, to, limit)
     }
 
     /// Aggregated counters across serving shards (degraded shards
     /// contribute nothing). `backpressure` is the *worst* shard's level
     /// — per-shard levels come from [`ShardedBLsm::backpressure`].
     pub fn stats(&self) -> TreeStatsSnapshot {
-        let mut total = TreeStatsSnapshot::default();
-        for slot in &self.shards {
-            if let ShardSlot::Serving(db) = slot {
-                total.accumulate(&db.stats());
-            }
-        }
-        total
+        self.view.stats()
     }
 
     /// Per-shard counter snapshots; `None` marks a degraded shard.
     pub fn shard_stats(&self) -> Vec<Option<TreeStatsSnapshot>> {
-        self.shards
-            .iter()
-            .map(|s| match s {
-                ShardSlot::Serving(db) => Some(db.stats()),
-                ShardSlot::Degraded(_) => None,
-            })
-            .collect()
+        self.view.shard_stats()
     }
 
     /// Shard `i`'s live spring-and-gear backpressure level — the
-    /// admission signal that paces only *this* shard's writers. `None`
-    /// for a degraded shard.
+    /// admission signal that paces only *this* shard's writers, from one
+    /// atomic `C0` occupancy read. `None` for a degraded (or
+    /// out-of-range) shard.
     pub fn backpressure(&self, i: usize) -> Option<BackpressureLevel> {
-        match &self.shards[i] {
-            ShardSlot::Serving(db) => Some(db.backpressure()),
-            ShardSlot::Degraded(_) => None,
-        }
+        self.view.backpressure(i)
     }
 
     /// A cloneable lock-free read handle over every serving shard
     /// (hand one to each server connection).
     pub fn read_view(&self) -> ShardedReadView {
-        ShardedReadView {
-            bounds: self.bounds.clone(),
-            views: self
-                .shards
-                .iter()
-                .map(|s| match s {
-                    ShardSlot::Serving(db) => Some(db.read_view()),
-                    ShardSlot::Degraded(_) => None,
-                })
-                .collect::<Vec<_>>()
-                .into(),
-        }
+        self.view.clone()
     }
 
     /// Checkpoints every serving shard, then bumps the shard-manifest
@@ -607,7 +495,7 @@ impl ShardedBLsm {
             }
         }
         if let Some(store) = &mut self.manifest {
-            if let Err(e) = store.save(&shard_manifest_payload(&self.bounds)) {
+            if let Err(e) = store.save(&shard_manifest_payload(&self.view.bounds)) {
                 first_err.get_or_insert(e);
             } else {
                 self.epoch = store.epoch();
@@ -642,7 +530,7 @@ impl ShardedBLsm {
             }
         }
         if let Some(store) = &mut self.manifest {
-            if let Err(e) = store.save(&shard_manifest_payload(&self.bounds)) {
+            if let Err(e) = store.save(&shard_manifest_payload(&self.view.bounds)) {
                 first_err.get_or_insert(e);
             }
         }
@@ -651,22 +539,15 @@ impl ShardedBLsm {
             Some(e) => Err(e),
         }
     }
+}
 
-    /// Where online shard split would go — documented seam, not
-    /// implemented (boundaries are fixed at creation, as re-partitioning
-    /// was out of scope for the paper too). See the module docs for the
-    /// split recipe this store is already shaped for.
-    ///
-    /// # Errors
-    ///
-    /// Always `InvalidFormat`: split is not implemented.
-    pub fn split_seam(&self, _shard: usize, _at: &[u8]) -> Result<()> {
-        Err(StorageError::InvalidFormat(
-            "online shard split is not implemented; boundaries are fixed at creation \
-             (see ShardedBLsm module docs for the seam)"
-                .into(),
-        ))
-    }
+/// The typed error every request that cannot reach a serving shard gets.
+fn shard_error(detail: String) -> StorageError {
+    StorageError::corruption(ComponentId::Shard, None, detail)
+}
+
+fn no_such_shard(i: usize, count: usize) -> StorageError {
+    shard_error(format!("no shard {i}: the store has {count} shards"))
 }
 
 /// Lock-free, cloneable read handle over every serving shard: the
@@ -699,13 +580,13 @@ impl ShardedReadView {
     }
 
     fn view(&self, i: usize) -> Result<&ReadView> {
-        self.views[i].as_ref().ok_or_else(|| {
-            StorageError::corruption(
-                ComponentId::Shard,
-                None,
-                format!("shard {i} is degraded and cannot serve reads"),
-            )
-        })
+        match self.views.get(i) {
+            Some(Some(v)) => Ok(v),
+            Some(None) => Err(shard_error(format!(
+                "shard {i} is degraded and cannot serve reads"
+            ))),
+            None => Err(no_such_shard(i, self.views.len())),
+        }
     }
 
     /// Point lookup — lock-free within the owning shard.
@@ -726,16 +607,23 @@ impl ShardedReadView {
         self.view(self.shard_for(key))?.exists(key)
     }
 
-    /// Scatter-gather ordered scan (see [`scatter_scan`]).
+    fn scatter(&self, from: &[u8], to: Option<&[u8]>, limit: usize) -> Result<Vec<ScanItem>> {
+        route::scatter_scan(&self.bounds, from, to, limit, |i, f, t, l| {
+            let view = self.view(i)?;
+            match t {
+                Some(t) => view.scan_range(f, t, l),
+                None => view.scan(f, l),
+            }
+        })
+    }
+
+    /// Scatter-gather ordered scan (see [`route::scatter_scan`]).
     ///
     /// # Errors
     ///
     /// Fails if any overlapping shard is degraded or errors.
     pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        scatter_scan(&self.bounds, from, None, limit, |i, f, t, l| match t {
-            Some(t) => self.view(i)?.scan_range(f, t, l),
-            None => self.view(i)?.scan(f, l),
-        })
+        self.scatter(from, None, limit)
     }
 
     /// Scatter-gather ordered scan of `[from, to)`.
@@ -744,10 +632,7 @@ impl ShardedReadView {
     ///
     /// Fails if any overlapping shard is degraded or errors.
     pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        scatter_scan(&self.bounds, from, Some(to), limit, |i, f, t, l| match t {
-            Some(t) => self.view(i)?.scan_range(f, t, l),
-            None => self.view(i)?.scan(f, l),
-        })
+        self.scatter(from, Some(to), limit)
     }
 
     /// Aggregated counters across serving shards (worst backpressure).
@@ -767,10 +652,11 @@ impl ShardedReadView {
             .collect()
     }
 
-    /// Shard `i`'s live backpressure level (`None` = degraded) — what
+    /// Shard `i`'s live backpressure level, from one atomic `C0`
+    /// occupancy read (`None` = degraded or out of range) — what
     /// per-shard admission control keys off.
     pub fn backpressure(&self, i: usize) -> Option<BackpressureLevel> {
-        self.views[i].as_ref().map(|v| v.stats().backpressure)
+        self.views.get(i)?.as_ref().map(ReadView::backpressure)
     }
 
     /// Scrubs every serving shard, summing the findings; degraded
@@ -796,56 +682,6 @@ impl ShardedReadView {
         }
         total
     }
-}
-
-/// Scatter-gather scan: fan the range out to every shard whose key
-/// range overlaps `[from, to)`, then gather the per-shard (already
-/// sorted) result streams through a k-way merge into one globally
-/// key-ordered stream, truncated to `limit`.
-///
-/// With range-partitioned shards the streams are disjoint, so the merge
-/// degenerates to concatenation — but it is written as a genuine k-way
-/// merge (smallest-head heap, ties broken by shard index) so the gather
-/// step is correct for *any* boundary configuration the router is handed,
-/// which is exactly the property an online split would lean on.
-///
-/// Each overlapping shard is asked for up to the full remaining `limit`
-/// (the router cannot know how the range's rows distribute before
-/// looking); shards are visited in routing order so the common
-/// single-shard scan stops after one fetch.
-fn scatter_scan(
-    bounds: &[Bytes],
-    from: &[u8],
-    to: Option<&[u8]>,
-    limit: usize,
-    fetch: impl Fn(usize, &[u8], Option<&[u8]>, usize) -> Result<Vec<ScanItem>>,
-) -> Result<Vec<ScanItem>> {
-    if limit == 0 {
-        return Ok(Vec::new());
-    }
-    let (first, last) = route::shards_overlapping(bounds, from, to);
-    let mut streams: Vec<Vec<ScanItem>> = Vec::with_capacity(last - first + 1);
-    let mut gathered = 0usize;
-    for i in first..=last {
-        // Scatter: shard i's slice of the range starts at `from` only
-        // for the first shard; later shards start at their lower bound
-        // (their whole range is inside the scan).
-        let shard_from: &[u8] = if i == first {
-            from
-        } else {
-            bounds[i - 1].as_ref()
-        };
-        let rows = fetch(i, shard_from, to, limit)?;
-        gathered += rows.len();
-        streams.push(rows);
-        // Range partitioning means shards are visited in key order: once
-        // `limit` rows are gathered, later shards can only contribute
-        // rows that sort after everything kept.
-        if gathered >= limit {
-            break;
-        }
-    }
-    Ok(route::kway_merge(streams, limit))
 }
 
 #[cfg(test)]
@@ -1045,9 +881,53 @@ mod tests {
     }
 
     #[test]
-    fn split_seam_is_documented_not_implemented() {
+    fn skewed_writes_merge_only_the_hot_shard() {
+        // §2.3.2: merge activity concentrates on frequently updated key
+        // ranges — a shard that receives no writes never merges.
+        let (manifest, devs) = mem_shards(4);
+        let store = open(&manifest, &devs, ShardedBLsm::even_bounds(4));
+        for i in 0..4_000u32 {
+            let mut k = vec![0x80, 0x00];
+            k.extend_from_slice(format!("hot{:06}", i % 1_000).as_bytes());
+            store.put(k, Bytes::from(vec![1u8; 64])).unwrap();
+        }
+        let merges: Vec<u64> = store
+            .shutdown()
+            .unwrap()
+            .iter()
+            .map(|t| t.stats().merges01)
+            .collect();
+        assert!(merges[2] > 0, "the hot shard must have merged: {merges:?}");
+        assert_eq!(merges[0] + merges[1] + merges[3], 0, "{merges:?}");
+    }
+
+    fn is_shard_error<T: std::fmt::Debug>(r: Result<T>) -> bool {
+        matches!(
+            r,
+            Err(StorageError::Corruption {
+                component: ComponentId::Shard,
+                ..
+            })
+        )
+    }
+
+    #[test]
+    fn store_rejects_an_out_of_range_shard_index_with_a_typed_error() {
         let (manifest, devs) = mem_shards(2);
         let store = open(&manifest, &devs, vec![Bytes::from_static(b"m")]);
-        assert!(store.split_seam(0, b"g").is_err());
+        let n = store.shard_count();
+        assert!(is_shard_error(store.shard_engine(n)));
+        assert!(store.backpressure(n).is_none());
+        assert!(store.backpressure(n - 1).is_some());
+    }
+
+    #[test]
+    fn read_view_rejects_an_out_of_range_shard_index_with_a_typed_error() {
+        let (manifest, devs) = mem_shards(2);
+        let view = open(&manifest, &devs, vec![Bytes::from_static(b"m")]).read_view();
+        let n = view.shard_count();
+        assert!(is_shard_error(view.view(n)));
+        assert!(view.backpressure(n).is_none());
+        assert!(view.backpressure(n - 1).is_some());
     }
 }

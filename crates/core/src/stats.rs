@@ -229,8 +229,8 @@ impl TreeStatsSnapshot {
         }
     }
 
-    /// Field-wise accumulate, used by `PartitionedBLsm::stats` to sum
-    /// per-partition counters.
+    /// Field-wise accumulate, used by `ShardedReadView::stats` to sum
+    /// per-shard counters.
     pub fn accumulate(&mut self, other: &TreeStatsSnapshot) {
         self.gets += other.gets;
         self.writes += other.writes;

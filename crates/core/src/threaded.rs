@@ -5,9 +5,9 @@
 //! simulated-device experiments stay deterministic. [`ThreadedBLsm`] puts
 //! the thread back for real deployments: a merge thread repeatedly asks
 //! the engine for maintenance work, backing off when there is none, while
-//! application threads write to the tree *directly* — `put`, `delete` and
-//! `apply_delta` are `&self` on [`BLsmTree`] and scale across threads, so
-//! this wrapper adds no mutex around them.
+//! application threads use the tree *directly* — the handle derefs to
+//! [`BLsmTree`], whose operations are all `&self`, so this wrapper
+//! declares no operations of its own and adds no mutex around the tree's.
 //!
 //! §4.4.1 notes the concurrency pitfalls of merge threads ("it is
 //! prohibitively expensive to acquire a coarse-grained mutex for each
@@ -15,31 +15,29 @@
 //! stale statistics"). The split here matches: writers contend only on
 //! their `C0` key-range shard (plus the log mutex when durability is on),
 //! the merge thread serializes on the tree's internal merge state for one
-//! bounded quantum at a time, and reads never take any of those locks —
-//! [`ThreadedBLsm::get`], [`scan`](ThreadedBLsm::scan),
-//! [`exists`](ThreadedBLsm::exists) and [`stats`](ThreadedBLsm::stats) go
-//! through the tree's lock-free [`ReadView`], which pins the `C0` shards
-//! and the catalog snapshot behind a publish epoch (see `catalog.rs`).
+//! bounded quantum at a time, and reads never take any of those locks
+//! (see `read.rs`). The tree's write tail rings the merge thread's
+//! doorbell (`TreeShared::work_pending`) whenever a write leaves `C0`
+//! above `Idle`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::time::Duration;
 
 use blsm_storage::{Result, StorageError};
 
-use crate::read::{ReadView, ScanItem};
-use crate::stats::TreeStatsSnapshot;
 use crate::tree::BLsmTree;
+
+/// How long the merge thread sleeps between staleness re-checks when no
+/// writer has rung it: the bound on how stale the spring-and-gear
+/// schedule can go while writes skip the doorbell at `Idle`.
+const MERGE_WAIT_TIMEOUT: Duration = Duration::from_millis(10);
 
 struct Shared {
     /// The tree itself — writes and reads are `&self`, so no wrapper
     /// mutex: application threads call straight into it while the merge
     /// thread drives `maintenance`.
     tree: BLsmTree,
-    /// Signalled by writers when merge work may be pending.
-    work_cv: Condvar,
-    work_pending: Mutex<bool>,
     // ordering: SeqCst — shutdown flag checked against the condvar
     // handshake; SeqCst keeps the store totally ordered with the
     // `work_pending` notifies so the merge loop cannot miss it
@@ -47,13 +45,12 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// A [`BLsmTree`] with a background merge thread, parallel `&self`
-/// writes, and a lock-free read path.
+/// A [`BLsmTree`] with a background merge thread. Derefs to the tree:
+/// every operation (`put`, `get`, `scan`, `commit_group`, `stats`, …) is
+/// the tree's own.
 pub struct ThreadedBLsm {
     /// `Some` until `shutdown` hands the tree back.
     shared: Option<Arc<Shared>>,
-    /// Lock-free reads; valid for the tree's whole life.
-    view: ReadView,
     merge_thread: Option<std::thread::JoinHandle<()>>,
     /// Merge input bytes processed per background quantum.
     quantum: u64,
@@ -65,6 +62,19 @@ impl std::fmt::Debug for ThreadedBLsm {
             .field("quantum", &self.quantum)
             .field("running", &self.shared.is_some())
             .finish_non_exhaustive()
+    }
+}
+
+impl std::ops::Deref for ThreadedBLsm {
+    type Target = BLsmTree;
+
+    fn deref(&self) -> &BLsmTree {
+        match &self.shared {
+            Some(s) => &s.tree,
+            // Unreachable: `shutdown` consumes `self`, so no method can run
+            // on a shut-down handle.
+            None => panic!("tree used after shutdown"),
+        }
     }
 }
 
@@ -80,11 +90,12 @@ impl ThreadedBLsm {
     /// spawned (e.g. the process hit its thread limit); the tree itself
     /// is dropped in that case, so reopen it from its devices.
     pub fn start(tree: BLsmTree, quantum: u64) -> Result<ThreadedBLsm> {
-        let view = tree.read_view();
+        // ordering: Release — see the field docs in `catalog.rs`.
+        tree.shared
+            .merge_thread_attached
+            .store(true, Ordering::Release);
         let shared = Arc::new(Shared {
             tree,
-            work_cv: Condvar::new(),
-            work_pending: Mutex::new(true),
             shutdown: AtomicBool::new(false),
         });
         let thread_shared = shared.clone();
@@ -94,226 +105,16 @@ impl ThreadedBLsm {
             .map_err(StorageError::Io)?;
         Ok(ThreadedBLsm {
             shared: Some(shared),
-            view,
             merge_thread: Some(merge_thread),
             quantum,
         })
     }
 
-    fn shared(&self) -> &Arc<Shared> {
-        match &self.shared {
-            Some(s) => s,
-            // Unreachable: `shutdown` consumes `self`, so no method can run
-            // on a shut-down handle.
-            None => panic!("tree used after shutdown"),
-        }
-    }
-
-    /// Runs `f` against the tree, then nudges the merge thread (writes
-    /// may have created work). The tree's own methods are `&self` and
-    /// thread-safe; this adds no extra exclusion.
+    /// Runs `f` against the tree — for callers that want a `&BLsmTree`
+    /// function (`db.with_tree(BLsmTree::checkpoint)`); equivalent to
+    /// calling through the deref.
     pub fn with_tree<T>(&self, f: impl FnOnce(&BLsmTree) -> T) -> T {
-        let out = f(&self.shared().tree);
-        self.kick();
-        out
-    }
-
-    /// Wakes the merge thread — unless the tree is idle.
-    ///
-    /// Below the low watermark no scheduler starts a merge (naive and
-    /// spring-and-gear wait for the hard cap resp. high water; gear's
-    /// fill unit is at least `low_water * mem_budget`), so waking the
-    /// merge thread would buy a futex syscall and a context switch per
-    /// write just to find nothing to do. That cost is invisible with one
-    /// busy tree (the merge thread is rarely parked) but dominates with
-    /// N mostly-idle shards on few cores. Skipped wakes are bounded by
-    /// the merge loop's wait timeout (`BLsmConfig::merge_wait_timeout`,
-    /// default 10 ms), which runs `maintenance`
-    /// regardless; and a merge already in flight keeps the loop in its
-    /// busy phase (it only parks once no merge is active), so nothing
-    /// can stall behind a skipped kick.
-    fn kick(&self) {
-        let shared = self.shared();
-        if shared.tree.backpressure() == crate::sched::BackpressureLevel::Idle {
-            return;
-        }
-        let mut pending = shared.work_pending.lock();
-        *pending = true;
-        shared.work_cv.notify_one();
-    }
-
-    /// Convenience: blind write. Runs on the caller's thread and scales
-    /// with concurrent writers (see [`BLsmTree::put`]).
-    pub fn put(&self, key: impl Into<bytes::Bytes>, value: impl Into<bytes::Bytes>) -> Result<()> {
-        let out = self.shared().tree.put(key, value);
-        self.kick();
-        out
-    }
-
-    /// Point lookup — lock-free: proceeds even while the merge thread
-    /// runs a work quantum.
-    pub fn get(&self, key: &[u8]) -> Result<Option<bytes::Bytes>> {
-        self.view.get(key)
-    }
-
-    /// Existence check — lock-free.
-    pub fn exists(&self, key: &[u8]) -> Result<bool> {
-        self.view.exists(key)
-    }
-
-    /// Ordered scan — lock-free.
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.view.scan(from, limit)
-    }
-
-    /// A cloneable lock-free read handle, independent of this wrapper's
-    /// lifetime bookkeeping (hand these to reader threads).
-    pub fn read_view(&self) -> ReadView {
-        self.view.clone()
-    }
-
-    /// Lock-free snapshot of the engine counters — never waits for the
-    /// merge thread.
-    pub fn stats(&self) -> TreeStatsSnapshot {
-        self.view.stats()
-    }
-
-    /// Convenience: delete.
-    pub fn delete(&self, key: impl Into<bytes::Bytes>) -> Result<()> {
-        let out = self.shared().tree.delete(key);
-        self.kick();
-        out
-    }
-
-    /// Convenience: the paper's zero-seek `insert if not exists`
-    /// (§3.1.2). Returns true if the insert happened.
-    pub fn insert_if_not_exists(
-        &self,
-        key: impl Into<bytes::Bytes>,
-        value: impl Into<bytes::Bytes>,
-    ) -> Result<bool> {
-        let out = self.shared().tree.insert_if_not_exists(key, value);
-        self.kick();
-        out
-    }
-
-    /// Convenience: merge-operator delta write.
-    pub fn apply_delta(
-        &self,
-        key: impl Into<bytes::Bytes>,
-        delta: impl Into<bytes::Bytes>,
-    ) -> Result<()> {
-        let out = self.shared().tree.apply_delta(key, delta);
-        self.kick();
-        out
-    }
-
-    /// Ordered scan of `[from, to)` — lock-free.
-    pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.view.scan_range(from, to, limit)
-    }
-
-    /// Nowait blind write: applied but not yet durable; the returned
-    /// commit target retires via [`commit_group`](Self::commit_group)
-    /// (see [`BLsmTree::put_nowait`]).
-    pub fn put_nowait(
-        &self,
-        key: impl Into<bytes::Bytes>,
-        value: impl Into<bytes::Bytes>,
-    ) -> Result<u64> {
-        let out = self.shared().tree.put_nowait(key, value);
-        self.kick();
-        out
-    }
-
-    /// Nowait delete (see [`BLsmTree::delete_nowait`]).
-    pub fn delete_nowait(&self, key: impl Into<bytes::Bytes>) -> Result<u64> {
-        let out = self.shared().tree.delete_nowait(key);
-        self.kick();
-        out
-    }
-
-    /// Nowait delta write (see [`BLsmTree::apply_delta_nowait`]).
-    pub fn apply_delta_nowait(
-        &self,
-        key: impl Into<bytes::Bytes>,
-        delta: impl Into<bytes::Bytes>,
-    ) -> Result<u64> {
-        let out = self.shared().tree.apply_delta_nowait(key, delta);
-        self.kick();
-        out
-    }
-
-    /// Nowait `insert if not exists` (see
-    /// [`BLsmTree::insert_if_not_exists_nowait`]).
-    pub fn insert_if_not_exists_nowait(
-        &self,
-        key: impl Into<bytes::Bytes>,
-        value: impl Into<bytes::Bytes>,
-    ) -> Result<(bool, u64)> {
-        let out = self.shared().tree.insert_if_not_exists_nowait(key, value);
-        self.kick();
-        out
-    }
-
-    /// Nowait replicated apply (see
-    /// [`BLsmTree::apply_replicated_nowait`]): lets a follower retire a
-    /// whole shipped batch on one commit group.
-    pub fn apply_replicated_nowait(&self, payload: &[u8]) -> Result<Option<(u64, u64)>> {
-        let out = self.shared().tree.apply_replicated_nowait(payload);
-        self.kick();
-        out
-    }
-
-    /// Forces a commit group covering everything appended so far and
-    /// returns the new durable horizon (see [`BLsmTree::commit_group`]).
-    pub fn commit_group(&self) -> Result<u64> {
-        self.shared().tree.commit_group()
-    }
-
-    /// LSN below which the WAL is known device-stable — an atomic read
-    /// (see [`BLsmTree::durable_lsn`]).
-    pub fn durable_lsn(&self) -> u64 {
-        self.shared().tree.durable_lsn()
-    }
-
-    /// Applies one replicated WAL record through the normal write path,
-    /// keeping the leader's seqno (see [`BLsmTree::apply_replicated`]).
-    /// Returns the applied seqno, or `None` for an already-applied
-    /// duplicate.
-    pub fn apply_replicated(&self, payload: &[u8]) -> Result<Option<u64>> {
-        let out = self.shared().tree.apply_replicated(payload);
-        self.kick();
-        out
-    }
-
-    /// The next seqno this tree would allocate — an atomic read, no
-    /// locks. A reservation counter: it may run ahead of failed or
-    /// in-flight applies, so replication reports
-    /// [`applied_seqno`](Self::applied_seqno) instead.
-    pub fn next_seqno(&self) -> u64 {
-        self.shared().tree.next_seqno()
-    }
-
-    /// The highest seqno fully applied on this node — the read horizon
-    /// STATS reports and failover elections compare (see
-    /// [`BLsmTree::applied_seqno`]).
-    pub fn applied_seqno(&self) -> u64 {
-        self.shared().tree.applied_seqno()
-    }
-
-    /// A cloneable replication-source handle (seqno counter + durable
-    /// WAL window) that outlives borrows of this wrapper — what a
-    /// leader's shipper threads hold (see [`BLsmTree::repl_source`]).
-    pub fn repl_source(&self) -> crate::tree::ReplSource {
-        self.shared().tree.repl_source()
-    }
-
-    /// The live spring-and-gear backpressure level — the admission
-    /// signal the serving layer throttles writes by. Lock-free (atomic
-    /// counter reads, no locks at all).
-    pub fn backpressure(&self) -> crate::sched::BackpressureLevel {
-        self.view.stats().backpressure
+        f(self)
     }
 
     /// Bound on merge bytes per background quantum.
@@ -346,13 +147,20 @@ impl ThreadedBLsm {
         };
         shared.shutdown.store(true, Ordering::SeqCst);
         {
-            let mut pending = shared.work_pending.lock();
+            let mut pending = shared.tree.shared.work_pending.lock();
             *pending = true;
-            shared.work_cv.notify_one();
+            shared.tree.shared.work_cv.notify_one();
         }
         if let Some(h) = self.merge_thread.take() {
             let _ = h.join();
         }
+        // The returned tree is a bare tree again: nobody left to wake.
+        // ordering: Release — see the field docs in `catalog.rs`.
+        shared
+            .tree
+            .shared
+            .merge_thread_attached
+            .store(false, Ordering::Release);
     }
 }
 
@@ -376,6 +184,7 @@ impl Drop for ThreadedBLsm {
 }
 
 fn merge_loop(shared: &Arc<Shared>, quantum: u64) {
+    let tree = &shared.tree;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -384,7 +193,6 @@ fn merge_loop(shared: &Arc<Shared>, quantum: u64) {
         // concurrently (maintenance serializes only on the tree's
         // internal merge state).
         let had_work = {
-            let tree = &shared.tree;
             let active_before = tree.merges_active();
             let _ = tree.maintenance(quantum);
             // Every background quantum is an invariant boundary; a
@@ -403,21 +211,19 @@ fn merge_loop(shared: &Arc<Shared>, quantum: u64) {
             std::thread::yield_now();
             continue;
         }
-        // No work: sleep until a writer kicks us (or the configured
-        // `merge_wait_timeout`, so paced schedulers still make progress
-        // on idle trees — its own knob, independent of the group-commit
-        // deadline a sync write may *also* sit out; see `config.rs`).
-        // The predicate is re-checked in a loop: a bare `if` would let a
-        // kick that lands between a spurious/timeout wakeup and the
+        // No work: sleep until a writer rings us (or `MERGE_WAIT_TIMEOUT`,
+        // so paced schedulers still make progress on idle trees). The
+        // predicate is re-checked in a loop: a bare `if` would let a
+        // ring that lands between a spurious/timeout wakeup and the
         // `*pending = false` store below be silently consumed, stalling
         // that writer's work until the next timeout (the classic
         // lost-wakeup shape).
-        let wait_timeout = shared.tree.config().merge_wait_timeout;
-        let mut pending = shared.work_pending.lock();
+        let mut pending = tree.shared.work_pending.lock();
         while !*pending && !shared.shutdown.load(Ordering::SeqCst) {
-            let timed_out = shared
+            let timed_out = tree
+                .shared
                 .work_cv
-                .wait_for(&mut pending, wait_timeout)
+                .wait_for(&mut pending, MERGE_WAIT_TIMEOUT)
                 .timed_out();
             if timed_out {
                 break;
@@ -596,6 +402,65 @@ mod tests {
                     assert!(v.is_some(), "round {round}: lost k{id:08}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn deref_write_above_idle_wakes_the_parked_merge_thread() {
+        // `external_pacing`: writers start no merges of their own, so a
+        // started pass proves the merge thread ran `maintenance`.
+        let tree = BLsmTree::open(
+            Arc::new(MemDevice::new()),
+            Arc::new(MemDevice::new()),
+            1024,
+            BLsmConfig {
+                mem_budget: 64 << 10,
+                external_pacing: true,
+                ..Default::default()
+            },
+            Arc::new(AppendOperator),
+        )
+        .unwrap();
+        let db = ThreadedBLsm::start(tree, 1 << 20).unwrap();
+        // Spring-and-gear starts a pass at the high water mark: fill to
+        // just under it (above `Idle`, no merge yet).
+        let high = (db.config().high_water * db.config().mem_budget as f64) as usize;
+        let mut i = 0u32;
+        let mut put_next = || {
+            i += 1;
+            db.put(format!("k{i:06}").into_bytes(), Bytes::from(vec![0u8; 100]))
+                .unwrap();
+        };
+        while db.c0_bytes() + 1024 < high {
+            put_next();
+        }
+        assert_ne!(db.backpressure(), crate::sched::BackpressureLevel::Idle);
+        assert_eq!(db.merges_active(), (false, false));
+        // Ring by hand and wait for the flag to be consumed, then give
+        // the thread a moment to park again: it now sleeps on a fresh,
+        // (almost) full wait timeout whether or not writes ring.
+        let tree: &BLsmTree = &db;
+        {
+            let mut pending = tree.shared.work_pending.lock();
+            *pending = true;
+            tree.shared.work_cv.notify_one();
+        }
+        while *tree.shared.work_pending.lock() {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+        // Cross the mark through the deref path; only a rung doorbell
+        // gets the pass started before the wait times out.
+        let crossed = std::time::Instant::now();
+        while db.c0_bytes() < high {
+            put_next();
+        }
+        while !db.merges_active().0 && db.stats().merges01 == 0 {
+            assert!(
+                crossed.elapsed() < MERGE_WAIT_TIMEOUT / 2,
+                "write above Idle did not wake the merge thread"
+            );
+            std::thread::yield_now();
         }
     }
 

@@ -184,6 +184,9 @@ impl BLsmTree {
             unsynced_bytes: AtomicU64::new(0),
             stats: TreeStats::default(),
             recovery: parking_lot::RwLock::new(RecoveryReport::default()),
+            work_pending: Mutex::new(false),
+            work_cv: parking_lot::Condvar::new(),
+            merge_thread_attached: std::sync::atomic::AtomicBool::new(false),
             config,
         });
         let tree = BLsmTree {
@@ -518,7 +521,34 @@ impl BLsmTree {
         self.shared
             .applied_floor
             .fetch_max(seqno + 1, Ordering::AcqRel);
+        self.ring_doorbell();
         Ok(target)
+    }
+
+    /// Wakes the attached merge thread (if any) — unless the tree is
+    /// idle.
+    ///
+    /// Below the low watermark no scheduler starts a merge (naive and
+    /// spring-and-gear wait for the hard cap resp. high water; gear's
+    /// fill unit is at least `low_water * mem_budget`), so waking the
+    /// merge thread would buy a futex syscall and a context switch per
+    /// write just to find nothing to do. That cost is invisible with one
+    /// busy tree (the merge thread is rarely parked) but dominates with
+    /// N mostly-idle shards on few cores. Skipped rings are bounded by
+    /// the merge loop's wait timeout, which runs `maintenance`
+    /// regardless; and a merge already in flight keeps the loop in its
+    /// busy phase (it only parks once no merge is active), so nothing
+    /// can stall behind a skipped ring.
+    fn ring_doorbell(&self) {
+        // ordering: Acquire — see the field docs in `catalog.rs`.
+        if !self.shared.merge_thread_attached.load(Ordering::Acquire)
+            || self.backpressure() == crate::sched::BackpressureLevel::Idle
+        {
+            return;
+        }
+        let mut pending = self.shared.work_pending.lock();
+        *pending = true;
+        self.shared.work_cv.notify_one();
     }
 
     /// Applies one replicated WAL record (a payload produced by the

@@ -19,7 +19,7 @@
 //! inboxes and the committer signal; see the lock hierarchy there),
 //! which the `xtask` lock-order lint enforces.
 
-use blsm::{BLsmTree, BackpressureLevel, ShardedBLsm, ShardedReadView, TreeStatsSnapshot};
+use blsm::{BLsmTree, BackpressureLevel, ShardedBLsm};
 use blsm_storage::Result;
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionCounters, WriteAdmission};
@@ -50,40 +50,26 @@ impl ShardRouter {
         ShardRouter { store, admissions }
     }
 
-    /// Number of shards behind the router.
-    pub fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
-
     /// Index of the shard owning `key`.
     pub fn shard_for(&self, key: &[u8]) -> usize {
         self.store.shard_for(key)
     }
 
-    /// The routed store itself (writes go through here).
+    /// The routed store itself: its read view, stats and per-shard
+    /// engines (writes apply to `store().shard_engine(shard)`).
     pub fn store(&self) -> &ShardedBLsm {
         &self.store
     }
 
-    /// A lock-free read handle covering every serving shard.
-    pub fn read_view(&self) -> ShardedReadView {
-        self.store.read_view()
-    }
-
     /// Admission verdict for one write addressed to `key`, judged
-    /// against the **owning shard's** live backpressure only. Returns
-    /// the shard index with the verdict so the caller applies the write
-    /// to the same shard it was metered against.
+    /// against the **owning shard's** live backpressure only and
+    /// recorded on the calling reactor's counter `lane`. Returns the
+    /// shard index with the verdict so the caller applies the write to
+    /// the same shard it was metered against — the key is routed once.
     ///
     /// A degraded shard admits (the write will fail with the typed
     /// per-shard error, which tells the client more than RETRY_LATER
     /// would).
-    pub fn write_admission(&self, key: &[u8]) -> (usize, WriteAdmission) {
-        self.write_admission_on(0, key)
-    }
-
-    /// [`ShardRouter::write_admission`], recording the decision on the
-    /// calling reactor's counter lane.
     pub fn write_admission_on(&self, lane: usize, key: &[u8]) -> (usize, WriteAdmission) {
         let shard = self.shard_for(key);
         let level = self
@@ -108,19 +94,11 @@ impl ShardRouter {
         total
     }
 
-    /// Shard `i`'s admission counters.
+    /// Shard `i`'s admission counters (zeroes for an out-of-range `i`).
     pub fn shard_admission_counters(&self, i: usize) -> AdmissionCounters {
-        self.admissions[i].counters()
-    }
-
-    /// Aggregated engine counters (worst shard's backpressure).
-    pub fn stats(&self) -> TreeStatsSnapshot {
-        self.store.stats()
-    }
-
-    /// Per-shard engine counters; `None` marks a degraded shard.
-    pub fn shard_stats(&self) -> Vec<Option<TreeStatsSnapshot>> {
-        self.store.shard_stats()
+        self.admissions
+            .get(i)
+            .map_or_else(AdmissionCounters::default, AdmissionController::counters)
     }
 
     /// Shuts every shard down (merges completed, checkpoints written,
@@ -166,8 +144,8 @@ mod tests {
     fn admission_is_metered_per_shard() {
         let router = mem_router(4);
         // Keys with distinct two-byte prefixes land on distinct shards.
-        let (s0, v0) = router.write_admission(&[0x00, 0x00, b'a']);
-        let (s3, v3) = router.write_admission(&[0xF0, 0x00, b'z']);
+        let (s0, v0) = router.write_admission_on(0, &[0x00, 0x00, b'a']);
+        let (s3, v3) = router.write_admission_on(0, &[0xF0, 0x00, b'z']);
         assert_ne!(s0, s3);
         assert_eq!(v0, WriteAdmission::Admit);
         assert_eq!(v3, WriteAdmission::Admit);
@@ -175,7 +153,8 @@ mod tests {
         assert_eq!(router.shard_admission_counters(s0).admitted, 1);
         assert_eq!(router.shard_admission_counters(s3).admitted, 1);
         assert_eq!(router.admission_counters().admitted, 2);
-        for i in 0..router.shard_count() {
+        // Untouched shards — and an index past the last shard — read zero.
+        for i in 0..=router.store().shard_count() {
             if i != s0 && i != s3 {
                 assert_eq!(router.shard_admission_counters(i).admitted, 0);
             }
@@ -196,7 +175,7 @@ mod tests {
         .unwrap();
         let db = ThreadedBLsm::start(tree, 1 << 20).unwrap();
         let router = ShardRouter::new(ShardedBLsm::from_single(db), AdmissionConfig::default());
-        assert_eq!(router.shard_count(), 1);
+        assert_eq!(router.store().shard_count(), 1);
         assert_eq!(router.shard_for(b""), 0);
         assert_eq!(router.shard_for(&[0xFF; 8]), 0);
         router

@@ -16,8 +16,9 @@
 //!    commit target LSN;
 //! 2. the response is parked in the connection's pending set, the
 //!    owning shard is marked dirty, and the committer is signalled;
-//! 3. the committer calls `commit_group(shard)` — one flush + one fsync
-//!    covering every write appended since the last group — and rings
+//! 3. the committer calls the shard engine's `commit_group()` — one
+//!    flush + one fsync covering every write appended since the last
+//!    group — and rings
 //!    every reactor's [`WakeFd`];
 //! 4. reactors release all responses whose target is now ≤ the shard's
 //!    `durable_lsn`, out of order by request id as groups retire.
@@ -528,7 +529,7 @@ fn reactor_loop(inner: &Arc<Inner>, idx: usize) {
         drain_inbox_closed(inner, idx);
         return;
     }
-    let view = inner.router.read_view();
+    let view = inner.router.store().read_view();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 1;
     let mut events = Vec::new();
@@ -731,7 +732,9 @@ fn serve_frame(
             respond(inner, conn, id, &repl.not_leader_response())?;
             return Ok(());
         }
-        let (_shard, verdict) = inner.router.write_admission_on(lane, key);
+        // Routed once: the shard the write was metered against is the
+        // shard it is applied to.
+        let (shard, verdict) = inner.router.write_admission_on(lane, key);
         let not_before = match verdict {
             WriteAdmission::Admit => None,
             // Proportional pacing: the write applies now, but its
@@ -744,7 +747,7 @@ fn serve_frame(
                 return Ok(());
             }
         };
-        let (shard, target, resp) = apply_write_nowait(inner, req);
+        let (target, resp) = apply_write_nowait(inner, shard, req);
         // Leader commit gate: the ack leaves only once a majority of
         // the group holds the write (DESIGN.md §17). Opened here,
         // polled as peer acks arrive.
@@ -870,8 +873,8 @@ fn settle_pending(inner: &Arc<Inner>, conn: &mut Conn) {
                 inner.served.fetch_add(1, Ordering::SeqCst);
                 return false;
             }
-            match inner.router.store().durable_lsn(p.shard) {
-                Ok(durable) if durable >= p.target => p.target = 0,
+            match inner.router.store().shard_engine(p.shard) {
+                Ok(db) if db.durable_lsn() >= p.target => p.target = 0,
                 Ok(_) => return true,
                 Err(e) => {
                     p.resp = err_response(&e);
@@ -954,9 +957,9 @@ fn force_flush(conn: &mut Conn, limit: Duration) {
 ///
 /// Batching comes from overlap, not waiting: while this thread is
 /// inside one fsync, reactors keep appending — the next `commit_group`
-/// scoops up everything that accumulated. The engine-side deadline
-/// (`commit_deadline`) only matters when independent writers call the
-/// blocking API; here a lone committer syncs immediately.
+/// scoops up everything that accumulated. The engine-side accumulation
+/// deadline only matters when independent writers call the blocking
+/// API; here a lone committer syncs immediately.
 fn committer_loop(inner: &Arc<Inner>) {
     loop {
         let stopping = inner.stop.load(Ordering::SeqCst);
@@ -975,7 +978,8 @@ fn committer_loop(inner: &Arc<Inner>) {
         let mut synced_any = false;
         for shard in 0..inner.commit_dirty.len() {
             if inner.commit_dirty[shard].swap(false, Ordering::SeqCst) {
-                match inner.router.store().commit_group(shard) {
+                let store = inner.router.store();
+                match store.shard_engine(shard).and_then(|db| db.commit_group()) {
                     Ok(_) => synced_any = true,
                     Err(e) => {
                         // Record first (text, then epoch): a reactor that
@@ -1051,42 +1055,34 @@ fn serve_replication(inner: &Inner, repl: &Replication, req: &Request) -> Option
     }
 }
 
-/// Applies one admitted write through the engine's nowait path (WAL
-/// append + C0 insert, no sync), routed by key to its owning shard.
-/// Returns `(shard, commit_target, provisional_response)` — a zero
-/// target means no durability wait is owed (Buffered durability, a
-/// no-op insert, or an error response).
-fn apply_write_nowait(inner: &Inner, req: Request) -> (usize, u64, Response) {
-    let store = inner.router.store();
-    match req {
-        Request::Put { key, value } => match store.put_nowait(key, value) {
-            Ok((shard, target)) => (shard, target, Response::Ok),
-            Err(e) => (0, 0, err_response(&e)),
-        },
-        Request::Delete { key } => match store.delete_nowait(key) {
-            Ok((shard, target)) => (shard, target, Response::Ok),
-            Err(e) => (0, 0, err_response(&e)),
-        },
-        Request::InsertIfNotExists { key, value } => {
-            match store.insert_if_not_exists_nowait(key, value) {
-                Ok((inserted, shard, target)) => (shard, target, Response::Inserted(inserted)),
-                Err(e) => (0, 0, err_response(&e)),
+/// Applies one admitted write to `shard`'s engine through its nowait
+/// path (WAL append + C0 insert, no sync). Returns `(commit_target,
+/// provisional_response)` — a zero target means no durability wait is
+/// owed (Buffered durability, a no-op insert, or an error response).
+fn apply_write_nowait(inner: &Inner, shard: usize, req: Request) -> (u64, Response) {
+    let applied = inner
+        .router
+        .store()
+        .shard_engine(shard)
+        .and_then(|db| match req {
+            Request::Put { key, value } => db.put_nowait(key, value).map(|t| (t, Response::Ok)),
+            Request::Delete { key } => db.delete_nowait(key).map(|t| (t, Response::Ok)),
+            Request::InsertIfNotExists { key, value } => db
+                .insert_if_not_exists_nowait(key, value)
+                .map(|(inserted, t)| (t, Response::Inserted(inserted))),
+            Request::ApplyDelta { key, delta } => {
+                db.apply_delta_nowait(key, delta).map(|t| (t, Response::Ok))
             }
-        }
-        Request::ApplyDelta { key, delta } => match store.apply_delta_nowait(key, delta) {
-            Ok((shard, target)) => (shard, target, Response::Ok),
-            Err(e) => (0, 0, err_response(&e)),
-        },
-        // `write_key` admits only the four arms above.
-        _ => (
-            0,
-            0,
-            Response::Err {
-                kind: ErrKind::Invalid,
-                message: "non-write in write path".into(),
-            },
-        ),
-    }
+            // `write_key` admits only the four arms above.
+            _ => Ok((
+                0,
+                Response::Err {
+                    kind: ErrKind::Invalid,
+                    message: "non-write in write path".into(),
+                },
+            )),
+        });
+    applied.unwrap_or_else(|e| (0, err_response(&e)))
 }
 
 /// Encodes `resp`, downgrading frames that exceed the ceiling (giant
@@ -1110,8 +1106,7 @@ fn push_response(out: &mut Vec<u8>, id: u64, resp: &Response) -> Result<()> {
 fn wire_stats(inner: &Inner, view: &ShardedReadView) -> WireStats {
     let engine = view.stats();
     let admission = inner.router.admission_counters();
-    let shards = inner
-        .router
+    let shards = view
         .shard_stats()
         .into_iter()
         .enumerate()

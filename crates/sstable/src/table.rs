@@ -42,14 +42,12 @@ pub struct SstableMeta {
     pub max_key: Bytes,
 }
 
-/// Original footer format: fields only, protected solely by the page CRC.
-const FOOTER_MAGIC_V1: u32 = 0x5353_4C42; // "BLSS"
-/// Current footer format: the v1 fields followed by a crc32c over them, so
-/// the footer carries its own checksum independent of the page framing.
+/// Footer format: the fields followed by a crc32c over them, so the
+/// footer carries its own checksum independent of the page framing.
 const FOOTER_MAGIC: u32 = 0x3253_4C42; // "BLS2"
 
 impl SstableMeta {
-    /// Serializes the footer body (current format, with trailing checksum).
+    /// Serializes the footer body (with trailing checksum).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(100 + self.min_key.len() + self.max_key.len());
         codec::put_u32(&mut out, FOOTER_MAGIC);
@@ -70,13 +68,14 @@ impl SstableMeta {
         out
     }
 
-    /// Deserializes a footer body. Accepts both the current checksummed
-    /// format and the original v1 format (components written before the
-    /// footer carried its own CRC stay readable).
+    /// Deserializes a footer body, verifying its checksum. The
+    /// un-checksummed original format ("BLSS" magic) is rejected like any
+    /// other bad magic: accepting it would let one flipped magic bit
+    /// switch the CRC off.
     pub fn decode(bytes: &[u8]) -> Result<SstableMeta> {
         let mut r = Reader::new(bytes);
         let magic = r.u32()?;
-        if magic != FOOTER_MAGIC && magic != FOOTER_MAGIC_V1 {
+        if magic != FOOTER_MAGIC {
             return Err(StorageError::InvalidFormat(format!(
                 "bad sstable footer magic {magic:#x}"
             )));
@@ -95,17 +94,15 @@ impl SstableMeta {
             min_key: Bytes::copy_from_slice(r.bytes()?),
             max_key: Bytes::copy_from_slice(r.bytes()?),
         };
-        if magic == FOOTER_MAGIC {
-            let body_len = r.position();
-            let stored = r.u32()?;
-            let actual = codec::crc32c(&bytes[..body_len]);
-            if stored != actual {
-                return Err(StorageError::corruption(
-                    ComponentId::Sstable,
-                    None,
-                    format!("footer checksum mismatch: stored {stored:#x}, computed {actual:#x}"),
-                ));
-            }
+        let body_len = r.position();
+        let stored = r.u32()?;
+        let actual = codec::crc32c(&bytes[..body_len]);
+        if stored != actual {
+            return Err(StorageError::corruption(
+                ComponentId::Sstable,
+                None,
+                format!("footer checksum mismatch: stored {stored:#x}, computed {actual:#x}"),
+            ));
         }
         Ok(meta)
     }
@@ -604,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_accepts_v1_footer() {
+    fn decode_rejects_v1_footer_like_any_bad_magic() {
         let m = SstableMeta {
             n_data_pages: 10,
             index_start: 10,
@@ -619,12 +616,20 @@ mod tests {
             min_key: Bytes::from_static(b"aaa"),
             max_key: Bytes::from_static(b"zzz"),
         };
-        // A v1 footer is the v2 encoding with the old magic and no
+        // A v1 footer was these fields under the "BLSS" magic with no
         // trailing checksum.
         let mut v1 = m.encode();
         v1.truncate(v1.len() - 4);
-        v1[..4].copy_from_slice(&FOOTER_MAGIC_V1.to_le_bytes());
-        assert_eq!(SstableMeta::decode(&v1).unwrap(), m);
+        v1[..4].copy_from_slice(&0x5353_4C42u32.to_le_bytes());
+        let mut garbage = m.encode();
+        garbage[..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        for bad in [v1, garbage] {
+            let err = SstableMeta::decode(&bad).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::InvalidFormat(msg) if msg.contains("footer magic")),
+                "got {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Range-partitioned bLSM — the paper's future work in action.
 //!
-//! Demonstrates `PartitionedBLsm` (§2.3.2, §3.3, §4.2.2): eight key-range
-//! partitions, each a full three-level bLSM tree, with a partition
-//! scheduler granting merge work to one partition at a time. A skewed
-//! write burst shows merge activity confined to the hot range while the
-//! cold ranges stay scan-friendly.
+//! Demonstrates `ShardedBLsm` (§2.3.2, §3.3, §4.2.2): eight key-range
+//! shards, each a full three-level bLSM tree with its own WAL, level
+//! scheduler and merge thread. A skewed write burst shows merge activity
+//! confined to the hot range while the cold ranges stay scan-friendly.
 //!
 //! Run with: `cargo run --release --example partitioned_store`
 
@@ -16,8 +15,8 @@
 
 use std::sync::Arc;
 
-use blsm_repro::blsm::{AppendOperator, BLsmConfig, PartitionedBLsm};
-use blsm_repro::blsm_storage::{DiskModel, SharedDevice, SimDevice};
+use blsm_repro::blsm::{AppendOperator, BLsmConfig, MergeOperator, ShardedBLsm, ShardedConfig};
+use blsm_repro::blsm_storage::{DiskModel, MemDevice, SharedDevice, SimDevice};
 use blsm_repro::blsm_ycsb::{format_key, make_value};
 
 const PARTITIONS: usize = 8;
@@ -35,15 +34,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bounds = (1..PARTITIONS)
         .map(|p| format_key(RECORDS * p as u64 / PARTITIONS as u64))
         .collect();
-    let mut store = PartitionedBLsm::create(
+    let mut store = ShardedBLsm::open_with_devices(
+        Arc::new(MemDevice::new()),
         bounds,
-        |i| devices[i].clone(),
-        128,
-        BLsmConfig {
-            mem_budget: 256 << 10,
-            ..Default::default()
+        |i| Ok(devices[i].clone()),
+        &ShardedConfig {
+            tree: BLsmConfig {
+                mem_budget: 256 << 10,
+                ..Default::default()
+            },
+            pool_pages: 128,
+            quantum: 1 << 20,
         },
-        Arc::new(AppendOperator),
+        &(Arc::new(AppendOperator) as Arc<dyn MergeOperator>),
     )?;
 
     // Base load across the whole keyspace.
@@ -65,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nper-partition state after the burst:");
     for p in 0..PARTITIONS {
-        let t = store.partition(p);
+        let t = store.shard_engine(p)?;
         let (c1, c1p, c2) = t.component_bytes();
         println!(
             "  partition {p}: {:>3} merges, C0 {:>7} B, C1 {:>8} B, C1' {:>8} B, C2 {:>8} B",
@@ -95,11 +98,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let total = store.stats();
     println!(
-        "\ntotals: {} writes, {} merges, {} forced stalls, {} partitions merging now",
+        "\ntotals: {} writes, {} merges, {} forced stalls",
         total.writes,
         total.merges01 + total.merges12,
-        total.forced_stalls,
-        store.partitions_merging()
+        total.forced_stalls
     );
+    store.shutdown()?;
     Ok(())
 }
