@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm_memtable::{merge_versions, Versioned};
+use blsm_memtable::{merge_versions, PassMode, Versioned};
 use blsm_sstable::{EntryRef, EntryStream, MergeIter, ReadMode, Sstable, SstableBuilder};
 use blsm_storage::{Lsn, PageId, Region, Result, Wal};
 
@@ -121,6 +121,16 @@ enum Step {
 impl BLsmTree {
     pub(crate) fn start_merge01_locked(&self, ms: &mut MergeState) -> Result<()> {
         assert!(ms.merge01.is_none());
+        // A pass whose output failed to seal (device error inside
+        // `finish_merge01_locked`) took its merge state with it but left
+        // `C0`'s pass open. Nothing is lost — the drained rows stay
+        // readable behind the cursor and stay in the log — but this
+        // handle cannot start another pass; reopening replays the log.
+        if self.shared.c0.pass_mode() != PassMode::Idle {
+            return Err(invariant_err(
+                "an earlier C0:C1 pass failed while sealing its output; reopen the tree",
+            ));
+        }
         // Sample the log tail *before* the pass begins: append+insert is
         // atomic under the log mutex, so every record below this LSN is
         // already in C0 and will be either drained by the pass (safe to

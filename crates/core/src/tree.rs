@@ -963,7 +963,11 @@ impl BLsmTree {
                 if m.merge01.is_some() || m.merge12.is_some() {
                     continue;
                 }
-                if !self.shared.c0.is_empty() {
+                // An open pass with no merge state is one that failed
+                // while sealing: its drained rows are in no component,
+                // so fall into `start_merge01_locked`'s typed error
+                // rather than truncate the log over them below.
+                if !self.shared.c0.is_empty() || self.shared.c0.pass_mode() != PassMode::Idle {
                     self.start_merge01_locked(&mut m)?;
                     continue;
                 }

@@ -207,6 +207,15 @@ impl SstableBuilder {
         Ok(())
     }
 
+    /// A private copy of `key` for what outlives the build (the in-RAM
+    /// index, the footer's key range). A merge input's key aliases its
+    /// 256 KiB read-ahead chunk; keeping that alias would pin one chunk
+    /// per leaf — the whole input component — for the finished table's
+    /// life.
+    fn owned(key: &Bytes) -> Bytes {
+        Bytes::copy_from_slice(key)
+    }
+
     /// Seals the open leaf into a data page.
     fn seal_leaf(&mut self) -> Result<()> {
         if self.leaf_count == 0 {
@@ -236,7 +245,7 @@ impl SstableBuilder {
             write_entry_offsets(page.payload_mut(), &self.leaf_offsets);
         }
         let idx = self.emit_page(page)?;
-        self.index.push((first_key, idx as u32));
+        self.index.push((Self::owned(&first_key), idx as u32));
         self.leaf.clear();
         self.leaf_count = 0;
         self.leaf_entries.clear();
@@ -265,7 +274,7 @@ impl SstableBuilder {
         write_data_page_header(page.payload_mut(), 1, n_overflow as u16);
         page.payload_mut()[DATA_PAGE_HEADER..].copy_from_slice(&head[..LEAF_CAPACITY]);
         let idx = self.emit_page(page)?;
-        self.index.push((key.clone(), idx as u32));
+        self.index.push((Self::owned(key), idx as u32));
 
         let mut rest = &head[LEAF_CAPACITY..];
         for _ in 0..n_overflow {
@@ -399,8 +408,8 @@ impl SstableBuilder {
                 self.min_seqno
             },
             max_seqno: self.max_seqno,
-            min_key: self.min_key.clone().unwrap_or_default(),
-            max_key: self.last_key.clone().unwrap_or_default(),
+            min_key: self.min_key.as_ref().map(Self::owned).unwrap_or_default(),
+            max_key: self.last_key.as_ref().map(Self::owned).unwrap_or_default(),
         };
 
         // Footer.
@@ -569,6 +578,34 @@ mod tests {
             assert_eq!(v.entry, Entry::Put(Bytes::from(vec![i as u8; 100])));
         }
         assert!(table.get(b"nope").unwrap().is_none());
+    }
+
+    #[test]
+    fn finished_table_does_not_alias_its_input_buffers() {
+        // Keys sliced out of one big buffer, as a merge input's keys are
+        // slices of its read-ahead chunk.
+        let mut raw = Vec::new();
+        for i in 0..1000u32 {
+            raw.extend_from_slice(key(i).as_ref());
+        }
+        let chunk = Bytes::from(raw);
+        let inside = |b: &Bytes| chunk.as_ptr_range().contains(&b.as_ptr());
+        let region = Region {
+            start: blsm_storage::PageId(0),
+            pages: 512,
+        };
+        let mut b = SstableBuilder::new(pool(), region, 1000);
+        for i in 0..1000usize {
+            let k = chunk.slice(i * 11..(i + 1) * 11);
+            assert!(inside(&k));
+            b.add(&k, &Versioned::put(1, Bytes::from(vec![0u8; 100])))
+                .unwrap();
+        }
+        let table = b.finish().unwrap();
+        assert!(table.leaf_index().len() > 10);
+        assert!(!table.leaf_index().iter().any(|(k, _)| inside(k)));
+        assert!(!inside(&table.meta().min_key) && !inside(&table.meta().max_key));
+        assert_eq!(table.meta().max_key, key(999));
     }
 
     #[test]

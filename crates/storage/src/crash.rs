@@ -286,6 +286,13 @@ impl Device for CrashDevice {
             }
             OpVerdict::Proceed => {
                 let mut state = self.core.state.lock();
+                // Counted before the cut but reaching the cache after it
+                // (another device's operation was the crash point and
+                // `cut_power` already took this journal under this
+                // lock): the barrier did not complete.
+                if self.plan.crashed() {
+                    return Err(Self::dead("sync after power cut", 0));
+                }
                 let journal = std::mem::take(&mut state.journal);
                 for entry in &journal {
                     self.core.durable.write_at(entry.offset, &entry.data)?;

@@ -77,6 +77,39 @@ fn data_device_death_is_an_error_not_a_panic() {
     }
 }
 
+/// The data device dies while a `C0:C1` pass seals its output (index,
+/// Bloom filter, footer): the pass's merge state is gone but `C0`'s pass
+/// never ended. Every later attempt to start a pass — a checkpoint, the
+/// one `Drop` runs — must be the typed error, never `begin_pass`'s
+/// "pass already active" panic; the log still holds every row.
+#[test]
+fn a_pass_that_dies_while_sealing_is_an_error_on_every_retry() {
+    let medium: SharedDevice = Arc::new(MemDevice::new());
+    let wal_medium: SharedDevice = Arc::new(MemDevice::new());
+    // Budget 0: the first data-device write fails, and with a few pages
+    // of rows that write is the builder's flush inside `finish`.
+    let data: SharedDevice = Arc::new(FaultyDevice::new(medium.clone(), FaultMode::FailWrites, 0));
+    let open = |data, wal| BLsmTree::open(data, wal, 512, config(), Arc::new(AppendOperator));
+    let tree = open(data, wal_medium.clone()).unwrap();
+    let row = || Bytes::from(vec![7u8; 100]);
+    for i in 0..100u64 {
+        tree.put(key(i), row()).unwrap();
+    }
+    // With `C0` drained and empty, then with fresh rows in it (the log
+    // device is healthy, so writes still land).
+    assert!(tree.checkpoint().is_err());
+    assert!(tree.checkpoint().is_err());
+    for i in 100..110u64 {
+        let _ = tree.put(key(i), row());
+    }
+    assert!(tree.checkpoint().is_err());
+    drop(tree);
+    let recovered = open(medium, wal_medium).expect("recovery after device death");
+    for i in 0..100u64 {
+        assert_eq!(recovered.get(&key(i)).unwrap(), Some(row()), "row {i} lost");
+    }
+}
+
 /// Power loss that tears the final data-device write: the shadow-paged
 /// manifest must fall back to the previous root, and the WAL must replay
 /// every acknowledged write.
