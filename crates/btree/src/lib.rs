@@ -394,8 +394,12 @@ impl BTree {
     /// Ordered scan from `from`, up to `limit` rows, following the leaf
     /// chain. On a fragmented tree every hop can be a seek (§5.6).
     pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<(Bytes, Bytes)>> {
+        if limit == 0 {
+            return Ok(Vec::new());
+        }
         let (mut pid, _) = self.descend_to_leaf(from)?;
-        let mut out = Vec::with_capacity(limit);
+        // `limit` is a ceiling, not a row count: cap what is reserved.
+        let mut out = Vec::with_capacity(limit.min(1024));
         loop {
             let leaf = self.read_leaf(pid)?;
             for (k, v) in &leaf.entries {
@@ -631,6 +635,10 @@ mod tests {
         // Scan off the end.
         let rows = t.scan(&key(4990), 100).unwrap();
         assert_eq!(rows.len(), 10);
+        // `limit` is a ceiling: 0 asks for nothing, and a huge one is not
+        // a reservation (a wire `u32::MAX` used to abort in the allocator).
+        assert!(t.scan(&key(0), 0).unwrap().is_empty());
+        assert_eq!(t.scan(&key(4990), u32::MAX as usize).unwrap().len(), 10);
     }
 
     #[test]

@@ -131,6 +131,21 @@ impl ReadView {
     }
 }
 
+/// `C0` rows a scan's first pin may copy beyond `limit + limit / 2`. The
+/// half covers a copied prefix in which one row in three yields nothing
+/// (a tombstone, or a second mid-pass copy of a key); the constant keeps
+/// one-row scans from re-pinning over a single deleted key.
+const C0_BUDGET_SLACK: usize = 8;
+
+/// Factor by which a scan that fell short of `limit` under its horizon
+/// grows its `C0` row budget. Eightfold, so a tombstone-dense prefix costs
+/// a geometric series dominated by its last — sufficient — copy.
+const C0_BUDGET_GROWTH: usize = 8;
+
+/// Most result rows a scan reserves room for up front; `limit` is a
+/// caller's ceiling (a wire `u32`), not a promise of that many rows.
+pub(crate) const SCAN_PREALLOC_ROWS: usize = 1024;
+
 /// Folds collected deltas over a base value (or its absence).
 fn resolve_base(op: &dyn MergeOperator, base: Option<&[u8]>, deltas: &[Bytes]) -> Option<Bytes> {
     if deltas.is_empty() {
@@ -301,9 +316,54 @@ impl TreeShared {
         report
     }
 
+    /// Pins a `(C0 rows, rows left, catalog)` triple for a scan behind the
+    /// publish epoch (same seqlock as [`pin_chain`](Self::pin_chain)): up
+    /// to `budget` rows of `[from, to)`, cut on a key boundary.
+    fn pin_rows(
+        &self,
+        from: &[u8],
+        to: Option<&[u8]>,
+        budget: usize,
+    ) -> (Vec<(Bytes, Versioned)>, bool, Arc<ComponentCatalog>) {
+        loop {
+            let e1 = self.c0.publish_epoch();
+            if e1 & 1 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let (rows, rows_left) = self.c0.range_rows_bounded(from, to, budget);
+            stats::bump(&self.stats.scan_c0_rows, rows.len() as u64);
+            let catalog = self.catalog.load();
+            if self.c0.publish_epoch() == e1 {
+                return (rows, rows_left, catalog);
+            }
+        }
+    }
+
     /// Ordered scan of `[from, to)` (unbounded above when `to` is
     /// `None`), up to `limit` live rows. Touches every component once
-    /// (§3.3's two/three-seek scans).
+    /// (§3.3's two/three-seek scans), and does work in proportion to
+    /// `limit`, not to the size of `C0`.
+    ///
+    /// The pinned `C0` copy takes a row budget derived from `limit`
+    /// ([`C0_BUDGET_SLACK`]) and stops at the first key boundary past it.
+    /// When rows were left behind, the last copied key is a *horizon*:
+    /// every resident version of every key up to it is in the copy, but
+    /// an uncopied tombstone, newer `Put` or `Delta` may sit anywhere
+    /// above it, so the merge may emit no key past the horizon. A scan
+    /// that gets there (or runs out of input) short of `limit` — the
+    /// copied prefix was dense in tombstones or mid-pass duplicates —
+    /// starts over with a budget [`C0_BUDGET_GROWTH`] times larger; the
+    /// last step of that escalation is the whole `C0` tail, where nothing
+    /// is left and the horizon is gone. Every attempt is one `C0`-rows +
+    /// catalog pair under one even publish epoch, retried wholesale if a
+    /// merge publishes mid-copy (publishes are once-per-pass rare, and
+    /// shard locks are held one shard at a time, so writers are never
+    /// blocked for the duration of a copy). Disk components stream
+    /// lazily. Mid-pass, the copy holds *every* resident version of a key
+    /// (a deferred Delta and the base it shadows, newest first); the rows
+    /// go to MergeIter as one multi-version stream so tied versions fold
+    /// exactly like any other component chain.
     pub(crate) fn scan(
         &self,
         from: &[u8],
@@ -311,58 +371,296 @@ impl TreeShared {
         limit: usize,
     ) -> Result<Vec<ScanItem>> {
         stats::bump(&self.stats.scans, 1);
-        // Pin: copy the C0 rows of the range and load the catalog behind
-        // the publish epoch (same seqlock as `pin_chain`). The copy is
-        // bounded by the C0 memory budget (and by `to` when given); disk
-        // components stream lazily. Deliberate trade-off: an
-        // unbounded-above scan copies the whole C0 tail and retries it
-        // wholesale if a merge publishes mid-copy — publishes are
-        // once-per-pass rare, and shard locks are only held per-shard, so
-        // writers are never blocked for the duration of the copy.
-        // Mid-pass, `range_rows` yields *every* resident version of a key
-        // (a deferred Delta and the base it shadows, newest first); the
-        // rows go to MergeIter below as one multi-version stream so tied
-        // versions fold exactly like any other component chain.
-        let (c0_rows, catalog) = loop {
-            let e1 = self.c0.publish_epoch();
-            if e1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
+        if limit == 0 {
+            return Ok(Vec::new());
+        }
+        let mut budget = limit
+            .saturating_add(limit / 2)
+            .saturating_add(C0_BUDGET_SLACK);
+        loop {
+            let (c0_rows, rows_left, catalog) = self.pin_rows(from, to, budget);
+            let horizon = c0_rows
+                .last()
+                .filter(|_| rows_left)
+                .map(|(key, _)| key.clone());
+
+            let mut streams: Vec<EntryStream<'static>> = Vec::with_capacity(4);
+            // C0 (freshest).
+            streams.push(Box::new(
+                c0_rows
+                    .into_iter()
+                    .map(|(key, version)| Ok(EntryRef { key, version })),
+            ));
+            for table in catalog.tables() {
+                streams.push(Box::new(table.iter_from(from, ReadMode::Pooled)));
             }
-            let rows = self.c0.range_rows(from, to);
-            let catalog = self.catalog.load();
-            if self.c0.publish_epoch() == e1 {
-                break (rows, catalog);
+
+            let mut out = Vec::with_capacity(limit.min(SCAN_PREALLOC_ROWS));
+            // Running out of input settles the scan only when all of C0
+            // was in the copy.
+            let mut settled = horizon.is_none();
+            for item in MergeIter::new(streams, self.op.clone(), true) {
+                let e = item?;
+                if horizon.as_ref().is_some_and(|h| e.key > *h) {
+                    break;
+                }
+                if to.is_some_and(|to| e.key.as_ref() >= to) {
+                    settled = true;
+                    break;
+                }
+                if let Entry::Put(value) = e.version.entry {
+                    out.push(ScanItem { key: e.key, value });
+                    if out.len() >= limit {
+                        settled = true;
+                        break;
+                    }
+                }
             }
+            if settled {
+                return Ok(out);
+            }
+            stats::bump(&self.stats.scan_repins, 1);
+            budget = budget.saturating_mul(C0_BUDGET_GROWTH);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use std::collections::BTreeMap;
+
+    use blsm_memtable::AppendOperator;
+    use blsm_storage::{MemDevice, SharedDevice};
+
+    use super::*;
+    use crate::config::{BLsmConfig, SchedulerKind};
+    use crate::BLsmTree;
+
+    /// A tree whose merges only run when the test says so.
+    fn hand_driven_tree(scheduler: SchedulerKind) -> BLsmTree {
+        let data: SharedDevice = Arc::new(MemDevice::new());
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let config = BLsmConfig {
+            mem_budget: 4 << 20,
+            wal_capacity: 16 << 20,
+            external_pacing: true,
+            scheduler,
+            ..Default::default()
         };
+        BLsmTree::open(data, wal, 4096, config, Arc::new(AppendOperator)).unwrap()
+    }
 
-        let mut streams: Vec<EntryStream<'static>> = Vec::with_capacity(4);
-        // C0 (freshest).
-        streams.push(Box::new(
-            c0_rows
-                .into_iter()
-                .map(|(key, version)| Ok(EntryRef { key, version })),
-        ));
-        for table in catalog.tables() {
-            streams.push(Box::new(table.iter_from(from, ReadMode::Pooled)));
+    fn key(i: u64) -> Bytes {
+        Bytes::from(format!("user{i:08}"))
+    }
+
+    /// xorshift64*: the crate has no `rand`, and the tests only need a
+    /// reproducible stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n
+        }
+    }
+
+    /// A tree beside the map it must read like (under `AppendOperator`).
+    struct Modelled {
+        tree: BLsmTree,
+        model: BTreeMap<Bytes, Vec<u8>>,
+    }
+
+    impl Modelled {
+        fn put(&mut self, k: u64, v: &[u8]) {
+            self.tree.put(key(k), Bytes::copy_from_slice(v)).unwrap();
+            self.model.insert(key(k), v.to_vec());
         }
 
-        let merged = MergeIter::new(streams, self.op.clone(), true);
-        let mut out = Vec::with_capacity(limit);
-        for item in merged {
-            let e = item?;
-            if let Some(to) = to {
-                if e.key.as_ref() >= to {
-                    break;
-                }
-            }
-            if let Entry::Put(value) = e.version.entry {
-                out.push(ScanItem { key: e.key, value });
-                if out.len() >= limit {
-                    break;
+        fn random_writes(&mut self, rng: &mut Rng, n: u64, keys: u64) {
+            for _ in 0..n {
+                let k = rng.below(keys);
+                // Half of all writes delete: tombstone runs are what push
+                // a scan past its first budget.
+                match rng.below(6) {
+                    0..=2 => {
+                        self.tree.delete(key(k)).unwrap();
+                        self.model.remove(&key(k));
+                    }
+                    3 => {
+                        self.tree
+                            .apply_delta(key(k), Bytes::from_static(b"+d"))
+                            .unwrap();
+                        self.model
+                            .entry(key(k))
+                            .or_default()
+                            .extend_from_slice(b"+d");
+                    }
+                    _ => self.put(k, format!("v{}", rng.below(1000)).as_bytes()),
                 }
             }
         }
-        Ok(out)
+
+        fn expected(&self, from: &Bytes, to: Option<&Bytes>, limit: usize) -> Vec<ScanItem> {
+            self.model
+                .range(from.clone()..)
+                .take_while(|(k, _)| to.is_none_or(|to| *k < to))
+                .take(limit)
+                .map(|(k, v)| ScanItem {
+                    key: k.clone(),
+                    value: Bytes::copy_from_slice(v),
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn bounded_scans_equal_the_full_copy_scan() {
+        // Random trees with disk rows under C0 tombstones and deltas, a
+        // C0:C1 pass stopped part-way (drained bases retained or frozen,
+        // fresher deltas deferred over them), scanned at random bounds:
+        // the budgeted path must return what the same scan returns when
+        // its budget saturates to the whole C0 tail (`limit = usize::MAX`,
+        // the last escalation step), and both must read like the model.
+        const KEYS: u64 = 400;
+        let mut repins = 0;
+        for seed in 1..=12u64 {
+            for scheduler in [SchedulerKind::SpringGear, SchedulerKind::Gear] {
+                let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut m = Modelled {
+                    tree: hand_driven_tree(scheduler),
+                    model: BTreeMap::new(),
+                };
+                for k in 0..KEYS {
+                    if rng.below(5) > 0 {
+                        m.put(k, b"disk");
+                    }
+                }
+                m.tree.checkpoint().unwrap();
+                m.random_writes(&mut rng, 300, KEYS);
+                m.tree.start_merge01().unwrap();
+                m.tree.run_merge01(rng.below(12_000)).unwrap();
+                assert!(m.tree.merges_active().0, "the pass must stay in flight");
+                m.random_writes(&mut rng, 200, KEYS);
+
+                for _ in 0..40 {
+                    let from = key(rng.below(KEYS + 20));
+                    let limit = 1 + rng.below(60) as usize;
+                    let full = m.tree.scan(&from, usize::MAX).unwrap();
+                    assert_eq!(full, m.expected(&from, None, usize::MAX), "seed {seed}");
+                    let bounded = m.tree.scan(&from, limit).unwrap();
+                    assert_eq!(bounded, full[..limit.min(full.len())], "seed {seed}");
+
+                    let to = key(rng.below(KEYS + 20));
+                    let full = m.tree.scan_range(&from, &to, usize::MAX).unwrap();
+                    assert_eq!(full, m.expected(&from, Some(&to), usize::MAX));
+                    let bounded = m.tree.scan_range(&from, &to, limit).unwrap();
+                    assert_eq!(bounded, full[..limit.min(full.len())], "seed {seed}");
+                }
+                repins += m.tree.stats().scan_repins;
+                m.tree.checkpoint().unwrap();
+                let settled = m.tree.scan(b"", usize::MAX).unwrap();
+                assert_eq!(settled, m.expected(&Bytes::new(), None, usize::MAX));
+            }
+        }
+        assert!(
+            repins > 20,
+            "the sweep must exercise the escalation: {repins}"
+        );
+    }
+
+    #[test]
+    fn tombstone_dense_prefix_escalates_the_budget() {
+        let mut m = Modelled {
+            tree: hand_driven_tree(SchedulerKind::SpringGear),
+            model: BTreeMap::new(),
+        };
+        for k in 0..400 {
+            m.put(k, b"disk");
+        }
+        m.tree.checkpoint().unwrap();
+        // The first 200 keys at/after `from` are C0 tombstones over disk
+        // rows: the first pin's horizon falls inside them, so nothing may
+        // be emitted from it — least of all the disk rows they delete.
+        for k in 100..300 {
+            m.tree.delete(key(k)).unwrap();
+            m.model.remove(&key(k));
+        }
+        for k in (300..400).step_by(2) {
+            m.put(k, b"fresh");
+        }
+        let before = m.tree.stats();
+        let rows = m.tree.scan(&key(100), 20).unwrap();
+        assert_eq!(rows, m.expected(&key(100), None, 20));
+        assert_eq!(rows[0].key, key(300));
+        let after = m.tree.stats();
+        assert!(after.scan_repins > before.scan_repins, "budget must grow");
+        // 38 rows, then 304: the 8× step covers the 200 tombstones.
+        assert_eq!(after.scan_repins - before.scan_repins, 1);
+    }
+
+    #[test]
+    fn scan_near_the_end_of_the_keyspace_returns_the_short_tail() {
+        let mut m = Modelled {
+            tree: hand_driven_tree(SchedulerKind::SpringGear),
+            model: BTreeMap::new(),
+        };
+        for k in 0..300 {
+            m.put(k, b"disk");
+        }
+        m.tree.checkpoint().unwrap();
+        for k in 0..300 {
+            m.put(k, b"mem");
+        }
+        // Fewer rows than `limit` remain: the copy runs out of C0 (no
+        // rows left, so no horizon) and the scan ends on the short tail.
+        let before = m.tree.stats();
+        let rows = m.tree.scan(&key(295), 20).unwrap();
+        assert_eq!(rows, m.expected(&key(295), None, 20));
+        assert_eq!(rows.len(), 5);
+        assert!(m.tree.scan(&key(300), 20).unwrap().is_empty());
+        assert!(m.tree.scan(b"zzz", 1).unwrap().is_empty());
+        assert_eq!(m.tree.stats().scan_repins, before.scan_repins);
+    }
+
+    #[test]
+    fn short_scan_copies_rows_in_proportion_to_limit() {
+        let mut m = Modelled {
+            tree: hand_driven_tree(SchedulerKind::SpringGear),
+            model: BTreeMap::new(),
+        };
+        for k in 0..6000 {
+            m.put(k, b"mem");
+        }
+        // 5 500 C0 rows sit at or after `from`; a 20-row scan's budget is
+        // 20 + 10 + 8, cut at a key boundary.
+        let before = m.tree.stats();
+        let rows = m.tree.scan(&key(500), 20).unwrap();
+        assert_eq!(rows, m.expected(&key(500), None, 20));
+        let after = m.tree.stats();
+        let copied = after.scan_c0_rows - before.scan_c0_rows;
+        assert!((20..=64).contains(&copied), "copied {copied} C0 rows");
+        assert_eq!(after.scan_repins, before.scan_repins);
+    }
+
+    #[test]
+    fn limit_is_a_ceiling_not_a_reservation() {
+        let mut m = Modelled {
+            tree: hand_driven_tree(SchedulerKind::SpringGear),
+            model: BTreeMap::new(),
+        };
+        for k in 0..10 {
+            m.put(k, b"v");
+        }
+        // 0 asks for nothing (one row used to slip out before the limit
+        // test); a wire-sized ceiling must not be allocated up front
+        // (`u32::MAX` rows of capacity aborted the process).
+        assert!(m.tree.scan(b"", 0).unwrap().is_empty());
+        assert!(m.tree.scan_range(b"", b"zzz", 0).unwrap().is_empty());
+        assert_eq!(m.tree.scan(b"", u32::MAX as usize).unwrap().len(), 10);
+        assert_eq!(m.tree.scan(b"", usize::MAX).unwrap().len(), 10);
     }
 }

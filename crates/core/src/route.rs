@@ -16,7 +16,7 @@ use bytes::Bytes;
 
 use blsm_storage::Result;
 
-use crate::read::ScanItem;
+use crate::read::{ScanItem, SCAN_PREALLOC_ROWS};
 
 /// Index of the partition owning `key` under sorted `bounds`.
 pub fn shard_for(bounds: &[Bytes], key: &[u8]) -> usize {
@@ -89,7 +89,7 @@ pub(crate) fn kway_merge(streams: Vec<Vec<ScanItem>>, limit: usize) -> Vec<ScanI
         .enumerate()
         .filter_map(|(s, rows)| rows.first().map(|r| Reverse((r.key.clone(), s, 0))))
         .collect();
-    let mut out: Vec<ScanItem> = Vec::with_capacity(limit.min(1024));
+    let mut out: Vec<ScanItem> = Vec::with_capacity(limit.min(SCAN_PREALLOC_ROWS));
     while let Some(Reverse((key, s, pos))) = heap.pop() {
         if out.len() >= limit {
             break;
@@ -116,10 +116,11 @@ pub(crate) fn kway_merge(streams: Vec<Vec<ScanItem>>, limit: usize) -> Vec<ScanI
 /// step is correct for *any* boundary configuration the router is handed,
 /// which is exactly the property an online split would lean on.
 ///
-/// Each overlapping shard is asked for up to the full remaining `limit`
-/// (the router cannot know how the range's rows distribute before
-/// looking); shards are visited in routing order so the common
-/// single-shard scan stops after one fetch.
+/// Shards are visited in routing order — which under range partitioning
+/// is key order — so the common single-shard scan stops after one fetch,
+/// and each later shard is asked only for the rows still missing
+/// (`limit - gathered`): everything already gathered sorts before
+/// anything it can return.
 ///
 /// `fetch(i, from, to, limit)` reads partition `i`.
 ///
@@ -148,7 +149,7 @@ pub fn scatter_scan(
         } else {
             bounds[i - 1].as_ref()
         };
-        let rows = fetch(i, shard_from, to, limit)?;
+        let rows = fetch(i, shard_from, to, limit - gathered)?;
         gathered += rows.len();
         streams.push(rows);
         // Range partitioning means shards are visited in key order: once
@@ -216,6 +217,24 @@ mod tests {
             kway_merge(vec![vec![item("a", "1")], vec![item("b", "2")]], 1).len(),
             1
         );
+    }
+
+    #[test]
+    fn scatter_asks_later_shards_only_for_the_missing_rows() {
+        let bounds = vec![Bytes::from_static(b"g"), Bytes::from_static(b"p")];
+        let asked = std::cell::RefCell::new(Vec::new());
+        // Every shard has two rows to give, however many it is asked for.
+        let rows = scatter_scan(&bounds, b"a", None, 5, |i, _, _, limit| {
+            asked.borrow_mut().push((i, limit));
+            let prefix = [b"a", b"g", b"p"][i];
+            Ok((0..2.min(limit))
+                .map(|j| item(&format!("{}{j}", prefix[0] as char), "v"))
+                .collect())
+        })
+        .unwrap();
+        assert_eq!(*asked.borrow(), vec![(0, 5), (1, 3), (2, 1)]);
+        let keys: Vec<&[u8]> = rows.iter().map(|r| r.key.as_ref()).collect();
+        assert_eq!(keys, vec![b"a0" as &[u8], b"a1", b"g0", b"g1", b"p0"]);
     }
 
     #[test]

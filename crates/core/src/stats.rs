@@ -76,6 +76,13 @@ pub struct TreeStats {
     /// Histogram of group fsync latencies; see [`fsync_micros_bucket`]
     /// for the bucket boundaries.
     pub(crate) fsync_micros_hist: [AtomicU64; COMMIT_HIST_BUCKETS], // ordering: Relaxed (statistic)
+    // The scan counters sit last so the cache line the point-read counters
+    // above share (`gets` … `early_terminations`) keeps its layout.
+    /// `C0` rows cloned into scans' pinned copies (every attempt counts).
+    pub(crate) scan_c0_rows: AtomicU64, // ordering: Relaxed (statistic)
+    /// Scans' `C0` budget escalations: attempts that reached their horizon
+    /// short of `limit` and started over with a larger copy.
+    pub(crate) scan_repins: AtomicU64, // ordering: Relaxed (statistic)
 }
 
 /// Buckets in each commit-group histogram ([`TreeStatsSnapshot::group_size_hist`],
@@ -111,6 +118,8 @@ impl TreeStats {
             gets: read(&self.gets),
             writes: read(&self.writes),
             scans: read(&self.scans),
+            scan_c0_rows: read(&self.scan_c0_rows),
+            scan_repins: read(&self.scan_repins),
             check_inserts: read(&self.check_inserts),
             disk_probes: read(&self.disk_probes),
             bloom_skips: read(&self.bloom_skips),
@@ -165,6 +174,12 @@ pub struct TreeStatsSnapshot {
     pub writes: u64,
     /// Application scans.
     pub scans: u64,
+    /// `C0` rows cloned into scans' pinned copies (every attempt counts);
+    /// `/ scans` is what the in-memory side of a scan costs.
+    pub scan_c0_rows: u64,
+    /// Scans' `C0` budget escalations: attempts that reached their horizon
+    /// short of `limit` and started over with a larger copy.
+    pub scan_repins: u64,
     /// `insert_if_not_exists` calls.
     pub check_inserts: u64,
     /// On-disk component probes actually performed (post-bloom).
@@ -235,6 +250,8 @@ impl TreeStatsSnapshot {
         self.gets += other.gets;
         self.writes += other.writes;
         self.scans += other.scans;
+        self.scan_c0_rows += other.scan_c0_rows;
+        self.scan_repins += other.scan_repins;
         self.check_inserts += other.check_inserts;
         self.disk_probes += other.disk_probes;
         self.bloom_skips += other.bloom_skips;

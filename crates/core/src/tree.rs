@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm_memtable::{ConcurrentC0, Entry, MergeOperator, PassMode, Versioned};
+use blsm_memtable::{ConcurrentC0, Entry, MergeOperator, PassMode, Versioned, ENTRY_OVERHEAD};
 use blsm_sstable::Sstable;
 use blsm_storage::codec::{self, Reader};
 use blsm_storage::manifest::{ManifestStore, DEFAULT_SLOT_PAGES};
@@ -453,9 +453,7 @@ impl BLsmTree {
     /// inline) — the seam the nowait public API and the batching server
     /// front end build on.
     pub(crate) fn write_entry_nowait(&self, key: Bytes, entry: Entry) -> Result<Option<u64>> {
-        let incoming = (key.len()
-            + entry.payload_len()
-            + blsm_memtable::Memtable::new().approx_bytes().max(64)) as u64;
+        let incoming = (key.len() + entry.payload_len() + ENTRY_OVERHEAD) as u64;
         self.pace(incoming)?;
         let _claim = self.claim_admission(incoming);
         // ordering: AcqRel — the ticket RMW both observes the replayed
@@ -615,9 +613,7 @@ impl BLsmTree {
         self.shared
             .next_seqno
             .fetch_max(seqno + 1, Ordering::AcqRel);
-        let incoming = (key.len()
-            + v.entry.payload_len()
-            + blsm_memtable::Memtable::new().approx_bytes().max(64)) as u64;
+        let incoming = (key.len() + v.entry.payload_len() + ENTRY_OVERHEAD) as u64;
         self.pace(incoming)?;
         let _claim = self.claim_admission(incoming);
         let target = self.insert_versioned(key, v)?;

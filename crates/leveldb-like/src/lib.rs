@@ -358,6 +358,9 @@ impl LevelDbLike {
     /// Ordered scan: merges the memtable, all `L0` files and one stream
     /// per level — `O(levels)` seeks (Table 1).
     pub fn scan(&mut self, from: &[u8], limit: usize) -> Result<Vec<(Bytes, Bytes)>> {
+        if limit == 0 {
+            return Ok(Vec::new());
+        }
         let mut streams: Vec<EntryStream<'_>> = Vec::new();
         streams.push(Box::new(self.mem.range_from(from).map(|(k, v)| {
             Ok(EntryRef {
@@ -375,7 +378,8 @@ impl LevelDbLike {
             streams.push(Box::new(LevelIter::new(level.clone(), from.to_vec())));
         }
         let merged = MergeIter::new(streams, self.op.clone(), true);
-        let mut out = Vec::with_capacity(limit);
+        // `limit` is a ceiling, not a row count: cap what is reserved.
+        let mut out = Vec::with_capacity(limit.min(1024));
         for item in merged {
             let e = item?;
             if let Entry::Put(v) = e.version.entry {
@@ -743,6 +747,10 @@ mod tests {
             assert_eq!(k, &key(1000 + j as u32));
             assert_eq!(v, &Bytes::from(format!("v{}", 1000 + j as u32)));
         }
+        // `limit` is a ceiling: 0 asks for nothing, and a huge one is not
+        // a reservation (a wire `u32::MAX` used to abort in the allocator).
+        assert!(e.scan(&key(0), 0).unwrap().is_empty());
+        assert_eq!(e.scan(&key(3990), u32::MAX as usize).unwrap().len(), 10);
     }
 
     #[test]

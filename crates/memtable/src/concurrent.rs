@@ -317,16 +317,36 @@ impl ConcurrentC0 {
         chain
     }
 
-    /// Copies every resident entry with `from ≤ key` (`< to` when given)
-    /// in key order, with the same all-versions newest-first tie
-    /// semantics as [`SnowshovelBuffer::range_from`]: a key present in
-    /// more than one table yields every copy, **fresher first by seqno**
-    /// (table order breaks ties). Shards are visited in index order,
-    /// which *is* key order under range sharding.
+    /// Copies every resident entry with `from ≤ key` (`< to` when given):
+    /// [`range_rows_bounded`](Self::range_rows_bounded) with no budget.
+    pub fn range_rows(&self, from: &[u8], to: Option<&[u8]>) -> Vec<(Bytes, Versioned)> {
+        self.range_rows_bounded(from, to, usize::MAX).0
+    }
+
+    /// Copies resident entries with `from ≤ key` (`< to` when given) in
+    /// key order, with the same all-versions newest-first tie semantics
+    /// as [`SnowshovelBuffer::range_from`]: a key present in more than
+    /// one table yields every copy, **fresher first by seqno** (table
+    /// order breaks ties). Shards are visited in index order, which *is*
+    /// key order under range sharding, one shard read lock at a time.
+    ///
+    /// The copy stops at the first *key boundary* at or past `budget`
+    /// rows — a key's copies are never split, so the result is always a
+    /// whole-key prefix of the unbounded copy — and the flag reports
+    /// whether any row of the range was left behind. When it is set, the
+    /// last copied key is the caller's *horizon*: every resident version
+    /// of every key up to it is in the copy, nothing is known above it.
     ///
     /// [`SnowshovelBuffer::range_from`]: crate::SnowshovelBuffer::range_from
-    pub fn range_rows(&self, from: &[u8], to: Option<&[u8]>) -> Vec<(Bytes, Versioned)> {
-        let mut out: Vec<(Bytes, Versioned)> = Vec::new();
+    pub fn range_rows_bounded(
+        &self,
+        from: &[u8],
+        to: Option<&[u8]>,
+        budget: usize,
+    ) -> (Vec<(Bytes, Versioned)>, bool) {
+        // A short scan's budget plus the two extra copies its last key may
+        // carry fit without regrowth; anything larger grows as it goes.
+        let mut out: Vec<(Bytes, Versioned)> = Vec::with_capacity(budget.saturating_add(2).min(64));
         for shard in &self.shards[shard_of(from)..] {
             let t = shard.tables.read();
             let iter = DualIter {
@@ -339,7 +359,10 @@ impl ConcurrentC0 {
             };
             for (k, v) in iter {
                 if to.is_some_and(|hi| k.as_ref() >= hi) {
-                    return out;
+                    return (out, false);
+                }
+                if out.len() >= budget && out.last().is_some_and(|(last, _)| last != k) {
+                    return (out, true);
                 }
                 out.push((k.clone(), v.clone()));
                 // Table position is not authoritative for freshness (see
@@ -353,7 +376,7 @@ impl ConcurrentC0 {
                 }
             }
         }
-        out
+        (out, false)
     }
 
     /// Begins a merge pass (see [`SnowshovelBuffer::begin_pass`]).

@@ -23,7 +23,7 @@ mod snowshovel;
 mod types;
 
 pub use concurrent::{ConcurrentC0, DrainGuard, PassMode, C0_SHARDS};
-pub use memtable::Memtable;
+pub use memtable::{Memtable, ENTRY_OVERHEAD};
 pub use snowshovel::{PassKind, SnowshovelBuffer};
 pub use types::{
     merge_versions, AddOperator, AppendOperator, Entry, MergeOperator, OverwriteOperator, SeqNo,

@@ -8,7 +8,7 @@
 //! ordering" (§3.1.1) — within `C0` the fold preserves that ordering while
 //! keeping memory proportional to the live key set.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry as Slot};
 use std::ops::Bound;
 
 use bytes::Bytes;
@@ -62,36 +62,66 @@ impl Memtable {
     /// * `Delta` with nothing resident stays a `Delta` — the base record
     ///   may live in a larger component.
     pub fn insert(&mut self, key: Bytes, write: Versioned, op: &dyn MergeOperator) {
-        // Concurrent writers race seqno allocation against the shard
-        // insert, so a latecomer can arrive carrying an older seqno than
-        // the resident entry. Fold it in as the *older* version — the
-        // resident entry wins, exactly as if the two had arrived in seqno
-        // order.
-        if let Some(resident) = self.map.get(&key) {
+        self.fold_in(key, write, |resident, write| {
+            // Concurrent writers race seqno allocation against the shard
+            // insert, so a latecomer can arrive carrying an older seqno
+            // than the resident entry. Fold it in as the *older* version —
+            // the resident entry wins, exactly as if the two had arrived
+            // in seqno order.
             if write.seqno < resident.seqno {
-                self.insert_older(key, write, op);
-                return;
+                return Self::resolve_pair(resident, write, op);
+            }
+            let Entry::Delta(d) = &write.entry else {
+                return Some(write);
+            };
+            Some(match &resident.entry {
+                Entry::Put(v) => Versioned::put(write.seqno, op.apply(Some(v), d)),
+                Entry::Tombstone => Versioned::put(write.seqno, op.apply(None, d)),
+                Entry::Delta(older) => Versioned::delta(write.seqno, op.merge_deltas(older, d)),
+            })
+        });
+    }
+
+    /// Stores `incoming` under `key` in one tree descent: as is when the
+    /// key is absent, else whatever `fold(resident, incoming)` resolves
+    /// the pair to (`None` leaves the resident entry alone).
+    fn fold_in(
+        &mut self,
+        key: Bytes,
+        incoming: Versioned,
+        fold: impl FnOnce(&Versioned, Versioned) -> Option<Versioned>,
+    ) {
+        match self.map.entry(key) {
+            Slot::Vacant(slot) => {
+                self.bytes += Self::entry_cost(slot.key(), &incoming);
+                slot.insert(incoming);
+            }
+            Slot::Occupied(mut slot) => {
+                let Some(folded) = fold(slot.get(), incoming) else {
+                    return;
+                };
+                // Same key, same overhead: only the payload moves the total.
+                self.bytes -= slot.get().entry.payload_len();
+                self.bytes += folded.entry.payload_len();
+                slot.insert(folded);
             }
         }
-        let folded = match (self.map.get(&key), &write.entry) {
-            (Some(resident), Entry::Delta(d)) => {
-                debug_assert!(
-                    write.seqno >= resident.seqno,
-                    "writes must arrive in seqno order per key"
-                );
-                match &resident.entry {
-                    Entry::Put(v) => Versioned::put(write.seqno, op.apply(Some(v), d)),
-                    Entry::Tombstone => Versioned::put(write.seqno, op.apply(None, d)),
-                    Entry::Delta(older) => Versioned::delta(write.seqno, op.merge_deltas(older, d)),
-                }
-            }
-            _ => write,
+    }
+
+    /// Resolves a resident entry and an incoming one through
+    /// [`merge_versions`](crate::merge_versions), newest seqno first
+    /// (resident first on ties).
+    fn resolve_pair(
+        resident: &Versioned,
+        incoming: Versioned,
+        op: &dyn MergeOperator,
+    ) -> Option<Versioned> {
+        let pair = if resident.seqno >= incoming.seqno {
+            [resident.clone(), incoming]
+        } else {
+            [incoming, resident.clone()]
         };
-        let cost = Self::entry_cost(&key, &folded);
-        if let Some(old) = self.map.insert(key.clone(), folded) {
-            self.bytes -= Self::entry_cost(&key, &old);
-        }
-        self.bytes += cost;
+        crate::types::merge_versions(op, &pair, false)
     }
 
     /// Looks up the resident entry for `key`.
@@ -164,23 +194,9 @@ impl Memtable {
     /// table routing, so the incoming entry can in fact be the newer one —
     /// the winner is picked by seqno, resident-first on ties.
     pub fn insert_older(&mut self, key: Bytes, older: Versioned, op: &dyn MergeOperator) {
-        let folded = match self.map.get(&key) {
-            None => Some(older),
-            Some(resident) => {
-                let pair = if resident.seqno >= older.seqno {
-                    [resident.clone(), older]
-                } else {
-                    [older, resident.clone()]
-                };
-                crate::types::merge_versions(op, &pair, false)
-            }
-        };
-        let Some(folded) = folded else { return };
-        let cost = Self::entry_cost(&key, &folded);
-        if let Some(old) = self.map.insert(key.clone(), folded) {
-            self.bytes -= Self::entry_cost(&key, &old);
-        }
-        self.bytes += cost;
+        self.fold_in(key, older, |resident, older| {
+            Self::resolve_pair(resident, older, op)
+        });
     }
 }
 

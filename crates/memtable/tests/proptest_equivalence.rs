@@ -54,10 +54,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The whole-key prefix a `budget`-row copy of `rows` must be: rows are
+/// taken until the budget is met *and* the key changes.
+fn key_aligned_prefix(rows: &[(Bytes, Versioned)], budget: usize) -> &[(Bytes, Versioned)] {
+    let cut = (budget.max(1)..rows.len())
+        .find(|&i| rows[i - 1].0 != rows[i].0)
+        .unwrap_or(rows.len());
+    &rows[..cut]
+}
+
 /// Asserts every observer the two structures share agrees.
 /// (`prop_assert*` panics in the vendored proptest shim, so this is a
 /// plain function rather than one returning `TestCaseError`.)
-fn assert_observers_match(oracle: &SnowshovelBuffer, conc: &ConcurrentC0) {
+fn assert_observers_match(oracle: &SnowshovelBuffer, conc: &ConcurrentC0, budget: usize) {
     prop_assert_eq!(oracle.len(), conc.len(), "len diverged");
     prop_assert_eq!(oracle.is_empty(), conc.is_empty());
     prop_assert_eq!(oracle.approx_bytes(), conc.approx_bytes(), "approx_bytes");
@@ -86,7 +95,14 @@ fn assert_observers_match(oracle: &SnowshovelBuffer, conc: &ConcurrentC0) {
         .range_from(&[])
         .map(|(k, v)| (k.clone(), v.clone()))
         .collect();
-    prop_assert_eq!(oracle_rows, conc.range_rows(&[], None), "range scan");
+    prop_assert_eq!(&oracle_rows, &conc.range_rows(&[], None), "range scan");
+    // The budgeted copy a short scan pins: the oracle's rows cut at the
+    // first key boundary at or past the budget, and "rows left" exactly
+    // when that cut dropped something.
+    let want = key_aligned_prefix(&oracle_rows, budget);
+    let (got, rows_left) = conc.range_rows_bounded(&[], None, budget);
+    prop_assert_eq!(want, &got[..], "bounded range scan, budget {}", budget);
+    prop_assert_eq!(rows_left, want.len() < oracle_rows.len(), "rows left");
 }
 
 proptest! {
@@ -95,6 +111,7 @@ proptest! {
     #[test]
     fn concurrent_c0_matches_snowshovel_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..120),
+        budget in 0usize..24,
     ) {
         let op = AppendOperator;
         let mut oracle = SnowshovelBuffer::new();
@@ -190,7 +207,7 @@ proptest! {
                     }
                 }
             }
-            assert_observers_match(&oracle, &conc);
+            assert_observers_match(&oracle, &conc, budget);
         }
 
         // Close any open pass the same way the engine would: drain the
@@ -227,6 +244,93 @@ proptest! {
                 drop(conc_displaced);
             }
         }
-        assert_observers_match(&oracle, &conc);
+        assert_observers_match(&oracle, &conc, budget);
+    }
+}
+
+/// A write whose seqno ticket may be older than one already resident —
+/// the race `ConcurrentC0` resolves by seqno rather than table position.
+#[derive(Debug, Clone)]
+enum RacyOp {
+    /// Key, payload, and how far the ticket lags the newest one handed out.
+    Write(u8, u8, u8),
+    BeginPass(bool),
+    Drain,
+    EndPass,
+}
+
+fn racy_op_strategy() -> impl Strategy<Value = RacyOp> {
+    prop_oneof![
+        8 => (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(k, v, lag)| RacyOp::Write(k, v, lag)),
+        1 => any::<bool>().prop_map(RacyOp::BeginPass),
+        4 => Just(RacyOp::Drain),
+        1 => Just(RacyOp::EndPass),
+    ]
+}
+
+proptest! {
+    /// For buffers caught mid-pass — rows in all three tables, keys
+    /// resident two or three times, racing-older seqnos — and any budget
+    /// and range: the bounded copy is a prefix of the unbounded one, ends
+    /// on a key boundary, and reports "rows left" iff the prefix is proper.
+    #[test]
+    fn bounded_copy_is_a_key_aligned_prefix(
+        ops in proptest::collection::vec(racy_op_strategy(), 1..160),
+        budget in 0usize..40,
+        from in any::<u8>(),
+        to in proptest::collection::vec(any::<u8>(), 0..2),
+    ) {
+        let op = AppendOperator;
+        let conc = ConcurrentC0::new();
+        let mut newest = 0u64;
+        let mut in_pass = false;
+        for o in &ops {
+            match o {
+                RacyOp::Write(k, v, lag) => {
+                    newest += 1;
+                    // Mostly in order; one write in four carries a ticket
+                    // up to seven behind the newest.
+                    let lag = if lag % 4 == 0 { u64::from(lag >> 5) } else { 0 };
+                    let seqno = newest.saturating_sub(lag);
+                    let w = match v % 5 {
+                        0 => Versioned::tombstone(seqno),
+                        1 | 2 => Versioned::delta(seqno, Bytes::from(vec![*v])),
+                        _ => Versioned::put(seqno, Bytes::from(vec![*v])),
+                    };
+                    conc.insert(key(*k), w, &op);
+                }
+                RacyOp::BeginPass(snowshovel) => {
+                    if !in_pass {
+                        conc.begin_pass(*snowshovel);
+                        in_pass = true;
+                    }
+                }
+                RacyOp::Drain => {
+                    if in_pass {
+                        conc.drain_guard().drain_next();
+                    }
+                }
+                RacyOp::EndPass => {
+                    if in_pass {
+                        drop(conc.end_capped_pass_with(&op, || ()));
+                        in_pass = false;
+                    }
+                }
+            }
+        }
+
+        let from = key(from);
+        let to = to.first().map(|t| key(*t));
+        let all = conc.range_rows(&from, to.as_deref());
+        prop_assert!(all.windows(2).all(|w| {
+            w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1.seqno >= w[1].1.seqno)
+        }), "key order, seqno-descending ties");
+        let (got, rows_left) = conc.range_rows_bounded(&from, to.as_deref(), budget);
+        prop_assert_eq!(key_aligned_prefix(&all, budget), &got[..], "budget {}", budget);
+        prop_assert_eq!(rows_left, got.len() < all.len(), "rows left iff proper prefix");
+        if rows_left {
+            prop_assert!(got.len() >= budget, "stopped short of the budget");
+            prop_assert!(got.last().unwrap().0 != all[got.len()].0, "a key was split");
+        }
     }
 }

@@ -81,6 +81,26 @@ fn basic_roundtrip_over_the_wire() {
     assert_eq!(tree.get(b"alpha").unwrap().unwrap().as_ref(), b"1+");
 }
 
+/// A SCAN frame's limit is a `u32` the server used to reserve rows for
+/// up front: `u32::MAX` asked the allocator for hundreds of gigabytes and
+/// the process aborted. It is a ceiling — the store's rows come back and
+/// the server keeps serving — and 0 asks for nothing.
+#[test]
+fn scan_limit_extremes_do_not_hurt_the_server() {
+    let (server, _data, _wal) = start_server(small_config());
+    let mut c = Client::connect(server.local_addr().to_string()).unwrap();
+    for i in 0..10u8 {
+        c.put(&[b'k', i], b"v").unwrap();
+    }
+    assert_eq!(c.scan(b"", None, u32::MAX).unwrap().len(), 10);
+    assert_eq!(c.scan(b"k", Some(b"l"), u32::MAX).unwrap().len(), 10);
+    assert!(c.scan(b"", None, 0).unwrap().is_empty());
+    c.ping().unwrap();
+    c.put(b"after", b"still serving").unwrap();
+    assert_eq!(c.get(b"after").unwrap().unwrap(), b"still serving");
+    server.shutdown().unwrap();
+}
+
 /// ≥4 client connections race GET/PUT/SCAN against the live merge
 /// thread. Runs under strict-invariants in CI (the merge thread panics
 /// on any violated tree invariant, which this test then observes as

@@ -318,83 +318,81 @@ impl LeafPage {
         Ok(&self.payload[start..start + key_len])
     }
 
-    /// Decodes entry `i` via the v2 offset table (zero-copy).
+    /// Decodes the entry that begins at payload offset `off` (zero-copy)
+    /// and returns it with the offset of the entry after it — the
+    /// sequential step of an iterator, on either layout.
     ///
     /// # Errors
     ///
     /// Fails with [`StorageError::InvalidFormat`] on a malformed entry.
-    pub fn entry_at(&self, i: usize) -> Result<EntryRef> {
-        debug_assert!(self.has_offsets && i < self.count);
+    pub fn entry_from(&self, off: usize) -> Result<(EntryRef, usize)> {
         let mut r = Reader::new(&self.payload);
-        r.skip(self.offset_of(i))?;
-        decode_entry(&self.payload, &mut r)
+        r.skip(off)?;
+        let e = decode_entry(&self.payload, &mut r)?;
+        Ok((e, r.position()))
     }
 
-    /// Point lookup within a non-spanning leaf. v2 pages binary-search the
-    /// offset table — O(log n) key decodes; v1 pages scan with early exit
-    /// (leaf keys are strictly ascending). Only the matching entry is fully
-    /// decoded, and nothing is copied either way.
+    /// Lower bound within a non-spanning leaf: how many entries sort
+    /// below `key`, and the payload offset of the first that does not
+    /// (meaningless when all of them do). v2 pages binary-search the
+    /// offset table — O(log n) key decodes; v1 pages walk forward,
+    /// skipping value bytes (leaf keys are strictly ascending). No entry
+    /// is materialized and nothing is copied either way.
     ///
     /// # Errors
     ///
     /// Fails with [`StorageError::InvalidFormat`] on a malformed entry.
-    pub fn find(&self, key: &[u8]) -> Result<Option<EntryRef>> {
-        debug_assert!(!self.is_spanning(), "spanning leaves use spanning_entry");
+    pub fn seek(&self, key: &[u8]) -> Result<(usize, usize)> {
+        debug_assert!(!self.is_spanning(), "spanning leaves use spanning_key");
         if self.has_offsets {
             let mut lo = 0usize;
             let mut hi = self.count;
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
+                // Keys are strictly ascending, so an exact hit is the
+                // bound: stop there (each probe is a fresh cache line).
                 match self.key_at(mid)?.cmp(key) {
                     std::cmp::Ordering::Less => lo = mid + 1,
                     std::cmp::Ordering::Greater => hi = mid,
-                    std::cmp::Ordering::Equal => return self.entry_at(mid).map(Some),
+                    std::cmp::Ordering::Equal => return Ok((mid, self.offset_of(mid))),
                 }
             }
-            return Ok(None);
+            let off = if lo < self.count {
+                self.offset_of(lo)
+            } else {
+                self.payload.len()
+            };
+            return Ok((lo, off));
         }
-        // v1: lazy forward scan, skipping value bytes of non-matching
-        // entries and stopping at the first key past the target.
         let mut r = Reader::new(&self.payload);
         r.skip(DATA_PAGE_HEADER)?;
-        for _ in 0..self.count {
+        for i in 0..self.count {
+            let entry_start = r.position();
             let key_len = r.varint()? as usize;
             let key_start = r.position();
             r.skip(key_len)?;
-            let this_key = &self.payload[key_start..key_start + key_len];
-            match this_key.cmp(key) {
-                std::cmp::Ordering::Equal => {
-                    let kind = r.u8()?;
-                    let seqno = r.varint()?;
-                    let entry = match kind {
-                        0 | 1 => {
-                            let val_len = r.varint()? as usize;
-                            let val_start = r.position();
-                            r.skip(val_len)?;
-                            let val = self.payload.slice(val_start..val_start + val_len);
-                            if kind == 0 {
-                                Entry::Put(val)
-                            } else {
-                                Entry::Delta(val)
-                            }
-                        }
-                        2 => Entry::Tombstone,
-                        other => {
-                            return Err(StorageError::InvalidFormat(format!(
-                                "bad entry kind {other}"
-                            )))
-                        }
-                    };
-                    return Ok(Some(EntryRef {
-                        key: self.payload.slice(key_start..key_start + key_len),
-                        version: Versioned { seqno, entry },
-                    }));
-                }
-                std::cmp::Ordering::Greater => return Ok(None),
-                std::cmp::Ordering::Less => skip_entry_tail(&mut r)?,
+            if &self.payload[key_start..key_start + key_len] >= key {
+                return Ok((i, entry_start));
             }
+            skip_entry_tail(&mut r)?;
         }
-        Ok(None)
+        Ok((self.count, r.position()))
+    }
+
+    /// Point lookup within a non-spanning leaf: [`seek`](Self::seek), then
+    /// decode the entry found there if its key matches. Only that entry
+    /// is fully decoded.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`StorageError::InvalidFormat`] on a malformed entry.
+    pub fn find(&self, key: &[u8]) -> Result<Option<EntryRef>> {
+        let (below, off) = self.seek(key)?;
+        if below == self.count {
+            return Ok(None);
+        }
+        let (e, _) = self.entry_from(off)?;
+        Ok((e.key.as_ref() == key).then_some(e))
     }
 
     /// Decodes every entry of a non-spanning leaf (zero-copy), in order.
@@ -663,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_entry_at_random_access() {
+    fn seek_lands_on_the_lower_bound_in_both_layouts() {
         let entries: Vec<(Vec<u8>, Versioned)> = (0..40u32)
             .map(|i| (format!("key{i:04}").into_bytes(), v_put(u64::from(i), b"v")))
             .collect();
@@ -671,11 +669,30 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.as_slice(), v.clone()))
             .collect();
-        let leaf = LeafPage::parse(make_page(&refs, true), true).unwrap();
-        assert_eq!(leaf.count(), 40);
-        for i in [0usize, 1, 20, 39] {
-            let e = leaf.entry_at(i).unwrap();
-            assert_eq!(e.key.as_ref(), refs[i].0);
+        for v2 in [false, true] {
+            let leaf = LeafPage::parse(make_page(&refs, v2), v2).unwrap();
+            assert_eq!(leaf.count(), 40);
+            // An exact key, a bound between two keys, and one below all.
+            for (bound, want) in [
+                ("key0020", 20usize),
+                ("key00205", 21),
+                ("a", 0),
+                ("key0039", 39),
+            ] {
+                let (below, mut off) = leaf.seek(bound.as_bytes()).unwrap();
+                assert_eq!(below, want, "v2={v2} bound={bound}");
+                // Walking on from there yields exactly the suffix.
+                for (k, v) in &refs[want..] {
+                    let (e, next) = leaf.entry_from(off).unwrap();
+                    assert_eq!((e.key.as_ref(), &e.version), (*k, v));
+                    off = next;
+                }
+            }
+            assert_eq!(
+                leaf.seek(b"key0040").unwrap().0,
+                40,
+                "v2={v2}: past every key"
+            );
         }
     }
 

@@ -10,16 +10,15 @@
 //!   merge's read and write streams (the paper's merges are pure
 //!   sequential-bandwidth costs, §2.1/§2.3.1).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm_memtable::{merge_versions, MergeOperator};
+use blsm_memtable::{merge_versions, MergeOperator, Versioned};
 use blsm_storage::page::{verify_page_image, PageType, PAGE_HEADER_LEN, PAGE_SIZE};
 use blsm_storage::{Result, StorageError};
 
-use crate::format::{shared_payload, EntryRef, LeafPage};
+use crate::format::{shared_payload, EntryRef, LeafPage, DATA_PAGE_HEADER};
 use crate::table::Sstable;
 
 /// How an iterator fetches pages.
@@ -33,12 +32,22 @@ pub enum ReadMode {
 
 /// Ordered iterator over one component. Owns a shared handle to the
 /// table, so merge jobs can hold it across engine calls.
+///
+/// Entries are decoded one at a time off the open leaf's shared payload,
+/// so a consumer that only peeks a stream's head (a short scan over
+/// `C1`/`C1'`) pays for one entry, not for the ~30 its leaf holds.
 pub struct SstIterator {
     table: Arc<Sstable>,
     /// Position in the leaf index of the next leaf to load.
     next_leaf_pos: usize,
-    pending: VecDeque<EntryRef>,
-    skip_below: Option<Vec<u8>>,
+    /// The open (non-spanning) leaf; `remaining` of its entries are still
+    /// undecoded, the next one beginning at payload offset `next_off`.
+    leaf: Option<LeafPage>,
+    next_off: usize,
+    remaining: usize,
+    /// What positioning inside the first leaf met ([`Sstable::iter_from`]
+    /// cannot fail); owed to the first `next`.
+    seek_error: Option<StorageError>,
     mode: ReadMode,
     /// Prefetch buffer: raw page images starting at `buf_start`, held as a
     /// shared buffer so decoded entries can alias it zero-copy.
@@ -50,22 +59,20 @@ impl std::fmt::Debug for SstIterator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SstIterator")
             .field("next_leaf_pos", &self.next_leaf_pos)
+            .field("remaining", &self.remaining)
             .finish_non_exhaustive()
     }
 }
 
 impl SstIterator {
-    pub(crate) fn new(
-        table: Arc<Sstable>,
-        start_leaf_pos: usize,
-        skip_below: Option<Vec<u8>>,
-        mode: ReadMode,
-    ) -> SstIterator {
+    pub(crate) fn new(table: Arc<Sstable>, start_leaf_pos: usize, mode: ReadMode) -> SstIterator {
         SstIterator {
             table,
             next_leaf_pos: start_leaf_pos,
-            pending: VecDeque::new(),
-            skip_below,
+            leaf: None,
+            next_off: 0,
+            remaining: 0,
+            seek_error: None,
             mode,
             buf: Bytes::new(),
             buf_start: 0,
@@ -107,27 +114,77 @@ impl SstIterator {
         }
     }
 
-    /// Loads and parses the next leaf into `pending`. Returns false at EOF.
-    fn load_next_leaf(&mut self) -> Result<bool> {
-        let index = self.table.leaf_index();
-        if self.next_leaf_pos >= index.len() {
-            return Ok(false);
-        }
-        let leaf_idx = u64::from(index[self.next_leaf_pos].1);
+    /// Fetches and parses the next leaf of the index, with its
+    /// region-relative page. `None` at the end of the component.
+    fn fetch_next_leaf(&mut self) -> Result<Option<(LeafPage, u64)>> {
+        let Some((_, page)) = self.table.leaf_index().get(self.next_leaf_pos) else {
+            return Ok(None);
+        };
+        let leaf_idx = u64::from(*page);
         self.next_leaf_pos += 1;
         let (payload, ty) = self.fetch_page(leaf_idx)?;
         let leaf = LeafPage::parse(payload, ty == PageType::DataV2)?;
-        if !leaf.is_spanning() {
-            self.pending.extend(leaf.entries()?);
-            return Ok(true);
+        Ok(Some((leaf, leaf_idx)))
+    }
+
+    /// Positions the iterator on the first entry with key ≥ `from` of the
+    /// leaf it is about to open: a binary search over a v2 leaf's offset
+    /// table, a value-skipping walk over a v1 leaf, a key-only test (no
+    /// overflow page read) of a spanning one. Later leaves hold only
+    /// larger keys. A read or format error is kept for the first `next`.
+    pub(crate) fn seek(&mut self, from: &[u8]) {
+        if let Err(e) = self.try_seek(from) {
+            self.seek_error = Some(e);
         }
-        let mut overflow = Vec::new();
-        for i in 0..u64::from(leaf.overflow_pages()) {
-            let (opayload, _) = self.fetch_page(leaf_idx + 1 + i)?;
-            overflow.extend_from_slice(&opayload);
+    }
+
+    fn try_seek(&mut self, from: &[u8]) -> Result<()> {
+        let Some((leaf, _)) = self.fetch_next_leaf()? else {
+            return Ok(());
+        };
+        if leaf.is_spanning() {
+            if leaf.spanning_key()?.as_ref() >= from {
+                self.next_leaf_pos -= 1; // wanted: `next` opens it again, in full
+            }
+            return Ok(());
         }
-        self.pending.push_back(leaf.spanning_entry(&overflow)?);
-        Ok(true)
+        let (below, off) = leaf.seek(from)?;
+        self.next_off = off;
+        self.remaining = leaf.count() - below;
+        self.leaf = Some(leaf);
+        Ok(())
+    }
+
+    fn next_entry(&mut self) -> Result<Option<EntryRef>> {
+        loop {
+            if let (Some(leaf), 1..) = (&self.leaf, self.remaining) {
+                match leaf.entry_from(self.next_off) {
+                    Ok((e, next_off)) => {
+                        self.next_off = next_off;
+                        self.remaining -= 1;
+                        return Ok(Some(e));
+                    }
+                    Err(e) => {
+                        self.remaining = 0; // abandon the leaf, do not retry it
+                        return Err(e);
+                    }
+                }
+            }
+            let Some((leaf, leaf_idx)) = self.fetch_next_leaf()? else {
+                return Ok(None);
+            };
+            if leaf.is_spanning() {
+                let mut overflow = Vec::new();
+                for i in 0..u64::from(leaf.overflow_pages()) {
+                    let (opayload, _) = self.fetch_page(leaf_idx + 1 + i)?;
+                    overflow.extend_from_slice(&opayload);
+                }
+                return leaf.spanning_entry(&overflow).map(Some);
+            }
+            self.next_off = DATA_PAGE_HEADER;
+            self.remaining = leaf.count();
+            self.leaf = Some(leaf);
+        }
     }
 }
 
@@ -135,23 +192,10 @@ impl Iterator for SstIterator {
     type Item = Result<EntryRef>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(e) = self.pending.pop_front() {
-                let skip = self
-                    .skip_below
-                    .as_ref()
-                    .is_some_and(|from| e.key.as_ref() < from.as_slice());
-                if skip {
-                    continue; // drain pending before touching the next leaf
-                }
-                return Some(Ok(e));
-            }
-            match self.load_next_leaf() {
-                Ok(true) => {} // another leaf queued; retry pending
-                Ok(false) => return None,
-                Err(e) => return Some(Err(e)),
-            }
+        if let Some(e) = self.seek_error.take() {
+            return Some(Err(e));
         }
+        self.next_entry().transpose()
     }
 }
 
@@ -176,6 +220,9 @@ pub struct MergeIter<'a> {
     op: Arc<dyn MergeOperator>,
     bottom: bool,
     errored: bool,
+    /// The tied versions of the key being emitted — one buffer reused
+    /// row after row, so the loop allocates nothing once it has grown.
+    versions: Vec<Versioned>,
 }
 
 impl std::fmt::Debug for MergeIter<'_> {
@@ -200,6 +247,7 @@ impl<'a> MergeIter<'a> {
             op,
             bottom,
             errored: false,
+            versions: Vec::new(),
         }
     }
 }
@@ -212,12 +260,14 @@ impl Iterator for MergeIter<'_> {
             return None;
         }
         loop {
-            // Find the smallest key across stream heads.
-            let mut min_key: Option<Bytes> = None;
-            for s in &mut self.streams {
+            // The first stream whose head holds the smallest key. Heads are
+            // compared in place: every stream lends its peeked key at once
+            // (`iter_mut` hands out disjoint borrows), so no key is cloned.
+            let mut min: Option<(usize, &Bytes)> = None;
+            for (i, s) in self.streams.iter_mut().enumerate() {
                 match s.peek() {
-                    Some(Ok(e)) if min_key.as_ref().is_none_or(|m| e.key < *m) => {
-                        min_key = Some(e.key.clone());
+                    Some(Ok(e)) if min.is_none_or(|(_, m)| e.key < *m) => {
+                        min = Some((i, &e.key));
                     }
                     Some(Ok(_)) => {}
                     Some(Err(_)) => {
@@ -237,20 +287,27 @@ impl Iterator for MergeIter<'_> {
                     None => {}
                 }
             }
-            let key = min_key?;
+            let (first, _) = min?;
+            // (The head was just peeked as `Ok`.)
+            let EntryRef { key, version } = self.streams[first].next()?.ok()?;
             // Collect all versions of that key, newest stream first —
             // draining *every* consecutive same-key entry a stream holds,
             // not just its head (multi-version streams, see type docs).
-            let mut versions = Vec::new();
-            for s in &mut self.streams {
-                while matches!(s.peek(), Some(Ok(e)) if e.key == key) {
-                    if let Some(Ok(e)) = s.next() {
-                        versions.push(e.version);
-                    }
+            // Streams before `first` hold larger keys.
+            self.versions.clear();
+            self.versions.push(version);
+            for s in &mut self.streams[first..] {
+                while let Some(Ok(e)) = s.next_if(|h| matches!(h, Ok(e) if e.key == key)) {
+                    self.versions.push(e.version);
                 }
             }
+            // A lone base record needs no folding (the common row).
+            let resolved = match self.versions.as_slice() {
+                [only] if only.entry.is_base() => self.versions.pop(),
+                tied => merge_versions(self.op.as_ref(), tied, self.bottom),
+            };
             // `None` means dropped (bottom-level tombstone): keep looping.
-            if let Some(version) = merge_versions(self.op.as_ref(), &versions, self.bottom) {
+            if let Some(version) = resolved {
                 return Some(Ok(EntryRef { key, version }));
             }
         }
@@ -330,6 +387,88 @@ mod tests {
             .map(|r| r.unwrap().key)
             .collect();
         assert_eq!(keys[0].as_ref(), b"k051");
+    }
+
+    #[test]
+    fn iter_from_starts_at_bound_on_every_leaf_layout() {
+        use crate::builder::PageVersion;
+        // Small rows around two records too large for a page (spanning
+        // leaves, always v1), in a component of v2 leaves and in one of v1
+        // leaves: from any bound — a stored key, a gap, inside a leaf, on
+        // a leaf's first key, on or just past a spanning record, beyond
+        // the last key — both read modes yield exactly the suffix.
+        let big = "x".repeat(3 * PAGE_SIZE);
+        let entries: Vec<(String, Versioned)> = (0..400u32)
+            .map(|i| {
+                let val = if i == 150 || i == 151 {
+                    big.as_str()
+                } else {
+                    "v"
+                };
+                (format!("k{i:04}"), put(u64::from(i) + 1, val))
+            })
+            .collect();
+        for version in [PageVersion::V2, PageVersion::V1] {
+            let pool = pool();
+            let region = Region {
+                start: PageId(0),
+                pages: 1024,
+            };
+            let mut b = SstableBuilder::new(pool.clone(), region, entries.len() as u64)
+                .with_page_version(version);
+            for (k, v) in &entries {
+                b.add(&Bytes::copy_from_slice(k.as_bytes()), v).unwrap();
+            }
+            let t = Arc::new(b.finish().unwrap());
+            let mut bounds: Vec<String> = (0..400u32).map(|i| format!("k{i:04}")).collect();
+            bounds.extend((0..400u32).step_by(7).map(|i| format!("k{i:04}5")));
+            bounds.extend(["".to_string(), "k".to_string(), "z".to_string()]);
+            for bound in &bounds {
+                let want: Vec<&(String, Versioned)> =
+                    entries.iter().filter(|(k, _)| k >= bound).collect();
+                for mode in [ReadMode::Pooled, ReadMode::Buffered(8)] {
+                    let got: Vec<EntryRef> = t
+                        .iter_from(bound.as_bytes(), mode)
+                        .map(|r| r.unwrap())
+                        .collect();
+                    assert_eq!(got.len(), want.len(), "{version:?} {mode:?} from {bound:?}");
+                    for (g, (k, v)) in got.iter().zip(&want) {
+                        assert_eq!(g.key.as_ref(), k.as_bytes(), "{version:?} from {bound:?}");
+                        assert_eq!(&g.version, v);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn iter_from_decodes_only_from_the_bound() {
+        // The first `next` of a positioned iterator hands out the bound's
+        // own entry; a read error met while positioning is not lost.
+        let pool = pool();
+        let entries: Vec<(String, Versioned)> = (0..100u32)
+            .map(|i| (format!("k{i:03}"), put(1, "v")))
+            .collect();
+        let refs: Vec<(&str, Versioned)> = entries
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        let t = build_table(&pool, 0, &refs);
+        let first = t
+            .iter_from(b"k077", ReadMode::Pooled)
+            .next()
+            .unwrap()
+            .unwrap();
+        assert_eq!(first.key.as_ref(), b"k077");
+
+        let leaf0 = t.region().page(0).offset();
+        pool.device().write_at(leaf0 + 100, &[0xff; 8]).unwrap();
+        pool.drop_clean();
+        let mut it = t.iter_from(b"k001", ReadMode::Pooled);
+        assert!(
+            it.next().unwrap().is_err(),
+            "positioning error must surface"
+        );
     }
 
     #[test]

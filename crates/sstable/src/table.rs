@@ -363,16 +363,21 @@ impl Sstable {
 
     /// Full-table iterator.
     pub fn iter(self: &Arc<Self>, mode: ReadMode) -> SstIterator {
-        SstIterator::new(self.clone(), 0, None, mode)
+        SstIterator::new(self.clone(), 0, mode)
     }
 
-    /// Iterator from the first key ≥ `from`.
+    /// Iterator from the first key ≥ `from`: the leaf index picks the one
+    /// leaf that can hold keys below the bound, and the iterator is
+    /// positioned inside it here, so its first `next` decodes the bound's
+    /// entry and nothing before it.
     pub fn iter_from(self: &Arc<Self>, from: &[u8], mode: ReadMode) -> SstIterator {
         let start_leaf_pos = {
             let pos = self.index.partition_point(|(k, _)| k.as_ref() <= from);
             pos.saturating_sub(1)
         };
-        SstIterator::new(self.clone(), start_leaf_pos, Some(from.to_vec()), mode)
+        let mut iter = SstIterator::new(self.clone(), start_leaf_pos, mode);
+        iter.seek(from);
+        iter
     }
 
     /// The leaf index (first key + region-relative page per leaf).
