@@ -22,7 +22,8 @@
 //! timing on shared CI boxes is advisory): 32 pipelined clients reach
 //! at least 5x the baseline; throughput grows monotonically 1 -> 8 ->
 //! 32; the solo-client p50 ack latency exceeds raw fsync p50 by no more
-//! than the configured commit deadline.
+//! than 1 ms — this bench's own bound; the engine has no accumulation
+//! window, so a solo writer pays one fsync and nothing else.
 //!
 //! Modes:
 //!
@@ -200,8 +201,9 @@ fn main() {
         durability: Durability::Sync,
         ..Default::default()
     };
-    // The engine's group-commit deadline (`COMMIT_DEADLINE`, commit.rs).
-    let commit_deadline_us = 1_000u64;
+    // This bench's bound on what group commit may add to a solo
+    // writer's ack over the raw fsync (JSON keys keep BENCH_8's names).
+    let solo_bound_us = 1_000u64;
     let data: SharedDevice = Arc::new(FileDevice::open(&dir.join("data")).unwrap());
     let wal: SharedDevice = Arc::new(FileDevice::open(&dir.join("wal")).unwrap());
     let tree = BLsmTree::open(data, wal, 4096, config, Arc::new(AppendOperator)).expect("open");
@@ -255,8 +257,7 @@ fn main() {
     let ops = |i: usize| points[i].1;
     let meets_5x = ops(2) >= 5.0 * baseline_ops;
     let monotonic = ops(0) <= ops(1) && ops(1) <= ops(2);
-    let latency_within_deadline =
-        baseline_p50_us.saturating_sub(raw_fsync_us) <= commit_deadline_us;
+    let latency_within_deadline = baseline_p50_us.saturating_sub(raw_fsync_us) <= solo_bound_us;
     for (cond, msg) in [
         (
             meets_5x,
@@ -268,7 +269,7 @@ fn main() {
         ),
         (
             latency_within_deadline,
-            "solo-client ack latency exceeds raw fsync + commit deadline",
+            "solo-client ack latency exceeds raw fsync + 1 ms",
         ),
     ] {
         if !cond {
@@ -296,7 +297,7 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    println!("\nraw fsync p50: {raw_fsync_us} µs  commit deadline: {commit_deadline_us} µs");
+    println!("\nraw fsync p50: {raw_fsync_us} µs  solo-latency bound: {solo_bound_us} µs");
     println!(
         "baseline (1 client, depth 1): {} ops/s, p50 {} µs",
         fmt_f(baseline_ops),
@@ -325,7 +326,7 @@ fn main() {
                 )),
             ),
             ("raw_fsync_us_p50", Json::Int(raw_fsync_us)),
-            ("commit_deadline_us", Json::Int(commit_deadline_us)),
+            ("commit_deadline_us", Json::Int(solo_bound_us)),
             (
                 "baseline_per_write_fsync",
                 Json::obj(vec![

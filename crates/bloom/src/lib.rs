@@ -12,14 +12,14 @@
 //!   sized from the number of keys and a target rate, defaulting to 1%
 //!   (the paper sizes "for a false positive rate below 1%", and Appendix A
 //!   budgets 1.25 bytes = 10 bits per key).
-//! * **Monotonic updates** (§4.4.3): "bits always change from zero to one,
-//!   and there is no need to atomically update more than one bit at a
-//!   time", so the concurrent variant ([`AtomicBloom`]) uses relaxed
-//!   fetch-or and readers need no insulation from concurrent writers.
-//! * **No deletions** — components are append-only, so neither variant
-//!   supports removal.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! * **No deletions** — components are append-only, so the filter does
+//!   not support removal.
+//!
+//! §4.4.3's racy, concurrently-updated filter serves a reader that looks
+//! inside a half-built component. Nothing does here: one merge driver
+//! builds a private [`BloomFilter`] through `&mut`, and the catalog swap
+//! that installs the finished component publishes it (read-only from
+//! then on) — so a plain filter suffices and there is no atomic variant.
 
 mod hash;
 
@@ -29,7 +29,7 @@ pub use hash::{hash128, hash64};
 /// rate for a given size.
 const LN2: f64 = std::f64::consts::LN_2;
 
-/// Sizing parameters shared by both filter variants.
+/// Filter sizing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BloomParams {
     /// Number of bits in the filter.
@@ -189,89 +189,6 @@ impl BloomFilter {
     }
 }
 
-/// Concurrent Bloom filter with lock-free monotonic updates, exactly as
-/// §4.4.3 describes ("there is no reason to attempt to insulate readers
-/// from concurrent updates").
-pub struct AtomicBloom {
-    params: BloomParams,
-    // ordering: Relaxed — monotonic set-only bits; a reader that misses
-    // a concurrent insert just takes a (correct) disk probe (§4.4.3).
-    words: Vec<AtomicU64>,
-    // ordering: Relaxed for the statistics reads/bumps, Acquire in the
-    // Debug snapshot so it observes bits published before the count.
-    inserted: AtomicU64,
-}
-
-impl std::fmt::Debug for AtomicBloom {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicBloom")
-            .field("params", &self.params)
-            .field(
-                "inserted",
-                &self.inserted.load(std::sync::atomic::Ordering::Acquire),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-impl AtomicBloom {
-    /// Creates an empty filter with the given parameters.
-    pub fn new(params: BloomParams) -> AtomicBloom {
-        let mut words = Vec::with_capacity((params.bits / 64) as usize);
-        words.resize_with((params.bits / 64) as usize, || AtomicU64::new(0));
-        AtomicBloom {
-            params,
-            words,
-            inserted: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a filter sized for `expected_keys` at <1% false positives.
-    pub fn with_capacity(expected_keys: u64) -> AtomicBloom {
-        AtomicBloom::new(BloomParams::for_fp_rate(expected_keys, 0.01))
-    }
-
-    /// Filter sizing parameters.
-    pub fn params(&self) -> BloomParams {
-        self.params
-    }
-
-    /// Number of keys inserted so far.
-    pub fn inserted(&self) -> u64 {
-        self.inserted.load(Ordering::Relaxed)
-    }
-
-    /// Inserts a key. Bits flip monotonically 0→1, so relaxed ordering is
-    /// sufficient; the engine issues its own barrier when moving data out
-    /// of `C0` (see the paper's footnote 2).
-    pub fn insert(&self, key: &[u8]) {
-        for bit in probes(key, self.params.bits, self.params.k) {
-            self.words[(bit / 64) as usize].fetch_or(1 << (bit % 64), Ordering::Relaxed);
-        }
-        self.inserted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Membership test; no false negatives for completed inserts.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        probes(key, self.params.bits, self.params.k).all(|bit| {
-            self.words[(bit / 64) as usize].load(Ordering::Relaxed) & (1 << (bit % 64)) != 0
-        })
-    }
-
-    /// Snapshots into a plain [`BloomFilter`] (e.g. for serialization).
-    pub fn to_filter(&self) -> BloomFilter {
-        BloomFilter {
-            params: self.params,
-            words: self
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-            inserted: self.inserted(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -352,47 +269,6 @@ mod tests {
         let mut f = BloomFilter::with_capacity(10).to_bytes();
         f.truncate(f.len() - 1);
         assert!(BloomFilter::from_bytes(&f).is_none());
-    }
-
-    #[test]
-    fn atomic_matches_plain() {
-        let params = BloomParams::for_fp_rate(1000, 0.01);
-        let mut plain = BloomFilter::new(params);
-        let atomic = AtomicBloom::new(params);
-        for i in 0..1000u32 {
-            plain.insert(&i.to_le_bytes());
-            atomic.insert(&i.to_le_bytes());
-        }
-        for i in 0..4000u32 {
-            let key = i.to_le_bytes();
-            assert_eq!(plain.contains(&key), atomic.contains(&key), "key {i}");
-        }
-        let snap = atomic.to_filter();
-        assert_eq!(snap.to_bytes(), plain.to_bytes());
-    }
-
-    #[test]
-    fn atomic_concurrent_inserts_never_lose_keys() {
-        use std::sync::Arc;
-        let f = Arc::new(AtomicBloom::with_capacity(40_000));
-        let mut handles = Vec::new();
-        for t in 0..4u32 {
-            let f = f.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..10_000u32 {
-                    f.insert(&(t * 10_000 + i).to_le_bytes());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        for i in 0..40_000u32 {
-            assert!(
-                f.contains(&i.to_le_bytes()),
-                "key {i} lost under concurrency"
-            );
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use blsm_bloom::{AtomicBloom, BloomFilter, BloomParams};
+use blsm_bloom::{BloomFilter, BloomParams};
 
 proptest! {
     /// The defining invariant: a Bloom filter never produces a false
@@ -40,24 +40,6 @@ proptest! {
         let g = BloomFilter::from_bytes(&f.to_bytes()).unwrap();
         for p in keys.iter().chain(probes.iter()) {
             prop_assert_eq!(f.contains(p), g.contains(p));
-        }
-    }
-
-    /// The atomic variant answers identically to the plain one.
-    #[test]
-    fn atomic_equals_plain(
-        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 1..200),
-        probes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..100),
-    ) {
-        let params = BloomParams::for_fp_rate(keys.len() as u64, 0.01);
-        let mut plain = BloomFilter::new(params);
-        let atomic = AtomicBloom::new(params);
-        for k in &keys {
-            plain.insert(k);
-            atomic.insert(k);
-        }
-        for p in keys.iter().chain(probes.iter()) {
-            prop_assert_eq!(plain.contains(p), atomic.contains(p));
         }
     }
 

@@ -19,10 +19,10 @@
 //!
 //! Consistency between `C0` and the catalog no longer rests on a
 //! buffer-wide `c0` write lock. The `C0:C1` commit point runs inside
-//! [`ConcurrentC0::end_pass_with`]: the buffer bumps its publish epoch to
-//! an odd value, the closure stores the new catalog, the retained
-//! (already-drained) `C0` entries are cleared, and the epoch lands on the
-//! next even value. Readers run a seqlock loop (`read.rs`): sample an
+//! [`ConcurrentC0::end_capped_pass_with`]: the buffer bumps its publish
+//! epoch to an odd value, the closure stores the new catalog, the
+//! retained (already-drained) `C0` entries are cleared, and the epoch
+//! lands on the next even value. Readers run a seqlock loop (`read.rs`): sample an
 //! even epoch, read the `C0` shards and load the catalog, and retry if
 //! the epoch moved. They therefore see either the old `C1` plus the
 //! retained `C0` copies or the new `C1` without them — never neither,
@@ -127,8 +127,8 @@ impl CatalogCell {
 
     /// Publishes a new catalog. When the swap must be atomic with a `C0`
     /// state change (the `C0:C1` commit point), callers store from inside
-    /// the [`ConcurrentC0::end_pass_with`] commit closure, which runs in
-    /// the odd-epoch window readers retry across; pure disk-level
+    /// the [`ConcurrentC0::end_capped_pass_with`] commit closure, which
+    /// runs in the odd-epoch window readers retry across; pure disk-level
     /// rotations may store directly.
     pub(crate) fn store(&self, catalog: Arc<ComponentCatalog>) {
         *self.inner.write() = catalog;
@@ -203,14 +203,13 @@ pub(crate) struct TreeShared {
     /// lock hierarchy.
     pub(crate) wal: Mutex<Option<Wal>>,
     /// Group-commit election bookkeeping (see `commit.rs` and DESIGN.md
-    /// §18): leader flag, parked-waiter count, failure epoch. Ordered
-    /// between `merge` and `wal` in the hierarchy, but never held while
-    /// acquiring anything — the leader drops it before touching the WAL
-    /// and is **never** held across I/O.
+    /// §18): leader flag and failure epoch. Ordered between `merge` and
+    /// `wal` in the hierarchy, but never held while acquiring anything —
+    /// the leader drops it before touching the WAL and is **never** held
+    /// across I/O.
     pub(crate) commit: Mutex<CommitState>,
-    /// Wakes group-commit waiters when a group retires (or fails), and
-    /// the accumulating leader when a co-waiter joins. Paired with
-    /// `commit`.
+    /// Wakes group-commit waiters when a group retires (or fails).
+    /// Paired with `commit`.
     pub(crate) commit_cv: Condvar,
     /// LSN below which every WAL byte is known device-stable — the
     /// horizon `Durability::Sync` acks cover. Mirrors the WAL's own
@@ -227,16 +226,9 @@ pub(crate) struct TreeShared {
     /// mutex by `log_and_insert`, swapped to zero under the same mutex
     /// by the leader's flush — so the swap reads exactly the group the
     /// flush covered. Feeds the group-size histogram.
-    // ordering: AcqRel RMWs / Release store — serialized by the wal
-    // mutex; group bookkeeping, not a synchronization edge.
+    // ordering: AcqRel RMWs — serialized by the wal mutex; group
+    // bookkeeping, not a synchronization edge.
     pub(crate) unsynced_writes: AtomicU64,
-    /// Frame bytes counted into the currently-open commit group; same
-    /// discipline as `unsynced_writes`. Read (Acquire, possibly stale)
-    /// by an accumulating leader as its `COMMIT_GROUP_BYTES` early-exit
-    /// trigger.
-    // ordering: AcqRel RMWs / Release store under the wal mutex;
-    // Acquire reads from the leader's deadline loop tolerate staleness.
-    pub(crate) unsynced_bytes: AtomicU64,
     pub(crate) stats: TreeStats,
     /// Set once at the end of [`crate::BLsmTree::open`]; the lock is only
     /// for interior mutability, never held across I/O.

@@ -32,7 +32,7 @@
 //! crash-enumeration harness sweeps exactly those points).
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 
@@ -42,24 +42,6 @@ use blsm_storage::{Result, StorageError};
 
 use crate::stats;
 use crate::tree::{invariant_err, BLsmTree};
-
-/// Upper bound on how long a group-commit leader holds the door open
-/// for a group that is visibly forming before it forces the device. A
-/// *deadline*, not a pause: a leader with no co-waiters syncs
-/// immediately, so the single-writer sync latency never regresses by
-/// more than this bound. Comparable to a device fsync, far above a
-/// context switch.
-const COMMIT_DEADLINE: Duration = Duration::from_millis(1);
-
-/// Group size (leader included) that ends the deadline wait early. At 2
-/// the leader stops waiting as soon as even one more writer has joined,
-/// so batching comes from writers arriving *during* the (unlocked)
-/// device sync, not from holding commits hostage to a timer.
-const COMMIT_GROUP_COUNT: usize = 2;
-
-/// Pending WAL bytes that end the deadline wait early, whatever the
-/// waiter count.
-const COMMIT_GROUP_BYTES: u64 = 32 << 10;
 
 /// Group-commit election state, behind `TreeShared.commit`.
 ///
@@ -72,10 +54,6 @@ pub(crate) struct CommitState {
     /// True while an elected leader is driving a flush + device sync.
     /// Exactly one leader runs at a time; everyone else waits.
     pub(crate) leader_active: bool,
-    /// Writers currently parked on `commit_cv` (excluding the leader).
-    /// An accumulating leader reads this to cut its deadline short at
-    /// `COMMIT_GROUP_COUNT`.
-    pub(crate) waiters: usize,
     /// Monotone count of groups whose device sync failed. A waiter
     /// records the value at entry; a bump while it waited means a sync
     /// covering (or preceding) its append failed and its durability is
@@ -227,11 +205,11 @@ impl BLsmTree {
                 ))));
             }
             if !state.leader_active {
-                // Become the leader: optionally hold the door open for
-                // co-waiters, then commit the group with no locks held
-                // across the I/O.
+                // Become the leader and commit the group at once, with
+                // no locks held across the I/O. There is no accumulation
+                // window: the group is whatever was appended while the
+                // previous leader's sync ran.
                 state.leader_active = true;
-                self.lead_accumulate(&mut state);
                 drop(state);
                 let outcome = self.lead_commit();
                 state = self.shared.commit.lock();
@@ -247,43 +225,7 @@ impl BLsmTree {
                 // flush ran after it), but a concurrent `mark_synced`
                 // race is handled by simply going around again.
             } else {
-                state.waiters += 1;
-                // Wake an accumulating leader so it can see the group
-                // grow (co-waiters are one of its early-exit triggers).
-                self.shared.commit_cv.notify_all();
                 self.shared.commit_cv.wait(&mut state);
-                state.waiters -= 1;
-            }
-        }
-    }
-
-    /// The leader's accumulation window, entered with the `commit` lock
-    /// held. A leader with **no** co-waiters syncs immediately — the
-    /// deadline is a bound on how long it will hold the door open for a
-    /// group that is visibly forming, never a pause added to a quiet
-    /// tree — and the wait is cut short the moment the group reaches
-    /// `COMMIT_GROUP_COUNT` writers (the leader counts as one) or
-    /// `COMMIT_GROUP_BYTES` pending bytes.
-    fn lead_accumulate(&self, state: &mut parking_lot::MutexGuard<'_, CommitState>) {
-        let deadline = Instant::now() + COMMIT_DEADLINE;
-        while state.waiters > 0
-            && state.waiters + 1 < COMMIT_GROUP_COUNT
-            // ordering: Acquire — counted under the wal lock by
-            // appenders; a stale-low read only lengthens the wait by
-            // one wakeup.
-            && self.shared.unsynced_bytes.load(Ordering::Acquire) < COMMIT_GROUP_BYTES
-        {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if self
-                .shared
-                .commit_cv
-                .wait_for(state, deadline - now)
-                .timed_out()
-            {
-                break;
             }
         }
     }
@@ -300,13 +242,11 @@ impl BLsmTree {
                 .ok_or_else(|| invariant_err("group commit on a tree without a wal"))?;
             wal.flush()?;
             // The flush just covered every append counted so far: zero
-            // the open-group counters under the same lock appenders
-            // bump them under, so the swap reads exactly this group.
-            // ordering: AcqRel swap / Release store — serialized by the
-            // wal mutex; the counters are group bookkeeping, not a
-            // synchronization edge.
+            // the open-group counter under the same lock appenders bump
+            // it under, so the swap reads exactly this group.
+            // ordering: AcqRel swap — serialized by the wal mutex; the
+            // counter is group bookkeeping, not a synchronization edge.
             let group_writes = self.shared.unsynced_writes.swap(0, Ordering::AcqRel);
-            self.shared.unsynced_bytes.store(0, Ordering::Release);
             (wal.flushed_lsn(), group_writes, wal.device())
         };
         let sync_started = Instant::now();

@@ -121,14 +121,14 @@ enum Step {
 impl BLsmTree {
     pub(crate) fn start_merge01_locked(&self, ms: &mut MergeState) -> Result<()> {
         assert!(ms.merge01.is_none());
-        // A pass whose output failed to seal (device error inside
-        // `finish_merge01_locked`) took its merge state with it but left
-        // `C0`'s pass open. Nothing is lost — the drained rows stay
-        // readable behind the cursor and stay in the log — but this
-        // handle cannot start another pass; reopening replays the log.
+        // A pass whose merge returned an error (any step, or sealing its
+        // output) dropped its merge state but left `C0`'s pass open.
+        // Nothing is lost — the drained rows stay readable behind the
+        // cursor and stay in the log — but this handle cannot start
+        // another pass; reopening replays the log.
         if self.shared.c0.pass_mode() != PassMode::Idle {
             return Err(invariant_err(
-                "an earlier C0:C1 pass failed while sealing its output; reopen the tree",
+                "an earlier C0:C1 pass failed; reopen the tree",
             ));
         }
         // Sample the log tail *before* the pass begins: append+insert is
@@ -180,23 +180,44 @@ impl BLsmTree {
 
     /// Consumes up to `budget` input bytes of `C0:C1` merge work.
     ///
+    /// The merge is taken out of `ms` for the step and put back only on
+    /// `Ok`: one that returned an error no longer exists, so nothing can
+    /// poll its iterators (which latch the error, then report
+    /// "exhausted") or its builder again and publish what it built.
+    /// `C0`'s pass stays open, which wedges this handle on
+    /// `start_merge01_locked`'s typed error; the log is untouched, so a
+    /// reopen replays every drained row.
+    pub(crate) fn run_merge01_locked(&self, ms: &mut MergeState, budget: u64) -> Result<()> {
+        let Some(mut m) = ms.merge01.take() else {
+            return Ok(());
+        };
+        match self.step_merge01(&mut m, budget) {
+            Ok(false) => {
+                ms.merge01 = Some(m);
+                Ok(())
+            }
+            Ok(true) => self.finish_merge01_locked(ms, m),
+            Err(e) => {
+                ms.allocator.free(m.full_region);
+                Err(e)
+            }
+        }
+    }
+
+    /// Merges until `budget` input bytes are consumed (`Ok(false)`) or
+    /// both inputs are exhausted (`Ok(true)`).
+    ///
     /// The buffer's exclusive drain guard is taken per merged entry and
     /// released before the builder append and before any `C1` iterator
     /// pull — writers only ever wait for one peek/drain, never for merge
     /// I/O.
-    pub(crate) fn run_merge01_locked(&self, ms: &mut MergeState, budget: u64) -> Result<()> {
-        if ms.merge01.is_none() {
-            return Ok(());
-        }
+    fn step_merge01(&self, m: &mut Merge01, budget: u64) -> Result<bool> {
         let op = self.shared.op.clone();
-        let start_consumed = self.merge01_consumed(ms);
+        let start_consumed = self.merge01_consumed(m);
         loop {
-            if self.merge01_consumed(ms) - start_consumed >= budget {
-                return Ok(());
+            if self.merge01_consumed(m) - start_consumed >= budget {
+                return Ok(false);
             }
-            let Some(m) = ms.merge01.as_mut() else {
-                return Ok(()); // unreachable: presence checked on entry
-            };
             // Run-length cap (§4.2: sorted input would otherwise extend the
             // pass forever).
             if !m.c0_capped && m.builder.data_bytes() >= m.run_cap_bytes {
@@ -244,10 +265,7 @@ impl BLsmTree {
                 }
             };
             let (key, versions) = match step {
-                Step::Finish => {
-                    self.finish_merge01_locked(ms)?;
-                    return Ok(());
-                }
+                Step::Finish => return Ok(true),
                 Step::Both(k, v0) => {
                     let e1 = m
                         .c1_stream
@@ -282,19 +300,39 @@ impl BLsmTree {
         }
     }
 
-    pub(crate) fn merge01_consumed(&self, ms: &MergeState) -> u64 {
-        match &ms.merge01 {
-            Some(m) => {
-                self.shared.c0.drained_bytes() as u64 + m.c1_consumed.load(Ordering::Relaxed)
-            }
-            None => 0,
-        }
+    /// Input bytes a running `C0:C1` merge has consumed: drained `C0`
+    /// bytes plus `C1` bytes pulled.
+    pub(crate) fn merge01_consumed(&self, m: &Merge01) -> u64 {
+        self.shared.c0.drained_bytes() as u64 + m.c1_consumed.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn finish_merge01_locked(&self, ms: &mut MergeState) -> Result<()> {
-        let Some(m) = ms.merge01.take() else {
-            return Err(invariant_err("finish_merge01 without active merge01"));
+    /// Seals a merge's output off to the side and returns the unused tail
+    /// of its over-allocated region to the allocator — or, when sealing
+    /// fails, the whole region: nothing in it is referenced. `None` is an
+    /// empty output.
+    fn seal_output(
+        ms: &mut MergeState,
+        builder: SstableBuilder,
+        full_region: Region,
+    ) -> Result<Option<Arc<Sstable>>> {
+        let table = match builder.finish() {
+            Ok(table) => Arc::new(table),
+            Err(e) => {
+                ms.allocator.free(full_region);
+                return Err(e);
+            }
         };
+        let used = table.region().pages;
+        if used < full_region.pages {
+            ms.allocator.free(Region {
+                start: PageId(full_region.start.0 + used),
+                pages: full_region.pages - used,
+            });
+        }
+        Ok((table.entry_count() > 0).then_some(table))
+    }
+
+    fn finish_merge01_locked(&self, ms: &mut MergeState, m: Merge01) -> Result<()> {
         let Merge01 {
             builder,
             full_region,
@@ -302,23 +340,12 @@ impl BLsmTree {
             pass_start_lsn,
             ..
         } = m;
-        // Build and open the new C1 off to the side — nothing is visible
-        // to readers until the catalog swap below.
-        let new_c1 = Arc::new(builder.finish()?);
-        // Free the unused tail of the over-allocated region.
-        let used = new_c1.region().pages;
-        if used < full_region.pages {
-            ms.allocator.free(Region {
-                start: PageId(full_region.start.0 + used),
-                pages: full_region.pages - used,
-            });
-        }
-        let new_c1 = (new_c1.entry_count() > 0).then_some(new_c1);
+        // Nothing is visible to readers until the catalog swap below.
+        let new_c1 = Self::seal_output(ms, builder, full_region)?;
         // Release the old-C1 iterator's table handle before reclamation.
         drop(c1_stream);
 
-        let had_leftover;
-        {
+        let had_leftover = {
             let old = self.shared.catalog.load();
             let next = Arc::new(ComponentCatalog::new(
                 new_c1,
@@ -329,26 +356,25 @@ impl BLsmTree {
             drop(old);
             // Commit point (see catalog.rs): publish the new catalog and
             // retire the pass's drained C0 copies inside the buffer's
-            // epoch-bumped window. The *capped* variant is used even when
-            // the merge loop saw both inputs exhausted: a racing insert
-            // ahead of the cursor can land in `current` between that
-            // observation and the pass lock here, and must be folded into
-            // the next table rather than dropped. Clean shards cost O(1),
-            // so the general form is free in the quiescent case.
+            // epoch-bumped window. The pass end folds undrained entries
+            // back even when the merge loop saw both inputs exhausted: a
+            // racing insert ahead of the cursor can land in `current`
+            // between that observation and the pass lock here, and must
+            // reach the next table rather than be dropped. Clean shards
+            // cost O(1), so a quiescent pass pays nothing for it.
             let (displaced, leftover) =
                 self.shared
                     .c0
                     .end_capped_pass_with(self.shared.op.as_ref(), || {
                         self.shared.catalog.store(next);
                     });
-            had_leftover = leftover;
             // Free the displaced C0 tables outside the critical section.
             drop(displaced);
             if let Some(old_c1) = old_c1 {
                 Self::retire(ms, old_c1);
             }
-        }
-        ms.last_pass_had_leftover = had_leftover;
+            leftover
+        };
         stats::bump(&self.shared.stats.merges01, 1);
 
         // Log truncation: everything the pass consumed is durable, and
@@ -434,52 +460,65 @@ impl BLsmTree {
         Ok(())
     }
 
-    /// Consumes up to `budget` input bytes of `C1':C2` merge work.
+    /// Consumes up to `budget` input bytes of `C1':C2` merge work. A
+    /// merge that returned an error is dropped here too; its inputs are
+    /// immutable components still in the catalog, so
+    /// `restart_merge12_locked` starts it over.
     pub(crate) fn run_merge12_locked(&self, ms: &mut MergeState, budget: u64) -> Result<()> {
-        let Some(m) = ms.merge12.as_mut() else {
+        let Some(mut m) = ms.merge12.take() else {
             return Ok(());
         };
         let start = m.consumed.load(Ordering::Relaxed);
-        loop {
+        // `Ok(false)`: budget consumed; `Ok(true)`: inputs exhausted.
+        let step = loop {
             if m.consumed.load(Ordering::Relaxed) - start >= budget {
-                return Ok(());
+                break Ok(false);
             }
-            match m.iter.next() {
-                Some(e) => {
-                    let e = e?;
-                    stats::bump(
-                        &self.shared.stats.merge_bytes_consumed,
-                        (e.key.len() + e.version.entry.payload_len()) as u64,
-                    );
-                    m.builder.add(&e.key, &e.version)?;
-                }
-                None => {
-                    self.finish_merge12_locked(ms)?;
-                    return Ok(());
-                }
+            let e = match m.iter.next() {
+                Some(Ok(e)) => e,
+                Some(Err(e)) => break Err(e),
+                None => break Ok(true),
+            };
+            stats::bump(
+                &self.shared.stats.merge_bytes_consumed,
+                (e.key.len() + e.version.entry.payload_len()) as u64,
+            );
+            if let Err(e) = m.builder.add(&e.key, &e.version) {
+                break Err(e);
+            }
+        };
+        match step {
+            Ok(false) => {
+                ms.merge12 = Some(m);
+                Ok(())
+            }
+            Ok(true) => self.finish_merge12_locked(ms, m),
+            Err(e) => {
+                ms.allocator.free(m.full_region);
+                Err(e)
             }
         }
     }
 
-    pub(crate) fn finish_merge12_locked(&self, ms: &mut MergeState) -> Result<()> {
-        let Some(m) = ms.merge12.take() else {
-            return Err(invariant_err("finish_merge12 without active merge12"));
-        };
+    /// Starts the `C1':C2` merge whenever a `C1'` is installed and no
+    /// merge is consuming it: after a crash mid-merge (`open`), and after
+    /// a merge that returned an error was dropped (`maintenance`,
+    /// `checkpoint`).
+    pub(crate) fn restart_merge12_locked(&self, ms: &mut MergeState) -> Result<()> {
+        if ms.merge12.is_none() && self.shared.catalog.load().c1_prime.is_some() {
+            self.start_merge12_locked(ms)?;
+        }
+        Ok(())
+    }
+
+    fn finish_merge12_locked(&self, ms: &mut MergeState, m: Merge12) -> Result<()> {
         let Merge12 {
             builder,
             full_region,
             iter,
             ..
         } = m;
-        let new_c2 = Arc::new(builder.finish()?);
-        let used = new_c2.region().pages;
-        if used < full_region.pages {
-            ms.allocator.free(Region {
-                start: PageId(full_region.start.0 + used),
-                pages: full_region.pages - used,
-            });
-        }
-        let new_c2 = (new_c2.entry_count() > 0).then_some(new_c2);
+        let new_c2 = Self::seal_output(ms, builder, full_region)?;
         // Release the input iterators' table handles before reclamation.
         drop(iter);
         {
@@ -530,5 +569,151 @@ impl BLsmTree {
                 ms.retired.push(r);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use crate::config::BLsmConfig;
+    use blsm_memtable::AppendOperator;
+    use blsm_storage::{FaultMode, FaultyDevice, MemDevice, SharedDevice};
+
+    /// Hand-driven (`external_pacing`), with `R` pinned so `C1` grows
+    /// past one 256 KiB read-ahead chunk before it rotates: a merge then
+    /// reads its inputs in several device calls, and one of them can be
+    /// made to fail.
+    fn open(data: SharedDevice, wal: SharedDevice) -> BLsmTree {
+        let config = BLsmConfig {
+            mem_budget: 64 << 10,
+            wal_capacity: 8 << 20,
+            r: Some(8.0),
+            external_pacing: true,
+            ..Default::default()
+        };
+        BLsmTree::open(data, wal, 256, config, Arc::new(AppendOperator)).unwrap()
+    }
+
+    fn flaky_reads() -> Arc<FaultyDevice> {
+        let medium: SharedDevice = Arc::new(MemDevice::new());
+        Arc::new(FaultyDevice::new(medium, FaultMode::FailReads, u64::MAX))
+    }
+
+    /// Overwrites one of 3 000 keys, in a scattered order; `model` holds
+    /// what every key must read back as.
+    fn put_next(tree: &BLsmTree, model: &mut BTreeMap<Bytes, Bytes>, n: &mut u64) -> Result<()> {
+        let key = Bytes::from(format!("user{:08}", (*n * 7919) % 3000));
+        let value = Bytes::from(format!("{n:0200}"));
+        *n += 1;
+        assert!(*n < 100_000, "workload never reached the wanted state");
+        tree.put(key.clone(), value.clone())?;
+        model.insert(key, value);
+        Ok(())
+    }
+
+    fn assert_reads_match(tree: &BLsmTree, model: &BTreeMap<Bytes, Bytes>) {
+        for (k, v) in model {
+            assert_eq!(tree.get(k).unwrap().as_ref(), Some(v), "key {k:?}");
+        }
+    }
+
+    fn allocated(ms: &MergeState) -> u64 {
+        ms.allocator.high_water() - ms.allocator.free_pages()
+    }
+
+    #[test]
+    fn a_failed_c1_prime_c2_merge_publishes_nothing_and_restarts() {
+        let flaky = flaky_reads();
+        let tree = open(flaky.clone(), Arc::new(MemDevice::new()));
+        let (mut model, mut n) = (BTreeMap::new(), 0);
+        // A first rotation and its merge give the tree a C2; the second
+        // rotation leaves a C1':C2 merge in flight with both inputs.
+        while !tree.merges_active().1 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        tree.checkpoint().unwrap();
+        while !tree.merges_active().1 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        let before = tree.shared.catalog.load();
+        assert!(before.c1_prime.is_some() && before.c2.is_some());
+        let merges12 = tree.stats().merges12;
+
+        {
+            let mut ms = tree.merge.lock();
+            let epoch = ms.manifest.epoch();
+            let output_pages = ms.merge12.as_ref().unwrap().full_region.pages;
+            let allocated_before = allocated(&ms);
+            // Part of the output is built, then one input read fails.
+            tree.run_merge12_locked(&mut ms, 64 << 10).unwrap();
+            assert!(ms.merge12.is_some());
+            flaky.fail_next(1);
+            let err = tree.run_merge12_locked(&mut ms, u64::MAX).unwrap_err();
+            assert!(err.to_string().contains("injected fault"), "{err}");
+            // The merge is gone, not flagged: polling again finds nothing
+            // to poll, and nothing it built was kept or recorded.
+            assert!(ms.merge12.is_none());
+            tree.run_merge12_locked(&mut ms, u64::MAX).unwrap();
+            assert_eq!(ms.manifest.epoch(), epoch);
+            assert_eq!(allocated(&ms), allocated_before - output_pages);
+        }
+        assert!(Arc::ptr_eq(&before, &tree.shared.catalog.load()));
+        assert_eq!(tree.stats().merges12, merges12);
+        assert_reads_match(&tree, &model);
+
+        // The inputs are immutable: the next quantum starts the merge over.
+        tree.maintenance(u64::MAX).unwrap();
+        assert_eq!(tree.stats().merges12, merges12 + 1);
+        assert!(tree.shared.catalog.load().c1_prime.is_none());
+        assert_reads_match(&tree, &model);
+        assert!(tree.scrub().is_clean());
+    }
+
+    #[test]
+    fn a_failed_c0_c1_merge_wedges_until_reopen() {
+        let flaky = flaky_reads();
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let tree = open(flaky.clone(), wal.clone());
+        let (mut model, mut n) = (BTreeMap::new(), 0);
+        // A settled C1 of more than one read-ahead chunk, fresh rows in C0.
+        while tree.component_bytes().0 <= 300 << 10 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        tree.checkpoint().unwrap();
+        for _ in 0..100 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        let before = tree.shared.catalog.load();
+        let allocated_before = allocated(&tree.merge.lock());
+
+        // The pass drains a row and reads C1's first chunk; the read of
+        // the second chunk fails.
+        tree.start_merge01().unwrap();
+        tree.run_merge01(1).unwrap();
+        flaky.fail_next(1);
+        let err = tree.run_merge01(u64::MAX).unwrap_err();
+        assert!(err.to_string().contains("injected fault"), "{err}");
+        assert!(!tree.merges_active().0);
+        assert_eq!(allocated(&tree.merge.lock()), allocated_before);
+        assert!(Arc::ptr_eq(&before, &tree.shared.catalog.load()));
+
+        // Every retry — a checkpoint, a writer reaching the cap — is the
+        // typed error; the handle still reads every row, drained or not.
+        let at_the_cap = (0..1000).find_map(|_| put_next(&tree, &mut model, &mut n).err());
+        for e in [tree.checkpoint().unwrap_err(), at_the_cap.unwrap()] {
+            assert!(e.to_string().contains("reopen the tree"), "{e}");
+        }
+        assert_reads_match(&tree, &model);
+
+        // The log was never truncated over the drained rows.
+        drop((tree, before));
+        let tree = open(flaky, wal);
+        assert_reads_match(&tree, &model);
+        tree.checkpoint().unwrap();
+        assert_reads_match(&tree, &model);
+        assert!(tree.scrub().is_clean());
     }
 }

@@ -16,7 +16,7 @@ use bytes::Bytes;
 
 use blsm_storage::Result;
 
-use crate::read::{ScanItem, SCAN_PREALLOC_ROWS};
+use crate::read::ScanItem;
 
 /// Index of the partition owning `key` under sorted `bounds`.
 pub fn shard_for(bounds: &[Bytes], key: &[u8]) -> usize {
@@ -69,58 +69,16 @@ pub(crate) fn even_bounds(n: usize) -> Vec<Bytes> {
         .collect()
 }
 
-/// K-way merge of sorted [`ScanItem`] streams, smallest key first, ties
-/// broken by stream index (earlier stream wins, duplicate suppressed) —
-/// the gather half of every scatter-gather scan. Lives beside the
-/// scatter arithmetic because the two must agree on the boundary
-/// convention: the scatter step visits shards in routing order, and this
-/// merge's tie-break assumes that order (the earlier stream holds the
-/// authoritative row for a duplicated key).
-pub(crate) fn kway_merge(streams: Vec<Vec<ScanItem>>, limit: usize) -> Vec<ScanItem> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    if streams.len() == 1 {
-        let mut only = streams.into_iter().next().unwrap_or_default();
-        only.truncate(limit);
-        return only;
-    }
-    let mut heap: BinaryHeap<Reverse<(Bytes, usize, usize)>> = streams
-        .iter()
-        .enumerate()
-        .filter_map(|(s, rows)| rows.first().map(|r| Reverse((r.key.clone(), s, 0))))
-        .collect();
-    let mut out: Vec<ScanItem> = Vec::with_capacity(limit.min(SCAN_PREALLOC_ROWS));
-    while let Some(Reverse((key, s, pos))) = heap.pop() {
-        if out.len() >= limit {
-            break;
-        }
-        let row = streams[s][pos].clone();
-        if out.last().is_none_or(|r: &ScanItem| r.key != key) {
-            out.push(row);
-        }
-        if let Some(next) = streams[s].get(pos + 1) {
-            heap.push(Reverse((next.key.clone(), s, pos + 1)));
-        }
-    }
-    out
-}
-
 /// Scatter-gather scan: fan the range out to every shard whose key
-/// range overlaps `[from, to)`, then gather the per-shard (already
-/// sorted) result streams through a k-way merge into one globally
-/// key-ordered stream, truncated to `limit`.
+/// range overlaps `[from, to)` and concatenate the per-shard (already
+/// sorted) results into one globally key-ordered stream of at most
+/// `limit` rows.
 ///
-/// With range-partitioned shards the streams are disjoint, so the merge
-/// degenerates to concatenation — but it is written as a genuine k-way
-/// merge (smallest-head heap, ties broken by shard index) so the gather
-/// step is correct for *any* boundary configuration the router is handed,
-/// which is exactly the property an online split would lean on.
-///
-/// Shards are visited in routing order — which under range partitioning
-/// is key order — so the common single-shard scan stops after one fetch,
-/// and each later shard is asked only for the rows still missing
-/// (`limit - gathered`): everything already gathered sorts before
-/// anything it can return.
+/// Range-partitioned shards are disjoint and visited in routing order —
+/// which is key order — so everything already gathered sorts before
+/// anything a later shard can return: the gather is concatenation, the
+/// common single-shard scan stops after one fetch, and each later shard
+/// is asked only for the rows still missing (`limit - gathered`).
 ///
 /// `fetch(i, from, to, limit)` reads partition `i`.
 ///
@@ -138,8 +96,7 @@ pub fn scatter_scan(
         return Ok(Vec::new());
     }
     let (first, last) = shards_overlapping(bounds, from, to);
-    let mut streams: Vec<Vec<ScanItem>> = Vec::with_capacity(last - first + 1);
-    let mut gathered = 0usize;
+    let mut out: Vec<ScanItem> = Vec::new();
     for i in first..=last {
         // Scatter: shard i's slice of the range starts at `from` only
         // for the first shard; later shards start at their lower bound
@@ -149,17 +106,16 @@ pub fn scatter_scan(
         } else {
             bounds[i - 1].as_ref()
         };
-        let rows = fetch(i, shard_from, to, limit - gathered)?;
-        gathered += rows.len();
-        streams.push(rows);
-        // Range partitioning means shards are visited in key order: once
-        // `limit` rows are gathered, later shards can only contribute
-        // rows that sort after everything kept.
-        if gathered >= limit {
+        out.extend(fetch(i, shard_from, to, limit - out.len())?);
+        if out.len() >= limit {
             break;
         }
     }
-    Ok(kway_merge(streams, limit))
+    debug_assert!(
+        out.len() <= limit && out.windows(2).all(|w| w[0].key < w[1].key),
+        "shards returned overlapping, unsorted or over-limit rows"
+    );
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -200,26 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_interleaves_and_dedupes() {
-        let merged = kway_merge(
-            vec![
-                vec![item("a", "1"), item("c", "1"), item("e", "1")],
-                vec![item("b", "2"), item("c", "2"), item("d", "2")],
-            ],
-            10,
-        );
-        let keys: Vec<&[u8]> = merged.iter().map(|r| r.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"a" as &[u8], b"b", b"c", b"d", b"e"]);
-        // The tie on "c" kept the earlier stream's row.
-        assert_eq!(merged[2].value.as_ref(), b"1");
-        // Limit truncates.
-        assert_eq!(
-            kway_merge(vec![vec![item("a", "1")], vec![item("b", "2")]], 1).len(),
-            1
-        );
-    }
-
-    #[test]
     fn scatter_asks_later_shards_only_for_the_missing_rows() {
         let bounds = vec![Bytes::from_static(b"g"), Bytes::from_static(b"p")];
         let asked = std::cell::RefCell::new(Vec::new());
@@ -238,64 +174,36 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_handles_empty_inputs() {
-        // No streams at all (a scan that overlapped zero shards).
-        assert!(kway_merge(Vec::new(), 10).is_empty());
-        // Every stream empty (shards overlapped, none had rows).
-        assert!(kway_merge(vec![Vec::new(), Vec::new()], 10).is_empty());
-        // Empty streams interleaved with full ones must not stall the
-        // heap or shift the order.
-        let merged = kway_merge(
-            vec![
-                Vec::new(),
-                vec![item("b", "2")],
-                Vec::new(),
-                vec![item("a", "4")],
-            ],
-            10,
-        );
-        let keys: Vec<&[u8]> = merged.iter().map(|r| r.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"a" as &[u8], b"b"]);
-        // A single stream (the common one-shard scan) fast-paths but
-        // still honors the limit; zero limit yields zero rows.
-        assert_eq!(
-            kway_merge(vec![vec![item("a", "1"), item("b", "1")]], 1).len(),
-            1
-        );
-        assert!(kway_merge(vec![vec![item("a", "1")]], 0).is_empty());
-    }
-
-    #[test]
-    fn kway_merge_dedupes_across_three_streams() {
-        // The same key in *every* stream (a row duplicated across shards
-        // mid-migration): exactly one survivor, from the lowest stream
-        // index, and later keys are unaffected.
-        let merged = kway_merge(
-            vec![
-                vec![item("k", "s0"), item("z", "s0")],
-                vec![item("k", "s1")],
-                vec![item("k", "s2"), item("m", "s2")],
-            ],
-            10,
-        );
-        let keys: Vec<&[u8]> = merged.iter().map(|r| r.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"k" as &[u8], b"m", b"z"]);
-        assert_eq!(merged[0].value.as_ref(), b"s0");
-    }
-
-    #[test]
-    fn kway_merge_dedupe_does_not_eat_the_limit() {
-        // limit counts *emitted* rows: with limit 2 and a duplicated
-        // head key, the suppressed duplicate must not consume a slot.
-        let merged = kway_merge(
-            vec![
-                vec![item("a", "s0"), item("c", "s0")],
-                vec![item("a", "s1"), item("b", "s1")],
-            ],
-            2,
-        );
-        let keys: Vec<&[u8]> = merged.iter().map(|r| r.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"a" as &[u8], b"b"]);
+    fn scatter_equals_the_sorted_concatenation() {
+        // Three shards over a..=z, each holding the letters it owns.
+        let bounds = vec![Bytes::from_static(b"g"), Bytes::from_static(b"p")];
+        let all: Vec<ScanItem> = (b'a'..=b'z')
+            .map(|c| item(&(c as char).to_string(), "v"))
+            .collect();
+        let within = |r: &ScanItem, from: &[u8], to: Option<&[u8]>| {
+            r.key.as_ref() >= from && to.is_none_or(|t| r.key.as_ref() < t)
+        };
+        // Boundary-straddling, bounded (ending on and off a boundary),
+        // empty, limit-cut inside a shard and exactly at a shard's end.
+        type Case = (&'static [u8], Option<&'static [u8]>, usize);
+        let cases: [Case; 6] = [
+            (b"", None, 100),
+            (b"e", None, 4),
+            (b"e", Some(b"r"), 100),
+            (b"a", Some(b"g"), 100),
+            (b"h", Some(b"h"), 10),
+            (b"d", None, 3),
+        ];
+        for (from, to, limit) in cases {
+            let hits = all.iter().filter(|r| within(r, from, to));
+            let want: Vec<ScanItem> = hits.take(limit).cloned().collect();
+            let got = scatter_scan(&bounds, from, to, limit, |i, from, to, limit| {
+                let owned = all.iter().filter(|r| shard_for(&bounds, &r.key) == i);
+                let hits = owned.filter(|r| within(r, from, to));
+                Ok(hits.take(limit).cloned().collect())
+            });
+            assert_eq!(got.unwrap(), want, "{from:?}..{to:?} / {limit}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * recovery replays N small WALs independently; a corrupt shard
 //!   degrades to a typed per-shard error ([`ComponentId::Shard`]) while
 //!   its siblings keep serving;
-//! * scans scatter to the shards overlapping the range and gather
-//!   through a k-way merge back into one globally key-ordered stream.
+//! * scans scatter to the shards overlapping the range and concatenate
+//!   the results, in shard order, into one globally key-ordered stream.
 //!
 //! The store routes the in-process operations (`put`, `get`, `scan`, …);
 //! everything else a caller wants from one shard — nowait writes, commit
@@ -433,7 +433,7 @@ impl ShardedBLsm {
     }
 
     /// Ordered scan from `from`: scatter to every shard overlapping the
-    /// range, gather with a k-way merge (see [`route::scatter_scan`]).
+    /// range, concatenate in shard order (see [`route::scatter_scan`]).
     ///
     /// # Errors
     ///

@@ -83,6 +83,8 @@ pub struct TreeStats {
     /// Scans' `C0` budget escalations: attempts that reached their horizon
     /// short of `limit` and started over with a larger copy.
     pub(crate) scan_repins: AtomicU64, // ordering: Relaxed (statistic)
+    /// Background merge quanta that returned an error (`threaded.rs`).
+    pub(crate) merge_errors: AtomicU64, // ordering: Relaxed (statistic)
 }
 
 /// Buckets in each commit-group histogram ([`TreeStatsSnapshot::group_size_hist`],
@@ -129,6 +131,7 @@ impl TreeStats {
             merges01: read(&self.merges01),
             merges12: read(&self.merges12),
             forced_stalls: read(&self.forced_stalls),
+            merge_errors: read(&self.merge_errors),
             scrubs: read(&self.scrubs),
             scrub_errors: read(&self.scrub_errors),
             commit_groups: read(&self.commit_groups),
@@ -198,6 +201,10 @@ pub struct TreeStatsSnapshot {
     pub merges12: u64,
     /// Writes that hit the hard `C0` cap and had to run forced merge work.
     pub forced_stalls: u64,
+    /// Background merge quanta that returned an error. The merge thread
+    /// retries one wait timeout later, so on a failing device this rises
+    /// at that rate; the typed error reaches the next writer's pacing.
+    pub merge_errors: u64,
     /// Scrub passes completed over the on-disk components.
     pub scrubs: u64,
     /// Total problems reported by scrub passes.
@@ -261,6 +268,7 @@ impl TreeStatsSnapshot {
         self.merges01 += other.merges01;
         self.merges12 += other.merges12;
         self.forced_stalls += other.forced_stalls;
+        self.merge_errors += other.merge_errors;
         self.scrubs += other.scrubs;
         self.scrub_errors += other.scrub_errors;
         self.commit_groups += other.commit_groups;

@@ -22,10 +22,11 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use blsm_storage::{Result, StorageError};
 
+use crate::stats;
 use crate::tree::BLsmTree;
 
 /// How long the merge thread sleeps between staleness re-checks when no
@@ -192,40 +193,42 @@ fn merge_loop(shared: &Arc<Shared>, quantum: u64) {
         // Bounded work per quantum; writers and readers proceed
         // concurrently (maintenance serializes only on the tree's
         // internal merge state).
-        let had_work = {
-            let active_before = tree.merges_active();
-            let _ = tree.maintenance(quantum);
-            // Every background quantum is an invariant boundary; a
-            // violation here means the merge thread corrupted the tree,
-            // which no caller can recover from.
-            #[cfg(feature = "strict-invariants")]
-            if let Err(e) = tree.check_invariants() {
-                panic!("merge-thread quantum violated a tree invariant: {e}");
-            }
-            let active_after = tree.merges_active();
-            active_before.0 || active_before.1 || active_after.0 || active_after.1
-        };
-        if had_work {
+        let active_before = tree.merges_active();
+        // A failed quantum is counted here; the error itself reaches the
+        // next writer through `pace`.
+        let failed = tree.maintenance(quantum).is_err();
+        if failed {
+            stats::bump(&tree.shared.stats.merge_errors, 1);
+        }
+        // Every background quantum is an invariant boundary; a
+        // violation here means the merge thread corrupted the tree,
+        // which no caller can recover from.
+        #[cfg(feature = "strict-invariants")]
+        if let Err(e) = tree.check_invariants() {
+            panic!("merge-thread quantum violated a tree invariant: {e}");
+        }
+        let active_after = tree.merges_active();
+        if !failed && (active_before.0 || active_before.1 || active_after.0 || active_after.1) {
             // Yield briefly so application threads stay ahead of us on
             // the merge state at the hard cap.
             std::thread::yield_now();
             continue;
         }
         // No work: sleep until a writer rings us (or `MERGE_WAIT_TIMEOUT`,
-        // so paced schedulers still make progress on idle trees). The
+        // so paced schedulers still make progress on idle trees). After a
+        // failed quantum the wait runs its full length whatever rings
+        // arrive: the dropped merge would otherwise be restarted — region,
+        // Bloom filter and all — once per write, only to fail again. The
         // predicate is re-checked in a loop: a bare `if` would let a
         // ring that lands between a spurious/timeout wakeup and the
         // `*pending = false` store below be silently consumed, stalling
         // that writer's work until the next timeout (the classic
         // lost-wakeup shape).
         let mut pending = tree.shared.work_pending.lock();
-        while !*pending && !shared.shutdown.load(Ordering::SeqCst) {
-            let timed_out = tree
-                .shared
-                .work_cv
-                .wait_for(&mut pending, MERGE_WAIT_TIMEOUT)
-                .timed_out();
-            if timed_out {
+        let wake_at = Instant::now() + MERGE_WAIT_TIMEOUT;
+        while (failed || !*pending) && !shared.shutdown.load(Ordering::SeqCst) {
+            let left = wake_at.saturating_duration_since(Instant::now());
+            if left.is_zero() || tree.shared.work_cv.wait_for(&mut pending, left).timed_out() {
                 break;
             }
         }
@@ -485,5 +488,44 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    #[test]
+    fn a_failing_merge_is_retried_once_per_wait_whatever_rings() {
+        use blsm_storage::{FaultMode, FaultyDevice};
+        // A data device that fails every write: writers fill `C0` until
+        // the failed pass refuses them.
+        let dead = FaultyDevice::new(Arc::new(MemDevice::new()), FaultMode::FailWrites, 0);
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let config = BLsmConfig {
+            mem_budget: 64 << 10,
+            ..Default::default()
+        };
+        let tree = BLsmTree::open(Arc::new(dead), wal, 1024, config, Arc::new(AppendOperator));
+        let db = ThreadedBLsm::start(tree.unwrap(), 1 << 20).unwrap();
+        let mut i = 0u32;
+        while db
+            .put(Bytes::from(format!("k{i:06}")), Bytes::from(vec![0u8; 100]))
+            .is_ok()
+        {
+            i += 1;
+            assert!(i < 100_000, "the dead device never surfaced");
+        }
+        // Ring the doorbell as no writer could: every retry still waits
+        // out `MERGE_WAIT_TIMEOUT`.
+        let tree: &BLsmTree = &db;
+        let before = tree.stats().merge_errors;
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_millis(200) {
+            *tree.shared.work_pending.lock() = true;
+            tree.shared.work_cv.notify_one();
+        }
+        let waits = (started.elapsed().as_millis() / MERGE_WAIT_TIMEOUT.as_millis()) as u64;
+        let errors = tree.stats().merge_errors - before;
+        assert!(errors >= 1, "the merge thread stopped retrying");
+        assert!(
+            errors <= waits + 2,
+            "{errors} failed quanta in {waits} waits: the merge thread spins"
+        );
     }
 }

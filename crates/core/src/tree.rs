@@ -85,9 +85,6 @@ pub(crate) struct MergeState {
     pub(crate) retired: Vec<RetiredTable>,
     /// Current level size ratio (recomputed after merges unless pinned).
     pub(crate) r: f64,
-    /// True when the last completed pass left entries in `C0` (suppresses
-    /// log truncation for that pass).
-    pub(crate) last_pass_had_leftover: bool,
     #[cfg(feature = "strict-invariants")]
     pub(crate) strict: StrictState,
 }
@@ -181,7 +178,6 @@ impl BLsmTree {
             commit_cv: parking_lot::Condvar::new(),
             durable: AtomicU64::new(0),
             unsynced_writes: AtomicU64::new(0),
-            unsynced_bytes: AtomicU64::new(0),
             stats: TreeStats::default(),
             recovery: parking_lot::RwLock::new(RecoveryReport::default()),
             work_pending: Mutex::new(false),
@@ -199,7 +195,6 @@ impl BLsmTree {
                 merge12: None,
                 retired: Vec::new(),
                 r: 4.0,
-                last_pass_had_leftover: false,
                 #[cfg(feature = "strict-invariants")]
                 strict: StrictState::default(),
             }),
@@ -265,9 +260,7 @@ impl BLsmTree {
             let mut m = tree.merge.lock();
             m.r = tree.shared.config.r.unwrap_or(4.0);
             // A crash mid-C1':C2 leaves C1' installed; restart its merge.
-            if tree.shared.catalog.load().c1_prime.is_some() {
-                tree.start_merge12_locked(&mut m)?;
-            }
+            tree.restart_merge12_locked(&mut m)?;
             tree.recompute_r(&mut m);
         }
         Ok(tree)
@@ -293,11 +286,6 @@ impl BLsmTree {
     /// Snapshot of the engine counters plus the live backpressure level.
     pub fn stats(&self) -> TreeStatsSnapshot {
         self.shared.stats_snapshot()
-    }
-
-    /// What recovery found and did when this tree was opened.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        *self.shared.recovery.read()
     }
 
     /// Verifies every on-disk component against the device: per-page
@@ -335,9 +323,7 @@ impl BLsmTree {
     /// counter read, no locks. Monotone non-decreasing over the life of
     /// an open tree (the concurrency hammer asserts exactly that).
     pub fn next_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry`; see the field docs in `catalog.rs`.
-        self.shared.next_seqno.load(Ordering::Acquire)
+        self.shared.next_seqno()
     }
 
     /// The highest seqno this tree has *fully applied* (WAL + `C0`),
@@ -345,12 +331,7 @@ impl BLsmTree {
     /// (a reservation counter), this never covers a write whose apply
     /// failed — it is the horizon replication acks report.
     pub fn applied_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel floor advance in
-        // `insert_versioned`; see the field docs in `catalog.rs`.
-        self.shared
-            .applied_floor
-            .load(Ordering::Acquire)
-            .saturating_sub(1)
+        self.shared.applied_seqno()
     }
 
     /// Data bytes in each on-disk component `(C1, C1', C2)`.
@@ -633,11 +614,7 @@ impl BLsmTree {
     ///
     /// Fails on a tree running with durability off (no WAL to ship).
     pub fn wal_window(&self) -> Result<(u64, u64)> {
-        let guard = self.shared.wal.lock();
-        let wal = guard
-            .as_ref()
-            .ok_or_else(|| invariant_err("wal_window on a tree without a wal"))?;
-        Ok((wal.head_lsn(), ship_horizon(&self.shared.config, wal)))
+        self.shared.wal_window()
     }
 
     /// Reads already-durable WAL records from `start_lsn` for shipping
@@ -651,15 +628,7 @@ impl BLsmTree {
     /// ring's truncation point (the follower is too far behind the log);
     /// see [`blsm_storage::Wal::records_from`] for the full contract.
     pub fn wal_records_from(&self, start_lsn: u64) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        let guard = self.shared.wal.lock();
-        let wal = guard
-            .as_ref()
-            .ok_or_else(|| invariant_err("wal_records_from on a tree without a wal"))?;
-        let records = wal.records_up_to(start_lsn, ship_horizon(&self.shared.config, wal))?;
-        let next = records.last().map_or(start_lsn, |r| {
-            r.lsn + blsm_storage::wal::FRAME_HEADER_LEN as u64 + r.payload.len() as u64
-        });
-        Ok((records, next))
+        self.shared.wal_records_from(start_lsn)
     }
 
     /// A cloneable handle onto this tree's replication-facing state
@@ -729,13 +698,9 @@ impl BLsmTree {
                 // Join the open commit group: counted under the wal
                 // mutex, so the leader's flush-time swap reads exactly
                 // the appends its flush covered (see `catalog.rs`).
-                // ordering: AcqRel RMWs under the wal mutex — group
+                // ordering: AcqRel RMW under the wal mutex — group
                 // bookkeeping, not a synchronization edge.
                 self.shared.unsynced_writes.fetch_add(1, Ordering::AcqRel);
-                self.shared.unsynced_bytes.fetch_add(
-                    blsm_storage::wal::FRAME_HEADER_LEN as u64 + payload.len() as u64,
-                    Ordering::AcqRel,
-                );
                 Some(wal.tail_lsn())
             }
             Durability::None => None,
@@ -787,7 +752,7 @@ impl BLsmTree {
             c0_cap: self.shared.config.mem_budget as u64,
             incoming,
             m01: m.merge01.as_ref().map(|mm| MergeProgress {
-                bytes_read: c0.drained_bytes() as u64 + mm.c1_consumed.load(Ordering::Relaxed),
+                bytes_read: self.merge01_consumed(mm),
                 input_total: mm.input_total,
             }),
             m01_c0_input: m.merge01.as_ref().map_or(1, |mm| mm.c0_input.max(1)),
@@ -935,6 +900,7 @@ impl BLsmTree {
         if c0_has_data && m.scheduler.should_start_merge01(&self.sched_inputs(&m, 0)) {
             self.start_merge01_locked(&mut m)?;
         }
+        self.restart_merge12_locked(&mut m)?;
         let ran_quantum = m.merge01.is_some() || m.merge12.is_some();
         self.run_merge01_locked(&mut m, budget)?;
         self.run_merge12_locked(&mut m, budget)?;
@@ -950,6 +916,7 @@ impl BLsmTree {
         {
             let mut m = self.merge.lock();
             loop {
+                self.restart_merge12_locked(&mut m)?;
                 if m.merge01.is_some() {
                     self.run_merge01_locked(&mut m, u64::MAX)?;
                 }
@@ -959,10 +926,10 @@ impl BLsmTree {
                 if m.merge01.is_some() || m.merge12.is_some() {
                     continue;
                 }
-                // An open pass with no merge state is one that failed
-                // while sealing: its drained rows are in no component,
-                // so fall into `start_merge01_locked`'s typed error
-                // rather than truncate the log over them below.
+                // An open pass with no merge state is one whose merge
+                // failed: its drained rows are in no component, so fall
+                // into `start_merge01_locked`'s typed error rather than
+                // truncate the log over them below.
                 if !self.shared.c0.is_empty() || self.shared.c0.pass_mode() != PassMode::Idle {
                     self.start_merge01_locked(&mut m)?;
                     continue;
@@ -1217,21 +1184,14 @@ impl std::fmt::Debug for ReplSource {
 impl ReplSource {
     /// The next seqno the tree would allocate (see [`BLsmTree::next_seqno`]).
     pub fn next_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry`; see the field docs in `catalog.rs`.
-        self.shared.next_seqno.load(Ordering::Acquire)
+        self.shared.next_seqno()
     }
 
     /// The highest seqno this node has fully applied — the horizon
     /// replication acks and failover elections compare (see
     /// [`BLsmTree::applied_seqno`]).
     pub fn applied_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel floor advance in
-        // `insert_versioned`; see the field docs in `catalog.rs`.
-        self.shared
-            .applied_floor
-            .load(Ordering::Acquire)
-            .saturating_sub(1)
+        self.shared.applied_seqno()
     }
 
     /// The WAL's live shippable window `(head, horizon)` (see
@@ -1242,11 +1202,7 @@ impl ReplSource {
     ///
     /// Fails on a tree running with durability off.
     pub fn wal_window(&self) -> Result<(u64, u64)> {
-        let guard = self.shared.wal.lock();
-        let wal = guard
-            .as_ref()
-            .ok_or_else(|| invariant_err("wal_window on a tree without a wal"))?;
-        Ok((wal.head_lsn(), ship_horizon(&self.shared.config, wal)))
+        self.shared.wal_window()
     }
 
     /// Already-durable WAL records from `start_lsn`, plus the resume
@@ -1257,11 +1213,40 @@ impl ReplSource {
     /// [`StorageError::SnapshotNeeded`] when `start_lsn` was truncated
     /// away; corruption/format errors per [`blsm_storage::Wal::records_from`].
     pub fn wal_records_from(&self, start_lsn: u64) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        let guard = self.shared.wal.lock();
+        self.shared.wal_records_from(start_lsn)
+    }
+}
+
+/// The replication-facing reads, implemented once for both handles
+/// ([`BLsmTree`] and [`ReplSource`]); the contracts are documented on the
+/// `BLsmTree` methods of the same names.
+impl TreeShared {
+    fn next_seqno(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel ticket allocation in
+        // `write_entry`; see the field docs in `catalog.rs`.
+        self.next_seqno.load(Ordering::Acquire)
+    }
+
+    fn applied_seqno(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel floor advance in
+        // `insert_versioned`; see the field docs in `catalog.rs`.
+        self.applied_floor.load(Ordering::Acquire).saturating_sub(1)
+    }
+
+    fn wal_window(&self) -> Result<(u64, u64)> {
+        let guard = self.wal.lock();
+        let wal = guard
+            .as_ref()
+            .ok_or_else(|| invariant_err("wal_window on a tree without a wal"))?;
+        Ok((wal.head_lsn(), ship_horizon(&self.config, wal)))
+    }
+
+    fn wal_records_from(&self, start_lsn: u64) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
+        let guard = self.wal.lock();
         let wal = guard
             .as_ref()
             .ok_or_else(|| invariant_err("wal_records_from on a tree without a wal"))?;
-        let records = wal.records_up_to(start_lsn, ship_horizon(&self.shared.config, wal))?;
+        let records = wal.records_up_to(start_lsn, ship_horizon(&self.config, wal))?;
         let next = records.last().map_or(start_lsn, |r| {
             r.lsn + blsm_storage::wal::FRAME_HEADER_LEN as u64 + r.payload.len() as u64
         });

@@ -23,8 +23,8 @@
 //!   water marks and the hard `C0` cap are readable without any lock.
 //! * Catalog publish (the `C0:C1` commit plus retained-entry clear) is an
 //!   **epoch-bumped atomic section**: a seqlock-style counter goes odd for
-//!   the duration of [`ConcurrentC0::end_pass_with`], and readers who
-//!   overlap it retry their pin. This replaces the old `c0` write-lock
+//!   the duration of [`ConcurrentC0::end_capped_pass_with`], and readers
+//!   who overlap it retry their pin. This replaces the old `c0` write-lock
 //!   hold — a reader either sees (old catalog + retained entries) or
 //!   (new catalog without them), never a state in between. The retry is
 //!   load-bearing for *deltas*: a retained delta observed together with
@@ -436,8 +436,9 @@ impl ConcurrentC0 {
     }
 
     /// True when the active pass has consumed every `current` entry.
-    /// (Racy convenience form; [`DrainGuard::pass_exhausted`] is the
-    /// stable-under-lock variant.)
+    /// Racy against concurrent inserts: a snapshot for tests and
+    /// diagnostics, not a commit condition (the pass end re-checks every
+    /// shard under the exclusive pass lock).
     pub fn pass_exhausted(&self) -> bool {
         self.pass_mode() != PassMode::Idle
             && self
@@ -446,51 +447,19 @@ impl ConcurrentC0 {
                 .all(|s| s.tables.read().current.is_empty())
     }
 
-    /// Ends an exhausted pass, running `commit` (the catalog publish)
-    /// inside the epoch-bumped atomic section: the epoch goes odd, the
-    /// new catalog is stored, every shard's retained table is cleared and
-    /// `behind` becomes `current`, then the epoch goes even. A reader
-    /// pinning `C0` + catalog across this window observes an epoch change
-    /// and retries, so it sees either (old catalog + retained entries) or
-    /// (new catalog without them) — never both, never neither.
+    /// Ends the active pass — the only pass end. Runs `commit` (the
+    /// catalog publish) inside the epoch-bumped atomic section: the epoch
+    /// goes odd, the new catalog is stored, every shard's retained table
+    /// is dropped and its next `current` installed, then the epoch goes
+    /// even. A reader pinning `C0` + catalog across this window observes
+    /// an epoch change and retries, so it sees either (old catalog +
+    /// retained entries) or (new catalog without them) — never both,
+    /// never neither.
     ///
-    /// Panics if entries remain undrained or no pass is active.
-    pub fn end_pass_with(&self, commit: impl FnOnce()) {
-        let mut pass = self.pass.write();
-        assert_ne!(pass.kind, PassKind::Idle, "no pass active");
-        let undrained: usize = self
-            .shards
-            .iter()
-            .map(|s| s.tables.read().current.len())
-            .sum();
-        assert!(
-            undrained == 0,
-            "pass ended with {undrained} entries undrained"
-        );
-        self.epoch.fetch_add(1, Ordering::Release); // odd: publish begins
-        commit();
-        let mut current_total = 0;
-        for shard in &self.shards {
-            let mut t = shard.tables.write();
-            t.current = t.behind.take();
-            t.retained.clear();
-            current_total += t.current.approx_bytes();
-        }
-        self.finish_pass_counters(&mut pass, current_total);
-        self.epoch.fetch_add(1, Ordering::Release); // even: publish done
-    }
-
-    /// Ends an exhausted pass with no catalog change (recovery paths and
-    /// tests).
-    pub fn end_pass(&self) {
-        self.end_pass_with(|| ());
-    }
-
-    /// Ends a pass that may have undrained `current` entries: folds each
-    /// remaining entry into the deferred table as the older version (the
-    /// run-length cap stopped the merge early, or a racing insert landed
-    /// ahead of the cursor after the last drain), publishes via `commit`
-    /// inside the epoch-bumped section, and installs the fold as the new
+    /// The pass may have undrained `current` entries (the run-length cap
+    /// stopped the merge early, or a racing insert landed ahead of the
+    /// cursor after the last drain): each is folded into the deferred
+    /// table as the older version and the fold becomes the new
     /// `current`. Shards whose `current` is already empty skip the fold
     /// entirely — for them the install is the O(1) `behind` → `current`
     /// move, so a clean pass pays nothing. The fold for dirty shards is
@@ -640,16 +609,6 @@ impl DrainGuard<'_> {
             }
         }
     }
-
-    /// True when the active pass has consumed every entry.
-    pub fn pass_exhausted(&self) -> bool {
-        self.pass.kind != PassKind::Idle
-            && self
-                .c0
-                .shards
-                .iter()
-                .all(|s| s.tables.read().current.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -685,7 +644,7 @@ mod tests {
         buf.begin_pass(true);
         let drained = drain_all(&buf);
         assert_eq!(drained, vec![b("\u{10}b"), b("0a"), b("\u{7f}x")]);
-        buf.end_pass();
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
         assert!(buf.is_empty());
     }
 
@@ -702,7 +661,7 @@ mod tests {
         put(&buf, "a", 3); // behind: deferred
         let drained = drain_all(&buf);
         assert_eq!(drained, vec![b("c"), b("d"), b("f")]);
-        buf.end_pass();
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
         assert_eq!(buf.get(b"a").unwrap().seqno, 3);
         assert_eq!(buf.len(), 1);
     }
@@ -715,7 +674,7 @@ mod tests {
         buf.drain_guard().drain_next().unwrap();
         put(&buf, "m", 2); // re-insert of the drained key: must defer
         assert!(buf.pass_exhausted());
-        buf.end_pass();
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
         assert_eq!(buf.get(b"m").unwrap().seqno, 2);
     }
 
@@ -729,7 +688,7 @@ mod tests {
         assert_eq!(buf.get(b"z").unwrap().seqno, 2);
         let drained = drain_all(&buf);
         assert_eq!(drained, vec![b("a"), b("z")]);
-        buf.end_pass();
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
         assert_eq!(buf.get(b"z").unwrap().seqno, 2);
     }
 
@@ -744,7 +703,7 @@ mod tests {
         assert!(buf.retained_bytes() > 0);
         buf.drain_guard().drain_next().unwrap();
         let before = buf.publish_epoch();
-        buf.end_pass_with(|| ());
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
         assert_eq!(buf.publish_epoch(), before + 2, "publish bumps twice");
         assert!(buf.get(b"a").is_none(), "retained copies dropped");
         assert_eq!(buf.retained_bytes(), 0);
@@ -821,7 +780,7 @@ mod tests {
         assert!(buf.drained_bytes() > 0 && buf.drained_bytes() < total);
         buf.drain_guard().drain_next().unwrap();
         assert_eq!(buf.drained_bytes(), total);
-        buf.end_pass();
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
     }
 
     #[test]
@@ -850,7 +809,7 @@ mod tests {
         let drained = drain_all(&buf);
         assert_eq!(drained.len(), 800);
         assert!(drained.windows(2).all(|w| w[0] < w[1]), "key-order drain");
-        buf.end_pass();
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
     }
 
     // A writer claims its seqno ticket before inserting, so an older
@@ -901,14 +860,5 @@ mod tests {
         let buf = ConcurrentC0::new();
         buf.begin_pass(true);
         buf.begin_pass(true);
-    }
-
-    #[test]
-    #[should_panic(expected = "undrained")]
-    fn end_pass_with_remaining_panics() {
-        let buf = ConcurrentC0::new();
-        put(&buf, "a", 1);
-        buf.begin_pass(true);
-        buf.end_pass();
     }
 }

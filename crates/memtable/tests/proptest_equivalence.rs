@@ -193,16 +193,14 @@ proptest! {
                     if in_pass {
                         if oracle.pass_exhausted() {
                             oracle.end_pass();
-                            conc.end_pass();
                         } else {
                             let merged = oracle.fold_remainder(&op);
-                            let displaced = oracle.end_pass_installing(merged);
-                            let (conc_displaced, leftover) =
-                                conc.end_capped_pass_with(&op, || ());
-                            prop_assert_eq!(leftover, !oracle.is_empty());
-                            drop(displaced);
-                            drop(conc_displaced);
+                            drop(oracle.end_pass_installing(merged));
                         }
+                        // The engine's one pass end, clean or not.
+                        let (conc_displaced, leftover) = conc.end_capped_pass_with(&op, || ());
+                        prop_assert_eq!(leftover, !oracle.is_empty());
+                        drop(conc_displaced);
                         in_pass = false;
                     }
                 }
@@ -234,15 +232,13 @@ proptest! {
             }
             if oracle.pass_exhausted() {
                 oracle.end_pass();
-                conc.end_pass();
             } else {
                 let merged = oracle.fold_remainder(&op);
-                let displaced = oracle.end_pass_installing(merged);
-                let (conc_displaced, leftover) = conc.end_capped_pass_with(&op, || ());
-                prop_assert_eq!(leftover, !oracle.is_empty());
-                drop(displaced);
-                drop(conc_displaced);
+                drop(oracle.end_pass_installing(merged));
             }
+            let (conc_displaced, leftover) = conc.end_capped_pass_with(&op, || ());
+            prop_assert_eq!(leftover, !oracle.is_empty());
+            drop(conc_displaced);
         }
         assert_observers_match(&oracle, &conc, budget);
     }

@@ -378,32 +378,6 @@ impl Replication {
         }
     }
 
-    /// Leader commit gate: blocks until a majority of the group
-    /// (counting this leader) holds everything up to the leader's
-    /// currently-flushed WAL LSN, or the timeout passes.
-    ///
-    /// Called *after* the local apply succeeded, so the sampled flushed
-    /// LSN covers the write being acknowledged. Spin-waits on atomics
-    /// with a short sleep — no locks, so it cannot participate in any
-    /// lock cycle; the shipper threads it waits on never block on the
-    /// write path.
-    ///
-    /// A gate failure (timeout or demotion mid-wait) does **not**
-    /// unapply the write: it stays in this node's WAL and `C0` and may
-    /// still replicate and become visible. The error means "not
-    /// promised", never "undone" — see the module doc.
-    pub fn commit_gate(&self) -> Response {
-        let Some(ticket) = self.gate_open(0) else {
-            return Response::Ok;
-        };
-        loop {
-            if let Some(resp) = self.gate_poll(&ticket) {
-                return resp;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
     /// Opens a non-blocking commit gate for one acknowledged write.
     ///
     /// Returns `None` when there is nothing to wait for (no peers →
@@ -414,7 +388,15 @@ impl Replication {
     /// the caller polls [`Replication::gate_poll`] until it yields.
     ///
     /// The reactor front end uses this pair so a 5-second quorum wait
-    /// parks one *response*, never one reactor thread.
+    /// parks one *response*, never one reactor thread. It is opened
+    /// *after* the local apply succeeded, so the target covers the write
+    /// being acknowledged; both halves only read atomics, so the gate
+    /// cannot participate in any lock cycle.
+    ///
+    /// A gate failure (timeout or demotion mid-wait) does **not**
+    /// unapply the write: it stays in this node's WAL and `C0` and may
+    /// still replicate and become visible. The error means "not
+    /// promised", never "undone" — see the module doc.
     pub fn gate_open(&self, local_target: u64) -> Option<GateTicket> {
         let needed = quorum_peers(self.config.peers.len());
         if needed == 0 {

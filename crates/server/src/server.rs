@@ -158,9 +158,6 @@ struct Inner {
     // ordering: SeqCst — paired inc/dec observed by test drain loops;
     // SeqCst keeps it totally ordered with `stop`.
     active_connections: AtomicU64,
-    /// Total requests answered.
-    // ordering: SeqCst — statistic read by STATS replies.
-    served: AtomicU64,
     /// One handoff slot per reactor thread.
     reactors: Vec<ReactorHandle>,
     commit_signal: CommitSignal,
@@ -309,7 +306,6 @@ impl Server {
             repl,
             stop: AtomicBool::new(false),
             active_connections: AtomicU64::new(0),
-            served: AtomicU64::new(0),
             reactors,
             commit_signal: CommitSignal {
                 pending: Mutex::new(false),
@@ -373,11 +369,6 @@ impl Server {
     /// flight to one).
     pub fn active_connections(&self) -> u64 {
         self.inner().active_connections.load(Ordering::SeqCst)
-    }
-
-    /// Total requests answered so far.
-    pub fn requests_served(&self) -> u64 {
-        self.inner().served.load(Ordering::SeqCst)
     }
 
     /// Stops accepting, drains the reactors and the committer, then
@@ -729,7 +720,7 @@ fn serve_frame(
         // Followers never take client writes: replicated state must
         // flow through the leader's WAL, not around it.
         if let Some(repl) = inner.repl.as_ref().filter(|r| r.refuses_writes()) {
-            respond(inner, conn, id, &repl.not_leader_response())?;
+            push_response(&mut conn.out, id, &repl.not_leader_response())?;
             return Ok(());
         }
         // Routed once: the shard the write was metered against is the
@@ -743,7 +734,7 @@ fn serve_frame(
             // connections.
             WriteAdmission::Delay(d) => Some(Instant::now() + d),
             WriteAdmission::RetryLater { backoff_ms } => {
-                respond(inner, conn, id, &Response::RetryLater { backoff_ms })?;
+                push_response(&mut conn.out, id, &Response::RetryLater { backoff_ms })?;
                 return Ok(());
             }
         };
@@ -756,7 +747,7 @@ fn serve_frame(
             _ => None,
         };
         if target == 0 && gate.is_none() && not_before.is_none() {
-            respond(inner, conn, id, &resp)?;
+            push_response(&mut conn.out, id, &resp)?;
             return Ok(());
         }
         let failures_at = inner.commit_failures[shard].count.load(Ordering::SeqCst);
@@ -776,7 +767,7 @@ fn serve_frame(
     }
     if let Some(repl) = &inner.repl {
         if let Some(resp) = serve_replication(inner, repl, &req) {
-            respond(inner, conn, id, &resp)?;
+            push_response(&mut conn.out, id, &resp)?;
             return Ok(());
         }
     }
@@ -815,7 +806,7 @@ fn serve_frame(
             })
         }
         Request::Shutdown => {
-            respond(inner, conn, id, &Response::Ok)?;
+            push_response(&mut conn.out, id, &Response::Ok)?;
             // The requester deserves its ack: push the out-buffer with a
             // bounded blocking flush before the stop flag tears the
             // connection down.
@@ -836,7 +827,7 @@ fn serve_frame(
             message: "unhandled request".into(),
         },
     };
-    respond(inner, conn, id, &resp)
+    push_response(&mut conn.out, id, &resp)
 }
 
 /// Releases every parked response whose conditions are now met: pacing
@@ -870,7 +861,6 @@ fn settle_pending(inner: &Arc<Inner>, conn: &mut Conn) {
                     message: format!("commit group failed: {detail}"),
                 };
                 let _ = push_response(&mut conn.out, p.id, &p.resp);
-                inner.served.fetch_add(1, Ordering::SeqCst);
                 return false;
             }
             match inner.router.store().shard_engine(p.shard) {
@@ -879,7 +869,6 @@ fn settle_pending(inner: &Arc<Inner>, conn: &mut Conn) {
                 Err(e) => {
                     p.resp = err_response(&e);
                     let _ = push_response(&mut conn.out, p.id, &p.resp);
-                    inner.served.fetch_add(1, Ordering::SeqCst);
                     return false;
                 }
             }
@@ -892,17 +881,9 @@ fn settle_pending(inner: &Arc<Inner>, conn: &mut Conn) {
             }
         }
         let _ = push_response(&mut conn.out, p.id, &p.resp);
-        inner.served.fetch_add(1, Ordering::SeqCst);
         false
     });
     conn.pending = pending;
-}
-
-/// Encodes an immediate response into the connection's out-buffer.
-fn respond(inner: &Arc<Inner>, conn: &mut Conn, id: u64, resp: &Response) -> Result<()> {
-    push_response(&mut conn.out, id, resp)?;
-    inner.served.fetch_add(1, Ordering::SeqCst);
-    Ok(())
 }
 
 /// Writes as much of the out-buffer as the socket accepts right now.
@@ -957,9 +938,7 @@ fn force_flush(conn: &mut Conn, limit: Duration) {
 ///
 /// Batching comes from overlap, not waiting: while this thread is
 /// inside one fsync, reactors keep appending — the next `commit_group`
-/// scoops up everything that accumulated. The engine-side accumulation
-/// deadline only matters when independent writers call the blocking
-/// API; here a lone committer syncs immediately.
+/// scoops up everything that accumulated.
 fn committer_loop(inner: &Arc<Inner>) {
     loop {
         let stopping = inner.stop.load(Ordering::SeqCst);

@@ -1,20 +1,18 @@
-//! Incremental sstable construction with a readable view.
+//! Incremental, write-only sstable construction.
 //!
-//! Merges write their output through this builder. Two properties matter
-//! for fidelity to the paper:
+//! Merges write their output through this builder. What matters for
+//! fidelity to the paper is **sequential writes**: completed pages
+//! accumulate in a write buffer that is flushed to the device in
+//! multi-page chunks, so the cost of interleaving merge reads and writes
+//! on one spindle is one seek per chunk, not per page — this is what
+//! makes LSM write amplification a *bandwidth* figure (§2.1).
 //!
-//! 1. **Sequential writes.** Completed pages accumulate in a write buffer
-//!    that is flushed to the device in multi-page chunks, so the cost of
-//!    interleaving merge reads and writes on one spindle is one seek per
-//!    chunk, not per page — this is what makes LSM write amplification a
-//!    *bandwidth* figure (§2.1).
-//! 2. **Readable while under construction.** Snowshoveling removes entries
-//!    from `C0` as the merge consumes them (§4.2), so lookups and scans
-//!    must be able to find those entries in the partially-built output
-//!    component. [`SstableBuilder::view`] exposes point lookups and ordered
-//!    iteration over everything added so far, backed by the incremental
-//!    index, the incremental Bloom filter, the flushed pages, and the
-//!    in-memory tail.
+//! Nothing reads a component under construction. The paper's readers
+//! look inside the half-built `C1` for rows snowshoveling already moved
+//! out of `C0` (§4.2); here drained rows stay readable as `retained`
+//! copies in `C0` until the finished table is swapped into the catalog,
+//! so the builder keeps no decoded copy of what it wrote and its Bloom
+//! filter is private until [`SstableBuilder::finish`] hands it over.
 
 use std::sync::Arc;
 
@@ -26,17 +24,17 @@ use blsm_storage::page::{Page, PageType, PAGE_PAYLOAD_LEN};
 use blsm_storage::{BufferPool, Region, Result, StorageError, PAGE_SIZE};
 
 use crate::format::{
-    encode_entry, encoded_len, shared_payload, write_data_page_header, write_entry_offsets,
-    EntryRef, LeafPage, DATA_PAGE_HEADER, ENTRY_OFFSET_SLOT,
+    encode_entry, encoded_len, write_data_page_header, write_entry_offsets, DATA_PAGE_HEADER,
+    ENTRY_OFFSET_SLOT,
 };
 use crate::table::{Sstable, SstableMeta};
 
 /// Entry bytes that fit in one leaf page.
 pub const LEAF_CAPACITY: usize = PAGE_PAYLOAD_LEN - DATA_PAGE_HEADER;
 
-/// Default write-buffer size in pages (256 KiB): the chunk granularity at
-/// which merge output reaches the device.
-pub const DEFAULT_FLUSH_PAGES: usize = 64;
+/// Write-buffer size in pages (256 KiB): the chunk granularity at which
+/// merge output reaches the device.
+const FLUSH_PAGES: usize = 64;
 
 /// Which data-page layout the builder writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,15 +62,12 @@ pub struct SstableBuilder {
     /// Payload offset of each open-leaf entry, for the v2 offset table.
     leaf_offsets: Vec<u16>,
     page_version: PageVersion,
-    /// Decoded copies of the open leaf's entries, for the readable view.
-    leaf_entries: Vec<EntryRef>,
     /// Sealed page images not yet flushed to the device.
     chunk: Vec<u8>,
     /// Region-relative index of the first page in `chunk`.
     chunk_start: u64,
     /// Next region-relative page index to assign.
     next_page: u64,
-    flush_pages: usize,
     index: Vec<(Bytes, u32)>,
     bloom: BloomFilter,
     entry_count: u64,
@@ -106,11 +101,9 @@ impl SstableBuilder {
             leaf_first_key: None,
             leaf_offsets: Vec::new(),
             page_version: PageVersion::default(),
-            leaf_entries: Vec::new(),
             chunk: Vec::new(),
             chunk_start: 0,
             next_page: 0,
-            flush_pages: DEFAULT_FLUSH_PAGES,
             index: Vec::new(),
             bloom: BloomFilter::new(BloomParams::for_fp_rate(expected_keys, 0.01)),
             entry_count: 0,
@@ -123,12 +116,6 @@ impl SstableBuilder {
         }
     }
 
-    /// Overrides the write-buffer chunk size (in pages).
-    pub fn with_flush_pages(mut self, pages: usize) -> SstableBuilder {
-        self.flush_pages = pages.max(1);
-        self
-    }
-
     /// Overrides the data-page layout. The default is
     /// [`PageVersion::V2`]; tests use [`PageVersion::V1`] to exercise the
     /// read-compat path for components written before the offset table.
@@ -137,24 +124,9 @@ impl SstableBuilder {
         self
     }
 
-    /// Number of entries added so far.
-    pub fn entry_count(&self) -> u64 {
-        self.entry_count
-    }
-
     /// User bytes (keys + payloads) added so far.
     pub fn data_bytes(&self) -> u64 {
         self.data_bytes
-    }
-
-    /// Pages assigned so far (flushed or pending).
-    pub fn pages_written(&self) -> u64 {
-        self.next_page
-    }
-
-    /// The largest key added so far — the merge's output cursor.
-    pub fn last_key(&self) -> Option<&Bytes> {
-        self.last_key.as_ref()
     }
 
     /// Adds the next entry. Keys must arrive in strictly increasing order
@@ -187,10 +159,6 @@ impl SstableBuilder {
                 .push((DATA_PAGE_HEADER + self.leaf.len()) as u16);
             encode_entry(&mut self.leaf, key, v);
             self.leaf_count += 1;
-            self.leaf_entries.push(EntryRef {
-                key: key.clone(),
-                version: v.clone(),
-            });
         }
         self.bloom.insert(key);
         self.entry_count += 1;
@@ -248,7 +216,6 @@ impl SstableBuilder {
         self.index.push((Self::owned(&first_key), idx as u32));
         self.leaf.clear();
         self.leaf_count = 0;
-        self.leaf_entries.clear();
         self.leaf_offsets.clear();
         Ok(())
     }
@@ -297,7 +264,7 @@ impl SstableBuilder {
         }
         self.chunk.extend_from_slice(&page.to_bytes());
         self.next_page += 1;
-        if self.chunk.len() >= self.flush_pages * PAGE_SIZE {
+        if self.chunk.len() >= FLUSH_PAGES * PAGE_SIZE {
             self.flush_chunk()?;
         }
         Ok(idx)
@@ -314,38 +281,6 @@ impl SstableBuilder {
         self.chunk_start = self.next_page;
         self.chunk.clear();
         Ok(())
-    }
-
-    /// Reads a region-relative page, preferring the in-memory write buffer.
-    fn read_page(&self, idx: u64) -> Result<blsm_storage::page::SharedPage> {
-        if idx >= self.chunk_start {
-            let off = ((idx - self.chunk_start) as usize) * PAGE_SIZE;
-            let bytes = &self.chunk[off..off + PAGE_SIZE];
-            Ok(Arc::new(Page::from_bytes(bytes, self.region.page(idx))?))
-        } else {
-            self.pool.read(self.region.page(idx))
-        }
-    }
-
-    /// Parses the data page at `idx` (including overflow reassembly).
-    fn read_leaf(&self, idx: u64) -> Result<Vec<EntryRef>> {
-        let page = self.read_page(idx)?;
-        let v2 = page.page_type()? == PageType::DataV2;
-        let leaf = LeafPage::parse(shared_payload(&page), v2)?;
-        if !leaf.is_spanning() {
-            return leaf.entries();
-        }
-        let mut overflow = Vec::new();
-        for i in 0..u64::from(leaf.overflow_pages()) {
-            let opage = self.read_page(idx + 1 + i)?;
-            overflow.extend_from_slice(opage.payload());
-        }
-        Ok(vec![leaf.spanning_entry(&overflow)?])
-    }
-
-    /// A readable view of everything added so far.
-    pub fn view(&self) -> BuilderView<'_> {
-        BuilderView { builder: self }
     }
 
     /// Completes the component: seals the open leaf, writes index, Bloom
@@ -433,114 +368,6 @@ impl SstableBuilder {
     }
 }
 
-/// Read access to a partially built component.
-pub struct BuilderView<'a> {
-    builder: &'a SstableBuilder,
-}
-
-impl std::fmt::Debug for BuilderView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuilderView").finish_non_exhaustive()
-    }
-}
-
-impl<'a> BuilderView<'a> {
-    /// Bloom filter probe over everything added so far.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.builder.bloom.contains(key)
-    }
-
-    /// Point lookup over everything added so far.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Versioned>> {
-        // The open (unsealed) leaf first: it holds the newest keys.
-        if let Some(e) = self
-            .builder
-            .leaf_entries
-            .iter()
-            .find(|e| e.key.as_ref() == key)
-        {
-            return Ok(Some(e.version.clone()));
-        }
-        let idx = &self.builder.index;
-        // Last leaf whose first key is <= key.
-        let pos = idx.partition_point(|(k, _)| k.as_ref() <= key);
-        if pos == 0 {
-            return Ok(None);
-        }
-        let page_idx = u64::from(idx[pos - 1].1);
-        let entries = self.builder.read_leaf(page_idx)?;
-        Ok(entries
-            .into_iter()
-            .find(|e| e.key.as_ref() == key)
-            .map(|e| e.version))
-    }
-
-    /// Ordered iteration over everything added so far, starting at the
-    /// first key ≥ `from`. Consumes pages through the builder (buffered
-    /// tail included).
-    pub fn iter_from(&self, from: &[u8]) -> BuilderIter<'a> {
-        let idx = &self.builder.index;
-        let pos = idx.partition_point(|(k, _)| k.as_ref() <= from);
-        let leaf_pos = pos.saturating_sub(1);
-        BuilderIter {
-            builder: self.builder,
-            next_leaf: leaf_pos,
-            pending: std::collections::VecDeque::new(),
-            from: from.to_vec(),
-            emitted_open_leaf: false,
-        }
-    }
-}
-
-/// Ordered iterator over a partially built component.
-pub struct BuilderIter<'a> {
-    builder: &'a SstableBuilder,
-    /// Next position in the builder's leaf index to load.
-    next_leaf: usize,
-    pending: std::collections::VecDeque<EntryRef>,
-    from: Vec<u8>,
-    emitted_open_leaf: bool,
-}
-
-impl std::fmt::Debug for BuilderIter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuilderIter")
-            .field("next_leaf", &self.next_leaf)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Iterator for BuilderIter<'_> {
-    type Item = Result<EntryRef>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(e) = self.pending.pop_front() {
-                if e.key.as_ref() < self.from.as_slice() {
-                    continue;
-                }
-                return Some(Ok(e));
-            }
-            if self.next_leaf < self.builder.index.len() {
-                let page_idx = u64::from(self.builder.index[self.next_leaf].1);
-                self.next_leaf += 1;
-                match self.builder.read_leaf(page_idx) {
-                    Ok(entries) => self.pending.extend(entries),
-                    Err(e) => return Some(Err(e)),
-                }
-                continue;
-            }
-            if !self.emitted_open_leaf {
-                self.emitted_open_leaf = true;
-                self.pending
-                    .extend(self.builder.leaf_entries.iter().cloned());
-                continue;
-            }
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -606,53 +433,6 @@ mod tests {
         assert!(!table.leaf_index().iter().any(|(k, _)| inside(k)));
         assert!(!inside(&table.meta().min_key) && !inside(&table.meta().max_key));
         assert_eq!(table.meta().max_key, key(999));
-    }
-
-    #[test]
-    fn view_reads_flushed_and_buffered_entries() {
-        let pool = pool();
-        let region = Region {
-            start: blsm_storage::PageId(0),
-            pages: 512,
-        };
-        // Small flush chunk so some pages are on device, some buffered.
-        let mut b = SstableBuilder::new(pool, region, 500).with_flush_pages(2);
-        for i in 0..500u32 {
-            b.add(
-                &key(i),
-                &Versioned::put(u64::from(i), Bytes::from(vec![0u8; 50])),
-            )
-            .unwrap();
-        }
-        let view = b.view();
-        for i in (0..500u32).step_by(13) {
-            assert!(view.may_contain(&key(i)));
-            let v = view.get(&key(i)).unwrap().expect("present in view");
-            assert_eq!(v.seqno, u64::from(i));
-        }
-        assert!(view.get(&key(9999)).unwrap().is_none());
-    }
-
-    #[test]
-    fn view_iter_is_ordered_and_complete() {
-        let pool = pool();
-        let region = Region {
-            start: blsm_storage::PageId(0),
-            pages: 512,
-        };
-        let mut b = SstableBuilder::new(pool, region, 300).with_flush_pages(2);
-        for i in 0..300u32 {
-            b.add(&key(i), &Versioned::put(1, Bytes::from_static(b"v")))
-                .unwrap();
-        }
-        let got: Vec<_> = b
-            .view()
-            .iter_from(&key(100))
-            .map(|r| r.unwrap().key)
-            .collect();
-        assert_eq!(got.len(), 200);
-        assert_eq!(got[0], key(100));
-        assert!(got.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -290,11 +290,6 @@ impl LeafPage {
         self.n_overflow > 0
     }
 
-    /// Whether this is a v2 page with a trailing offset table.
-    pub fn has_offset_table(&self) -> bool {
-        self.has_offsets
-    }
-
     /// Payload offset of entry `i` from the v2 table (callers ensure
     /// `i < count` and `has_offsets`).
     fn offset_of(&self, i: usize) -> usize {

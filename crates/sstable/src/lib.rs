@@ -19,9 +19,9 @@
 //!   paper's read amplification of 1.
 //! * The Bloom filter image is persisted with the component (§4.4.3).
 //!
-//! [`SstableBuilder`] supports *incremental* construction with a readable
-//! view of already-flushed pages: this is what lets reads proceed against
-//! a half-merged component while snowshoveling drains `C0` (§4.2).
+//! [`SstableBuilder`] constructs a component *incrementally* (a bounded
+//! quantum of merge work at a time) and is write-only: a component
+//! becomes readable when the finished [`Sstable`] is published.
 
 mod builder;
 mod format;

@@ -273,11 +273,6 @@ impl Sstable {
         self.meta.entry_count
     }
 
-    /// Total device bytes occupied.
-    pub fn disk_bytes(&self) -> u64 {
-        self.region.len_bytes()
-    }
-
     /// RAM consumed by the in-memory leaf index — the denominator of the
     /// paper's *read fanout* metric (§2.1). Cached at assembly; O(1).
     pub fn index_ram_bytes(&self) -> usize {

@@ -222,31 +222,4 @@ proptest! {
             }
         }
     }
-
-    /// The builder's readable view agrees with the finished table at every
-    /// prefix of the build.
-    #[test]
-    fn builder_view_is_consistent_prefix(entries in arb_entries(60), checkpoint in 0usize..60) {
-        let pool = pool();
-        let region = Region { start: PageId(0), pages: 8192 };
-        let mut b = SstableBuilder::new(pool, region, entries.len() as u64)
-            .with_flush_pages(2);
-        let items: Vec<(&Bytes, &Versioned)> = entries.iter().collect();
-        let cut = checkpoint.min(items.len());
-        for (k, v) in &items[..cut] {
-            b.add(k, v).unwrap();
-        }
-        let view = b.view();
-        for (i, (k, v)) in items.iter().enumerate() {
-            if i < cut {
-                let got = view.get(k).unwrap();
-                prop_assert_eq!(got.as_ref(), Some(*v));
-            } else {
-                prop_assert!(view.get(k).unwrap().is_none());
-            }
-        }
-        let seen: Vec<Bytes> = view.iter_from(b"").map(|r| r.unwrap().key).collect();
-        let want: Vec<Bytes> = items[..cut].iter().map(|(k, _)| (*k).clone()).collect();
-        prop_assert_eq!(seen, want);
-    }
 }

@@ -179,11 +179,6 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity as u64 * PAGE_SIZE as u64
-    }
-
     /// Number of CLOCK shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -231,21 +226,6 @@ impl BufferPool {
         let shard = self.shard(pid);
         let mut inner = shard.inner.lock();
         self.insert_frame(shard, &mut inner, pid, SharedPage::new(page), true)
-    }
-
-    /// Writes a page straight through to the device and caches it clean.
-    /// Used where the caller needs the bytes durable immediately.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the device write fails, or if eviction of a dirty victim
-    /// fails while caching the page.
-    pub fn write_through(&self, pid: PageId, mut page: Page) -> Result<()> {
-        page.seal();
-        self.device.write_at(pid.offset(), page.raw())?;
-        let shard = self.shard(pid);
-        let mut inner = shard.inner.lock();
-        self.insert_frame(shard, &mut inner, pid, SharedPage::new(page), false)
     }
 
     fn insert_frame(
@@ -548,7 +528,8 @@ mod tests {
     fn read_miss_goes_to_device() {
         let dev = Arc::new(MemDevice::new());
         let pool = BufferPool::new(dev.clone(), 4);
-        pool.write_through(PageId(0), data_page(42)).unwrap();
+        pool.write(PageId(0), data_page(42)).unwrap();
+        pool.flush().unwrap();
         pool.discard(PageId(0));
         let p = pool.read(PageId(0)).unwrap();
         assert_eq!(p.payload()[0], 42);

@@ -78,10 +78,14 @@ impl FaultMode {
 }
 
 /// A device that starts failing after `budget` operations of the faulted
-/// kind.
+/// kind — for good — and that can be told to fail just the next few
+/// ([`FaultyDevice::fail_next`]) and then heal.
 pub struct FaultyDevice {
     inner: SharedDevice,
     mode: FaultMode,
+    // ordering: Release store arms a transient fault; the AcqRel
+    // fetch_update (Acquire when it finds none) that spends it pairs.
+    transient: AtomicU64,
     // ordering: AcqRel fetch_update decrements the budget; Acquire
     // loads pair with it.
     remaining: AtomicU64,
@@ -109,12 +113,21 @@ impl FaultyDevice {
         FaultyDevice {
             inner,
             mode,
+            transient: AtomicU64::new(0),
             remaining: AtomicU64::new(budget),
             tripped: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
-    /// True once the fault has fired.
+    /// Transient fault: the next `n` operations of the faulted kind
+    /// ([`FaultMode::FailReads`] / [`FaultMode::FailWrites`]) fail, then
+    /// the device works again — a hiccup, where exhausting the budget is
+    /// a death. Spends no budget and can be armed any number of times.
+    pub fn fail_next(&self, n: u64) {
+        self.transient.store(n, Ordering::Release);
+    }
+
+    /// True once the (permanent) budget fault has fired.
     pub fn tripped(&self) -> bool {
         self.tripped.load(Ordering::Acquire)
     }
@@ -126,6 +139,12 @@ impl FaultyDevice {
     /// Consumes one unit of budget; returns true when the fault fires.
     fn spend(&self) -> bool {
         if self.tripped() {
+            return true;
+        }
+        let hiccup = self
+            .transient
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
+        if hiccup.is_ok() {
             return true;
         }
         let prev = self

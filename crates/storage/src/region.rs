@@ -32,11 +32,6 @@ impl Region {
         self.start.offset()
     }
 
-    /// Length in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.pages * crate::page::PAGE_SIZE as u64
-    }
-
     /// The `i`-th page of the region. Panics if out of range.
     pub fn page(&self, i: u64) -> PageId {
         assert!(
@@ -246,7 +241,6 @@ mod tests {
         };
         let pages: Vec<_> = r.iter_pages().collect();
         assert_eq!(pages, vec![PageId(10), PageId(11), PageId(12)]);
-        assert_eq!(r.len_bytes(), 3 * 4096);
     }
 
     #[test]
