@@ -8,27 +8,18 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
-use blsm::{AppendOperator, BLsmConfig, BLsmTree, Durability};
 use blsm_bench::setup::{make_blsm, make_btree, make_leveldb, Scale};
-use blsm_bench::{
-    fmt_f, make_sharded_mem, parse_json_path, parse_shards, parse_threads, print_table,
-    read_scaling_rows, sharded_write_scaling_rows, write_json_report, write_scaling_rows, Json,
-};
-use blsm_storage::{DiskModel, MemDevice, SharedDevice};
+use blsm_bench::{fmt_f, print_table};
+use blsm_storage::{DiskModel, SharedDevice};
 use blsm_ycsb::{KvEngine, LoadOrder, OpMix, Runner, Workload};
 
 fn main() {
     let scale = Scale::paper_scaled().with_records(20_000);
     let runner = Runner::default();
     let ops = 8_000u64;
-    let json_path = parse_json_path();
-    let mut json_models = Vec::new();
 
     for model in [DiskModel::hdd(), DiskModel::ssd()] {
         let mut rows = Vec::new();
-        let mut json_rows = Vec::new();
         let engines: Vec<(&str, Box<dyn KvEngine>, SharedDevice)> = {
             let mut v: Vec<(&str, Box<dyn KvEngine>, SharedDevice)> = Vec::new();
             let e = make_blsm(model.clone(), &scale);
@@ -68,197 +59,15 @@ fn main() {
                 fmt_f(report.latency.mean() / 1e3),
                 fmt_f(report.latency.percentile(0.99) as f64 / 1e3),
             ]);
-            json_rows.push(Json::obj(vec![
-                ("system", Json::Str(name.to_string())),
-                ("ops_per_sec", Json::Num(report.ops_per_sec)),
-                (
-                    "seeks_per_read",
-                    Json::Num(d.random_reads as f64 / ops as f64),
-                ),
-                ("mean_latency_ms", Json::Num(report.latency.mean() / 1e3)),
-                (
-                    "p99_latency_ms",
-                    Json::Num(report.latency.percentile(0.99) as f64 / 1e3),
-                ),
-            ]));
         }
         print_table(
             &format!("Sec 5.3: 100% uniform random reads ({})", model.name),
             &["system", "ops/s", "seeks/read", "mean lat (ms)", "p99 (ms)"],
             &rows,
         );
-        json_models.push(Json::obj(vec![
-            ("model", Json::Str(model.name.to_string())),
-            ("rows", Json::Arr(json_rows)),
-        ]));
     }
     println!(
         "\nPaper: InnoDB and bLSM perform about one disk seek per read; LevelDB performs \
          multiple seeks per read, reflected in its throughput."
     );
-
-    // Concurrent read scaling (wall clock): N reader threads share the
-    // lock-free read path while the background merge thread runs. Pass
-    // `--threads 1,2,4,8` to choose the thread counts.
-    let threads = parse_threads(&[1, 2, 4]);
-    let mut engine = make_blsm(DiskModel::ssd(), &scale);
-    runner
-        .load(
-            &mut engine,
-            scale.records,
-            scale.value_size,
-            false,
-            LoadOrder::Random,
-        )
-        .unwrap();
-    engine.settle().unwrap();
-    let points = read_scaling_rows(
-        engine.tree,
-        scale.records,
-        scale.value_size,
-        ops,
-        &threads,
-        false,
-    );
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                fmt_f(p.ops_per_sec),
-                fmt_f(p.ops_per_sec / p.threads as f64),
-            ]
-        })
-        .collect();
-    print_table(
-        "Sec 5.3 extension: bLSM concurrent uniform reads, wall clock (lock-free read path)",
-        &["threads", "ops/s", "ops/s per thread"],
-        &rows,
-    );
-    println!(
-        "\nReaders never take a tree-level lock (they pin an immutable catalog snapshot) and \
-         the buffer pool is sharded, so concurrent cached probes no longer serialize on a \
-         single pool mutex."
-    );
-
-    // Concurrent write scaling (wall clock): N writer threads, put-only,
-    // on the `&self` write path — sharded `C0`, atomic seqno tickets, no
-    // tree-wide write lock (DESIGN.md §15). Degraded durability (§4.4.2)
-    // and a generous `C0` budget isolate the write path itself from log
-    // serialization and merge stalls; keys carry a hashed first byte so
-    // the writers spread over all sixteen shards.
-    let write_ops = 40_000u64;
-    let wpoints = write_scaling_rows(
-        || {
-            let data: SharedDevice = Arc::new(MemDevice::new());
-            let wal: SharedDevice = Arc::new(MemDevice::new());
-            BLsmTree::open(
-                data,
-                wal,
-                2048,
-                BLsmConfig {
-                    mem_budget: 256 << 20,
-                    durability: Durability::None,
-                    wal_capacity: 64 << 20,
-                    ..Default::default()
-                },
-                Arc::new(AppendOperator),
-            )
-            .unwrap()
-        },
-        100,
-        write_ops,
-        &threads,
-        0,
-    );
-    let wrows: Vec<Vec<String>> = wpoints
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                fmt_f(p.puts_per_sec),
-                fmt_f(p.puts_per_sec / p.threads as f64),
-            ]
-        })
-        .collect();
-    print_table(
-        "Sec 5.3 extension: bLSM concurrent put-only writes, wall clock (&self write path)",
-        &["threads", "puts/s", "puts/s per thread"],
-        &wrows,
-    );
-
-    // Sharded serving tier (wall clock): 4 writers, put-only, against a
-    // `ShardedBLsm` at each `--shards` count — per-shard WALs, merge
-    // schedulers and backpressure behind the key-range router
-    // (DESIGN.md §16). On one hardware thread this prices the routing
-    // layer; throughput should stay roughly flat as shards grow.
-    let shard_counts = parse_shards(&[1, 2, 4]);
-    let spoints = sharded_write_scaling_rows(make_sharded_mem, 100, write_ops, &shard_counts, 4, 0);
-    let srows: Vec<Vec<String>> = spoints
-        .iter()
-        .map(|p| {
-            vec![
-                p.shards.to_string(),
-                p.threads.to_string(),
-                fmt_f(p.puts_per_sec),
-            ]
-        })
-        .collect();
-    print_table(
-        "Sec 5.3 extension: sharded serving tier, concurrent put-only writes, wall clock",
-        &["shards", "writer threads", "puts/s"],
-        &srows,
-    );
-
-    if let Some(path) = json_path {
-        let sharded_scaling = spoints
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("shards", Json::Int(p.shards as u64)),
-                    ("threads", Json::Int(p.threads as u64)),
-                    ("puts_per_sec", Json::Num(p.puts_per_sec)),
-                ])
-            })
-            .collect();
-        let write_scaling = wpoints
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("threads", Json::Int(p.threads as u64)),
-                    ("puts_per_sec", Json::Num(p.puts_per_sec)),
-                    (
-                        "puts_per_sec_per_thread",
-                        Json::Num(p.puts_per_sec / p.threads as f64),
-                    ),
-                ])
-            })
-            .collect();
-        let scaling = points
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("threads", Json::Int(p.threads as u64)),
-                    ("ops_per_sec", Json::Num(p.ops_per_sec)),
-                    (
-                        "ops_per_sec_per_thread",
-                        Json::Num(p.ops_per_sec / p.threads as f64),
-                    ),
-                ])
-            })
-            .collect();
-        let report = Json::obj(vec![
-            ("bench", Json::Str("sec53_random_reads".into())),
-            ("records", Json::Int(scale.records)),
-            ("ops", Json::Int(ops)),
-            ("models", Json::Arr(json_models)),
-            ("concurrent_read_scaling", Json::Arr(scaling)),
-            (
-                "concurrent_write_scaling_put_only",
-                Json::Arr(write_scaling),
-            ),
-            ("sharded_write_scaling_put_only", Json::Arr(sharded_scaling)),
-        ]);
-        write_json_report(&path, &report);
-    }
 }

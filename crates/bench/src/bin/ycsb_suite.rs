@@ -10,16 +10,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
-use blsm::{AppendOperator, BLsmConfig, BLsmTree, Durability};
 use blsm_bench::setup::{make_blsm, make_btree, make_leveldb, Scale};
-use blsm_bench::{
-    fmt_f, make_sharded_mem, parse_json_path, parse_shards, parse_threads, print_table,
-    read_scaling_rows, sharded_write_scaling_rows, write_json_report, write_scaling_rows, Json,
-};
+use blsm_bench::{fmt_f, print_table};
 use blsm_server::RemoteKv;
-use blsm_storage::{DiskModel, MemDevice, SharedDevice};
+use blsm_storage::DiskModel;
 use blsm_ycsb::{KvEngine, LoadOrder, Runner, Workload};
 
 /// Integrity gate: numbers measured against a damaged store are
@@ -108,7 +102,6 @@ fn main() {
     let runner = Runner::default();
     let ops = 5_000u64;
     let letters = ['A', 'B', 'C', 'D', 'E', 'F'];
-    let json_path = parse_json_path();
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut results: Vec<Vec<f64>> = Vec::new();
@@ -171,172 +164,5 @@ fn main() {
             blsm >= 0.8 * btree,
             "workload {letter}: bLSM {blsm} far below B-Tree {btree}"
         );
-    }
-
-    // Concurrent serving (wall clock): N reader threads race a writer
-    // thread that keeps C0 churning and catalog swaps happening — the
-    // YCSB-B shape (read-mostly with concurrent updates). Pass
-    // `--threads 1,2,4,8` to choose the thread counts.
-    let threads = parse_threads(&[1, 2, 4]);
-    let mut engine = make_blsm(DiskModel::ssd(), &scale);
-    runner
-        .load(
-            &mut engine,
-            scale.records,
-            scale.value_size,
-            false,
-            LoadOrder::Random,
-        )
-        .unwrap();
-    engine.settle().unwrap();
-    scrub_gate(&mut engine, "blsm (concurrent serving)");
-    let points = read_scaling_rows(
-        engine.tree,
-        scale.records,
-        scale.value_size,
-        ops,
-        &threads,
-        true,
-    );
-    let scaling_rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                fmt_f(p.ops_per_sec),
-                p.writes.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "YCSB extension: bLSM concurrent reads vs a live writer, wall clock",
-        &["reader threads", "reads/s", "writes landed meanwhile"],
-        &scaling_rows,
-    );
-
-    // Concurrent write scaling (wall clock): N threads on the 50/50
-    // put/get mix — YCSB-A's shape with every thread both writing on the
-    // `&self` write path and reading through its own `ReadView` clone.
-    // Degraded durability and a generous `C0` budget isolate path cost
-    // from log serialization and merge stalls (DESIGN.md §15.6).
-    let write_ops = 40_000u64;
-    let wpoints = write_scaling_rows(
-        || {
-            let data: SharedDevice = Arc::new(MemDevice::new());
-            let wal: SharedDevice = Arc::new(MemDevice::new());
-            BLsmTree::open(
-                data,
-                wal,
-                2048,
-                BLsmConfig {
-                    mem_budget: 256 << 20,
-                    durability: Durability::None,
-                    wal_capacity: 64 << 20,
-                    ..Default::default()
-                },
-                Arc::new(AppendOperator),
-            )
-            .unwrap()
-        },
-        100,
-        write_ops,
-        &threads,
-        2,
-    );
-    let wrows: Vec<Vec<String>> = wpoints
-        .iter()
-        .map(|p| {
-            vec![
-                p.threads.to_string(),
-                fmt_f(p.puts_per_sec),
-                fmt_f(p.gets_per_sec),
-                fmt_f((p.puts_per_sec + p.gets_per_sec) / p.threads as f64),
-            ]
-        })
-        .collect();
-    print_table(
-        "YCSB extension: bLSM concurrent 50/50 put/get, wall clock (&self write path)",
-        &["threads", "puts/s", "gets/s", "ops/s per thread"],
-        &wrows,
-    );
-
-    // Sharded serving tier (wall clock): 4 threads on the 50/50 mix
-    // against a `ShardedBLsm` at each `--shards` count — every op pays
-    // the key-range router (DESIGN.md §16) before reaching its shard's
-    // `&self` write path or read view. One hardware thread: this prices
-    // routing, it cannot show parallel speedup (see BENCH_7.json).
-    let shard_counts = parse_shards(&[1, 2, 4]);
-    let spoints = sharded_write_scaling_rows(make_sharded_mem, 100, write_ops, &shard_counts, 4, 2);
-    let srows: Vec<Vec<String>> = spoints
-        .iter()
-        .map(|p| {
-            vec![
-                p.shards.to_string(),
-                p.threads.to_string(),
-                fmt_f(p.puts_per_sec),
-                fmt_f(p.gets_per_sec),
-            ]
-        })
-        .collect();
-    print_table(
-        "YCSB extension: sharded serving tier, concurrent 50/50 put/get, wall clock",
-        &["shards", "threads", "puts/s", "gets/s"],
-        &srows,
-    );
-
-    if let Some(path) = json_path {
-        let sharded_scaling = spoints
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("shards", Json::Int(p.shards as u64)),
-                    ("threads", Json::Int(p.threads as u64)),
-                    ("puts_per_sec", Json::Num(p.puts_per_sec)),
-                    ("gets_per_sec", Json::Num(p.gets_per_sec)),
-                ])
-            })
-            .collect();
-        let write_scaling = wpoints
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("threads", Json::Int(p.threads as u64)),
-                    ("puts_per_sec", Json::Num(p.puts_per_sec)),
-                    ("gets_per_sec", Json::Num(p.gets_per_sec)),
-                ])
-            })
-            .collect();
-        let workloads = letters
-            .iter()
-            .zip(&results)
-            .map(|(letter, nums)| {
-                Json::obj(vec![
-                    ("workload", Json::Str(letter.to_string())),
-                    ("btree_ops_per_sec", Json::Num(nums[0])),
-                    ("leveldb_ops_per_sec", Json::Num(nums[1])),
-                    ("blsm_ops_per_sec", Json::Num(nums[2])),
-                ])
-            })
-            .collect();
-        let scaling = points
-            .iter()
-            .map(|p| {
-                Json::obj(vec![
-                    ("threads", Json::Int(p.threads as u64)),
-                    ("reads_per_sec", Json::Num(p.ops_per_sec)),
-                    ("concurrent_writes", Json::Int(p.writes)),
-                ])
-            })
-            .collect();
-        let report = Json::obj(vec![
-            ("bench", Json::Str("ycsb_suite".into())),
-            ("records", Json::Int(scale.records)),
-            ("ops", Json::Int(ops)),
-            ("workloads", Json::Arr(workloads)),
-            ("concurrent_serving", Json::Arr(scaling)),
-            ("concurrent_write_scaling_50_50", Json::Arr(write_scaling)),
-            ("sharded_write_scaling_50_50", Json::Arr(sharded_scaling)),
-        ]);
-        write_json_report(&path, &report);
     }
 }

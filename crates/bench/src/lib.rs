@@ -17,6 +17,8 @@
 //! | `table2_page_sizes` | Table 2 / Appendix A (cache for read-amp 1) |
 //! | `ablation_schedulers` | §4.1/§4.3 (naive vs gear vs spring-and-gear) |
 //! | `ablation_snowshovel` | §4.2 (run lengths by input order) |
+//! | `ext_partitioning` | §2.3.2/§3.3 future work (key-range partitioning: scan seeks, cold partitions) |
+//! | `ycsb_suite` | §5.1 (YCSB A–F on all three engines; `--server` drives a live `blsm-server`) |
 //!
 //! Everything runs on simulated HDD/SSD devices (DESIGN.md §3), so results
 //! are deterministic and machine-independent; scale defaults to 1/1000 of
@@ -29,489 +31,6 @@ pub mod setup;
 
 pub use adapters::{BLsmEngine, BTreeEngine, LevelDbEngine};
 pub use setup::{EngineKind, Scale};
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use blsm::{BLsmTree, ThreadedBLsm};
-use blsm_ycsb::{format_key, make_value};
-
-/// Parses `--threads N[,M,...]` from the process arguments: the thread
-/// counts the concurrent read-scaling section runs at. Returns `default`
-/// when the flag is absent or unparseable.
-pub fn parse_threads(default: &[usize]) -> Vec<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let list = if arg == "--threads" {
-            args.next()
-        } else {
-            arg.strip_prefix("--threads=").map(str::to_string)
-        };
-        let Some(list) = list else { continue };
-        let parsed: Vec<usize> = list
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    default.to_vec()
-}
-
-/// Parses `--shards N[,M,...]` from the process arguments: the shard
-/// counts the sharded write-scaling section runs at. Returns `default`
-/// when the flag is absent or unparseable.
-pub fn parse_shards(default: &[usize]) -> Vec<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let list = if arg == "--shards" {
-            args.next()
-        } else {
-            arg.strip_prefix("--shards=").map(str::to_string)
-        };
-        let Some(list) = list else { continue };
-        let parsed: Vec<usize> = list
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .collect();
-        if !parsed.is_empty() {
-            return parsed;
-        }
-    }
-    default.to_vec()
-}
-
-/// One thread count's result from [`read_scaling_rows`].
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Reader thread count.
-    pub threads: usize,
-    /// Wall-clock read throughput summed across all readers.
-    pub ops_per_sec: f64,
-    /// Writes the concurrent writer completed while the readers ran
-    /// (0 when the section runs read-only).
-    pub writes: u64,
-}
-
-/// Wall-clock concurrent read scaling over the lock-free read path.
-///
-/// For each entry in `threads`, wraps the (already loaded) tree in a
-/// [`ThreadedBLsm`] — background merge thread and all — and hammers it
-/// with that many reader threads, each issuing `ops_per_thread` uniform
-/// point reads through its own [`blsm::ReadView`] clone. With
-/// `with_writer`, the calling thread simultaneously issues blind writes
-/// (keeping merges active) until the readers finish, so the readers race
-/// live catalog swaps. Every read asserts the full, untorn value.
-///
-/// This section deliberately uses wall-clock time, not the virtual
-/// device clock: the virtual clock serializes by construction, and the
-/// point here is what concurrency buys.
-pub fn read_scaling_rows(
-    mut tree: BLsmTree,
-    records: u64,
-    value_size: usize,
-    ops_per_thread: u64,
-    threads: &[usize],
-    with_writer: bool,
-) -> Vec<ScalingPoint> {
-    let mut points = Vec::with_capacity(threads.len());
-    for &n in threads {
-        let db = Arc::new(
-            ThreadedBLsm::start(tree, 1 << 20)
-                .unwrap_or_else(|e| panic!("start merge thread: {e}")),
-        );
-        let readers_done = Arc::new(AtomicU64::new(0));
-        let start = std::time::Instant::now();
-        let handles: Vec<_> = (0..n)
-            .map(|t| {
-                let view = db.read_view();
-                let done = readers_done.clone();
-                std::thread::spawn(move || {
-                    let mut rng = 0x5eed_0000_u64 + t as u64;
-                    for _ in 0..ops_per_thread {
-                        rng = rng
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let id = (rng >> 33) % records;
-                        let v = view
-                            .get(&format_key(id))
-                            .unwrap_or_else(|e| panic!("read failed: {e}"))
-                            .unwrap_or_else(|| panic!("loaded key {id} missing"));
-                        assert_eq!(v, make_value(id, value_size), "torn read for key {id}");
-                    }
-                    done.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-
-        let mut writes = 0u64;
-        if with_writer {
-            // Re-write loaded records with their canonical value so
-            // readers can still verify bytes; the churn keeps C0 filling
-            // and catalog swaps happening under the readers.
-            let mut wrng = 0xbeef_u64;
-            while readers_done.load(Ordering::SeqCst) < n as u64 {
-                wrng = wrng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let id = (wrng >> 33) % records;
-                db.put(format_key(id), make_value(id, value_size))
-                    .unwrap_or_else(|e| panic!("write failed: {e}"));
-                writes += 1;
-            }
-        }
-        for h in handles {
-            h.join()
-                .unwrap_or_else(|_| panic!("reader thread panicked"));
-        }
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        points.push(ScalingPoint {
-            threads: n,
-            ops_per_sec: (n as u64 * ops_per_thread) as f64 / elapsed,
-            writes,
-        });
-        tree = Arc::try_unwrap(db)
-            .unwrap_or_else(|_| panic!("reader threads still hold the db"))
-            .shutdown()
-            .unwrap_or_else(|e| panic!("shutdown: {e}"));
-    }
-    points
-}
-
-/// One thread count's result from [`write_scaling_rows`].
-#[derive(Debug, Clone)]
-pub struct WriteScalingPoint {
-    /// Writer thread count.
-    pub threads: usize,
-    /// Wall-clock write throughput summed across all writers.
-    pub puts_per_sec: f64,
-    /// Wall-clock read throughput summed across all writers (0 for the
-    /// put-only mix).
-    pub gets_per_sec: f64,
-}
-
-/// Splatters `id` across the keyspace: the first key byte is a mixed
-/// hash byte, so concurrent writers spread over all sixteen `C0`
-/// key-range shards instead of convoying on one (a common-prefix
-/// keyset would put every writer in the same shard — real YCSB-style
-/// keyspaces hash too).
-pub fn hashed_key(id: u64) -> bytes::Bytes {
-    let h = id
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .rotate_left(31)
-        .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let mut k = h.to_be_bytes().to_vec();
-    k.extend_from_slice(format!("{id:012}").as_bytes());
-    bytes::Bytes::from(k)
-}
-
-/// Wall-clock concurrent write scaling over the `&self` write path
-/// (DESIGN.md §15).
-///
-/// For each entry in `threads`, builds a fresh tree via `make`, wraps
-/// it in a [`ThreadedBLsm`] (background merge thread and all) and runs
-/// that many writer threads. Each writer issues `ops_per_thread`
-/// operations over its own disjoint id range: puts, with every
-/// `1/read_every`-th operation a point read through a [`blsm::ReadView`]
-/// clone instead (`read_every = 0` → put-only; `2` → the 50/50 mix).
-///
-/// Like [`read_scaling_rows`] this uses wall-clock time: the virtual
-/// device clock serializes by construction, and the point here is what
-/// the sharded `C0` and atomic seqno tickets buy concurrent writers.
-pub fn write_scaling_rows(
-    make: impl Fn() -> BLsmTree,
-    value_size: usize,
-    ops_per_thread: u64,
-    threads: &[usize],
-    read_every: u64,
-) -> Vec<WriteScalingPoint> {
-    let mut points = Vec::with_capacity(threads.len());
-    for &n in threads {
-        let db = Arc::new(
-            ThreadedBLsm::start(make(), 1 << 20)
-                .unwrap_or_else(|e| panic!("start merge thread: {e}")),
-        );
-        let start = std::time::Instant::now();
-        let handles: Vec<_> = (0..n)
-            .map(|t| {
-                let db = db.clone();
-                let view = db.read_view();
-                std::thread::spawn(move || {
-                    let base = t as u64 * ops_per_thread;
-                    let mut gets = 0u64;
-                    for i in 0..ops_per_thread {
-                        let id = base + i;
-                        if read_every != 0 && i % read_every == 1 {
-                            // Read back a key this writer already wrote.
-                            view.get(&hashed_key(base + i / 2))
-                                .unwrap_or_else(|e| panic!("read failed: {e}"));
-                            gets += 1;
-                        } else {
-                            db.put(hashed_key(id), make_value(id, value_size))
-                                .unwrap_or_else(|e| panic!("write failed: {e}"));
-                        }
-                    }
-                    gets
-                })
-            })
-            .collect();
-        let gets: u64 = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| panic!("writer panicked")))
-            .sum();
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let puts = n as u64 * ops_per_thread - gets;
-        points.push(WriteScalingPoint {
-            threads: n,
-            puts_per_sec: puts as f64 / elapsed,
-            gets_per_sec: gets as f64 / elapsed,
-        });
-        drop(
-            Arc::try_unwrap(db)
-                .unwrap_or_else(|_| panic!("writer threads still hold the db"))
-                .shutdown()
-                .unwrap_or_else(|e| panic!("shutdown: {e}")),
-        );
-    }
-    points
-}
-
-/// A fresh `n`-shard [`blsm::ShardedBLsm`] over in-memory devices with
-/// even two-byte boundaries, sized like the single-tree write-scaling
-/// fixtures (generous `C0` budget, degraded durability) so the sharded
-/// sections measure routing and dispatch, not log or merge stalls.
-#[must_use]
-pub fn make_sharded_mem(n: usize) -> blsm::ShardedBLsm {
-    use blsm_storage::{MemDevice, SharedDevice};
-    let bounds = if n == 1 {
-        Vec::new()
-    } else {
-        blsm::ShardedBLsm::even_bounds(n)
-    };
-    blsm::ShardedBLsm::open_with_devices(
-        Arc::new(MemDevice::new()) as SharedDevice,
-        bounds,
-        |_| {
-            Ok((
-                Arc::new(MemDevice::new()) as SharedDevice,
-                Arc::new(MemDevice::new()) as SharedDevice,
-            ))
-        },
-        &blsm::ShardedConfig {
-            tree: blsm::BLsmConfig {
-                mem_budget: 256 << 20,
-                durability: blsm::Durability::None,
-                wal_capacity: 64 << 20,
-                ..Default::default()
-            },
-            pool_pages: 2048,
-            quantum: 1 << 20,
-        },
-        &(Arc::new(blsm::AppendOperator) as Arc<dyn blsm::MergeOperator>),
-    )
-    .unwrap_or_else(|e| panic!("open {n}-shard store: {e}"))
-}
-
-/// One shard count's result from [`sharded_write_scaling_rows`].
-#[derive(Debug, Clone)]
-pub struct ShardScalingPoint {
-    /// Shard count of the [`blsm::ShardedBLsm`] under test.
-    pub shards: usize,
-    /// Writer thread count (fixed across shard counts).
-    pub threads: usize,
-    /// Wall-clock write throughput summed across all writers.
-    pub puts_per_sec: f64,
-    /// Wall-clock read throughput summed across all writers (0 for the
-    /// put-only mix).
-    pub gets_per_sec: f64,
-}
-
-/// Wall-clock concurrent writes against the sharded serving tier
-/// (DESIGN.md §16) at each shard count in `shard_counts`.
-///
-/// For each shard count, builds a fresh store via `make(n)` and runs
-/// `threads` writer threads against it: puts, with every
-/// `1/read_every`-th operation a point read through a
-/// [`blsm::ShardedReadView`] clone instead (`read_every = 0` →
-/// put-only). Keys come from [`hashed_key`], whose leading hash bytes
-/// spread uniformly over [`blsm::ShardedBLsm::even_bounds`] boundaries.
-///
-/// On a single hardware thread this measures the *cost* of the routing
-/// layer (a boundary binary search and per-shard dispatch on every op),
-/// not its parallel speedup: aggregate throughput should stay roughly
-/// flat from 1 to N shards. The structural win — per-shard WALs, merge
-/// schedulers, and backpressure that isolate a hot range's stalls — is
-/// verified by tests, not timed (see BENCH_7.json's note).
-pub fn sharded_write_scaling_rows(
-    make: impl Fn(usize) -> blsm::ShardedBLsm,
-    value_size: usize,
-    ops_per_thread: u64,
-    shard_counts: &[usize],
-    threads: usize,
-    read_every: u64,
-) -> Vec<ShardScalingPoint> {
-    let mut points = Vec::with_capacity(shard_counts.len());
-    for &n in shard_counts {
-        let store = Arc::new(make(n));
-        let start = std::time::Instant::now();
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let store = store.clone();
-                let view = store.read_view();
-                std::thread::spawn(move || {
-                    let base = t as u64 * ops_per_thread;
-                    let mut gets = 0u64;
-                    for i in 0..ops_per_thread {
-                        let id = base + i;
-                        if read_every != 0 && i % read_every == 1 {
-                            // Read back a key this writer already wrote.
-                            view.get(&hashed_key(base + i / 2))
-                                .unwrap_or_else(|e| panic!("read failed: {e}"));
-                            gets += 1;
-                        } else {
-                            store
-                                .put(hashed_key(id), make_value(id, value_size))
-                                .unwrap_or_else(|e| panic!("write failed: {e}"));
-                        }
-                    }
-                    gets
-                })
-            })
-            .collect();
-        let gets: u64 = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| panic!("writer panicked")))
-            .sum();
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let puts = threads as u64 * ops_per_thread - gets;
-        points.push(ShardScalingPoint {
-            shards: n,
-            threads,
-            puts_per_sec: puts as f64 / elapsed,
-            gets_per_sec: gets as f64 / elapsed,
-        });
-        Arc::try_unwrap(store)
-            .unwrap_or_else(|_| panic!("writer threads still hold the store"))
-            .shutdown()
-            .unwrap_or_else(|e| panic!("shutdown: {e}"));
-    }
-    points
-}
-
-/// A JSON value for machine-readable benchmark reports. The offline
-/// tree has no serde; benchmark output is flat and small enough that a
-/// five-variant emitter covers it.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`, and the rendering of non-finite floats.
-    Null,
-    /// A float (rendered with enough precision to round-trip ops/s).
-    Num(f64),
-    /// An integer (thread counts, op counts).
-    Int(u64),
-    /// A string (engine names, workload letters).
-    Str(String),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Shorthand for an object from `(key, value)` pairs.
-    #[must_use]
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Renders compact JSON (no whitespace beyond what keys contain).
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        self.render_into(&mut s);
-        s
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Str(v) => {
-                out.push('"');
-                for c in v.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).render_into(out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Parses `--json PATH` from the process arguments: where to write the
-/// machine-readable report (the human table still goes to stdout).
-/// Returns `None` when the flag is absent.
-pub fn parse_json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-        if let Some(p) = arg.strip_prefix("--json=") {
-            return Some(std::path::PathBuf::from(p));
-        }
-    }
-    None
-}
-
-/// Writes a report to `path` as pretty-enough JSON (one trailing
-/// newline), panicking with a clear message on I/O failure so scripted
-/// sweeps fail loudly rather than silently losing results.
-pub fn write_json_report(path: &std::path::Path, report: &Json) {
-    let body = report.render() + "\n";
-    std::fs::write(path, body)
-        .unwrap_or_else(|e| panic!("--json {}: write failed: {e}", path.display()));
-    println!("\nwrote JSON report to {}", path.display());
-}
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -546,51 +65,5 @@ pub fn fmt_f(v: f64) -> String {
         format!("{v:.1}")
     } else {
         format!("{v:.2}")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #![allow(clippy::unwrap_used)]
-
-    use super::*;
-
-    #[test]
-    fn json_renders_nested_report() {
-        let j = Json::obj(vec![
-            ("bench", Json::Str("sec53".into())),
-            (
-                "rows",
-                Json::Arr(vec![Json::obj(vec![
-                    ("threads", Json::Int(4)),
-                    ("ops_per_sec", Json::Num(123.5)),
-                ])]),
-            ),
-        ]);
-        assert_eq!(
-            j.render(),
-            r#"{"bench":"sec53","rows":[{"threads":4,"ops_per_sec":123.5}]}"#
-        );
-    }
-
-    #[test]
-    fn json_escapes_strings_and_rejects_nan() {
-        let j = Json::Arr(vec![
-            Json::Str("a\"b\\c\n".into()),
-            Json::Num(f64::NAN),
-            Json::Null,
-        ]);
-        assert_eq!(j.render(), r#"["a\"b\\c\n",null,null]"#);
-    }
-
-    #[test]
-    fn json_float_round_trips_ops_per_sec() {
-        // `{}` on f64 prints shortest-round-trip, so parsing the output
-        // recovers the measured number exactly.
-        let v = 80761.34221;
-        let Json::Num(_) = Json::Num(v) else {
-            unreachable!()
-        };
-        assert_eq!(Json::Num(v).render().parse::<f64>().unwrap(), v);
     }
 }

@@ -384,12 +384,7 @@ impl BLsmTree {
         // racing insert folded above) pre-pass records may still be live,
         // so truncation waits for the next clean pass (§4.4.2:
         // "snowshoveling delays log truncation").
-        if !had_leftover {
-            let mut guard = self.shared.wal.lock();
-            if let Some(wal) = guard.as_mut() {
-                wal.truncate(pass_start_lsn);
-            }
-        }
+        let wal_head = (!had_leftover).then_some(pass_start_lsn);
 
         self.recompute_r(ms);
         // Trigger the downstream merge when C1 reaches R fills (§2.3.1).
@@ -411,14 +406,14 @@ impl BLsmTree {
                     cat.c2.clone(),
                 )));
             }
-            self.save_manifest(ms)?;
+            self.save_manifest(ms, wal_head)?;
             self.start_merge12_locked(ms)?;
             if ms.scheduler.blocking_merge12() {
                 // The naive scheduler's unbounded pause (§3.2).
                 self.run_merge12_locked(ms, u64::MAX)?;
             }
         } else {
-            self.save_manifest(ms)?;
+            self.save_manifest(ms, wal_head)?;
         }
         self.reap_retired_locked(ms);
         Ok(())
@@ -540,7 +535,7 @@ impl BLsmTree {
         }
         stats::bump(&self.shared.stats.merges12, 1);
         self.recompute_r(ms);
-        self.save_manifest(ms)?;
+        self.save_manifest(ms, None)?;
         self.reap_retired_locked(ms);
         Ok(())
     }
@@ -556,6 +551,10 @@ impl BLsmTree {
     /// retired list holds the last handle; no new references can be
     /// minted from it, so eviction + region free is safe.
     pub(crate) fn reap_retired_locked(&self, ms: &mut MergeState) {
+        debug_assert!(
+            ms.unsaved_wal_head.is_none(),
+            "the on-disk root may name them"
+        );
         let pending = std::mem::take(&mut ms.retired);
         for r in pending {
             if Arc::strong_count(&r.table) == 1 {
@@ -580,7 +579,10 @@ mod tests {
     use super::*;
     use crate::config::BLsmConfig;
     use blsm_memtable::AppendOperator;
-    use blsm_storage::{FaultMode, FaultyDevice, MemDevice, SharedDevice};
+    use blsm_storage::device::Device;
+    use blsm_storage::{
+        DeviceStats, FaultMode, FaultyDevice, MemDevice, SharedDevice, StorageError, PAGE_SIZE,
+    };
 
     /// Hand-driven (`external_pacing`), with `R` pinned so `C1` grows
     /// past one 256 KiB read-ahead chunk before it rotates: a merge then
@@ -713,6 +715,123 @@ mod tests {
         let tree = open(flaky, wal);
         assert_reads_match(&tree, &model);
         tree.checkpoint().unwrap();
+        assert_reads_match(&tree, &model);
+        assert!(tree.scrub().is_clean());
+    }
+
+    /// Fails every write that starts below `fail_below` bytes — the
+    /// manifest slots, once set to `ManifestStore::first_free_page()` —
+    /// and passes everything else through; 0 disarms it.
+    struct ManifestFault {
+        medium: MemDevice,
+        fail_below: AtomicU64,
+    }
+
+    impl Device for ManifestFault {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.medium.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, buf: &[u8]) -> Result<()> {
+            if offset < self.fail_below.load(Ordering::SeqCst) {
+                return Err(StorageError::Fault {
+                    op: "write",
+                    offset,
+                });
+            }
+            self.medium.write_at(offset, buf)
+        }
+        fn sync(&self) -> Result<()> {
+            self.medium.sync()
+        }
+        fn len(&self) -> u64 {
+            self.medium.len()
+        }
+        fn stats(&self) -> DeviceStats {
+            self.medium.stats()
+        }
+    }
+
+    /// What a crash right now would leave behind.
+    fn copy_of(dev: &dyn Device) -> SharedDevice {
+        let mut bytes = vec![0u8; dev.len() as usize];
+        dev.read_at(0, &mut bytes).unwrap();
+        let copy = MemDevice::new();
+        copy.write_at(0, &bytes).unwrap();
+        Arc::new(copy)
+    }
+
+    #[test]
+    fn a_failed_manifest_save_moves_nothing_until_a_save_succeeds() {
+        let data = Arc::new(ManifestFault {
+            medium: MemDevice::new(),
+            fail_below: AtomicU64::new(0),
+        });
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let tree = open(data.clone(), wal.clone());
+        let (mut model, mut n) = (BTreeMap::new(), 0);
+        // A C1 on disk and a truncated log, then fresh rows in C0.
+        for _ in 0..200 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        tree.checkpoint().unwrap();
+        for _ in 0..100 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        let head = tree.wal_window().unwrap().0;
+        let old_c1 = tree.shared.catalog.load().c1.as_ref().unwrap().region();
+        let (epoch, allocated_before) = {
+            let ms = tree.merge.lock();
+            (ms.manifest.epoch(), allocated(&ms))
+        };
+
+        // The pass completes — new C1 published, old C1 retired — and
+        // the manifest save that would record it fails.
+        let slots = tree.merge.lock().manifest.first_free_page() * PAGE_SIZE as u64;
+        data.fail_below.store(slots, Ordering::SeqCst);
+        tree.start_merge01().unwrap();
+        let err = tree.run_merge01(u64::MAX).unwrap_err();
+        assert!(matches!(err, StorageError::Fault { .. }), "{err}");
+        assert_eq!(tree.stats().merges01, 2);
+        // The on-disk root still names the old C1 and the old log head:
+        // neither may be given up. Every entry into merge work retries
+        // the save first and reports its failure.
+        for retried in [tree.maintenance(u64::MAX), tree.checkpoint()] {
+            assert!(matches!(retried, Err(StorageError::Fault { .. })));
+        }
+        assert_eq!(tree.wal_window().unwrap().0, head, "log head moved");
+        let new_c1 = tree.shared.catalog.load().c1.as_ref().unwrap().region();
+        {
+            let ms = tree.merge.lock();
+            assert_eq!(ms.manifest.epoch(), epoch);
+            assert_eq!(ms.retired.len(), 1);
+            assert_eq!(ms.retired[0].region, old_c1);
+            assert_eq!(allocated(&ms), allocated_before + new_c1.pages);
+        }
+
+        // Writes are still acknowledged; a crash now loses none of them.
+        for _ in 0..100 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        let crashed = open(copy_of(&data.medium), copy_of(wal.as_ref()));
+        assert_reads_match(&crashed, &model);
+        assert!(crashed.scrub().is_clean());
+
+        // With the device healed the next quantum saves, then applies.
+        data.fail_below.store(0, Ordering::SeqCst);
+        tree.maintenance(u64::MAX).unwrap();
+        assert!(tree.wal_window().unwrap().0 > head);
+        {
+            let ms = tree.merge.lock();
+            assert_eq!(ms.manifest.epoch(), epoch + 1);
+            assert!(ms.retired.is_empty());
+            assert_eq!(
+                allocated(&ms),
+                allocated_before + new_c1.pages - old_c1.pages
+            );
+        }
+        assert_reads_match(&tree, &model);
+        drop(tree);
+        let tree = open(data, wal);
         assert_reads_match(&tree, &model);
         assert!(tree.scrub().is_clean());
     }

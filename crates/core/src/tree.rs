@@ -47,7 +47,7 @@ use blsm_storage::codec::{self, Reader};
 use blsm_storage::manifest::{ManifestStore, DEFAULT_SLOT_PAGES};
 use blsm_storage::page::PAGE_PAYLOAD_LEN;
 use blsm_storage::{
-    BufferPool, RegionAllocator, Result, SharedDevice, StorageError, Wal, PAGE_SIZE,
+    BufferPool, Lsn, RegionAllocator, Result, SharedDevice, StorageError, Wal, PAGE_SIZE,
 };
 use parking_lot::Mutex;
 
@@ -85,6 +85,11 @@ pub(crate) struct MergeState {
     pub(crate) retired: Vec<RetiredTable>,
     /// Current level size ratio (recomputed after merges unless pinned).
     pub(crate) r: f64,
+    /// The log head the last manifest save was recording, if that save
+    /// failed: the on-disk root still names the retired components and
+    /// the old head, so nothing is reaped and no merge work runs until
+    /// [`BLsmTree::resave_manifest`] gets it through.
+    pub(crate) unsaved_wal_head: Option<Lsn>,
     #[cfg(feature = "strict-invariants")]
     pub(crate) strict: StrictState,
 }
@@ -195,6 +200,7 @@ impl BLsmTree {
                 merge12: None,
                 retired: Vec::new(),
                 r: 4.0,
+                unsaved_wal_head: None,
                 #[cfg(feature = "strict-invariants")]
                 strict: StrictState::default(),
             }),
@@ -775,6 +781,7 @@ impl BLsmTree {
     fn pace(&self, incoming: u64) -> Result<()> {
         if !self.shared.config.external_pacing {
             if let Some(mut m) = self.merge.try_lock() {
+                self.resave_manifest(&mut m)?;
                 let mut ran_quantum = false;
                 let c0_has_data = m.merge01.is_none() && !self.shared.c0.is_empty();
                 if c0_has_data
@@ -816,6 +823,7 @@ impl BLsmTree {
                 stalled = true;
             }
             let mut m = self.merge.lock();
+            self.resave_manifest(&mut m)?;
             // Re-check under the lock: the holder we waited behind may
             // have drained below the cap already.
             if self.shared.c0.approx_bytes() as u64 + incoming
@@ -859,7 +867,18 @@ impl BLsmTree {
         m.r = (data / c0).sqrt().max(2.0);
     }
 
-    pub(crate) fn save_manifest(&self, m: &mut MergeState) -> Result<()> {
+    /// Persist, then apply: writes a manifest recording `new_wal_head`
+    /// (`None`: where the head is) as the replay start, and moves the
+    /// in-memory log head there only once that manifest is the recovery
+    /// root. Until then the ring must keep everything the previous root
+    /// would replay.
+    pub(crate) fn save_manifest(
+        &self,
+        m: &mut MergeState,
+        new_wal_head: Option<Lsn>,
+    ) -> Result<()> {
+        let wal_head = new_wal_head
+            .unwrap_or_else(|| self.shared.wal.lock().as_ref().map_or(0, Wal::head_lsn));
         let catalog = self.shared.catalog.load();
         let mut components = Vec::new();
         if let Some(c) = &catalog.c1 {
@@ -877,13 +896,29 @@ impl BLsmTree {
             // Still-pinned retired regions ride along so a reopen can
             // reclaim them (the in-memory retired list dies with us).
             retired: m.retired.iter().map(|r| r.region).collect(),
-            wal_head: self.shared.wal.lock().as_ref().map_or(0, Wal::head_lsn),
+            wal_head,
             // ordering: Acquire — pairs with the AcqRel tickets; a
             // point-in-time floor is all recovery needs, any seqno
             // claimed later is re-derived from replay.
             next_seqno: self.shared.next_seqno.load(Ordering::Acquire),
         };
-        m.manifest.save(&meta.encode())
+        m.unsaved_wal_head = Some(wal_head);
+        m.manifest.save(&meta.encode())?;
+        m.unsaved_wal_head = None;
+        if let Some(wal) = self.shared.wal.lock().as_mut() {
+            wal.truncate(wal_head);
+        }
+        Ok(())
+    }
+
+    /// Gate at every entry into merge work: retries a manifest save that
+    /// failed, so the catalog never gets a second step ahead of the
+    /// on-disk root.
+    pub(crate) fn resave_manifest(&self, m: &mut MergeState) -> Result<()> {
+        match m.unsaved_wal_head {
+            Some(wal_head) => self.save_manifest(m, Some(wal_head)),
+            None => Ok(()),
+        }
     }
 
     // -----------------------------------------------------------------
@@ -896,6 +931,7 @@ impl BLsmTree {
     /// state (this is the background thread's entry point).
     pub fn maintenance(&self, budget: u64) -> Result<()> {
         let mut m = self.merge.lock();
+        self.resave_manifest(&mut m)?;
         let c0_has_data = m.merge01.is_none() && !self.shared.c0.is_empty();
         if c0_has_data && m.scheduler.should_start_merge01(&self.sched_inputs(&m, 0)) {
             self.start_merge01_locked(&mut m)?;
@@ -915,6 +951,7 @@ impl BLsmTree {
     pub fn checkpoint(&self) -> Result<()> {
         {
             let mut m = self.merge.lock();
+            self.resave_manifest(&mut m)?;
             loop {
                 self.restart_merge12_locked(&mut m)?;
                 if m.merge01.is_some() {
@@ -941,26 +978,26 @@ impl BLsmTree {
             // stall on checkpoint I/O, and truncation safety below never
             // depended on it.
         }
-        {
-            let mut guard = self.shared.wal.lock();
-            if let Some(wal) = guard.as_mut() {
-                wal.flush()?;
-                // Full truncation is safe only at quiescence. Appends and
-                // their C0 inserts are atomic under this mutex, so an
-                // empty C0 observed here proves every logged record's
-                // effect reached the disk components; a record that
-                // landed after the final pass above leaves C0 non-empty
-                // and keeps the whole live window (the next clean pass
-                // truncates it).
-                if self.shared.c0.is_empty() {
-                    let tail = wal.tail_lsn();
-                    wal.truncate(tail);
-                }
-            }
+        if let Some(wal) = self.shared.wal.lock().as_mut() {
+            wal.flush()?;
         }
         {
             let mut m = self.merge.lock();
-            self.save_manifest(&mut m)?;
+            // Full truncation is safe only at quiescence. Appends and
+            // their C0 inserts are atomic under the log mutex, so an
+            // empty C0 observed under it proves every logged record's
+            // effect reached the disk components; a record that landed
+            // after the final pass above leaves C0 non-empty and keeps
+            // the whole live window (the next clean pass truncates it).
+            // Decided with `merge` held, so no pass moves the head
+            // between here and the save.
+            let to_tail = self
+                .shared
+                .wal
+                .lock()
+                .as_ref()
+                .and_then(|wal| self.shared.c0.is_empty().then(|| wal.tail_lsn()));
+            self.save_manifest(&mut m, to_tail)?;
             self.reap_retired_locked(&mut m);
         }
         self.shared.pool.flush()

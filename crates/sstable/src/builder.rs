@@ -36,21 +36,6 @@ pub const LEAF_CAPACITY: usize = PAGE_PAYLOAD_LEN - DATA_PAGE_HEADER;
 /// merge output reaches the device.
 const FLUSH_PAGES: usize = 64;
 
-/// Which data-page layout the builder writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PageVersion {
-    /// Original layout: entries only, lookups scan the leaf.
-    V1,
-    /// Current layout: trailing entry-offset table enabling in-page binary
-    /// search. Each entry reserves one two-byte table slot, so a page
-    /// holds at most `count * 2` bytes less than a v1 page — under 0.2%
-    /// for paper-sized values and ~3% for the densest tiny-value pages,
-    /// where the O(log n) lookup more than pays for it. Spanning records
-    /// still use the v1 layout either way.
-    #[default]
-    V2,
-}
-
 /// Streaming builder for one on-disk component.
 pub struct SstableBuilder {
     pool: Arc<BufferPool>,
@@ -61,7 +46,6 @@ pub struct SstableBuilder {
     leaf_first_key: Option<Bytes>,
     /// Payload offset of each open-leaf entry, for the v2 offset table.
     leaf_offsets: Vec<u16>,
-    page_version: PageVersion,
     /// Sealed page images not yet flushed to the device.
     chunk: Vec<u8>,
     /// Region-relative index of the first page in `chunk`.
@@ -100,7 +84,6 @@ impl SstableBuilder {
             leaf_count: 0,
             leaf_first_key: None,
             leaf_offsets: Vec::new(),
-            page_version: PageVersion::default(),
             chunk: Vec::new(),
             chunk_start: 0,
             next_page: 0,
@@ -114,14 +97,6 @@ impl SstableBuilder {
             min_key: None,
             last_key: None,
         }
-    }
-
-    /// Overrides the data-page layout. The default is
-    /// [`PageVersion::V2`]; tests use [`PageVersion::V1`] to exercise the
-    /// read-compat path for components written before the offset table.
-    pub fn with_page_version(mut self, version: PageVersion) -> SstableBuilder {
-        self.page_version = version;
-        self
     }
 
     /// User bytes (keys + payloads) added so far.
@@ -139,13 +114,9 @@ impl SstableBuilder {
             );
         }
         let len = encoded_len(key, v);
-        // v2 entries each reserve a two-byte offset-table slot, so the
-        // sealed leaf can always carry its table.
-        let reserve = if self.page_version == PageVersion::V2 {
-            (self.leaf_offsets.len() + 1) * ENTRY_OFFSET_SLOT
-        } else {
-            0
-        };
+        // Each entry reserves a two-byte offset-table slot, so the sealed
+        // leaf can always carry its table.
+        let reserve = (self.leaf_offsets.len() + 1) * ENTRY_OFFSET_SLOT;
         if self.leaf.len() + len + reserve > LEAF_CAPACITY {
             self.seal_leaf()?;
         }
@@ -199,8 +170,8 @@ impl SstableBuilder {
         // `add` reserved a slot per entry, so the table fits — except for
         // a lone entry that fills the page so exactly that even one slot
         // cannot squeeze in, which seals in the v1 layout instead.
-        let with_table = self.page_version == PageVersion::V2
-            && self.leaf.len() + self.leaf_offsets.len() * ENTRY_OFFSET_SLOT <= LEAF_CAPACITY;
+        let with_table =
+            self.leaf.len() + self.leaf_offsets.len() * ENTRY_OFFSET_SLOT <= LEAF_CAPACITY;
         let mut page = if with_table {
             Page::new(PageType::DataV2)
         } else {
@@ -461,15 +432,14 @@ mod tests {
     fn v2_reserves_slots_and_falls_back_when_brim_full() {
         // Every v2 entry reserves a two-byte offset slot, so sealed
         // leaves carry their binary-search table regardless of how
-        // densely entries pack; for paper-sized values the reservation
-        // never changes the page count versus a v1 build.
+        // densely entries pack.
         let region = Region {
             start: blsm_storage::PageId(0),
             pages: 512,
         };
-        let build = |value: usize, version: PageVersion| {
+        let build = |value: usize| {
             let pool = pool();
-            let mut b = SstableBuilder::new(pool.clone(), region, 200).with_page_version(version);
+            let mut b = SstableBuilder::new(pool.clone(), region, 200);
             for i in 0..200u32 {
                 b.add(&key(i), &Versioned::put(1, Bytes::from(vec![0u8; value])))
                     .unwrap();
@@ -481,18 +451,17 @@ mod tests {
             (t.meta().n_data_pages, types)
         };
 
-        let (_, small_types) = build(50, PageVersion::V2);
+        let (_, small_types) = build(50);
         assert!(
             small_types.iter().all(|t| *t == PageType::DataV2),
             "dense small-value pages get the table: {small_types:?}"
         );
 
-        // ~1006-byte entries: 4 per page with slack for 4 slots, so v2
-        // matches the v1 page count entry-for-entry.
-        let (big_v2_pages, big_types) = build(990, PageVersion::V2);
-        let (big_v1_pages, _) = build(990, PageVersion::V1);
+        // ~1006-byte entries: 4 per page with slack for 4 slots, so the
+        // reservation costs no page at paper value sizes.
+        let (big_pages, big_types) = build(990);
         assert_eq!(
-            big_v2_pages, big_v1_pages,
+            big_pages, 50,
             "slot reservation must not cost a page at paper value sizes"
         );
         assert!(

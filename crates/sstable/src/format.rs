@@ -193,7 +193,8 @@ impl LeafPage {
     ///
     /// Fails with [`StorageError::Corruption`] on an invalid offset table
     /// or a v2 page claiming overflow pages, and with
-    /// [`StorageError::InvalidFormat`] on a malformed header.
+    /// [`StorageError::InvalidFormat`] on a malformed header or a v1 page
+    /// not holding exactly one entry (no writer produces one).
     pub fn parse(payload: Bytes, has_offsets: bool) -> Result<LeafPage> {
         if payload.len() < DATA_PAGE_HEADER {
             return Err(StorageError::InvalidFormat(format!(
@@ -203,19 +204,19 @@ impl LeafPage {
         }
         let (count, n_overflow) = read_data_page_header(&payload);
         let count = count as usize;
-        if n_overflow > 0 {
-            if has_offsets {
-                return Err(StorageError::corruption(
-                    ComponentId::Sstable,
-                    None,
-                    "v2 data page claims overflow pages; spanning records use the v1 layout",
-                ));
-            }
-            if count != 1 {
-                return Err(StorageError::InvalidFormat(format!(
-                    "overflow data page must hold exactly 1 entry, found {count}"
-                )));
-            }
+        if n_overflow > 0 && has_offsets {
+            return Err(StorageError::corruption(
+                ComponentId::Sstable,
+                None,
+                "v2 data page claims overflow pages; spanning records use the v1 layout",
+            ));
+        }
+        // The builder writes a page without an offset table only for a
+        // lone record: a spanning one, or one so brim-full no slot fits.
+        if !has_offsets && count != 1 {
+            return Err(StorageError::InvalidFormat(format!(
+                "v1 data page must hold exactly 1 entry, found {count}"
+            )));
         }
         let leaf = LeafPage {
             payload,
@@ -330,9 +331,8 @@ impl LeafPage {
     /// Lower bound within a non-spanning leaf: how many entries sort
     /// below `key`, and the payload offset of the first that does not
     /// (meaningless when all of them do). v2 pages binary-search the
-    /// offset table — O(log n) key decodes; v1 pages walk forward,
-    /// skipping value bytes (leaf keys are strictly ascending). No entry
-    /// is materialized and nothing is copied either way.
+    /// offset table — O(log n) key decodes, no entry materialized; a v1
+    /// page holds a lone record. Nothing is copied either way.
     ///
     /// # Errors
     ///
@@ -359,19 +359,9 @@ impl LeafPage {
             };
             return Ok((lo, off));
         }
-        let mut r = Reader::new(&self.payload);
-        r.skip(DATA_PAGE_HEADER)?;
-        for i in 0..self.count {
-            let entry_start = r.position();
-            let key_len = r.varint()? as usize;
-            let key_start = r.position();
-            r.skip(key_len)?;
-            if &self.payload[key_start..key_start + key_len] >= key {
-                return Ok((i, entry_start));
-            }
-            skip_entry_tail(&mut r)?;
-        }
-        Ok((self.count, r.position()))
+        // A v1 leaf holds one record (`parse` checks): one comparison.
+        let (lone, _) = self.entry_from(DATA_PAGE_HEADER)?;
+        Ok((usize::from(lone.key.as_ref() < key), DATA_PAGE_HEADER))
     }
 
     /// Point lookup within a non-spanning leaf: [`seek`](Self::seek), then
@@ -523,23 +513,6 @@ impl LeafPage {
     }
 }
 
-/// Skips the remainder of an entry (kind, seqno, value) whose key has
-/// already been consumed.
-fn skip_entry_tail(r: &mut Reader<'_>) -> Result<()> {
-    let kind = r.u8()?;
-    r.varint()?; // seqno
-    match kind {
-        0 | 1 => {
-            let val_len = r.varint()? as usize;
-            r.skip(val_len)
-        }
-        2 => Ok(()),
-        other => Err(StorageError::InvalidFormat(format!(
-            "bad entry kind {other}"
-        ))),
-    }
-}
-
 /// Parses all entries of a data page. `overflow` supplies the concatenated
 /// payloads of the page's overflow pages (empty when the header says there
 /// are none); `has_offsets` is true for v2 (`PageType::DataV2`) payloads.
@@ -631,21 +604,21 @@ mod tests {
 
     #[test]
     fn data_page_roundtrip_v1_and_v2() {
-        let entries = vec![
+        let entries = [
             (b"alpha".as_slice(), v_put(1, b"one")),
             (b"beta".as_slice(), v_put(2, b"two")),
             (b"gamma".as_slice(), Versioned::tombstone(3)),
         ];
-        for v2 in [false, true] {
-            let payload = make_page(&entries, v2);
+        // A v1 page holds a lone record; a v2 page any number.
+        for (v2, entries) in [(false, &entries[1..2]), (true, &entries[..])] {
+            let payload = make_page(entries, v2);
             let got = parse_data_page(&payload, &[], v2).unwrap();
-            assert_eq!(got.len(), 3, "v2={v2}");
-            assert_eq!(got[0].key.as_ref(), b"alpha");
-            assert_eq!(got[2].key.as_ref(), b"gamma");
+            assert_eq!(got.len(), entries.len(), "v2={v2}");
+            assert_eq!(got[0].key.as_ref(), entries[0].0);
 
             let leaf = LeafPage::parse(payload, v2).unwrap();
             leaf.verify_offset_table().unwrap();
-            for (k, v) in &entries {
+            for (k, v) in entries {
                 let e = leaf.find(k).unwrap().expect("present");
                 assert_eq!(&e.version, v);
             }
@@ -653,6 +626,21 @@ mod tests {
             assert!(leaf.find(b"betaa").unwrap().is_none());
             assert!(leaf.find(b"zzz").unwrap().is_none());
         }
+    }
+
+    #[test]
+    fn a_v1_page_with_two_entries_is_rejected() {
+        // No writer produces one (the builder falls back to v1 only for a
+        // lone record), so the lookup path does not walk one.
+        let entries = [
+            (b"aa".as_slice(), v_put(1, b"x")),
+            (b"bb".as_slice(), v_put(2, b"y")),
+        ];
+        let err = LeafPage::parse(make_page(&entries, false), false).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidFormat(_)), "got {err}");
+        assert!(parse_data_page(&make_page(&entries, false), &[], false).is_err());
+        assert!(LeafPage::parse(make_page(&entries[..0], false), false).is_err());
+        assert!(LeafPage::parse(make_page(&entries[..1], false), false).is_ok());
     }
 
     #[test]
@@ -664,30 +652,30 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.as_slice(), v.clone()))
             .collect();
-        for v2 in [false, true] {
-            let leaf = LeafPage::parse(make_page(&refs, v2), v2).unwrap();
-            assert_eq!(leaf.count(), 40);
-            // An exact key, a bound between two keys, and one below all.
-            for (bound, want) in [
-                ("key0020", 20usize),
-                ("key00205", 21),
-                ("a", 0),
-                ("key0039", 39),
-            ] {
-                let (below, mut off) = leaf.seek(bound.as_bytes()).unwrap();
-                assert_eq!(below, want, "v2={v2} bound={bound}");
-                // Walking on from there yields exactly the suffix.
-                for (k, v) in &refs[want..] {
-                    let (e, next) = leaf.entry_from(off).unwrap();
-                    assert_eq!((e.key.as_ref(), &e.version), (*k, v));
-                    off = next;
-                }
+        let leaf = LeafPage::parse(make_page(&refs, true), true).unwrap();
+        assert_eq!(leaf.count(), 40);
+        // An exact key, a bound between two keys, and one below all.
+        for (bound, want) in [
+            ("key0020", 20usize),
+            ("key00205", 21),
+            ("a", 0),
+            ("key0039", 39),
+        ] {
+            let (below, mut off) = leaf.seek(bound.as_bytes()).unwrap();
+            assert_eq!(below, want, "bound={bound}");
+            // Walking on from there yields exactly the suffix.
+            for (k, v) in &refs[want..] {
+                let (e, next) = leaf.entry_from(off).unwrap();
+                assert_eq!((e.key.as_ref(), &e.version), (*k, v));
+                off = next;
             }
-            assert_eq!(
-                leaf.seek(b"key0040").unwrap().0,
-                40,
-                "v2={v2}: past every key"
-            );
+        }
+        assert_eq!(leaf.seek(b"key0040").unwrap().0, 40, "past every key");
+
+        // v1: the lone record is the bound unless it sorts below it.
+        let lone = LeafPage::parse(make_page(&refs[20..21], false), false).unwrap();
+        for (bound, want) in [("a", 0usize), ("key0020", 0), ("key00205", 1)] {
+            assert_eq!(lone.seek(bound.as_bytes()).unwrap().0, want, "{bound}");
         }
     }
 

@@ -129,8 +129,8 @@ impl SstIterator {
 
     /// Positions the iterator on the first entry with key ≥ `from` of the
     /// leaf it is about to open: a binary search over a v2 leaf's offset
-    /// table, a value-skipping walk over a v1 leaf, a key-only test (no
-    /// overflow page read) of a spanning one. Later leaves hold only
+    /// table, one comparison on a lone-record v1 leaf, a key-only test
+    /// (no overflow page read) of a spanning one. Later leaves hold only
     /// larger keys. A read or format error is kept for the first `next`.
     pub(crate) fn seek(&mut self, from: &[u8]) {
         if let Err(e) = self.try_seek(from) {
@@ -391,12 +391,11 @@ mod tests {
 
     #[test]
     fn iter_from_starts_at_bound_on_every_leaf_layout() {
-        use crate::builder::PageVersion;
-        // Small rows around two records too large for a page (spanning
-        // leaves, always v1), in a component of v2 leaves and in one of v1
-        // leaves: from any bound — a stored key, a gap, inside a leaf, on
-        // a leaf's first key, on or just past a spanning record, beyond
-        // the last key — both read modes yield exactly the suffix.
+        // Small rows (v2 leaves) around two records too large for a page
+        // (spanning leaves, always v1): from any bound — a stored key, a
+        // gap, inside a leaf, on a leaf's first key, on or just past a
+        // spanning record, beyond the last key — both read modes yield
+        // exactly the suffix.
         let big = "x".repeat(3 * PAGE_SIZE);
         let entries: Vec<(String, Versioned)> = (0..400u32)
             .map(|i| {
@@ -408,34 +407,31 @@ mod tests {
                 (format!("k{i:04}"), put(u64::from(i) + 1, val))
             })
             .collect();
-        for version in [PageVersion::V2, PageVersion::V1] {
-            let pool = pool();
-            let region = Region {
-                start: PageId(0),
-                pages: 1024,
-            };
-            let mut b = SstableBuilder::new(pool.clone(), region, entries.len() as u64)
-                .with_page_version(version);
-            for (k, v) in &entries {
-                b.add(&Bytes::copy_from_slice(k.as_bytes()), v).unwrap();
-            }
-            let t = Arc::new(b.finish().unwrap());
-            let mut bounds: Vec<String> = (0..400u32).map(|i| format!("k{i:04}")).collect();
-            bounds.extend((0..400u32).step_by(7).map(|i| format!("k{i:04}5")));
-            bounds.extend(["".to_string(), "k".to_string(), "z".to_string()]);
-            for bound in &bounds {
-                let want: Vec<&(String, Versioned)> =
-                    entries.iter().filter(|(k, _)| k >= bound).collect();
-                for mode in [ReadMode::Pooled, ReadMode::Buffered(8)] {
-                    let got: Vec<EntryRef> = t
-                        .iter_from(bound.as_bytes(), mode)
-                        .map(|r| r.unwrap())
-                        .collect();
-                    assert_eq!(got.len(), want.len(), "{version:?} {mode:?} from {bound:?}");
-                    for (g, (k, v)) in got.iter().zip(&want) {
-                        assert_eq!(g.key.as_ref(), k.as_bytes(), "{version:?} from {bound:?}");
-                        assert_eq!(&g.version, v);
-                    }
+        let pool = pool();
+        let region = Region {
+            start: PageId(0),
+            pages: 1024,
+        };
+        let mut b = SstableBuilder::new(pool.clone(), region, entries.len() as u64);
+        for (k, v) in &entries {
+            b.add(&Bytes::copy_from_slice(k.as_bytes()), v).unwrap();
+        }
+        let t = Arc::new(b.finish().unwrap());
+        let mut bounds: Vec<String> = (0..400u32).map(|i| format!("k{i:04}")).collect();
+        bounds.extend((0..400u32).step_by(7).map(|i| format!("k{i:04}5")));
+        bounds.extend(["".to_string(), "k".to_string(), "z".to_string()]);
+        for bound in &bounds {
+            let want: Vec<&(String, Versioned)> =
+                entries.iter().filter(|(k, _)| k >= bound).collect();
+            for mode in [ReadMode::Pooled, ReadMode::Buffered(8)] {
+                let got: Vec<EntryRef> = t
+                    .iter_from(bound.as_bytes(), mode)
+                    .map(|r| r.unwrap())
+                    .collect();
+                assert_eq!(got.len(), want.len(), "{mode:?} from {bound:?}");
+                for (g, (k, v)) in got.iter().zip(&want) {
+                    assert_eq!(g.key.as_ref(), k.as_bytes(), "from {bound:?}");
+                    assert_eq!(&g.version, v);
                 }
             }
         }

@@ -29,7 +29,7 @@ mod iter;
 mod table;
 
 pub use blsm_memtable::merge_versions;
-pub use builder::{PageVersion, SstableBuilder};
+pub use builder::SstableBuilder;
 pub use format::{decode_entry, encode_entry, parse_data_page, shared_payload, EntryRef, LeafPage};
 pub use iter::{EntryStream, MergeIter, ReadMode, SstIterator};
 pub use table::{ScrubReport, Sstable, SstableMeta};

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use blsm_memtable::{AppendOperator, Entry, Versioned};
-use blsm_sstable::{EntryStream, MergeIter, PageVersion, ReadMode, Sstable, SstableBuilder};
+use blsm_sstable::{EntryStream, MergeIter, ReadMode, Sstable, SstableBuilder};
 use blsm_storage::{BufferPool, MemDevice, PageId, Region};
 
 fn pool() -> Arc<BufferPool> {
@@ -65,7 +65,7 @@ proptest! {
 
     /// Build → read-back equivalence: every entry is retrievable by point
     /// lookup, iteration returns exactly the input in order, and the bloom
-    /// filter has no false negatives. Also covers page-spanning values.
+    /// filter has no false negatives.
     #[test]
     fn build_readback_roundtrip(entries in arb_entries(120)) {
         let pool = pool();
@@ -88,49 +88,36 @@ proptest! {
         }
     }
 
-    /// Read compat: a component written in the v1 page layout (no entry
-    /// offset tables) — including page-spanning records — reads back
-    /// identically to a v2 build of the same entries, both through the
-    /// building pool and after a cold reopen from the device.
+    /// Page-spanning records (lone-record v1 leaves plus overflow pages,
+    /// among v2 leaves) read back by point lookup and by scan, through
+    /// the building pool and after a cold reopen from the device, and
+    /// scrub clean: the layout is self-describing per page.
     #[test]
-    fn v1_layout_reads_back_identically(entries in arb_entries_spanning(40)) {
+    fn spanning_records_read_back_and_survive_reopen(entries in arb_entries_spanning(40)) {
         let pool = pool();
-        let region_v1 = Region { start: PageId(0), pages: 4096 };
-        let region_v2 = Region { start: PageId(8192), pages: 4096 };
-        let mut builds = Vec::new();
-        for (region, version) in [(region_v1, PageVersion::V1), (region_v2, PageVersion::V2)] {
-            let mut b = SstableBuilder::new(pool.clone(), region, entries.len() as u64)
-                .with_page_version(version);
-            for (k, v) in &entries {
-                b.add(k, v).unwrap();
-            }
-            builds.push(Arc::new(b.finish().unwrap()));
-        }
-        let (v1, v2) = (&builds[0], &builds[1]);
-        prop_assert_eq!(v1.meta().entry_count, v2.meta().entry_count);
+        let table = build(&pool, 0, &entries);
+        prop_assert_eq!(table.meta().entry_count, entries.len() as u64);
         for (k, v) in &entries {
-            prop_assert_eq!(v1.get(k).unwrap().as_ref(), Some(v));
-            prop_assert_eq!(v2.get(k).unwrap().as_ref(), Some(v));
+            prop_assert_eq!(table.get(k).unwrap().as_ref(), Some(v));
         }
-        let scan = |t: &Arc<Sstable>| -> Vec<(Bytes, Versioned)> {
-            t.iter(ReadMode::Pooled)
-                .map(|r| r.unwrap())
-                .map(|e| (e.key, e.version))
-                .collect()
-        };
-        prop_assert_eq!(scan(v1), scan(v2));
+        let scanned: Vec<(Bytes, Versioned)> = table
+            .iter(ReadMode::Pooled)
+            .map(|r| r.unwrap())
+            .map(|e| (e.key, e.version))
+            .collect();
+        let want: Vec<(Bytes, Versioned)> =
+            entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        prop_assert_eq!(&scanned, &want);
 
-        // Cold reopen of the v1 component: the layout is self-describing
-        // per page, so no flag is needed to read old components.
-        let region = v1.region();
-        drop(builds);
+        let region = table.region();
+        drop(table);
         pool.drop_clean();
         let reopened = Sstable::open(pool, region).unwrap();
         for (k, v) in &entries {
             prop_assert_eq!(reopened.get(k).unwrap().as_ref(), Some(v));
         }
         let report = reopened.scrub();
-        prop_assert!(report.errors.is_empty(), "v1 scrub found: {:?}", report.errors);
+        prop_assert!(report.errors.is_empty(), "scrub found: {:?}", report.errors);
     }
 
     /// Recovery equivalence: reopening the component from its region gives
