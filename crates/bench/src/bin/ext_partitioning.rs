@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm::{route, AppendOperator, BLsmConfig, BLsmTree, ScanItem};
+use blsm::{route, AppendOperator, BLsmConfig, BLsmTree, ScanItem, HIGH_WATER};
 use blsm_bench::setup::{make_blsm, Scale};
 use blsm_bench::{fmt_f, print_table};
 use blsm_storage::{DiskModel, SharedDevice, SimDevice};
@@ -183,7 +183,7 @@ impl Partitions {
         for _ in 0..self.trees.len() {
             let p = &self.trees[self.focus];
             let (m01, m12) = p.merges_active();
-            let start_mark = p.config().high_water * p.config().mem_budget as f64;
+            let start_mark = HIGH_WATER * p.config().mem_budget as f64;
             if m01 || m12 || p.c0_bytes() as f64 >= start_mark {
                 let budget = (incoming as f64 * (2.0 + 2.0 * p.current_r())).ceil() as u64 + 512;
                 p.maintenance(budget).unwrap();

@@ -203,7 +203,7 @@ pub(crate) struct TreeShared {
     /// lock hierarchy.
     pub(crate) wal: Mutex<Option<Wal>>,
     /// Group-commit election bookkeeping (see `commit.rs` and DESIGN.md
-    /// §18): leader flag and failure epoch. Ordered between `merge` and
+    /// §18): leader flag and last failure message. Ordered between `merge` and
     /// `wal` in the hierarchy, but never held while acquiring anything —
     /// the leader drops it before touching the WAL and is **never** held
     /// across I/O.
@@ -211,6 +211,11 @@ pub(crate) struct TreeShared {
     /// Wakes group-commit waiters when a group retires (or fails).
     /// Paired with `commit`.
     pub(crate) commit_cv: Condvar,
+    /// The commit failure epoch: how many groups failed to flush or sync
+    /// (see `BLsmTree::commit_failure_epoch`).
+    // ordering: AcqRel `fetch_add` under `commit` after `last_error` is
+    // stored, Acquire loads — a seen bump implies the message is stored.
+    pub(crate) commit_failures: AtomicU64,
     /// LSN below which every WAL byte is known device-stable — the
     /// horizon `Durability::Sync` acks cover. Mirrors the WAL's own
     /// `synced` watermark so satisfied waiters return without the lock.
@@ -273,8 +278,8 @@ impl TreeShared {
         BackpressureLevel::from_occupancy(
             self.c0.approx_bytes() as u64,
             self.config.mem_budget as u64,
-            self.config.low_water,
-            self.config.high_water,
+            crate::sched::LOW_WATER,
+            crate::sched::HIGH_WATER,
         )
     }
 }

@@ -46,19 +46,14 @@ use crate::tree::{invariant_err, BLsmTree};
 /// Group-commit election state, behind `TreeShared.commit`.
 ///
 /// The mutex protects only this bookkeeping — never I/O. Waiters park on
-/// `TreeShared.commit_cv`; the durable horizon itself is the lock-free
-/// `TreeShared.durable` atomic, so satisfied writers return without ever
-/// touching this lock again.
+/// `TreeShared.commit_cv`; the durable horizon and failure epoch are
+/// lock-free atomics (`durable`, `commit_failures`), so satisfied writers
+/// return without ever touching this lock again.
 #[derive(Debug, Default)]
 pub(crate) struct CommitState {
     /// True while an elected leader is driving a flush + device sync.
     /// Exactly one leader runs at a time; everyone else waits.
     pub(crate) leader_active: bool,
-    /// Monotone count of groups whose device sync failed. A waiter
-    /// records the value at entry; a bump while it waited means a sync
-    /// covering (or preceding) its append failed and its durability is
-    /// unknown — it errors out instead of waiting forever.
-    pub(crate) failures: u64,
     /// Human-readable cause of the most recent failed group.
     pub(crate) last_error: String,
 }
@@ -71,6 +66,21 @@ impl BLsmTree {
         // ordering: Acquire — pairs with the leader's AcqRel advance in
         // `lead_commit`; see the field docs in `catalog.rs`.
         self.shared.durable.load(Ordering::Acquire)
+    }
+
+    /// The commit failure epoch: how many commit groups have failed to
+    /// flush or sync (one atomic read). A caller that snapshots it after
+    /// a nowait write and later sees it move must treat that write's
+    /// durability as unknown: a group covering (or preceding) it failed.
+    pub fn commit_failure_epoch(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel bump in
+        // `wait_durable`; see the field docs in `catalog.rs`.
+        self.shared.commit_failures.load(Ordering::Acquire)
+    }
+
+    /// The last failed commit group's error text (empty before any).
+    pub fn last_commit_error(&self) -> String {
+        self.shared.commit.lock().last_error.clone()
     }
 
     /// Forces a group commit covering everything appended so far and
@@ -192,13 +202,13 @@ impl BLsmTree {
             return Ok(());
         }
         let mut state = self.shared.commit.lock();
-        let entry_failures = state.failures;
+        let entry_failures = self.commit_failure_epoch();
         loop {
             // ordering: Acquire — as above; re-checked every wakeup.
             if self.shared.durable.load(Ordering::Acquire) >= target {
                 return Ok(());
             }
-            if state.failures != entry_failures {
+            if self.commit_failure_epoch() != entry_failures {
                 return Err(StorageError::Io(std::io::Error::other(format!(
                     "group commit failed while waiting for lsn {target}: {}",
                     state.last_error
@@ -215,8 +225,11 @@ impl BLsmTree {
                 state = self.shared.commit.lock();
                 state.leader_active = false;
                 if let Err(e) = outcome {
-                    state.failures += 1;
+                    // Message first, then the epoch (still under
+                    // `commit`): whoever sees the bump finds the text.
                     state.last_error = e.to_string();
+                    // ordering: AcqRel — see the field docs in `catalog.rs`.
+                    self.shared.commit_failures.fetch_add(1, Ordering::AcqRel);
                     self.shared.commit_cv.notify_all();
                     return Err(e);
                 }
@@ -431,7 +444,7 @@ mod tests {
                 .put(Bytes::from(format!("k{i}")), Bytes::from(format!("v{i}")))
                 .unwrap();
         }
-        let (records, _) = leader.wal_records_from(0).unwrap();
+        let (records, _) = leader.wal_records_from(0, usize::MAX).unwrap();
         assert_eq!(records.len(), 20);
         let mut max_target = 0;
         for rec in &records {

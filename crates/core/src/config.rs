@@ -50,19 +50,8 @@ pub struct BLsmConfig {
     pub scheduler: SchedulerKind,
     /// Write durability mode.
     pub durability: Durability,
-    /// Spring-and-gear low water mark, as a fraction of `mem_budget`.
-    pub low_water: f64,
-    /// Spring-and-gear high water mark, as a fraction of `mem_budget`.
-    pub high_water: f64,
-    /// A `C0:C1` merge run ends once its output reaches this multiple of
-    /// its input estimate, bounding run length under sorted insert storms
-    /// (snowshoveling would otherwise never finish a pass).
-    pub run_length_cap: f64,
     /// Ring capacity of the logical log device, bytes.
     pub wal_capacity: u64,
-    /// Upper bound on merge bytes processed in one burst of inline work;
-    /// bounds the latency any single write can observe from pacing.
-    pub work_quantum: u64,
     /// Expected value size, used only to pre-size Bloom filters for the
     /// first merge (afterwards real counts are known).
     pub expected_value_size: usize,
@@ -83,11 +72,7 @@ impl Default for BLsmConfig {
             snowshovel: true,
             scheduler: SchedulerKind::SpringGear,
             durability: Durability::Buffered,
-            low_water: 0.5,
-            high_water: 0.9,
-            run_length_cap: 4.0,
             wal_capacity: 256 << 20,
-            work_quantum: 4 << 20,
             expected_value_size: 1000,
             external_pacing: false,
         }
@@ -101,11 +86,6 @@ impl BLsmConfig {
             self.mem_budget >= 64 << 10,
             "mem_budget must be at least 64 KiB"
         );
-        assert!(
-            0.0 < self.low_water && self.low_water < self.high_water && self.high_water <= 1.0,
-            "watermarks must satisfy 0 < low < high <= 1"
-        );
-        assert!(self.run_length_cap >= 1.0, "run_length_cap must be >= 1");
         if let Some(r) = self.r {
             assert!(r >= 2.0, "R must be at least 2");
         }
@@ -156,16 +136,5 @@ mod tests {
     fn snowshovel_uses_whole_budget() {
         let c = BLsmConfig::default().validated();
         assert_eq!(c.c0_fill_bytes(), c.mem_budget);
-    }
-
-    #[test]
-    #[should_panic(expected = "watermarks")]
-    fn bad_watermarks_rejected() {
-        BLsmConfig {
-            low_water: 0.9,
-            high_water: 0.5,
-            ..Default::default()
-        }
-        .validated();
     }
 }

@@ -51,7 +51,7 @@ pub use progress::{outprogress, MergeProgress};
 pub use read::{ReadView, ScanItem, TreeScrubReport};
 pub use sched::{
     BackpressureLevel, GearScheduler, MergeScheduler, NaiveScheduler, SchedInputs,
-    SpringGearScheduler, WorkPlan,
+    SpringGearScheduler, WorkPlan, HIGH_WATER, LOW_WATER,
 };
 pub use sharded::{DegradedShard, ShardedBLsm, ShardedConfig, ShardedReadView};
 pub use stats::{
@@ -59,7 +59,7 @@ pub use stats::{
     COMMIT_HIST_BUCKETS,
 };
 pub use threaded::ThreadedBLsm;
-pub use tree::{BLsmTree, ReplSource};
+pub use tree::BLsmTree;
 
 pub use blsm_memtable::{
     AddOperator, AppendOperator, Entry, MergeOperator, OverwriteOperator, SeqNo, Versioned,

@@ -38,6 +38,11 @@ use crate::catalog::ComponentCatalog;
 use crate::stats;
 use crate::tree::{invariant_err, BLsmTree, MergeState};
 
+/// A `C0:C1` merge run ends once its output reaches this multiple of its
+/// input estimate, bounding run length under sorted insert storms
+/// (snowshoveling would otherwise never finish a pass).
+const RUN_LENGTH_CAP: f64 = 4.0;
+
 /// Wraps an owned sstable iterator, counting consumed input bytes so the
 /// merge's `inprogress` estimator stays smooth (§4.1).
 pub(crate) struct CountingStream {
@@ -146,7 +151,7 @@ impl BLsmTree {
         let c1_entries = catalog.c1.as_ref().map_or(0, |c| c.entry_count());
         let est_bytes = c0_input + c1_data;
         let est_entries = c0_len + c1_entries + 16;
-        let factor = self.shared.config.run_length_cap.max(1.0) + 0.5;
+        let factor = RUN_LENGTH_CAP + 0.5;
         let pages = Self::merge_region_pages(est_bytes, est_entries, factor);
         let region = ms.allocator.alloc(pages);
         let builder = SstableBuilder::new(
@@ -172,7 +177,7 @@ impl BLsmTree {
             c0_input: c0_input.max(1),
             bottom,
             pass_start_lsn,
-            run_cap_bytes: ((est_bytes as f64) * self.shared.config.run_length_cap) as u64 + 4096,
+            run_cap_bytes: ((est_bytes as f64) * RUN_LENGTH_CAP) as u64 + 4096,
             c0_capped: false,
         });
         Ok(())

@@ -19,16 +19,19 @@
 //!
 //! [`ConcurrentC0::end_capped_pass_with`]: blsm_memtable::ConcurrentC0::end_capped_pass_with
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use blsm_memtable::{Entry, MergeOperator, Versioned};
 use blsm_sstable::{EntryRef, EntryStream, MergeIter, ReadMode};
-use blsm_storage::Result;
+use blsm_storage::{Result, Wal};
 
 use crate::catalog::{ComponentCatalog, TreeShared};
+use crate::config::Durability;
 use crate::stats::{self, TreeStatsSnapshot};
+use crate::tree::invariant_err;
 
 /// Tree-wide outcome of a scrub pass over every on-disk component.
 ///
@@ -64,12 +67,13 @@ pub struct ScanItem {
     pub value: Bytes,
 }
 
-/// A shareable, lock-free handle to the tree's read path.
+/// A shareable handle to the tree's read path and replication shipping.
 ///
 /// Cheap to clone (one `Arc`), `Send + Sync`, and valid for as long as
 /// the originating [`crate::BLsmTree`] world exists — including while
-/// merges run: reads pin an immutable component snapshot and proceed
-/// without ever taking the tree lock.
+/// merges run. Data reads pin an immutable component snapshot and never
+/// take a tree-wide lock; the shipping reads (`wal_window`,
+/// `wal_records_from`) take the tree's log mutex, with nothing else held.
 #[derive(Clone)]
 pub struct ReadView {
     shared: Arc<TreeShared>,
@@ -124,10 +128,57 @@ impl ReadView {
 
     /// Verifies every on-disk component against the device (checksums,
     /// footers, ordering, Bloom agreement). Lock-free like every other
-    /// read: the pass runs on a pinned catalog snapshot while writes and
-    /// merges proceed.
+    /// data read: the pass runs on a pinned catalog snapshot while writes
+    /// and merges proceed.
     pub fn scrub(&self) -> TreeScrubReport {
         self.shared.scrub()
+    }
+
+    /// See [`crate::BLsmTree::next_seqno`].
+    pub fn next_seqno(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel ticket allocation in
+        // `write_entry`; see the field docs in `catalog.rs`.
+        self.shared.next_seqno.load(Ordering::Acquire)
+    }
+
+    /// See [`crate::BLsmTree::applied_seqno`].
+    pub fn applied_seqno(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel floor advance in
+        // `insert_versioned`; see the field docs in `catalog.rs`.
+        self.shared
+            .applied_floor
+            .load(Ordering::Acquire)
+            .saturating_sub(1)
+    }
+
+    /// See [`crate::BLsmTree::wal_window`]; takes the log mutex.
+    pub fn wal_window(&self) -> Result<(u64, u64)> {
+        self.ship_read(|wal, horizon| Ok((wal.head_lsn(), horizon)))
+    }
+
+    /// See [`crate::BLsmTree::wal_records_from`]; takes the log mutex.
+    pub fn wal_records_from(
+        &self,
+        start_lsn: u64,
+        budget: usize,
+    ) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
+        self.ship_read(|wal, horizon| wal.records_up_to(start_lsn, horizon, budget))
+    }
+
+    /// Runs `read` under the log mutex with the LSN horizon replication
+    /// may ship up to: under `Durability::Sync` the last synced group
+    /// boundary (a record must be durable *here* before a follower can
+    /// ack it elsewhere), otherwise the flushed tail.
+    fn ship_read<T>(&self, read: impl FnOnce(&Wal, u64) -> Result<T>) -> Result<T> {
+        let guard = self.shared.wal.lock();
+        let wal = guard
+            .as_ref()
+            .ok_or_else(|| invariant_err("no wal to ship"))?;
+        let horizon = match self.shared.config.durability {
+            Durability::Sync => wal.synced_lsn(),
+            _ => wal.flushed_lsn(),
+        };
+        read(wal, horizon)
     }
 }
 

@@ -15,6 +15,14 @@
 
 use crate::progress::{outprogress, MergeProgress};
 
+/// Spring-and-gear low water mark, as a fraction of `mem_budget`: below
+/// it writes flow freely and downstream merges idle (§4.3).
+pub const LOW_WATER: f64 = 0.5;
+
+/// Spring-and-gear high water mark, as a fraction of `mem_budget`: a
+/// `C0:C1` pass starts here, and above it the serving tier sheds writes.
+pub const HIGH_WATER: f64 = 0.9;
+
 /// The spring-and-gear watermark state, exported as a shared backpressure
 /// signal (§4.3's "spring").
 ///
@@ -295,10 +303,9 @@ pub fn make_scheduler(config: &crate::BLsmConfig) -> Box<dyn MergeScheduler> {
     match config.scheduler {
         crate::SchedulerKind::Naive => Box::new(NaiveScheduler),
         crate::SchedulerKind::Gear => Box::new(GearScheduler),
-        crate::SchedulerKind::SpringGear => Box::new(SpringGearScheduler::new(
-            config.low_water,
-            config.high_water,
-        )),
+        crate::SchedulerKind::SpringGear => {
+            Box::new(SpringGearScheduler::new(LOW_WATER, HIGH_WATER))
+        }
     }
 }
 

@@ -427,7 +427,7 @@ mod tests {
         let db = ThreadedBLsm::start(tree, 1 << 20).unwrap();
         // Spring-and-gear starts a pass at the high water mark: fill to
         // just under it (above `Idle`, no merge yet).
-        let high = (db.config().high_water * db.config().mem_budget as f64) as usize;
+        let high = (crate::HIGH_WATER * db.config().mem_budget as f64) as usize;
         let mut i = 0u32;
         let mut put_next = || {
             i += 1;

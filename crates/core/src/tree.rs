@@ -59,6 +59,10 @@ use crate::read::{ReadView, ScanItem, TreeScrubReport};
 use crate::sched::{make_scheduler, MergeScheduler, SchedInputs};
 use crate::stats::{self, RecoveryReport, TreeStats, TreeStatsSnapshot};
 
+/// Upper bound on merge bytes processed in one burst of inline work;
+/// bounds the latency any single write can observe from pacing.
+const WORK_QUANTUM: u64 = 4 << 20;
+
 /// A general purpose log structured merge tree (the paper's system).
 ///
 /// Writes and reads are `&self` and safe from any number of threads;
@@ -181,6 +185,7 @@ impl BLsmTree {
             wal: Mutex::new(None),
             commit: Mutex::new(crate::commit::CommitState::default()),
             commit_cv: parking_lot::Condvar::new(),
+            commit_failures: AtomicU64::new(0),
             durable: AtomicU64::new(0),
             unsynced_writes: AtomicU64::new(0),
             stats: TreeStats::default(),
@@ -329,7 +334,7 @@ impl BLsmTree {
     /// counter read, no locks. Monotone non-decreasing over the life of
     /// an open tree (the concurrency hammer asserts exactly that).
     pub fn next_seqno(&self) -> u64 {
-        self.shared.next_seqno()
+        self.read_view().next_seqno()
     }
 
     /// The highest seqno this tree has *fully applied* (WAL + `C0`),
@@ -337,7 +342,7 @@ impl BLsmTree {
     /// (a reservation counter), this never covers a write whose apply
     /// failed — it is the horizon replication acks report.
     pub fn applied_seqno(&self) -> u64 {
-        self.shared.applied_seqno()
+        self.read_view().applied_seqno()
     }
 
     /// Data bytes in each on-disk component `(C1, C1', C2)`.
@@ -515,7 +520,7 @@ impl BLsmTree {
     ///
     /// Below the low watermark no scheduler starts a merge (naive and
     /// spring-and-gear wait for the hard cap resp. high water; gear's
-    /// fill unit is at least `low_water * mem_budget`), so waking the
+    /// fill unit is at least `LOW_WATER * mem_budget`), so waking the
     /// merge thread would buy a futex syscall and a context switch per
     /// write just to find nothing to do. That cost is invisible with one
     /// busy tree (the merge thread is rarely parked) but dominates with
@@ -620,30 +625,26 @@ impl BLsmTree {
     ///
     /// Fails on a tree running with durability off (no WAL to ship).
     pub fn wal_window(&self) -> Result<(u64, u64)> {
-        self.shared.wal_window()
+        self.read_view().wal_window()
     }
 
     /// Reads already-durable WAL records from `start_lsn` for shipping
-    /// to a replication follower, returning the records and the LSN the
-    /// next read should resume from. The readable window ends at the
-    /// [`wal_window`](Self::wal_window) horizon.
+    /// to a replication follower — up to `budget` payload bytes, but at
+    /// least one record when any is readable — returning the records and
+    /// the LSN the next read should resume from. The readable window ends
+    /// at the [`wal_window`](Self::wal_window) horizon.
     ///
     /// # Errors
     ///
     /// [`StorageError::SnapshotNeeded`] when `start_lsn` predates the
     /// ring's truncation point (the follower is too far behind the log);
-    /// see [`blsm_storage::Wal::records_from`] for the full contract.
-    pub fn wal_records_from(&self, start_lsn: u64) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        self.shared.wal_records_from(start_lsn)
-    }
-
-    /// A cloneable handle onto this tree's replication-facing state
-    /// (seqno counter + WAL window), for shipper threads that outlive
-    /// any borrow of the tree itself.
-    pub fn repl_source(&self) -> ReplSource {
-        ReplSource {
-            shared: Arc::clone(&self.shared),
-        }
+    /// see [`blsm_storage::Wal::records_up_to`] for the full contract.
+    pub fn wal_records_from(
+        &self,
+        start_lsn: u64,
+        budget: usize,
+    ) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
+        self.read_view().wal_records_from(start_lsn, budget)
     }
 
     /// Appends one record to the WAL and performs the paired `C0` insert
@@ -660,6 +661,11 @@ impl BLsmTree {
     /// the caller hands to `wait_durable`. The group leader's fsync runs
     /// *outside* this mutex, so appends overlap the device sync; that
     /// overlap is the whole batching mechanism (see `commit.rs`).
+    ///
+    /// Under `Durability::Buffered` the record is appended and flushed as
+    /// one all-or-nothing step before the insert: a failed flush takes
+    /// it back out of the log, so a failed write is in neither the log
+    /// nor `C0`.
     fn log_and_insert(&self, key: Bytes, v: Versioned) -> Result<Option<u64>> {
         // Ring full: checkpoint by completing the in-flight pass (which
         // truncates), then retry. Concurrent writers can refill the ring
@@ -671,14 +677,18 @@ impl BLsmTree {
         // order).
         const MAX_FULL_RETRIES: u32 = 8;
         let payload = encode_wal_record(&key, &v);
+        let sync = self.shared.config.durability == Durability::Sync;
         let mut guard = self.shared.wal.lock();
         let mut attempts = 0;
         loop {
-            match guard
+            let wal = guard
                 .as_mut()
-                .ok_or_else(|| invariant_err("durable tree lost its wal"))?
-                .append(&payload)
-            {
+                .ok_or_else(|| invariant_err("durable tree lost its wal"))?;
+            match if sync {
+                wal.append(&payload)
+            } else {
+                wal.append_flush(&payload)
+            } {
                 Ok(_) => break,
                 Err(e @ StorageError::OutOfSpace { .. }) => {
                     if attempts >= MAX_FULL_RETRIES {
@@ -695,22 +705,15 @@ impl BLsmTree {
         let wal = guard
             .as_mut()
             .ok_or_else(|| invariant_err("wal vanished after append"))?;
-        let target = match self.shared.config.durability {
-            Durability::Buffered => {
-                wal.flush()?;
-                None
-            }
-            Durability::Sync => {
-                // Join the open commit group: counted under the wal
-                // mutex, so the leader's flush-time swap reads exactly
-                // the appends its flush covered (see `catalog.rs`).
-                // ordering: AcqRel RMW under the wal mutex — group
-                // bookkeeping, not a synchronization edge.
-                self.shared.unsynced_writes.fetch_add(1, Ordering::AcqRel);
-                Some(wal.tail_lsn())
-            }
-            Durability::None => None,
-        };
+        let target = sync.then(|| {
+            // Join the open commit group: counted under the wal mutex,
+            // so the leader's flush-time swap reads exactly the appends
+            // its flush covered (see `catalog.rs`).
+            // ordering: AcqRel RMW under the wal mutex — group
+            // bookkeeping, not a synchronization edge.
+            self.shared.unsynced_writes.fetch_add(1, Ordering::AcqRel);
+            wal.tail_lsn()
+        });
         self.shared.c0.insert(key, v, self.shared.op.as_ref());
         Ok(target)
     }
@@ -794,17 +797,11 @@ impl BLsmTree {
                 let inputs = self.sched_inputs(&m, incoming);
                 let plan = m.scheduler.plan(&inputs);
                 if plan.merge01_bytes > 0 {
-                    self.run_merge01_locked(
-                        &mut m,
-                        plan.merge01_bytes.min(self.shared.config.work_quantum),
-                    )?;
+                    self.run_merge01_locked(&mut m, plan.merge01_bytes.min(WORK_QUANTUM))?;
                     ran_quantum = true;
                 }
                 if plan.merge12_bytes > 0 {
-                    self.run_merge12_locked(
-                        &mut m,
-                        plan.merge12_bytes.min(self.shared.config.work_quantum),
-                    )?;
+                    self.run_merge12_locked(&mut m, plan.merge12_bytes.min(WORK_QUANTUM))?;
                     ran_quantum = true;
                 }
                 self.quantum_boundary_check(&mut m, ran_quantum)?;
@@ -837,7 +834,7 @@ impl BLsmTree {
                 }
                 self.start_merge01_locked(&mut m)?;
             }
-            self.run_merge01_locked(&mut m, self.shared.config.work_quantum.max(1 << 20))?;
+            self.run_merge01_locked(&mut m, WORK_QUANTUM)?;
             self.quantum_boundary_check(&mut m, true)?;
         }
         Ok(())
@@ -1198,109 +1195,6 @@ impl Drop for AdmissionClaim<'_> {
     fn drop(&mut self) {
         // ordering: AcqRel — see `TreeShared::admitted_inflight`.
         self.inflight.fetch_sub(self.bytes, Ordering::AcqRel);
-    }
-}
-
-/// A cloneable, thread-safe handle onto one tree's replication-facing
-/// state: the seqno ticket counter and the WAL's durable window. A
-/// leader's shipper threads hold one of these (an `Arc` of the tree's
-/// shared state, not a borrow), so shipping outlives any particular
-/// borrow of the engine and adds **no locks** beyond the tree's own
-/// `wal` mutex, taken with nothing held.
-#[derive(Clone)]
-pub struct ReplSource {
-    shared: Arc<TreeShared>,
-}
-
-impl std::fmt::Debug for ReplSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplSource").finish_non_exhaustive()
-    }
-}
-
-impl ReplSource {
-    /// The next seqno the tree would allocate (see [`BLsmTree::next_seqno`]).
-    pub fn next_seqno(&self) -> u64 {
-        self.shared.next_seqno()
-    }
-
-    /// The highest seqno this node has fully applied — the horizon
-    /// replication acks and failover elections compare (see
-    /// [`BLsmTree::applied_seqno`]).
-    pub fn applied_seqno(&self) -> u64 {
-        self.shared.applied_seqno()
-    }
-
-    /// The WAL's live shippable window `(head, horizon)` (see
-    /// [`BLsmTree::wal_window`] — under group commit the horizon is the
-    /// last synced group boundary).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a tree running with durability off.
-    pub fn wal_window(&self) -> Result<(u64, u64)> {
-        self.shared.wal_window()
-    }
-
-    /// Already-durable WAL records from `start_lsn`, plus the resume
-    /// LSN — the shipping read (see [`BLsmTree::wal_records_from`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::SnapshotNeeded`] when `start_lsn` was truncated
-    /// away; corruption/format errors per [`blsm_storage::Wal::records_from`].
-    pub fn wal_records_from(&self, start_lsn: u64) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        self.shared.wal_records_from(start_lsn)
-    }
-}
-
-/// The replication-facing reads, implemented once for both handles
-/// ([`BLsmTree`] and [`ReplSource`]); the contracts are documented on the
-/// `BLsmTree` methods of the same names.
-impl TreeShared {
-    fn next_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry`; see the field docs in `catalog.rs`.
-        self.next_seqno.load(Ordering::Acquire)
-    }
-
-    fn applied_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel floor advance in
-        // `insert_versioned`; see the field docs in `catalog.rs`.
-        self.applied_floor.load(Ordering::Acquire).saturating_sub(1)
-    }
-
-    fn wal_window(&self) -> Result<(u64, u64)> {
-        let guard = self.wal.lock();
-        let wal = guard
-            .as_ref()
-            .ok_or_else(|| invariant_err("wal_window on a tree without a wal"))?;
-        Ok((wal.head_lsn(), ship_horizon(&self.config, wal)))
-    }
-
-    fn wal_records_from(&self, start_lsn: u64) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        let guard = self.wal.lock();
-        let wal = guard
-            .as_ref()
-            .ok_or_else(|| invariant_err("wal_records_from on a tree without a wal"))?;
-        let records = wal.records_up_to(start_lsn, ship_horizon(&self.config, wal))?;
-        let next = records.last().map_or(start_lsn, |r| {
-            r.lsn + blsm_storage::wal::FRAME_HEADER_LEN as u64 + r.payload.len() as u64
-        });
-        Ok((records, next))
-    }
-}
-
-/// The LSN horizon replication may ship up to: under `Durability::Sync`
-/// the last synced group boundary (a record must be durable *here*
-/// before a follower can ack it elsewhere), otherwise the flushed tail —
-/// the historical behaviour, where the shipping path never saw the two
-/// watermarks diverge.
-fn ship_horizon(config: &BLsmConfig, wal: &Wal) -> u64 {
-    if config.durability == Durability::Sync {
-        wal.synced_lsn()
-    } else {
-        wal.flushed_lsn()
     }
 }
 

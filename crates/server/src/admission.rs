@@ -19,15 +19,6 @@
 //! Reads are never throttled: the lock-free read path does not touch
 //! `C0` capacity, so pressing on readers would only add latency without
 //! relieving anything.
-//!
-//! **Lanes.** The reactor front end (DESIGN.md §11) admits writes from
-//! N reactor threads concurrently, so the decision counters are striped
-//! into per-reactor *lanes*: [`AdmissionController::write_admission_on`]
-//! records on the caller's own cache-line-aligned lane and
-//! [`AdmissionController::counters`] sums them at STATS time. The
-//! admission *decision* needs no cross-lane state — it reads one
-//! backpressure level — so striping removes the last shared write in
-//! the admission path without changing any verdict.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -67,28 +58,20 @@ pub enum WriteAdmission {
     },
 }
 
-/// One lane's decision counters, padded to a cache line so reactors
-/// recording on adjacent lanes never contend on the same line.
+/// Shared admission state: the policy plus the decision counters
+/// exposed via STATS.
 ///
 /// Counters use `SeqCst` for simplicity — admission decisions are per
 /// request, far off any hot path where ordering relaxation would pay.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct LaneCounters {
+#[derive(Debug)]
+pub struct AdmissionController {
+    config: AdmissionConfig,
     // ordering: SeqCst — per-request decision counters, off any hot path.
     admitted: AtomicU64,
     // ordering: SeqCst — per-request decision counters, off any hot path.
     delayed: AtomicU64,
     // ordering: SeqCst — per-request decision counters, off any hot path.
     rejected: AtomicU64,
-}
-
-/// Shared admission state: the policy plus lane-striped counters
-/// exposed via STATS.
-#[derive(Debug)]
-pub struct AdmissionController {
-    config: AdmissionConfig,
-    lanes: Vec<LaneCounters>,
 }
 
 impl Default for AdmissionController {
@@ -109,53 +92,36 @@ pub struct AdmissionCounters {
 }
 
 impl AdmissionController {
-    /// A single-lane controller with the given policy (the in-process
-    /// and test-harness configuration).
+    /// A controller with the given policy and zeroed counters.
     pub fn new(config: AdmissionConfig) -> AdmissionController {
-        AdmissionController::with_lanes(config, 1)
-    }
-
-    /// A controller with one counter lane per reactor thread; `lanes`
-    /// is clamped to at least 1.
-    pub fn with_lanes(config: AdmissionConfig, lanes: usize) -> AdmissionController {
         AdmissionController {
             config,
-            lanes: (0..lanes.max(1)).map(|_| LaneCounters::default()).collect(),
+            admitted: AtomicU64::new(0),
+            delayed: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
         }
     }
 
-    /// Number of counter lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Decides the fate of one write given the current backpressure
-    /// level, recording the decision on lane 0.
+    /// level, and counts the decision.
     pub fn write_admission(&self, level: BackpressureLevel) -> WriteAdmission {
-        self.write_admission_on(0, level)
-    }
-
-    /// [`AdmissionController::write_admission`], recording on `lane`
-    /// (the caller's reactor index; wrapped into range).
-    pub fn write_admission_on(&self, lane: usize, level: BackpressureLevel) -> WriteAdmission {
-        let counters = &self.lanes[lane % self.lanes.len()];
         match level {
             BackpressureLevel::Idle => {
-                counters.admitted.fetch_add(1, Ordering::SeqCst);
+                self.admitted.fetch_add(1, Ordering::SeqCst);
                 WriteAdmission::Admit
             }
             BackpressureLevel::Paced(_) => {
                 let delay = self.config.max_paced_delay.mul_f64(level.fraction());
                 if delay.is_zero() {
-                    counters.admitted.fetch_add(1, Ordering::SeqCst);
+                    self.admitted.fetch_add(1, Ordering::SeqCst);
                     WriteAdmission::Admit
                 } else {
-                    counters.delayed.fetch_add(1, Ordering::SeqCst);
+                    self.delayed.fetch_add(1, Ordering::SeqCst);
                     WriteAdmission::Delay(delay)
                 }
             }
             BackpressureLevel::Saturated => {
-                counters.rejected.fetch_add(1, Ordering::SeqCst);
+                self.rejected.fetch_add(1, Ordering::SeqCst);
                 WriteAdmission::RetryLater {
                     backoff_ms: self.config.retry_backoff_ms,
                 }
@@ -163,24 +129,12 @@ impl AdmissionController {
         }
     }
 
-    /// Counter snapshot, summed across every lane.
+    /// Counter snapshot.
     pub fn counters(&self) -> AdmissionCounters {
-        let mut total = AdmissionCounters::default();
-        for lane in &self.lanes {
-            total.admitted += lane.admitted.load(Ordering::SeqCst);
-            total.delayed += lane.delayed.load(Ordering::SeqCst);
-            total.rejected += lane.rejected.load(Ordering::SeqCst);
-        }
-        total
-    }
-
-    /// One lane's own counters (observability for per-reactor skew).
-    pub fn lane_counters(&self, lane: usize) -> AdmissionCounters {
-        let c = &self.lanes[lane % self.lanes.len()];
         AdmissionCounters {
-            admitted: c.admitted.load(Ordering::SeqCst),
-            delayed: c.delayed.load(Ordering::SeqCst),
-            rejected: c.rejected.load(Ordering::SeqCst),
+            admitted: self.admitted.load(Ordering::SeqCst),
+            delayed: self.delayed.load(Ordering::SeqCst),
+            rejected: self.rejected.load(Ordering::SeqCst),
         }
     }
 }
@@ -228,24 +182,5 @@ mod tests {
         );
         assert_eq!(ctl.counters().admitted, 1);
         assert_eq!(ctl.counters().delayed, 0);
-    }
-
-    #[test]
-    fn lanes_record_separately_and_sum_in_counters() {
-        let ctl = AdmissionController::with_lanes(AdmissionConfig::default(), 4);
-        assert_eq!(ctl.lane_count(), 4);
-        for lane in 0..4 {
-            for _ in 0..=lane {
-                ctl.write_admission_on(lane, BackpressureLevel::Idle);
-            }
-        }
-        for lane in 0..4 {
-            assert_eq!(ctl.lane_counters(lane).admitted, lane as u64 + 1);
-        }
-        // Out-of-range lanes wrap instead of panicking.
-        ctl.write_admission_on(6, BackpressureLevel::Saturated);
-        assert_eq!(ctl.lane_counters(2).rejected, 1);
-        let total = ctl.counters();
-        assert_eq!((total.admitted, total.rejected), (10, 1));
     }
 }

@@ -22,19 +22,21 @@ use crate::protocol::{
     WireStats,
 };
 
+/// Base reconnect backoff; doubles per consecutive failure, capped at
+/// [`MAX_RECONNECT_BACKOFF`], then *fully jittered* — each sleep is
+/// uniform in `[0, backoff]` so a fleet of clients cut off by the same
+/// failover does not reconnect in lockstep.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Ceiling the reconnect backoff's doubling stops at.
+const MAX_RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
+
 /// Client tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientConfig {
     /// Attempts per logical operation (I/O failures and RETRY_LATER
     /// replies both consume attempts).
     pub max_attempts: u32,
-    /// Base reconnect backoff; doubles per consecutive failure, capped
-    /// at `max_reconnect_backoff`, then *fully jittered* — each sleep is
-    /// uniform in `[0, backoff]` so a fleet of clients cut off by the
-    /// same failover does not reconnect in lockstep.
-    pub reconnect_backoff: Duration,
-    /// Ceiling the doubling stops at.
-    pub max_reconnect_backoff: Duration,
     /// Socket read timeout (an unresponsive server surfaces as an
     /// I/O error rather than a hang).
     pub read_timeout: Duration,
@@ -44,8 +46,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             max_attempts: 8,
-            reconnect_backoff: Duration::from_millis(10),
-            max_reconnect_backoff: Duration::from_secs(1),
             read_timeout: Duration::from_secs(10),
         }
     }
@@ -112,63 +112,17 @@ impl Client {
         }
     }
 
-    /// Single-shot request/response over the current connection; any
-    /// I/O failure drops the connection (the next call reconnects).
+    /// Single-shot request/response over the current connection: a
+    /// one-request [`Client::pipeline`]. Any I/O failure drops the
+    /// connection (the next call reconnects).
     ///
     /// # Errors
     ///
-    /// Fails with [`StorageError::Io`] on socket errors and
-    /// [`StorageError::InvalidFormat`] on protocol violations
-    /// (mismatched ids, garbage frames).
+    /// As [`Client::pipeline`].
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut wire = Vec::new();
-        encode_request(&mut wire, id, req)?;
-        let out = (|| -> Result<Response> {
-            let config_read_timeout = self.config.read_timeout;
-            let stream = self.ensure_connected()?;
-            stream.write_all(&wire).map_err(StorageError::Io)?;
-            stream.flush().map_err(StorageError::Io)?;
-            let deadline = std::time::Instant::now() + config_read_timeout;
-            let mut buf = [0u8; 8 << 10];
-            loop {
-                if let Some(payload) = self.decoder.next_frame()? {
-                    let (got, resp) = decode_response(&payload)?;
-                    if got != id {
-                        // A stale reply from a previous (torn) exchange.
-                        // We never pipeline within one `call`, so skip it.
-                        continue;
-                    }
-                    return Ok(resp);
-                }
-                if std::time::Instant::now() >= deadline {
-                    return Err(StorageError::Io(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "response deadline exceeded",
-                    )));
-                }
-                let Some(stream) = self.stream.as_mut() else {
-                    return Err(StorageError::Io(std::io::Error::other("no stream")));
-                };
-                match stream.read(&mut buf) {
-                    Ok(0) => {
-                        return Err(StorageError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        )))
-                    }
-                    Ok(n) => self.decoder.feed(&buf[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(StorageError::Io(e)),
-                }
-            }
-        })();
-        if out.is_err() {
-            // Connection state is unknown; force a reconnect next time.
-            self.stream = None;
-        }
-        out
+        self.pipeline(std::slice::from_ref(req))?
+            .pop()
+            .ok_or_else(|| StorageError::InvalidFormat("pipeline of one returned nothing".into()))
     }
 
     /// Pipelines `reqs` over the connection: every request frame is
@@ -178,15 +132,14 @@ impl Client {
     ///
     /// This is the client half of the group-commit bargain: N durable
     /// writes in one pipeline cost one round trip and (typically) one
-    /// server-side fsync, instead of N of each. Single-shot like
-    /// [`Client::call`]: no retry, and any failure drops the connection
-    /// so the next call reconnects.
+    /// server-side fsync, instead of N of each. Single-shot: no retry,
+    /// and any failure drops the connection so the next call reconnects.
     ///
     /// # Errors
     ///
     /// Fails with [`StorageError::Io`] on socket errors or timeout and
-    /// [`StorageError::InvalidFormat`] on protocol violations (unknown
-    /// response ids, garbage frames).
+    /// [`StorageError::InvalidFormat`] on protocol violations (garbage
+    /// frames).
     pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
@@ -265,10 +218,7 @@ impl Client {
     /// hint keeps at least half its value so the server still gets the
     /// breathing room it asked for.
     fn call_retrying(&mut self, req: &Request) -> Result<Response> {
-        let mut backoff = self
-            .config
-            .reconnect_backoff
-            .min(self.config.max_reconnect_backoff);
+        let mut backoff = RECONNECT_BACKOFF;
         let mut last_err: Option<StorageError> = None;
         for _ in 0..self.config.max_attempts.max(1) {
             match self.call(req) {
@@ -294,7 +244,7 @@ impl Client {
                             self.jitter.random_range(0..=ceil),
                         ));
                     }
-                    backoff = (backoff * 2).min(self.config.max_reconnect_backoff);
+                    backoff = (backoff * 2).min(MAX_RECONNECT_BACKOFF);
                     last_err = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -443,20 +393,11 @@ impl Client {
         Self::expect_ok(self.call(&Request::Shutdown)?)
     }
 
-    /// Opens (or re-opens) a replication shipping session: single-shot,
-    /// no retry — the shipper loop owns its own retry policy, and the
-    /// raw [`Response`] comes back so it can distinguish an ack from a
-    /// fencing error.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors or protocol violations.
-    pub fn repl_subscribe(&mut self, leader_id: u64, epoch: u64) -> Result<Response> {
-        self.call(&Request::ReplSubscribe { leader_id, epoch })
-    }
-
-    /// Ships one batch of WAL records (single-shot, raw response — see
-    /// [`Client::repl_subscribe`]).
+    /// Ships one batch of WAL records (an empty one at
+    /// `from_lsn = next_lsn = u64::MAX` opens a shipping session and
+    /// learns the follower's cursor). Single-shot, no retry — the
+    /// shipper loop owns its own retry policy, and the raw [`Response`]
+    /// comes back so it can distinguish an ack from a fencing error.
     ///
     /// # Errors
     ///

@@ -54,25 +54,17 @@ pub enum Request {
     /// Verify every on-disk component (checksums, ordering, Bloom
     /// agreement) and report the findings.
     Scrub,
-    /// Replication handshake, sent by a leader to a follower when a
-    /// shipping session opens (or re-opens after a fault). The follower
-    /// answers [`Response::ReplAck`] naming the leader-WAL LSN it wants
-    /// next, and adopts `epoch` if it is newer than its own — which is
-    /// also how a stale leader discovers it has been fenced (the ack
-    /// carries an epoch above the one it sent).
-    ReplSubscribe {
-        /// The sending leader's node id.
-        leader_id: u64,
-        /// The sending leader's epoch.
-        epoch: u64,
-    },
     /// One batch of already-durable leader WAL records, in LSN order.
     /// `from_lsn`/`next_lsn` bracket the batch in the **leader's** log,
     /// so the follower can detect dropped or duplicated batches without
     /// trusting delivery order; `records` are raw logical WAL payloads
     /// (kind | seqno | key | value), each applied through the follower's
     /// normal write path. An empty batch is a heartbeat that still
-    /// exercises the epoch fence.
+    /// exercises the epoch fence; an empty batch at
+    /// `from_lsn = next_lsn = u64::MAX` opens a shipping session — the
+    /// follower adopts `epoch` if it is newer than its own and answers
+    /// with the cursor it wants next, applying nothing (an ack carrying
+    /// a higher epoch is how a stale leader learns it was fenced).
     Replicate {
         /// The sending leader's node id.
         leader_id: u64,
@@ -127,7 +119,6 @@ impl Request {
             Request::Stats => 7,
             Request::Shutdown => 8,
             Request::Scrub => 9,
-            Request::ReplSubscribe { .. } => 10,
             Request::Replicate { .. } => 11,
             Request::Promote { .. } => 12,
         }
@@ -148,7 +139,8 @@ pub enum ReplRole {
 }
 
 impl ReplRole {
-    fn to_u8(self) -> u8 {
+    /// One-byte encoding, shared by the wire and `ReplState`'s atomic.
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             ReplRole::Standalone => 0,
             ReplRole::Leader => 1,
@@ -156,7 +148,7 @@ impl ReplRole {
         }
     }
 
-    fn from_u8(v: u8) -> Result<ReplRole> {
+    pub(crate) fn from_u8(v: u8) -> Result<ReplRole> {
         Ok(match v {
             0 => ReplRole::Standalone,
             1 => ReplRole::Leader,
@@ -406,8 +398,8 @@ pub enum Response {
     },
     /// SCRUB findings.
     ScrubReport(WireScrubReport),
-    /// Follower's answer to [`Request::ReplSubscribe`], every applied
-    /// [`Request::Replicate`] batch, and [`Request::Promote`]. `epoch`
+    /// Follower's answer to every [`Request::Replicate`] (the opening
+    /// one included) and to [`Request::Promote`]. `epoch`
     /// is the follower's *current* epoch — a leader seeing one above its
     /// own has been fenced; `next_lsn` names the leader-WAL LSN the
     /// follower wants next (on a batch mismatch it repeats the expected
@@ -492,10 +484,6 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, req: &Request) -> Result<()> {
             }
             codec::put_u32(&mut payload, *limit);
         }
-        Request::ReplSubscribe { leader_id, epoch } => {
-            codec::put_u64(&mut payload, *leader_id);
-            codec::put_u64(&mut payload, *epoch);
-        }
         Request::Replicate {
             leader_id,
             epoch,
@@ -565,10 +553,6 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request)> {
         7 => Request::Stats,
         8 => Request::Shutdown,
         9 => Request::Scrub,
-        10 => Request::ReplSubscribe {
-            leader_id: r.u64()?,
-            epoch: r.u64()?,
-        },
         11 => {
             let leader_id = r.u64()?;
             let epoch = r.u64()?;
@@ -1037,10 +1021,6 @@ mod tests {
         roundtrip_request(Request::Stats);
         roundtrip_request(Request::Shutdown);
         roundtrip_request(Request::Scrub);
-        roundtrip_request(Request::ReplSubscribe {
-            leader_id: 3,
-            epoch: 12,
-        });
         roundtrip_request(Request::Replicate {
             leader_id: 3,
             epoch: 12,
@@ -1063,10 +1043,6 @@ mod tests {
         // Replication frames bypass per-key admission: they carry no
         // routing key and must not look like throttleable writes.
         for req in [
-            Request::ReplSubscribe {
-                leader_id: 1,
-                epoch: 1,
-            },
             Request::Replicate {
                 leader_id: 1,
                 epoch: 1,

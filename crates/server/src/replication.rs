@@ -3,17 +3,18 @@
 //!
 //! One leader streams its already-durable logical WAL records to a
 //! static set of follower servers over the existing length-prefixed
-//! protocol ([`crate::protocol`]): `REPL_SUBSCRIBE` opens (or re-opens)
-//! a shipping session, `REPLICATE` carries batches of raw WAL payloads
-//! bracketed by leader-WAL LSNs, and every reply is a `REPL_ACK` naming
-//! the follower's current epoch, its applied seqno, and the LSN it
-//! wants next. Followers apply records through the engine's normal
-//! `&self` write path (keeping the *leader's* seqnos via
-//! [`blsm::ThreadedBLsm::apply_replicated`], which skips duplicates),
-//! log them in their own WAL for independent durability, and serve
-//! snapshot-consistent reads from the lock-free read view — a follower
-//! never surfaces a seqno it has not fully applied, because records
-//! land through the same atomic insert path local writes use.
+//! protocol ([`crate::protocol`]): `REPLICATE` carries batches of raw
+//! WAL payloads bracketed by leader-WAL LSNs (an empty one at
+//! `CURSOR_UNSET` opens, or re-opens, a shipping session), and every
+//! reply is a `REPL_ACK` naming the follower's current epoch, its
+//! applied seqno, and the LSN it wants next. Followers apply records
+//! through the engine's normal `&self` write path (keeping the
+//! *leader's* seqnos via [`blsm::ThreadedBLsm::apply_replicated`],
+//! which skips duplicates), log them in their own WAL for independent
+//! durability, and serve snapshot-consistent reads from the lock-free
+//! read view — a follower never surfaces a seqno it has not fully
+//! applied, because records land through the same atomic insert path
+//! local writes use.
 //!
 //! **Fencing.** Every replication frame carries `(epoch, leader_id)`.
 //! A receiver rejects epochs below its own with a typed
@@ -48,10 +49,11 @@
 //!
 //! **Concurrency invariant — no new locks.** This module owns zero
 //! mutexes: all shared state is plain atomics ([`ReplState`]), shipper
-//! threads hold only `Arc<ReplState>` + [`ReplSource`] (never the
-//! server's `Inner`, so graceful shutdown's sole-owner unwrap still
-//! holds), and the only blocking is bounded sleeps. The lock-order
-//! lint's server hierarchy therefore stays empty — see
+//! threads hold only `Arc<ReplState>` + a [`ReadView`] of the engine
+//! (never the server's `Inner`, so graceful shutdown's sole-owner unwrap
+//! still holds), and the only blocking is bounded sleeps and the
+//! engine's own log mutex inside the view's shipping reads. The
+//! lock-order lint's server hierarchy therefore stays empty — see
 //! `xtask/src/rules/lock_order.rs`.
 //!
 //! The second half of this module is the network fault harness:
@@ -68,7 +70,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use blsm::{ReplSource, ThreadedBLsm};
+use blsm::{ReadView, ThreadedBLsm};
 use blsm_storage::{Result, StorageError};
 
 use crate::client::{Client, ClientConfig};
@@ -77,8 +79,13 @@ use crate::protocol::{ErrKind, ReplRole, Response, WireReplStats};
 /// A follower cursor meaning "no position yet — accept whatever the
 /// leader sends next". Set at startup and on every epoch adoption
 /// (a new leader's WAL is a new LSN space, so the old cursor is
-/// meaningless).
+/// meaningless). As a `REPLICATE` bracket it marks the session-opening
+/// frame, which applies nothing and just learns the follower's cursor.
 const CURSOR_UNSET: u64 = u64::MAX;
+
+/// Soft cap on the record bytes packed into one REPLICATE frame (a
+/// single larger record still ships, alone).
+const BATCH_BYTES: usize = 256 << 10;
 
 /// Replication tuning and topology.
 #[derive(Debug, Clone)]
@@ -95,8 +102,6 @@ pub struct ReplicationConfig {
     pub quorum_timeout: Duration,
     /// Idle poll/heartbeat interval of the shipper threads.
     pub ship_interval: Duration,
-    /// Soft cap on the record bytes packed into one REPLICATE frame.
-    pub batch_bytes: usize,
     /// Socket read timeout of shipping connections (bounds how long a
     /// mid-frame stall can hold a shipper).
     pub ship_read_timeout: Duration,
@@ -110,7 +115,6 @@ impl Default for ReplicationConfig {
             start_as_leader: false,
             quorum_timeout: Duration::from_secs(5),
             ship_interval: Duration::from_millis(20),
-            batch_bytes: 256 << 10,
             ship_read_timeout: Duration::from_secs(2),
         }
     }
@@ -130,10 +134,11 @@ pub struct ReplState {
     // exit and write-path checks see the latest flip.
     role: AtomicU8,
     /// Last known leader's node id (self when leading).
-    // ordering: Relaxed — advisory routing hint carried in errors.
+    // ordering: Release stores / Acquire loads — an advisory routing
+    // hint carried in errors; nothing else is published through it.
     leader_id: AtomicU64,
     /// Follower cursor: the leader-WAL LSN expected next
-    /// ([`CURSOR_UNSET`] = accept anything).
+    /// (`CURSOR_UNSET` = accept anything).
     // ordering: Release stores / Acquire loads — the batch apply
     // happens-before the cursor advance, so an acked cursor implies
     // fully applied records.
@@ -145,10 +150,6 @@ pub struct ReplState {
     // ordering: Release store after each ack, Acquire loads in the
     // commit gate — the follower's apply happens-before its ack.
     peer_acked: Vec<AtomicU64>,
-    /// Leader side: set when the peer's catch-up point was truncated
-    /// out of the WAL ring — log shipping cannot help it anymore.
-    // ordering: Relaxed — diagnostic flag surfaced in stats/logs.
-    peer_snapshot_needed: Vec<AtomicBool>,
 }
 
 impl ReplState {
@@ -161,7 +162,7 @@ impl ReplState {
         ReplState {
             node_id: config.node_id,
             epoch: AtomicU64::new(epoch),
-            role: AtomicU8::new(role_to_u8(role)),
+            role: AtomicU8::new(role.to_u8()),
             leader_id: AtomicU64::new(if config.start_as_leader {
                 config.node_id
             } else {
@@ -170,9 +171,6 @@ impl ReplState {
             cursor: AtomicU64::new(CURSOR_UNSET),
             stop: AtomicBool::new(false),
             peer_acked: (0..config.peers.len()).map(|_| AtomicU64::new(0)).collect(),
-            peer_snapshot_needed: (0..config.peers.len())
-                .map(|_| AtomicBool::new(false))
-                .collect(),
         }
     }
 
@@ -185,7 +183,7 @@ impl ReplState {
     /// Current role.
     pub fn role(&self) -> ReplRole {
         // ordering: Acquire — pairs with the Release role flips.
-        u8_to_role(self.role.load(Ordering::Acquire))
+        ReplRole::from_u8(self.role.load(Ordering::Acquire)).unwrap_or_default()
     }
 
     /// True while this node is the leader of exactly `epoch`.
@@ -212,8 +210,8 @@ impl ReplState {
                 if self.role() == ReplRole::Leader {
                     return false;
                 }
-                // ordering: Relaxed — advisory hint.
-                self.leader_id.store(leader_id, Ordering::Relaxed);
+                // ordering: Release — advisory hint.
+                self.leader_id.store(leader_id, Ordering::Release);
                 return true;
             }
             // ordering: AcqRel on success — the cursor reset below and
@@ -229,9 +227,9 @@ impl ReplState {
                 self.cursor.store(CURSOR_UNSET, Ordering::Release);
                 // ordering: Release — demotion visible to shippers.
                 self.role
-                    .store(role_to_u8(ReplRole::Follower), Ordering::Release);
-                // ordering: Relaxed — advisory hint.
-                self.leader_id.store(leader_id, Ordering::Relaxed);
+                    .store(ReplRole::Follower.to_u8(), Ordering::Release);
+                // ordering: Release — advisory hint.
+                self.leader_id.store(leader_id, Ordering::Release);
                 return true;
             }
         }
@@ -252,44 +250,26 @@ impl ReplState {
                 .compare_exchange_weak(cur, epoch, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                for (acked, snap) in self.peer_acked.iter().zip(&self.peer_snapshot_needed) {
-                    // ordering: Release/Relaxed — fresh term bookkeeping.
+                for acked in &self.peer_acked {
+                    // ordering: Release — fresh term bookkeeping.
                     acked.store(0, Ordering::Release);
-                    snap.store(false, Ordering::Relaxed);
                 }
                 // ordering: Release — promotion visible to the write
                 // path's follower check before any gate runs.
-                self.role
-                    .store(role_to_u8(ReplRole::Leader), Ordering::Release);
-                // ordering: Relaxed — advisory hint.
-                self.leader_id.store(self.node_id, Ordering::Relaxed);
+                self.role.store(ReplRole::Leader.to_u8(), Ordering::Release);
+                // ordering: Release — advisory hint.
+                self.leader_id.store(self.node_id, Ordering::Release);
                 return true;
             }
         }
     }
 }
 
-fn role_to_u8(r: ReplRole) -> u8 {
-    match r {
-        ReplRole::Standalone => 0,
-        ReplRole::Leader => 1,
-        ReplRole::Follower => 2,
-    }
-}
-
-fn u8_to_role(v: u8) -> ReplRole {
-    match v {
-        1 => ReplRole::Leader,
-        2 => ReplRole::Follower,
-        _ => ReplRole::Standalone,
-    }
-}
-
-/// The server's replication half: state, the engine seam, and the
-/// request handlers `serve_batch` dispatches to.
+/// The server's replication half: state, the engine's read view, and
+/// the request handlers `serve_replication` dispatches to.
 pub struct Replication {
     state: Arc<ReplState>,
-    source: ReplSource,
+    source: ReadView,
     config: ReplicationConfig,
 }
 
@@ -328,7 +308,7 @@ impl Replication {
     /// one stream per shard — future work, DESIGN.md §17) or runs
     /// without a WAL (nothing to ship).
     pub fn new(db: &ThreadedBLsm, config: ReplicationConfig) -> Result<Replication> {
-        let source = db.repl_source();
+        let source = db.read_view();
         // Fail fast if there is no WAL to ship.
         source.wal_window().map_err(|_| {
             StorageError::InvalidFormat("replication requires a durable (WAL-backed) store".into())
@@ -366,8 +346,8 @@ impl Replication {
     /// The `NotLeader` error clients get on a follower, naming the
     /// leader when known.
     pub fn not_leader_response(&self) -> Response {
-        // ordering: Relaxed — advisory hint.
-        let leader = self.state.leader_id.load(Ordering::Relaxed);
+        // ordering: Acquire — advisory hint.
+        let leader = self.state.leader_id.load(Ordering::Acquire);
         Response::Err {
             kind: ErrKind::NotLeader,
             message: if leader == u64::MAX {
@@ -438,8 +418,8 @@ impl Replication {
             return Some(Response::Err {
                 kind: ErrKind::Fenced {
                     epoch: self.state.epoch(),
-                    // ordering: Relaxed — advisory hint.
-                    leader_id: self.state.leader_id.load(Ordering::Relaxed),
+                    // ordering: Acquire — advisory hint.
+                    leader_id: self.state.leader_id.load(Ordering::Acquire),
                 },
                 message: format!(
                     "demoted while awaiting quorum (epoch {})",
@@ -459,16 +439,10 @@ impl Replication {
         None
     }
 
-    /// Handles `REPL_SUBSCRIBE` (a leader opening a shipping session).
-    pub fn handle_subscribe(&self, leader_id: u64, epoch: u64) -> Response {
-        if !self.state.follow(epoch, leader_id) {
-            return fenced(&self.state);
-        }
-        self.repl_ack()
-    }
-
     /// Handles one `REPLICATE` batch: fence, check LSN continuity,
-    /// apply through the normal write path, advance the cursor.
+    /// apply through the normal write path, advance the cursor. The
+    /// session-opening frame (`from_lsn` = `CURSOR_UNSET`) stops right
+    /// after the fence and answers with the follower's cursor.
     pub fn handle_replicate(
         &self,
         db: &ThreadedBLsm,
@@ -483,11 +457,12 @@ impl Replication {
         }
         // ordering: Acquire — pairs with the Release cursor stores.
         let expected = self.state.cursor.load(Ordering::Acquire);
-        if expected != CURSOR_UNSET && from_lsn != expected {
-            // Dropped, duplicated, or reordered batch: apply nothing and
-            // repeat the cursor so the leader rewinds. Applying here
-            // would be safe record-wise (seqnos dedupe) but would let a
-            // gap in the stream go unnoticed.
+        if from_lsn == CURSOR_UNSET || (expected != CURSOR_UNSET && from_lsn != expected) {
+            // A session opening, or a dropped, duplicated, or reordered
+            // batch: apply nothing and repeat the cursor so the leader
+            // (re)starts from it. Applying a mismatched batch would be
+            // safe record-wise (seqnos dedupe) but would let a gap in
+            // the stream go unnoticed.
             return self.repl_ack();
         }
         // Group commit across the batch: every record appends without
@@ -588,7 +563,7 @@ impl Replication {
 
     /// Starts one shipper thread per peer for leadership term `epoch`.
     /// Threads are detached by design: they hold only `Arc<ReplState>`
-    /// and [`ReplSource`] (never the server), and exit on their own as
+    /// and a [`ReadView`] (never the server), and exit on their own as
     /// soon as the epoch moves, the role flips, or `stop` is set.
     fn spawn_shippers(&self, epoch: u64) {
         for (idx, peer) in self.config.peers.iter().enumerate() {
@@ -606,6 +581,16 @@ impl Replication {
     }
 }
 
+/// A one-attempt connection: replication traffic owns its retry policy
+/// and inspects raw (fencing) responses itself.
+fn single_shot(addr: &str, read_timeout: Duration) -> Result<Client> {
+    let config = ClientConfig {
+        max_attempts: 1,
+        read_timeout,
+    };
+    Client::with_config(addr, config)
+}
+
 /// Peers (excluding the leader) that must ack before a write commits:
 /// majority of `peers + 1` total nodes, minus the leader's own vote.
 fn quorum_peers(peers: usize) -> usize {
@@ -619,57 +604,46 @@ fn quorum_peers(peers: usize) -> usize {
 /// of fabricating an epoch locally.
 fn fenced(state: &ReplState) -> Response {
     let epoch = state.epoch();
-    // ordering: Relaxed — advisory hint.
-    let leader_id = state.leader_id.load(Ordering::Relaxed);
+    // ordering: Acquire — advisory hint.
+    let leader_id = state.leader_id.load(Ordering::Acquire);
     Response::Err {
         kind: ErrKind::Fenced { epoch, leader_id },
         message: format!("fenced: receiver is at epoch {epoch}"),
     }
 }
 
-/// One leadership term's shipping loop toward one peer: connect,
-/// subscribe, stream batches from the WAL, track acks, and exit the
-/// moment this node stops being the leader of `epoch`.
+/// One leadership term's shipping loop toward one peer: connect, open
+/// the session, send one bounded batch from the WAL per iteration,
+/// track acks, and exit the moment this node stops being the leader of
+/// `epoch`.
 fn shipper_loop(
     state: &Arc<ReplState>,
-    source: &ReplSource,
+    source: &ReadView,
     config: &ReplicationConfig,
     peer_idx: usize,
     peer: &str,
     epoch: u64,
 ) {
-    let client_config = ClientConfig {
-        max_attempts: 1,
-        read_timeout: config.ship_read_timeout,
-        ..ClientConfig::default()
-    };
     let mut reconnect = Duration::from_millis(10);
     'session: while state.leading_at(epoch) {
-        let Ok(mut client) = Client::with_config(peer, client_config) else {
+        let Ok(mut client) = single_shot(peer, config.ship_read_timeout) else {
             std::thread::sleep(reconnect);
             reconnect = (reconnect * 2).min(Duration::from_millis(500));
             continue 'session;
         };
         reconnect = Duration::from_millis(10);
-        let mut cursor = match client.repl_subscribe(state.node_id, epoch) {
-            Ok(resp) => match ack_cursor(state, source, epoch, &resp) {
-                AckOutcome::Resume(lsn) => lsn,
-                AckOutcome::Fenced => return,
-                AckOutcome::Broken => continue 'session,
-            },
-            Err(_) => continue 'session,
-        };
+        // The session's first frame is the empty opening `REPLICATE` at
+        // `CURSOR_UNSET`; the follower answers with its cursor.
+        let mut cursor = CURSOR_UNSET;
         while state.leading_at(epoch) {
             // WAL gone (server shutting down): nothing to ship.
-            let Ok((head, flushed)) = source.wal_window() else {
+            let Ok((head, horizon)) = source.wal_window() else {
                 return;
             };
             if cursor < head {
                 // The ring truncated past this peer's catch-up point:
                 // the records it lacks are gone, so log shipping alone
                 // cannot repair it (it needs a full state copy).
-                // ordering: Relaxed — diagnostic flag.
-                state.peer_snapshot_needed[peer_idx].store(true, Ordering::Relaxed);
                 eprintln!(
                     "blsm-server: peer {peer} needs a snapshot \
                      (wants lsn {cursor}, wal head is {head})"
@@ -677,13 +651,16 @@ fn shipper_loop(
                 std::thread::sleep(config.ship_interval.max(Duration::from_millis(50)));
                 continue;
             }
-            let (records, resume) = if cursor >= flushed {
-                // Nothing new: heartbeat. Keeps the epoch fence fresh
-                // and the peer's ack (hence the commit gate) current.
-                std::thread::sleep(config.ship_interval);
+            let (records, next) = if cursor >= horizon {
+                // Nothing new (or the opening): heartbeat. Keeps the
+                // epoch fence fresh and the peer's ack (hence the commit
+                // gate) current.
+                if cursor != CURSOR_UNSET {
+                    std::thread::sleep(config.ship_interval);
+                }
                 (Vec::new(), cursor)
             } else {
-                match source.wal_records_from(cursor) {
+                match source.wal_records_from(cursor, BATCH_BYTES) {
                     Ok(out) => out,
                     Err(StorageError::SnapshotNeeded { .. }) => continue,
                     Err(_) => {
@@ -692,46 +669,21 @@ fn shipper_loop(
                     }
                 }
             };
-            // Chunk under the frame ceiling; each chunk's bracket is
-            // derived from its records' own LSNs.
-            let mut batch: Vec<Vec<u8>> = Vec::new();
-            let mut batch_from = cursor;
-            let mut batch_next = cursor;
-            let mut batch_bytes = 0usize;
-            let mut chunks: Vec<(u64, u64, Vec<Vec<u8>>)> = Vec::new();
-            for rec in records {
-                let end =
-                    rec.lsn + blsm_storage::wal::FRAME_HEADER_LEN as u64 + rec.payload.len() as u64;
-                if !batch.is_empty() && batch_bytes + rec.payload.len() > config.batch_bytes {
-                    chunks.push((batch_from, batch_next, std::mem::take(&mut batch)));
-                    batch_from = rec.lsn;
-                    batch_bytes = 0;
-                }
-                batch_bytes += rec.payload.len();
-                batch_next = end;
-                batch.push(rec.payload);
-            }
-            chunks.push((batch_from, batch_next.max(resume), batch));
-            for (from, next, records) in chunks {
-                match client.replicate(state.node_id, epoch, from, next, records) {
-                    Ok(resp) => match ack_cursor(state, source, epoch, &resp) {
-                        AckOutcome::Resume(lsn) => {
-                            // ordering: Release — the peer's applied
-                            // state happens-before the gate reads this.
-                            state.peer_acked[peer_idx].store(lsn, Ordering::Release);
-                            cursor = lsn;
-                            if lsn != next {
-                                // Peer rewound (or refused a gap): the
-                                // remaining chunks carry stale brackets,
-                                // so restart streaming from its cursor.
-                                break;
-                            }
-                        }
-                        AckOutcome::Fenced => return,
-                        AckOutcome::Broken => continue 'session,
-                    },
-                    Err(_) => continue 'session,
-                }
+            let payloads = records.into_iter().map(|r| r.payload).collect();
+            match client.replicate(state.node_id, epoch, cursor, next, payloads) {
+                Ok(resp) => match ack_cursor(state, source, epoch, &resp) {
+                    AckOutcome::Resume(lsn) => {
+                        // ordering: Release — the peer's applied state
+                        // happens-before the gate reads this.
+                        state.peer_acked[peer_idx].store(lsn, Ordering::Release);
+                        // A peer that rewound (or refused a gap) names
+                        // the LSN the next batch starts from.
+                        cursor = lsn;
+                    }
+                    AckOutcome::Fenced => return,
+                    AckOutcome::Broken => continue 'session,
+                },
+                Err(_) => continue 'session,
             }
         }
     }
@@ -742,7 +694,7 @@ enum AckOutcome {
     Resume(u64),
     /// The peer is at a higher epoch: this term is over.
     Fenced,
-    /// Unusable reply; reconnect and resubscribe.
+    /// Unusable reply; reconnect and reopen the session.
     Broken,
 }
 
@@ -750,7 +702,7 @@ enum AckOutcome {
 /// node the moment any reply reveals a higher epoch.
 fn ack_cursor(
     state: &Arc<ReplState>,
-    source: &ReplSource,
+    source: &ReadView,
     epoch: u64,
     resp: &Response,
 ) -> AckOutcome {
@@ -827,14 +779,7 @@ pub fn elect_and_promote(addrs: &[String], group_size: usize) -> Result<(String,
     let mut max_epoch = 0;
     let mut polled = 0usize;
     for addr in addrs {
-        let Ok(mut client) = Client::with_config(
-            addr,
-            ClientConfig {
-                max_attempts: 1,
-                read_timeout: Duration::from_secs(2),
-                ..ClientConfig::default()
-            },
-        ) else {
+        let Ok(mut client) = single_shot(addr, Duration::from_secs(2)) else {
             continue;
         };
         let Ok(stats) = client.stats() else { continue };
@@ -862,15 +807,7 @@ pub fn elect_and_promote(addrs: &[String], group_size: usize) -> Result<(String,
         )));
     };
     let epoch = max_epoch + 1;
-    let mut client = Client::with_config(
-        &winner,
-        ClientConfig {
-            max_attempts: 1,
-            read_timeout: Duration::from_secs(5),
-            ..ClientConfig::default()
-        },
-    )?;
-    match client.promote(epoch)? {
+    match single_shot(&winner, Duration::from_secs(5))?.promote(epoch)? {
         Response::ReplAck { .. } => Ok((winner, epoch)),
         Response::Err { kind, message } => Err(StorageError::InvalidFormat(format!(
             "promotion refused ({kind:?}): {message}"
@@ -1260,6 +1197,44 @@ mod tests {
         assert_eq!(s.role(), ReplRole::Follower);
         // Adoption reset the cursor for the new leader's LSN space.
         assert_eq!(s.cursor.load(Ordering::Acquire), CURSOR_UNSET);
+    }
+
+    fn mem_tree() -> blsm::BLsmTree {
+        let dev = || -> blsm_storage::SharedDevice { Arc::new(blsm_storage::MemDevice::new()) };
+        let op = Arc::new(blsm::AppendOperator);
+        blsm::BLsmTree::open(dev(), dev(), 256, blsm::BLsmConfig::default(), op).unwrap()
+    }
+
+    #[test]
+    fn an_opening_replicate_applies_nothing_and_reports_the_cursor() {
+        let leader = mem_tree();
+        for k in ["k1", "k2", "k3"] {
+            leader.put(k.as_bytes().to_vec(), b"v".to_vec()).unwrap();
+        }
+        let (records, next) = leader.wal_records_from(0, usize::MAX).unwrap();
+        let payloads: Vec<Vec<u8>> = records.into_iter().map(|r| r.payload).collect();
+
+        let db = ThreadedBLsm::start(mem_tree(), 1 << 20).unwrap();
+        let repl = Replication::new(&db, ReplicationConfig::default()).unwrap();
+        let cursor = |resp: Response| match resp {
+            Response::ReplAck { next_lsn, .. } => next_lsn,
+            other => panic!("expected an ack, got {other:?}"),
+        };
+        // Fresh follower: the opening adopts the epoch, applies nothing
+        // (even records riding along) and reports the unset cursor.
+        let opening = repl.handle_replicate(&db, 1, 1, CURSOR_UNSET, CURSOR_UNSET, &payloads);
+        assert_eq!(cursor(opening), CURSOR_UNSET);
+        assert_eq!(repl.state().epoch(), 1);
+        assert_eq!(db.applied_seqno(), 0);
+        // After a batch, the opening reports the batch's `next_lsn`.
+        let batch = repl.handle_replicate(&db, 1, 1, 0, next, &payloads);
+        assert_eq!(cursor(batch), next);
+        assert_eq!(db.applied_seqno(), 3);
+        let opening = repl.handle_replicate(&db, 1, 1, CURSOR_UNSET, CURSOR_UNSET, &[]);
+        assert_eq!(cursor(opening), next);
+        // From a stale epoch it is fenced, naming the live epoch.
+        let stale = repl.handle_replicate(&db, 1, 0, CURSOR_UNSET, CURSOR_UNSET, &[]);
+        assert_eq!(stale, fenced(repl.state()));
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!
 //! The router itself is deliberately **lock-free**: its state is an
 //! immutable boundary list inside [`ShardedBLsm`] plus a fixed `Vec` of
-//! admission controllers (whose counters are lane-striped atomics; each
-//! reactor records on its own lane via
-//! [`ShardRouter::write_admission_on`]). Routing adds arithmetic, never
-//! a lock — the server crate's locks all live in `server.rs` (reactor
-//! inboxes and the committer signal; see the lock hierarchy there),
-//! which the `xtask` lock-order lint enforces.
+//! admission controllers (atomic counters, one set per shard, shared by
+//! every reactor). Routing adds arithmetic, never a lock — the server
+//! crate's locks all live in `server.rs` (reactor inboxes and the
+//! committer signal; see the lock hierarchy there), which the `xtask`
+//! lock-order lint enforces.
 
 use blsm::{BLsmTree, BackpressureLevel, ShardedBLsm};
 use blsm_storage::Result;
@@ -34,18 +33,11 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Wraps a sharded store, giving every shard its own single-lane
-    /// admission controller with the same policy.
+    /// Wraps a sharded store, giving every shard its own admission
+    /// controller with the same policy.
     pub fn new(store: ShardedBLsm, admission: AdmissionConfig) -> ShardRouter {
-        ShardRouter::with_lanes(store, admission, 1)
-    }
-
-    /// [`ShardRouter::new`] with `lanes` counter lanes per shard — one
-    /// per reactor thread, so concurrent admissions never share a
-    /// counter cache line.
-    pub fn with_lanes(store: ShardedBLsm, admission: AdmissionConfig, lanes: usize) -> ShardRouter {
         let admissions = (0..store.shard_count())
-            .map(|_| AdmissionController::with_lanes(admission, lanes))
+            .map(|_| AdmissionController::new(admission))
             .collect();
         ShardRouter { store, admissions }
     }
@@ -62,24 +54,21 @@ impl ShardRouter {
     }
 
     /// Admission verdict for one write addressed to `key`, judged
-    /// against the **owning shard's** live backpressure only and
-    /// recorded on the calling reactor's counter `lane`. Returns the
-    /// shard index with the verdict so the caller applies the write to
-    /// the same shard it was metered against — the key is routed once.
+    /// against the **owning shard's** live backpressure only and counted
+    /// on that shard's controller. Returns the shard index with the
+    /// verdict so the caller applies the write to the same shard it was
+    /// metered against — the key is routed once.
     ///
     /// A degraded shard admits (the write will fail with the typed
     /// per-shard error, which tells the client more than RETRY_LATER
     /// would).
-    pub fn write_admission_on(&self, lane: usize, key: &[u8]) -> (usize, WriteAdmission) {
+    pub fn write_admission(&self, key: &[u8]) -> (usize, WriteAdmission) {
         let shard = self.shard_for(key);
         let level = self
             .store
             .backpressure(shard)
             .unwrap_or(BackpressureLevel::Idle);
-        (
-            shard,
-            self.admissions[shard].write_admission_on(lane, level),
-        )
+        (shard, self.admissions[shard].write_admission(level))
     }
 
     /// Aggregated admission counters across all shards.
@@ -144,8 +133,8 @@ mod tests {
     fn admission_is_metered_per_shard() {
         let router = mem_router(4);
         // Keys with distinct two-byte prefixes land on distinct shards.
-        let (s0, v0) = router.write_admission_on(0, &[0x00, 0x00, b'a']);
-        let (s3, v3) = router.write_admission_on(0, &[0xF0, 0x00, b'z']);
+        let (s0, v0) = router.write_admission(&[0x00, 0x00, b'a']);
+        let (s3, v3) = router.write_admission(&[0xF0, 0x00, b'z']);
         assert_ne!(s0, s3);
         assert_eq!(v0, WriteAdmission::Admit);
         assert_eq!(v3, WriteAdmission::Admit);

@@ -44,10 +44,12 @@
 //! durability contract and bounded by the leader's batch size.
 //!
 //! **Server lock hierarchy** (leaf locks only, never nested, never held
-//! across engine calls): each reactor's connection `inbox`, the
-//! committer's `commit-signal` wake flag, and each shard's `commit-err`
-//! last-error slot. The engine's own hierarchy (DESIGN.md §14) sits
-//! entirely below; no server lock is ever held while calling into it.
+//! across engine calls): each reactor's connection `inbox` and the
+//! committer's `commit-signal` wake flag. A failed commit group is
+//! recorded by the engine itself (its commit failure epoch and last
+//! error), which reactors read. The engine's own hierarchy (DESIGN.md
+//! §14) sits entirely below; no server lock is ever held while calling
+//! into it.
 //!
 //! Graceful shutdown: [`Server::shutdown`] stops the accept loop, wakes
 //! every reactor (each drops its connections) and the committer (which
@@ -71,35 +73,23 @@ use crate::admission::{AdmissionConfig, WriteAdmission};
 use crate::poller::{Interest, Poller, WakeFd};
 use crate::protocol::{
     decode_request, encode_response, CloseReason, ErrKind, FrameDecoder, Request, Response,
-    WireScrubReport, WireShardStats, WireStats, MAX_FRAME,
+    WireScrubReport, WireShardStats, WireStats,
 };
 use crate::replication::{GateTicket, Replication, ReplicationConfig};
 use crate::router::ShardRouter;
 
+/// Upper bound on an idle reactor's epoll sleep; bounds how long a fully
+/// quiescent reactor takes to notice the stop flag without a wake.
+const IDLE_POLL: Duration = Duration::from_millis(25);
+
 /// Server tuning knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
-    /// Frame payload ceiling (bytes).
-    pub max_frame: usize,
     /// Admission policy.
     pub admission: AdmissionConfig,
-    /// Upper bound on a reactor's epoll sleep; bounds how long a fully
-    /// quiescent reactor takes to notice the stop flag without a wake.
-    pub poll_interval: Duration,
     /// Reactor thread count; 0 picks one per available core, clamped to
     /// [2, 8].
     pub reactors: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_frame: MAX_FRAME,
-            admission: AdmissionConfig::default(),
-            poll_interval: Duration::from_millis(25),
-            reactors: 0,
-        }
-    }
 }
 
 fn effective_reactors(config: &ServerConfig) -> usize {
@@ -130,22 +120,8 @@ struct CommitSignal {
     cond: Condvar,
 }
 
-/// One shard's commit failure epoch. Reactors snapshot `count` when
-/// parking a write and fail the response if it moved — the server-side
-/// mirror of the engine's failure epochs, needed because reactors poll
-/// `durable_lsn` instead of blocking in a durability wait.
-struct CommitFailure {
-    // ordering: SeqCst — bumped strictly after the error text below is
-    // stored, and read before it; SeqCst keeps this trivially ordered
-    // with the reactors' pending-write snapshots.
-    count: AtomicU64,
-    /// Leaf lock `commit-err`: the last commit error's rendered text.
-    last: Mutex<String>,
-}
-
 struct Inner {
     router: ShardRouter,
-    config: ServerConfig,
     /// Present when this server is part of a replication group; holds
     /// role/epoch state and the request handlers (`replication.rs`).
     repl: Option<Replication>,
@@ -165,8 +141,6 @@ struct Inner {
     // ordering: SeqCst — set after the nowait apply, swapped by the
     // committer before its commit_group; SeqCst pairs the handoff.
     commit_dirty: Vec<AtomicBool>,
-    /// Per-shard commit failure epochs.
-    commit_failures: Vec<CommitFailure>,
 }
 
 impl Inner {
@@ -176,18 +150,18 @@ impl Inner {
         for r in &self.reactors {
             r.wake.wake();
         }
-        let mut pending = self.commit_signal.pending.lock();
-        *pending = true;
-        drop(pending);
-        self.commit_signal.cond.notify_one();
+        self.ring_committer();
     }
 
     /// Marks `shard` dirty and rings the committer.
     fn signal_commit(&self, shard: usize) {
         self.commit_dirty[shard].store(true, Ordering::SeqCst);
-        let mut pending = self.commit_signal.pending.lock();
-        *pending = true;
-        drop(pending);
+        self.ring_committer();
+    }
+
+    /// Sets the committer's wake flag (guard dropped before the notify).
+    fn ring_committer(&self) {
+        *self.commit_signal.pending.lock() = true;
         self.commit_signal.cond.notify_one();
     }
 }
@@ -301,8 +275,7 @@ impl Server {
         }
         let shard_count = store.shard_count();
         let inner = Arc::new(Inner {
-            router: ShardRouter::with_lanes(store, config.admission, n_reactors),
-            config,
+            router: ShardRouter::new(store, config.admission),
             repl,
             stop: AtomicBool::new(false),
             active_connections: AtomicU64::new(0),
@@ -312,12 +285,6 @@ impl Server {
                 cond: Condvar::new(),
             },
             commit_dirty: (0..shard_count).map(|_| AtomicBool::new(false)).collect(),
-            commit_failures: (0..shard_count)
-                .map(|_| CommitFailure {
-                    count: AtomicU64::new(0),
-                    last: Mutex::new(String::new()),
-                })
-                .collect(),
         });
         let mut workers = Vec::with_capacity(n_reactors + 1);
         for idx in 0..n_reactors {
@@ -359,6 +326,23 @@ impl Server {
         }
     }
 
+    /// Stops every server thread (`None` if already stopped): flips the
+    /// stop flag, stops the shippers, and joins the accept loop, which
+    /// joins the reactors and the committer.
+    fn stop_threads(&mut self) -> Option<Arc<Inner>> {
+        let inner = self.inner.take()?;
+        inner.request_stop();
+        // Shipper threads hold only the replication state + engine seam
+        // (never `inner`), so stopping them is a flag, not a join.
+        if let Some(repl) = &inner.repl {
+            repl.stop();
+        }
+        if let Some(h) = self.accept_thread.take() {
+            let _ = h.join();
+        }
+        Some(inner)
+    }
+
     /// True once a client sent SHUTDOWN (or `shutdown` began). The
     /// server binary polls this to decide when to exit its wait loop.
     pub fn shutdown_requested(&self) -> bool {
@@ -381,22 +365,13 @@ impl Server {
     ///
     /// Propagates checkpoint errors from the shard shutdowns.
     pub fn shutdown(mut self) -> Result<Vec<BLsmTree>> {
-        let Some(inner) = self.inner.take() else {
+        let Some(inner) = self.stop_threads() else {
             return Err(StorageError::corruption(
                 blsm_storage::ComponentId::Server,
                 None,
                 "shutdown on an already shut-down server",
             ));
         };
-        inner.request_stop();
-        // Shipper threads hold only the replication state + engine seam
-        // (never `inner`), so stopping them is a flag, not a join.
-        if let Some(repl) = &inner.repl {
-            repl.stop();
-        }
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         // The accept loop joins every reactor and the committer before
         // exiting, so this Arc is now the sole owner.
         let inner = Arc::try_unwrap(inner).map_err(|_| {
@@ -412,16 +387,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            inner.request_stop();
-            if let Some(repl) = &inner.repl {
-                repl.stop();
-            }
-            if let Some(h) = self.accept_thread.take() {
-                let _ = h.join();
-            }
-            // Each shard's own Drop hook checkpoints once the Arc dies.
-        }
+        // Each shard's own Drop hook checkpoints once the Arc dies.
+        drop(self.stop_threads());
     }
 }
 
@@ -470,7 +437,8 @@ struct PendingWrite {
     /// Durable once the shard's `durable_lsn` reaches this; 0 = no
     /// durability wait (Buffered, or already satisfied).
     target: u64,
-    /// The shard's commit failure epoch when this write was parked.
+    /// The shard engine's commit failure epoch when this write was
+    /// parked.
     failures_at: u64,
     /// Open replication quorum gate, if any.
     gate: Option<GateTicket>,
@@ -503,23 +471,18 @@ impl Conn {
 }
 
 /// One reactor: multiplexes its share of the connections over epoll.
-/// Index `idx` doubles as the admission counter lane.
 fn reactor_loop(inner: &Arc<Inner>, idx: usize) {
-    let Ok(poller) = Poller::new() else {
-        // No epoll instance: this reactor can serve nothing. The others
-        // keep the server alive; connections dealt here would hang, so
-        // close them as they arrive (drained in the loop below is moot —
-        // without a poller there is no loop, so just bail after marking).
-        eprintln!("blsm-server: reactor {idx} failed to create a poller");
+    let handle = &inner.reactors[idx];
+    let poller =
+        Poller::new().and_then(|p| p.add(handle.wake.raw_fd(), 0, Interest::READ).map(|()| p));
+    let Ok(poller) = poller else {
+        // No epoll instance (or no wake registration): this reactor can
+        // serve nothing. The others keep the server alive; connections
+        // dealt here would hang, so close what already arrived and bail.
+        eprintln!("blsm-server: reactor {idx} failed to set up its poller");
         drain_inbox_closed(inner, idx);
         return;
     };
-    let handle = &inner.reactors[idx];
-    if poller.add(handle.wake.raw_fd(), 0, Interest::READ).is_err() {
-        eprintln!("blsm-server: reactor {idx} failed to register its wake fd");
-        drain_inbox_closed(inner, idx);
-        return;
-    }
     let view = inner.router.store().read_view();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 1;
@@ -532,7 +495,7 @@ fn reactor_loop(inner: &Arc<Inner>, idx: usize) {
         let timeout = if conns.values().any(|c| !c.pending.is_empty()) {
             Duration::from_millis(3)
         } else {
-            inner.config.poll_interval.max(Duration::from_millis(1))
+            IDLE_POLL
         };
         events.clear();
         if poller.wait(&mut events, Some(timeout)).is_err() {
@@ -565,7 +528,7 @@ fn reactor_loop(inner: &Arc<Inner>, idx: usize) {
                         stream,
                         fd,
                         peer,
-                        decoder: FrameDecoder::with_max(inner.config.max_frame),
+                        decoder: FrameDecoder::new(),
                         out: Vec::new(),
                         out_pos: 0,
                         pending: Vec::new(),
@@ -584,7 +547,7 @@ fn reactor_loop(inner: &Arc<Inner>, idx: usize) {
                 continue;
             };
             if ev.readable || ev.closed {
-                service_readable(inner, &view, idx, conn, &mut buf);
+                service_readable(inner, &view, conn, &mut buf);
             }
         }
         // Release parked responses whose conditions are met.
@@ -642,13 +605,7 @@ fn drain_inbox_closed(inner: &Arc<Inner>, idx: usize) {
 /// Drains a readable socket, feeds the frame decoder, and serves every
 /// complete frame. Marks the connection dead on EOF, error, or an
 /// unframable stream.
-fn service_readable(
-    inner: &Arc<Inner>,
-    view: &ShardedReadView,
-    lane: usize,
-    conn: &mut Conn,
-    buf: &mut [u8],
-) {
+fn service_readable(inner: &Arc<Inner>, view: &ShardedReadView, conn: &mut Conn, buf: &mut [u8]) {
     if conn.dead.is_some() {
         return;
     }
@@ -674,7 +631,7 @@ fn service_readable(
     loop {
         match conn.decoder.next_frame() {
             Ok(Some(payload)) => {
-                if let Err(e) = serve_frame(inner, view, lane, conn, &payload) {
+                if let Err(e) = serve_frame(inner, view, conn, &payload) {
                     // Undecodable request payload: drop the connection
                     // (ids can no longer be trusted).
                     conn.dead = Some(CloseReason::Corrupt {
@@ -711,7 +668,6 @@ fn service_readable(
 fn serve_frame(
     inner: &Arc<Inner>,
     view: &ShardedReadView,
-    lane: usize,
     conn: &mut Conn,
     payload: &[u8],
 ) -> Result<()> {
@@ -725,7 +681,7 @@ fn serve_frame(
         }
         // Routed once: the shard the write was metered against is the
         // shard it is applied to.
-        let (shard, verdict) = inner.router.write_admission_on(lane, key);
+        let (shard, verdict) = inner.router.write_admission(key);
         let not_before = match verdict {
             WriteAdmission::Admit => None,
             // Proportional pacing: the write applies now, but its
@@ -750,7 +706,13 @@ fn serve_frame(
             push_response(&mut conn.out, id, &resp)?;
             return Ok(());
         }
-        let failures_at = inner.commit_failures[shard].count.load(Ordering::SeqCst);
+        // Read after the apply: a group that fails from here on may have
+        // covered this write.
+        let failures_at = inner
+            .router
+            .store()
+            .shard_engine(shard)
+            .map_or(0, |db| db.commit_failure_epoch());
         if target > 0 {
             inner.signal_commit(shard);
         }
@@ -764,12 +726,6 @@ fn serve_frame(
             resp,
         });
         return Ok(());
-    }
-    if let Some(repl) = &inner.repl {
-        if let Some(resp) = serve_replication(inner, repl, &req) {
-            push_response(&mut conn.out, id, &resp)?;
-            return Ok(());
-        }
     }
     // Reads (and control commands) see every write applied so far on
     // this connection: nowait applies above completed before this point
@@ -814,13 +770,7 @@ fn serve_frame(
             inner.request_stop();
             return Ok(());
         }
-        // Replication frames on a replication-less server.
-        Request::ReplSubscribe { .. } | Request::Replicate { .. } | Request::Promote { .. } => {
-            Response::Err {
-                kind: ErrKind::Invalid,
-                message: "replication not configured on this server".into(),
-            }
-        }
+        Request::Replicate { .. } | Request::Promote { .. } => serve_replication(inner, &req),
         // Writes were handled above.
         _ => Response::Err {
             kind: ErrKind::Invalid,
@@ -849,21 +799,19 @@ fn settle_pending(inner: &Arc<Inner>, conn: &mut Conn) {
             p.not_before = None;
         }
         if p.target > 0 {
-            let fails = inner.commit_failures[p.shard].count.load(Ordering::SeqCst);
-            if fails != p.failures_at {
-                // The group covering this write failed to sync: the
-                // write is applied but not durable. Surface that as an
-                // I/O error rather than acknowledging a promise the
-                // log cannot keep.
-                let detail = inner.commit_failures[p.shard].last.lock().clone();
-                p.resp = Response::Err {
-                    kind: ErrKind::Io,
-                    message: format!("commit group failed: {detail}"),
-                };
-                let _ = push_response(&mut conn.out, p.id, &p.resp);
-                return false;
-            }
             match inner.router.store().shard_engine(p.shard) {
+                Ok(db) if db.commit_failure_epoch() != p.failures_at => {
+                    // A group covering this write failed to flush or
+                    // sync: the write is applied but its durability is
+                    // unknown. Surface that as an I/O error rather than
+                    // acknowledging a promise the log cannot keep.
+                    p.resp = Response::Err {
+                        kind: ErrKind::Io,
+                        message: format!("commit group failed: {}", db.last_commit_error()),
+                    };
+                    let _ = push_response(&mut conn.out, p.id, &p.resp);
+                    return false;
+                }
                 Ok(db) if db.durable_lsn() >= p.target => p.target = 0,
                 Ok(_) => return true,
                 Err(e) => {
@@ -908,26 +856,13 @@ fn flush_out(conn: &mut Conn) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Bounded blocking flush for the SHUTDOWN acknowledgement: spins on
-/// `WouldBlock` (1ms naps) until the buffer drains or the deadline
-/// passes.
+/// Bounded blocking flush for the SHUTDOWN acknowledgement:
+/// [`flush_out`] with 1ms naps on `WouldBlock` until the buffer drains,
+/// the socket fails, or the deadline passes.
 fn force_flush(conn: &mut Conn, limit: Duration) {
     let deadline = Instant::now() + limit;
-    while !conn.flushed() && Instant::now() < deadline {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => break,
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    if conn.flushed() {
-        conn.out.clear();
-        conn.out_pos = 0;
-        let _ = conn.stream.flush();
+    while flush_out(conn).is_ok() && !conn.flushed() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -954,25 +889,17 @@ fn committer_loop(inner: &Arc<Inner>) {
             }
             *pending = false;
         }
-        let mut synced_any = false;
+        let mut committed = false;
         for shard in 0..inner.commit_dirty.len() {
             if inner.commit_dirty[shard].swap(false, Ordering::SeqCst) {
+                // A failed group bumps the engine's failure epoch, which
+                // the woken reactors compare; either way they re-check.
                 let store = inner.router.store();
-                match store.shard_engine(shard).and_then(|db| db.commit_group()) {
-                    Ok(_) => synced_any = true,
-                    Err(e) => {
-                        // Record first (text, then epoch): a reactor that
-                        // sees the bumped count must find the message.
-                        *inner.commit_failures[shard].last.lock() = e.to_string();
-                        inner.commit_failures[shard]
-                            .count
-                            .fetch_add(1, Ordering::SeqCst);
-                        synced_any = true;
-                    }
-                }
+                let _ = store.shard_engine(shard).and_then(|db| db.commit_group());
+                committed = true;
             }
         }
-        if synced_any {
+        if committed {
             for r in &inner.reactors {
                 r.wake.wake();
             }
@@ -1001,18 +928,23 @@ fn err_response(e: &StorageError) -> Response {
     }
 }
 
-/// Dispatches the three replication opcodes; `None` for anything else.
+/// Serves the two replication opcodes (an error on a replication-less
+/// server).
 ///
 /// `REPLICATE` is the one handler that does blocking I/O on a reactor:
 /// it group-syncs the whole batch inline (one fsync per frame — the
 /// follower's durability contract). Follower reactors carry replication
 /// traffic from exactly one leader, so the stall is bounded and cannot
 /// starve client reads behind more than one batch.
-fn serve_replication(inner: &Inner, repl: &Replication, req: &Request) -> Option<Response> {
+fn serve_replication(inner: &Inner, req: &Request) -> Response {
+    let invalid = |message: &str| Response::Err {
+        kind: ErrKind::Invalid,
+        message: message.into(),
+    };
+    let Some(repl) = &inner.repl else {
+        return invalid("replication not configured on this server");
+    };
     match req {
-        Request::ReplSubscribe { leader_id, epoch } => {
-            Some(repl.handle_subscribe(*leader_id, *epoch))
-        }
         Request::Replicate {
             leader_id,
             epoch,
@@ -1020,17 +952,14 @@ fn serve_replication(inner: &Inner, repl: &Replication, req: &Request) -> Option
             next_lsn,
             records,
         } => {
+            // `start_replicated` guarantees a single shard.
             let Some(db) = inner.router.store().single() else {
-                // `start_replicated` guarantees a single shard.
-                return Some(Response::Err {
-                    kind: ErrKind::Invalid,
-                    message: "replication requires a single-shard store".into(),
-                });
+                return invalid("replication requires a single-shard store");
             };
-            Some(repl.handle_replicate(db, *leader_id, *epoch, *from_lsn, *next_lsn, records))
+            repl.handle_replicate(db, *leader_id, *epoch, *from_lsn, *next_lsn, records)
         }
-        Request::Promote { epoch } => Some(repl.handle_promote(*epoch)),
-        _ => None,
+        Request::Promote { epoch } => repl.handle_promote(*epoch),
+        _ => invalid("not a replication request"),
     }
 }
 

@@ -14,11 +14,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blsm::{
-    AppendOperator, BLsmConfig, BLsmTree, SchedulerKind, ShardedBLsm, ShardedConfig, ThreadedBLsm,
+    AppendOperator, BLsmConfig, BLsmTree, Durability, SchedulerKind, ShardedBLsm, ShardedConfig,
+    ThreadedBLsm,
 };
 use blsm_server::protocol::{encode_request, Request, Response};
-use blsm_server::{Client, Server, ServerConfig};
-use blsm_storage::{MemDevice, SharedDevice};
+use blsm_server::{Client, ErrKind, Server, ServerConfig};
+use blsm_storage::{FaultMode, FaultyDevice, MemDevice, SharedDevice};
 
 fn open_tree(data: &SharedDevice, wal: &SharedDevice, config: &BLsmConfig) -> BLsmTree {
     BLsmTree::open(
@@ -207,6 +208,67 @@ fn pipelined_burst_preserves_order() {
     assert!(matches!(last, Response::Value(Some(v)) if v == &vec![b'x'; 32]));
 
     server.shutdown().unwrap();
+}
+
+/// A `Durability::Sync` server whose log device fails one write: writes
+/// parked on the failed group get a typed I/O error (reactors compare the
+/// engine's failure epoch), the next write acks, and acked keys survive.
+#[test]
+fn a_failed_commit_group_errors_its_parked_writes_then_acks_again() {
+    let (data, wal_medium): (SharedDevice, SharedDevice) =
+        (Arc::new(MemDevice::new()), Arc::new(MemDevice::new()));
+    let wal = Arc::new(FaultyDevice::new(
+        wal_medium.clone(),
+        FaultMode::FailWrites,
+        u64::MAX,
+    ));
+    let faulty: SharedDevice = wal.clone();
+    let config = BLsmConfig {
+        durability: Durability::Sync,
+        ..small_config()
+    };
+    let db = ThreadedBLsm::start(open_tree(&data, &faulty, &config), 256 << 10).unwrap();
+    let server = Server::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
+    client.put(b"before", b"ok").unwrap();
+
+    wal.fail_next(1);
+    let keys: Vec<Vec<u8>> = (0..32u32)
+        .map(|i| format!("g{i:04}").into_bytes())
+        .collect();
+    let batch: Vec<Request> = keys
+        .iter()
+        .map(|k| Request::Put {
+            key: k.clone(),
+            value: vec![b'v'; 64],
+        })
+        .collect();
+    let resps = client.pipeline(&batch).unwrap();
+    let group_failed = |r: &Response| {
+        matches!(r, Response::Err { kind: ErrKind::Io, message }
+            if message.starts_with("commit group failed"))
+    };
+    // The first write is in the group that met the fault; later ones
+    // either shared it or retired on the next, healthy group.
+    assert!(group_failed(&resps[0]), "{:?}", resps[0]);
+    assert!(
+        resps.iter().all(|r| *r == Response::Ok || group_failed(r)),
+        "{resps:?}"
+    );
+    client.put(b"after", b"ok").unwrap();
+    server.shutdown().unwrap();
+
+    let tree = open_tree(&data, &wal_medium, &config);
+    let acked = keys.iter().zip(&resps).filter(|(_, r)| **r == Response::Ok);
+    for key in acked
+        .map(|(k, _)| k.as_slice())
+        .chain([&b"before"[..], b"after"])
+    {
+        assert!(
+            tree.get(key).unwrap().is_some(),
+            "acknowledged {key:?} lost"
+        );
+    }
 }
 
 /// A client that dies mid-request (torn frame, then hard disconnect)

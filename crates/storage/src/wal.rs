@@ -148,17 +148,36 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Fails if the device write fails; buffered records stay pending.
+    /// Fails if the device write fails; buffered records stay pending, so
+    /// the next flush rewrites them at their own LSNs.
     pub fn flush(&mut self) -> Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let start = self.pending_start;
-        let pending = std::mem::take(&mut self.pending);
-        self.write_ring(start, &pending)?;
+        self.write_ring(self.pending_start, &self.pending)?;
+        self.pending.clear();
         self.flushed = self.tail;
         self.pending_start = self.tail;
         Ok(())
+    }
+
+    /// [`append`](Self::append) then [`flush`](Self::flush), all or
+    /// nothing: if the flush fails the record is taken back out (frames
+    /// appended before it stay pending), so a write reported failed
+    /// leaves nothing a later flush could resurrect.
+    ///
+    /// # Errors
+    ///
+    /// As `append` and `flush`.
+    pub fn append_flush(&mut self, payload: &[u8]) -> Result<Lsn> {
+        let (pending, tail) = (self.pending.len(), self.tail);
+        let lsn = self.append(payload)?;
+        if let Err(e) = self.flush() {
+            self.pending.truncate(pending);
+            self.tail = tail;
+            return Err(e);
+        }
+        Ok(lsn)
     }
 
     /// Flushes and then forces the device.
@@ -217,10 +236,15 @@ impl Wal {
         self.head = new_head;
     }
 
-    /// Reads every already-durable record from `start_lsn` (inclusive)
-    /// up to the flushed tail, for replication catch-up. Only flushed
-    /// bytes are visible — a record still sitting in the append buffer
-    /// is not yet durable and must not be shipped to a follower.
+    /// Reads already-durable records from `start_lsn` (inclusive) up to
+    /// `min(horizon, flushed)`, for replication catch-up, and returns
+    /// them with the LSN the next read resumes from. Only flushed bytes
+    /// are visible — a record still sitting in the append buffer is not
+    /// yet durable and must not be shipped to a follower; under group
+    /// commit the caller passes the last synced group boundary as the
+    /// horizon. The read stops before the record that would take the
+    /// payload total past `budget`, but always returns at least one
+    /// record when any is readable.
     ///
     /// # Errors
     ///
@@ -228,27 +252,18 @@ impl Wal {
     ///   ring's truncation point: the requested history is gone and the
     ///   caller must bootstrap from a snapshot, not the log.
     /// - [`StorageError::InvalidFormat`] when `start_lsn` lies past the
-    ///   flushed tail (a reader asking for the future — e.g. a fenced
-    ///   stale leader whose view of this log is wrong).
+    ///   (clamped) horizon (a reader asking for the future — e.g. a
+    ///   fenced stale leader whose view of this log is wrong).
     /// - [`StorageError::Corruption`] when a frame between `start_lsn`
     ///   and the flushed tail fails validation: everything below the
     ///   flushed LSN must be intact, so an invalid frame there is real
     ///   damage, not a clean end.
-    pub fn records_from(&self, start_lsn: Lsn) -> Result<Vec<WalRecord>> {
-        self.records_up_to(start_lsn, self.flushed)
-    }
-
-    /// Like [`records_from`](Self::records_from), but stops at
-    /// `min(horizon, flushed)` — the seam the replication tier uses
-    /// under group commit, where the shippable window ends at the last
-    /// synced group boundary rather than the flushed tail.
-    ///
-    /// # Errors
-    ///
-    /// As [`records_from`](Self::records_from); `start_lsn` past the
-    /// (clamped) horizon is the same reader error as asking past the
-    /// flushed tail.
-    pub fn records_up_to(&self, start_lsn: Lsn, horizon: Lsn) -> Result<Vec<WalRecord>> {
+    pub fn records_up_to(
+        &self,
+        start_lsn: Lsn,
+        horizon: Lsn,
+        budget: usize,
+    ) -> Result<(Vec<WalRecord>, Lsn)> {
         let horizon = horizon.min(self.flushed);
         if start_lsn < self.head {
             return Err(StorageError::SnapshotNeeded {
@@ -263,9 +278,14 @@ impl Wal {
         }
         let mut records = Vec::new();
         let mut lsn = start_lsn;
+        let mut bytes = 0usize;
         while lsn < horizon {
             match read_frame(&self.device, self.capacity, lsn) {
                 FrameOutcome::Record(rec) => {
+                    bytes += rec.payload.len();
+                    if bytes > budget && !records.is_empty() {
+                        break;
+                    }
                     lsn += FRAME_HEADER_LEN as u64 + rec.payload.len() as u64;
                     records.push(rec);
                 }
@@ -282,7 +302,7 @@ impl Wal {
                 }
             }
         }
-        Ok(records)
+        Ok((records, lsn))
     }
 
     fn write_ring(&self, lsn: Lsn, bytes: &[u8]) -> Result<()> {
@@ -438,6 +458,12 @@ mod tests {
     use super::*;
     use crate::device::MemDevice;
     use std::sync::Arc;
+
+    /// Every durable record from `start`, unbudgeted.
+    fn read_from(wal: &Wal, start: Lsn) -> Result<Vec<WalRecord>> {
+        wal.records_up_to(start, wal.flushed_lsn(), usize::MAX)
+            .map(|(records, _)| records)
+    }
 
     fn mem_wal(capacity: u64) -> (SharedDevice, Wal) {
         let dev: SharedDevice = Arc::new(MemDevice::new());
@@ -627,27 +653,51 @@ mod tests {
     }
 
     #[test]
-    fn records_from_reads_the_durable_window() {
+    fn records_up_to_reads_the_durable_window() {
         let (_dev, mut wal) = mem_wal(4096);
         wal.append(b"one").unwrap();
         let l1 = wal.append(b"two").unwrap();
         wal.append(b"three").unwrap();
         wal.flush().unwrap();
         // From the head: every flushed record.
-        let all = wal.records_from(0).unwrap();
+        let all = read_from(&wal, 0).unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(all[0].payload, b"one");
         // From a mid-log frame boundary: the suffix.
-        let suffix = wal.records_from(l1).unwrap();
+        let suffix = read_from(&wal, l1).unwrap();
         assert_eq!(suffix.len(), 2);
         assert_eq!(suffix[0].payload, b"two");
         assert_eq!(suffix[0].lsn, l1);
         // From the flushed tail: empty, not an error.
-        assert!(wal.records_from(wal.tail_lsn()).unwrap().is_empty());
+        assert!(read_from(&wal, wal.tail_lsn()).unwrap().is_empty());
     }
 
     #[test]
-    fn records_from_excludes_unflushed_appends() {
+    fn budgeted_reads_resume_with_no_gap_or_overlap() {
+        let (_dev, mut wal) = mem_wal(1 << 16);
+        let payloads: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 10 + 7 * i as usize]).collect();
+        for p in &payloads {
+            wal.append(p).unwrap();
+        }
+        wal.flush().unwrap();
+        let end = wal.flushed_lsn();
+        for budget in [0, 1, 50, 300, 1000] {
+            let (mut got, mut cursor) = (Vec::new(), wal.head_lsn());
+            while cursor < end {
+                let (batch, next) = wal.records_up_to(cursor, end, budget).unwrap();
+                // A non-empty prefix within the budget plus one record.
+                let past_first: usize = batch.iter().skip(1).map(|r| r.payload.len()).sum();
+                assert!(!batch.is_empty() && past_first <= budget, "budget {budget}");
+                assert_eq!(batch[0].lsn, cursor);
+                got.extend(batch.into_iter().map(|r| r.payload));
+                cursor = next;
+            }
+            assert_eq!(got, payloads, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn records_up_to_excludes_unflushed_appends() {
         let (_dev, mut wal) = mem_wal(4096);
         wal.append(b"durable").unwrap();
         wal.flush().unwrap();
@@ -655,16 +705,16 @@ mod tests {
         wal.append(b"buffered").unwrap();
         // The buffered record is not durable: it must not ship, and
         // asking for it by LSN is a reader error, not silence.
-        assert_eq!(wal.records_from(0).unwrap().len(), 1);
+        assert_eq!(read_from(&wal, 0).unwrap().len(), 1);
         assert!(matches!(
-            wal.records_from(wal.tail_lsn()),
+            read_from(&wal, wal.tail_lsn()),
             Err(StorageError::InvalidFormat(_))
         ));
-        assert_eq!(wal.records_from(flushed).unwrap().len(), 0);
+        assert_eq!(read_from(&wal, flushed).unwrap().len(), 0);
     }
 
     #[test]
-    fn records_from_truncated_history_is_snapshot_needed() {
+    fn records_up_to_truncated_history_is_snapshot_needed() {
         // A ring that wrapped mid-catch-up: a follower resuming from an
         // LSN the leader already truncated must get the typed
         // "snapshot needed" error, not silence or garbage.
@@ -683,7 +733,7 @@ mod tests {
             wal.truncate(*boundaries.front().unwrap());
         }
         assert!(wal.tail_lsn() > capacity, "must have wrapped");
-        match wal.records_from(follower_lsn) {
+        match read_from(&wal, follower_lsn) {
             Err(StorageError::SnapshotNeeded {
                 requested_lsn,
                 head_lsn,
@@ -695,7 +745,7 @@ mod tests {
         }
         // Resuming from the live window still works after the wrap:
         // the records come back in order with their original LSNs.
-        let live = wal.records_from(wal.head_lsn()).unwrap();
+        let live = read_from(&wal, wal.head_lsn()).unwrap();
         assert_eq!(live.len(), 2);
         assert!(live.windows(2).all(|w| w[0].lsn < w[1].lsn));
         assert_eq!(

@@ -56,14 +56,14 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // `tables` lock.
         "memtable" => &["pass", "tables"],
         // The server serves from pinned ReadViews and applies writes
-        // through `&self` engine calls; its own locks are three leaf
+        // through `&self` engine calls; its own locks are two leaf
         // mutexes that are never held while acquiring anything else —
         // which is why the hierarchy below stays empty (the rule fires
         // on hold-while-acquiring edges, and these must never grow
-        // one): per-reactor `inbox` (accept thread hands off sockets),
-        // the committer's `pending` signal (paired with its condvar),
-        // and the per-shard commit-failure `last` message (DESIGN.md
-        // §11, §18).
+        // one): per-reactor `inbox` (accept thread hands off sockets)
+        // and the committer's `pending` signal (paired with its
+        // condvar). A failed commit group is the engine's own failure
+        // epoch, which reactors read (DESIGN.md §11, §18).
         // The shard router keeps it that way: immutable boundaries plus
         // per-shard `AdmissionController`s (atomic counters only), so
         // routing a request acquires no lock on any path (DESIGN.md
@@ -72,7 +72,7 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // `ReplState` (epoch/role/cursor/acks) carries an `// ordering:`
         // comment per atomic, the commit gate spins on peer-ack LSNs
         // without blocking on any mutex, and shipper threads hold only
-        // the repl state plus the engine's `ReplSource` seam. A lock
+        // the repl state plus a `ReadView` of the engine. A lock
         // appearing anywhere in the server crate must be argued into
         // DESIGN.md §14 and this table together.
         _ => &[],

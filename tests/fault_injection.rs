@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm_repro::blsm::{AppendOperator, BLsmConfig, BLsmTree};
+use blsm_repro::blsm::{AppendOperator, BLsmConfig, BLsmTree, Durability};
+use blsm_repro::blsm_storage::wal::{replay_report, WalRecord, FRAME_HEADER_LEN};
 use blsm_repro::blsm_storage::{FaultMode, FaultyDevice, MemDevice, SharedDevice};
 
 fn key(i: u64) -> Bytes {
@@ -239,6 +240,58 @@ fn wal_device_death_fails_writes_cleanly() {
         tree.get(&key(0)).unwrap().unwrap(),
         Bytes::from_static(b"v")
     );
+}
+
+/// One failed log write: the write that met it errors, the next is
+/// acknowledged, and after a crash replay must reach it (a flush that
+/// dropped its frames made the next one write at their offset, where
+/// replay stops). A failed `Buffered` write leaves the log entirely.
+fn wal_hiccup_loses_nothing(durability: Durability) {
+    let (data, wal_medium): (SharedDevice, SharedDevice) =
+        (Arc::new(MemDevice::new()), Arc::new(MemDevice::new()));
+    let wal = Arc::new(FaultyDevice::new(
+        wal_medium.clone(),
+        FaultMode::FailWrites,
+        u64::MAX,
+    ));
+    let config = BLsmConfig {
+        durability,
+        ..config()
+    };
+    let open = |wal| {
+        BLsmTree::open(
+            data.clone(),
+            wal,
+            512,
+            config.clone(),
+            Arc::new(AppendOperator),
+        )
+    };
+    let tree = open(wal.clone()).unwrap();
+    tree.put(key(0), Bytes::from_static(b"a")).unwrap();
+    wal.fail_next(1);
+    assert!(
+        tree.put(key(1), Bytes::from_static(b"b")).is_err(),
+        "{durability:?}"
+    );
+    tree.put(key(2), Bytes::from_static(b"c")).unwrap();
+    drop(tree); // crash: the log is all there is
+
+    // Every record still in the log sits at its own LSN, in order.
+    let report = replay_report(&wal_medium, config.wal_capacity, 0);
+    let logged = if durability == Durability::Sync { 3 } else { 2 };
+    assert_eq!(report.records.len(), logged, "{durability:?}: {report:?}");
+    let next = |r: &WalRecord| r.lsn + (FRAME_HEADER_LEN + r.payload.len()) as u64;
+    assert!(report.records.windows(2).all(|w| w[1].lsn == next(&w[0])));
+    let tree = open(wal_medium).unwrap();
+    assert_eq!(tree.get(&key(0)).unwrap(), Some(Bytes::from_static(b"a")));
+    assert_eq!(tree.get(&key(2)).unwrap(), Some(Bytes::from_static(b"c")));
+}
+
+#[test]
+fn a_wal_write_hiccup_loses_no_acknowledged_write() {
+    wal_hiccup_loses_nothing(Durability::Sync);
+    wal_hiccup_loses_nothing(Durability::Buffered);
 }
 
 /// Read faults surface as errors and do not poison the tree: once the

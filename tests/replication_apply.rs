@@ -39,7 +39,7 @@ fn open_tree(wal_dev: SharedDevice) -> BLsmTree {
 /// A leader's already-durable WAL payloads, in log order.
 fn leader_payloads(leader: &BLsmTree) -> Vec<Vec<u8>> {
     let (head, _) = leader.wal_window().unwrap();
-    let (records, _) = leader.wal_records_from(head).unwrap();
+    let (records, _) = leader.wal_records_from(head, usize::MAX).unwrap();
     records.into_iter().map(|r| r.payload).collect()
 }
 

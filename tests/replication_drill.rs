@@ -80,7 +80,6 @@ fn drill_client(addr: &str) -> Client {
         ClientConfig {
             max_attempts: 2,
             read_timeout: Duration::from_secs(10),
-            ..ClientConfig::default()
         },
     )
     .unwrap()
@@ -115,7 +114,6 @@ impl Cluster {
                 quorum_timeout,
                 ship_interval: Duration::from_millis(5),
                 ship_read_timeout: Duration::from_millis(250),
-                ..ReplicationConfig::default()
             },
         )
         .unwrap();
@@ -132,7 +130,6 @@ impl Cluster {
                 quorum_timeout,
                 ship_interval: Duration::from_millis(5),
                 ship_read_timeout: Duration::from_millis(250),
-                ..ReplicationConfig::default()
             },
         )
         .unwrap();
@@ -151,7 +148,6 @@ impl Cluster {
                 quorum_timeout,
                 ship_interval: Duration::from_millis(5),
                 ship_read_timeout: Duration::from_millis(250),
-                ..ReplicationConfig::default()
             },
         )
         .unwrap();
