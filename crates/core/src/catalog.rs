@@ -14,7 +14,7 @@
 //! catalog cell, the sharded [`ConcurrentC0`], the atomic sequence-number
 //! allocator, the WAL behind its own mutex, the merge operator, the
 //! buffer pool and the atomic statistics. [`crate::BLsmTree`] (whose
-//! `merge` mutex serializes only the merge state machine) and every
+//! driver mutexes serialize only the merge state machines) and every
 //! [`crate::ReadView`] hold it via `Arc`.
 //!
 //! Consistency between `C0` and the catalog no longer rests on a
@@ -28,8 +28,9 @@
 //! retained `C0` copies or the new `C1` without them — never neither,
 //! never both.
 //!
-//! Lock order (see `DESIGN.md` §14): `merge` → `commit` → `wal` →
-//! `catalog` → `recovery` → `work_pending`. The memtable's internal
+//! Lock order (see `DESIGN.md` §14): `merge01` → `merge12` → `merge` →
+//! `commit` → `wal` → `catalog` → `recovery` → `pending` (a merge
+//! thread's doorbell). The memtable's internal
 //! `pass` → `tables` locks are encapsulated below `catalog` and never
 //! escape the crate.
 
@@ -46,6 +47,7 @@ use crate::commit::CommitState;
 use crate::config::BLsmConfig;
 use crate::sched::BackpressureLevel;
 use crate::stats::{RecoveryReport, TreeStats, TreeStatsSnapshot};
+use crate::threaded::Doorbell;
 
 /// An immutable snapshot of the on-disk component set, searched
 /// newest→oldest: `C1`, then `C1'`, then `C2`.
@@ -238,17 +240,16 @@ pub(crate) struct TreeShared {
     /// Set once at the end of [`crate::BLsmTree::open`]; the lock is only
     /// for interior mutability, never held across I/O.
     pub(crate) recovery: RwLock<RecoveryReport>,
-    /// The merge-thread doorbell: the write tail sets it (and notifies
-    /// `work_cv`) when a write leaves the tree above `Idle`; the merge
-    /// thread parks on it once no merge is active (`threaded.rs`). Last
-    /// in the lock hierarchy — only ever taken with nothing held.
-    pub(crate) work_pending: Mutex<bool>,
-    /// Paired with `work_pending`.
-    pub(crate) work_cv: Condvar,
-    /// True while a [`crate::ThreadedBLsm`] merge thread is attached. A
+    /// The `C0:C1` merge thread's doorbell: the write tail rings it when
+    /// a write leaves the tree above `Idle` (`threaded.rs`).
+    pub(crate) bell01: Doorbell,
+    /// The `C1':C2` merge thread's doorbell: a pass that rotates `C1`
+    /// into `C1'` rings it.
+    pub(crate) bell12: Doorbell,
+    /// True while [`crate::ThreadedBLsm`]'s merge threads are attached. A
     /// bare tree has nobody to wake, so its writes never touch the
     /// doorbell lock.
-    // ordering: Release store before the merge thread is spawned (no
+    // ordering: Release store before the merge threads are spawned (no
     // writer can exist yet: `start` owns the tree), Acquire loads in the
     // write tail. The flag publishes no data — a stale read costs one
     // skipped ring, which the merge loop's wait timeout bounds.

@@ -1,10 +1,13 @@
-//! The serialized merge state machine.
+//! The two merge state machines, one driver each.
 //!
-//! There is exactly one merge driver at a time (§4.4.1's merge threads):
-//! every function here takes the tree's [`MergeState`], which callers
-//! obtain by locking the `merge` mutex — the thin wrappers on
-//! [`BLsmTree`] (`maintenance`, `checkpoint`, the pacing in `pace`) do
-//! that locking. Merges build their output `Sstable` off to the side;
+//! As with the paper's one thread per merge (§4.4.1), `C0:C1` runs with
+//! the tree's `merge01` lock held ([`Driver01`]) and `C1':C2` with
+//! `merge12`; the thin wrappers on [`BLsmTree`] (`maintenance`,
+//! `checkpoint`, the pacing in `pace`) take them, so the two merges run
+//! side by side. Both allocate their output from, and install it
+//! through, the shared [`MergeState`] under the `merge` lock: catalog
+//! swaps, manifest saves and reaps happen there one at a time, and never
+//! during merge work. Merges build their output `Sstable` off to the side;
 //! nothing becomes visible to readers until a new [`ComponentCatalog`] is
 //! published, and the `C0:C1` commit point runs inside
 //! [`ConcurrentC0::end_capped_pass_with`]'s epoch-bumped window so the
@@ -35,8 +38,9 @@ use blsm_sstable::{EntryRef, EntryStream, MergeIter, ReadMode, Sstable, SstableB
 use blsm_storage::{Lsn, PageId, Region, Result, Wal};
 
 use crate::catalog::ComponentCatalog;
+use crate::sched::MergeScheduler;
 use crate::stats;
-use crate::tree::{invariant_err, BLsmTree, MergeState};
+use crate::tree::{invariant_err, BLsmTree, Driver01, MergeState};
 
 /// A `C0:C1` merge run ends once its output reaches this multiple of its
 /// input estimate, bounding run length under sorted insert storms
@@ -124,8 +128,8 @@ enum Step {
 }
 
 impl BLsmTree {
-    pub(crate) fn start_merge01_locked(&self, ms: &mut MergeState) -> Result<()> {
-        assert!(ms.merge01.is_none());
+    pub(crate) fn start_merge01_locked(&self, pass: &mut Option<Merge01>) -> Result<()> {
+        assert!(pass.is_none());
         // A pass whose merge returned an error (any step, or sealing its
         // output) dropped its merge state but left `C0`'s pass open.
         // Nothing is lost — the drained rows stay readable behind the
@@ -153,7 +157,7 @@ impl BLsmTree {
         let est_entries = c0_len + c1_entries + 16;
         let factor = RUN_LENGTH_CAP + 0.5;
         let pages = Self::merge_region_pages(est_bytes, est_entries, factor);
-        let region = ms.allocator.alloc(pages);
+        let region = self.merge.lock().allocator.alloc(pages);
         let builder = SstableBuilder::new(
             self.shared.pool.clone(),
             region,
@@ -168,7 +172,7 @@ impl BLsmTree {
             .peekable()
         });
         let bottom = catalog.c2.is_none() && catalog.c1_prime.is_none();
-        ms.merge01 = Some(Merge01 {
+        *pass = Some(Merge01 {
             builder,
             full_region: region,
             c1_stream,
@@ -192,18 +196,18 @@ impl BLsmTree {
     /// `C0`'s pass stays open, which wedges this handle on
     /// `start_merge01_locked`'s typed error; the log is untouched, so a
     /// reopen replays every drained row.
-    pub(crate) fn run_merge01_locked(&self, ms: &mut MergeState, budget: u64) -> Result<()> {
-        let Some(mut m) = ms.merge01.take() else {
+    pub(crate) fn run_merge01_locked(&self, d: &mut Driver01, budget: u64) -> Result<()> {
+        let Some(mut m) = d.pass.take() else {
             return Ok(());
         };
         match self.step_merge01(&mut m, budget) {
             Ok(false) => {
-                ms.merge01 = Some(m);
+                d.pass = Some(m);
                 Ok(())
             }
-            Ok(true) => self.finish_merge01_locked(ms, m),
+            Ok(true) => self.finish_merge01_locked(&*d.scheduler, m),
             Err(e) => {
-                ms.allocator.free(m.full_region);
+                self.merge.lock().allocator.free(m.full_region);
                 Err(e)
             }
         }
@@ -316,11 +320,13 @@ impl BLsmTree {
     /// fails, the whole region: nothing in it is referenced. `None` is an
     /// empty output.
     fn seal_output(
-        ms: &mut MergeState,
+        &self,
         builder: SstableBuilder,
         full_region: Region,
     ) -> Result<Option<Arc<Sstable>>> {
-        let table = match builder.finish() {
+        let sealed = builder.finish();
+        let mut ms = self.merge.lock();
+        let table = match sealed {
             Ok(table) => Arc::new(table),
             Err(e) => {
                 ms.allocator.free(full_region);
@@ -337,7 +343,7 @@ impl BLsmTree {
         Ok((table.entry_count() > 0).then_some(table))
     }
 
-    fn finish_merge01_locked(&self, ms: &mut MergeState, m: Merge01) -> Result<()> {
+    fn finish_merge01_locked(&self, scheduler: &dyn MergeScheduler, m: Merge01) -> Result<()> {
         let Merge01 {
             builder,
             full_region,
@@ -346,10 +352,11 @@ impl BLsmTree {
             ..
         } = m;
         // Nothing is visible to readers until the catalog swap below.
-        let new_c1 = Self::seal_output(ms, builder, full_region)?;
+        let new_c1 = self.seal_output(builder, full_region)?;
         // Release the old-C1 iterator's table handle before reclamation.
         drop(c1_stream);
 
+        let mut ms = self.merge.lock();
         let had_leftover = {
             let old = self.shared.catalog.load();
             let next = Arc::new(ComponentCatalog::new(
@@ -376,7 +383,7 @@ impl BLsmTree {
             // Free the displaced C0 tables outside the critical section.
             drop(displaced);
             if let Some(old_c1) = old_c1 {
-                Self::retire(ms, old_c1);
+                Self::retire(&mut ms, old_c1);
             }
             leftover
         };
@@ -391,18 +398,16 @@ impl BLsmTree {
         // "snowshoveling delays log truncation").
         let wal_head = (!had_leftover).then_some(pass_start_lsn);
 
-        self.recompute_r(ms);
+        self.recompute_r();
         // Trigger the downstream merge when C1 reaches R fills (§2.3.1).
-        let c1_target = (ms.r * self.shared.config.mem_budget as f64) as u64;
+        // A `C1':C2` merge in flight always has its input in the catalog,
+        // so no `C1'` there means none is running.
+        let c1_target = (self.current_r() * self.shared.config.mem_budget as f64) as u64;
         let rotate = {
             let cat = self.shared.catalog.load();
-            ms.merge12.is_none()
-                && cat.c1_prime.is_none()
-                && cat.c1.as_ref().is_some_and(|c| c.data_bytes() >= c1_target)
-        };
-        if rotate {
-            {
-                let cat = self.shared.catalog.load();
+            let rotate = cat.c1_prime.is_none()
+                && cat.c1.as_ref().is_some_and(|c| c.data_bytes() >= c1_target);
+            if rotate {
                 // C1 → C1' rotation: the same table is reachable before
                 // and after the swap, so readers never see a gap.
                 self.shared.catalog.store(Arc::new(ComponentCatalog::new(
@@ -411,21 +416,27 @@ impl BLsmTree {
                     cat.c2.clone(),
                 )));
             }
-            self.save_manifest(ms, wal_head)?;
-            self.start_merge12_locked(ms)?;
-            if ms.scheduler.blocking_merge12() {
-                // The naive scheduler's unbounded pause (§3.2).
-                self.run_merge12_locked(ms, u64::MAX)?;
+            rotate
+        };
+        self.save_manifest(&mut ms, wal_head)?;
+        drop(ms);
+        if rotate {
+            // Hand C1' to its driver. The naive scheduler waits out the
+            // whole merge (§3.2's unbounded pause); the others start it
+            // if the driver is free, and ring its thread either way.
+            if scheduler.blocking_merge12() {
+                self.drain_merge12()?;
+            } else if let Some(mut m12) = self.merge12.try_lock() {
+                self.restart_merge12_locked(&mut m12)?;
             }
-        } else {
-            self.save_manifest(ms, wal_head)?;
+            self.shared.bell12.ring();
         }
-        self.reap_retired_locked(ms);
+        self.reap_retired_locked(&mut self.merge.lock());
         Ok(())
     }
 
-    pub(crate) fn start_merge12_locked(&self, ms: &mut MergeState) -> Result<()> {
-        assert!(ms.merge12.is_none());
+    pub(crate) fn start_merge12_locked(&self, m12: &mut Option<Merge12>) -> Result<()> {
+        assert!(m12.is_none());
         let catalog = self.shared.catalog.load();
         let c1p = catalog
             .c1_prime
@@ -435,7 +446,7 @@ impl BLsmTree {
         let input_total = c1p.data_bytes() + c2.as_ref().map_or(0, |c| c.data_bytes());
         let est_entries = c1p.entry_count() + c2.as_ref().map_or(0, |c| c.entry_count()) + 16;
         let pages = Self::merge_region_pages(input_total, est_entries, 1.2);
-        let region = ms.allocator.alloc(pages);
+        let region = self.merge.lock().allocator.alloc(pages);
         let builder = SstableBuilder::new(self.shared.pool.clone(), region, est_entries);
         let consumed = Arc::new(AtomicU64::new(0));
         let mut streams: Vec<EntryStream<'static>> = Vec::with_capacity(2);
@@ -450,7 +461,7 @@ impl BLsmTree {
             }));
         }
         let iter = MergeIter::new(streams, self.shared.op.clone(), true);
-        ms.merge12 = Some(Merge12 {
+        *m12 = Some(Merge12 {
             builder,
             full_region: region,
             iter,
@@ -464,8 +475,8 @@ impl BLsmTree {
     /// merge that returned an error is dropped here too; its inputs are
     /// immutable components still in the catalog, so
     /// `restart_merge12_locked` starts it over.
-    pub(crate) fn run_merge12_locked(&self, ms: &mut MergeState, budget: u64) -> Result<()> {
-        let Some(mut m) = ms.merge12.take() else {
+    pub(crate) fn run_merge12_locked(&self, m12: &mut Option<Merge12>, budget: u64) -> Result<()> {
+        let Some(mut m) = m12.take() else {
             return Ok(());
         };
         let start = m.consumed.load(Ordering::Relaxed);
@@ -489,59 +500,70 @@ impl BLsmTree {
         };
         match step {
             Ok(false) => {
-                ms.merge12 = Some(m);
+                *m12 = Some(m);
                 Ok(())
             }
-            Ok(true) => self.finish_merge12_locked(ms, m),
+            Ok(true) => self.finish_merge12_locked(m),
             Err(e) => {
-                ms.allocator.free(m.full_region);
+                self.merge.lock().allocator.free(m.full_region);
                 Err(e)
             }
         }
     }
 
     /// Starts the `C1':C2` merge whenever a `C1'` is installed and no
-    /// merge is consuming it: after a crash mid-merge (`open`), and after
-    /// a merge that returned an error was dropped (`maintenance`,
-    /// `checkpoint`).
-    pub(crate) fn restart_merge12_locked(&self, ms: &mut MergeState) -> Result<()> {
-        if ms.merge12.is_none() && self.shared.catalog.load().c1_prime.is_some() {
-            self.start_merge12_locked(ms)?;
+    /// merge is consuming it: after a pass rotates `C1`, after a crash
+    /// mid-merge (`open`), and after a merge that returned an error was
+    /// dropped (`maintenance`, `checkpoint`).
+    pub(crate) fn restart_merge12_locked(&self, m12: &mut Option<Merge12>) -> Result<()> {
+        if m12.is_none() && self.shared.catalog.load().c1_prime.is_some() {
+            self.start_merge12_locked(m12)?;
         }
         Ok(())
     }
 
-    fn finish_merge12_locked(&self, ms: &mut MergeState, m: Merge12) -> Result<()> {
+    /// Runs the `C1':C2` merge to completion, starting it if a `C1'`
+    /// waits (`checkpoint`, and the naive scheduler's hand-off).
+    pub(crate) fn drain_merge12(&self) -> Result<()> {
+        let mut m12 = self.merge12.lock();
+        self.restart_merge12_locked(&mut m12)?;
+        self.run_merge12_locked(&mut m12, u64::MAX)
+    }
+
+    fn finish_merge12_locked(&self, m: Merge12) -> Result<()> {
         let Merge12 {
             builder,
             full_region,
             iter,
             ..
         } = m;
-        let new_c2 = Self::seal_output(ms, builder, full_region)?;
+        let new_c2 = self.seal_output(builder, full_region)?;
         // Release the input iterators' table handles before reclamation.
         drop(iter);
+        let mut ms = self.merge.lock();
         {
             let old = self.shared.catalog.load();
             // Single swap: C1' and the old C2 leave, the merged C2
-            // arrives. No C0 state changes, so no epoch bump is needed: a
-            // reader's pinned old catalog is still a complete view.
+            // arrives, and whatever C1 the `C0:C1` driver installed
+            // meanwhile stays. No C0 state changes, so no epoch bump is
+            // needed: a reader's pinned old catalog is still a complete
+            // view.
             self.shared.catalog.store(Arc::new(ComponentCatalog::new(
                 old.c1.clone(),
                 None,
                 new_c2,
             )));
             if let Some(t) = old.c1_prime.clone() {
-                Self::retire(ms, t);
+                Self::retire(&mut ms, t);
             }
             if let Some(t) = old.c2.clone() {
-                Self::retire(ms, t);
+                Self::retire(&mut ms, t);
             }
         }
         stats::bump(&self.shared.stats.merges12, 1);
-        self.recompute_r(ms);
-        self.save_manifest(ms, None)?;
-        self.reap_retired_locked(ms);
+        self.recompute_r();
+        self.save_manifest(&mut ms, None)?;
+        self.reap_retired_locked(&mut ms);
         Ok(())
     }
 
@@ -554,12 +576,14 @@ impl BLsmTree {
     /// Reclaims retired components no longer referenced by any catalog
     /// snapshot or in-flight iterator. A strong count of one means the
     /// retired list holds the last handle; no new references can be
-    /// minted from it, so eviction + region free is safe.
+    /// minted from it, so eviction + region free is safe. Nothing is
+    /// reaped while a manifest save is outstanding — the on-disk root may
+    /// still name it — and with two drivers one's failed save can meet
+    /// the other's reap, so this checks rather than assumes.
     pub(crate) fn reap_retired_locked(&self, ms: &mut MergeState) {
-        debug_assert!(
-            ms.unsaved_wal_head.is_none(),
-            "the on-disk root may name them"
-        );
+        if ms.unsaved_wal_head.is_some() {
+            return;
+        }
         let pending = std::mem::take(&mut ms.retired);
         for r in pending {
             if Arc::strong_count(&r.table) == 1 {
@@ -650,22 +674,25 @@ mod tests {
         let merges12 = tree.stats().merges12;
 
         {
-            let mut ms = tree.merge.lock();
-            let epoch = ms.manifest.epoch();
-            let output_pages = ms.merge12.as_ref().unwrap().full_region.pages;
-            let allocated_before = allocated(&ms);
+            let mut m12 = tree.merge12.lock();
+            let epoch = tree.merge.lock().manifest.epoch();
+            let output_pages = m12.as_ref().unwrap().full_region.pages;
+            let allocated_before = allocated(&tree.merge.lock());
             // Part of the output is built, then one input read fails.
-            tree.run_merge12_locked(&mut ms, 64 << 10).unwrap();
-            assert!(ms.merge12.is_some());
+            tree.run_merge12_locked(&mut m12, 64 << 10).unwrap();
+            assert!(m12.is_some());
             flaky.fail_next(1);
-            let err = tree.run_merge12_locked(&mut ms, u64::MAX).unwrap_err();
+            let err = tree.run_merge12_locked(&mut m12, u64::MAX).unwrap_err();
             assert!(err.to_string().contains("injected fault"), "{err}");
             // The merge is gone, not flagged: polling again finds nothing
             // to poll, and nothing it built was kept or recorded.
-            assert!(ms.merge12.is_none());
-            tree.run_merge12_locked(&mut ms, u64::MAX).unwrap();
-            assert_eq!(ms.manifest.epoch(), epoch);
-            assert_eq!(allocated(&ms), allocated_before - output_pages);
+            assert!(m12.is_none());
+            tree.run_merge12_locked(&mut m12, u64::MAX).unwrap();
+            assert_eq!(tree.merge.lock().manifest.epoch(), epoch);
+            assert_eq!(
+                allocated(&tree.merge.lock()),
+                allocated_before - output_pages
+            );
         }
         assert!(Arc::ptr_eq(&before, &tree.shared.catalog.load()));
         assert_eq!(tree.stats().merges12, merges12);
@@ -722,6 +749,31 @@ mod tests {
         tree.checkpoint().unwrap();
         assert_reads_match(&tree, &model);
         assert!(tree.scrub().is_clean());
+    }
+
+    #[test]
+    fn nothing_is_reaped_while_a_manifest_save_is_outstanding() {
+        let tree = open(Arc::new(MemDevice::new()), Arc::new(MemDevice::new()));
+        let (mut model, mut n) = (BTreeMap::new(), 0);
+        for _ in 0..200 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        tree.checkpoint().unwrap();
+        // A reader pins the C1 the next pass replaces, so it stays retired.
+        let pinned = tree.shared.catalog.load();
+        for _ in 0..100 {
+            put_next(&tree, &mut model, &mut n).unwrap();
+        }
+        tree.checkpoint().unwrap();
+        drop(pinned);
+        // The other driver's save failed: the on-disk root may name it.
+        let mut ms = tree.merge.lock();
+        ms.unsaved_wal_head = Some(0);
+        tree.reap_retired_locked(&mut ms);
+        assert_eq!(ms.retired.len(), 1);
+        ms.unsaved_wal_head = None;
+        tree.reap_retired_locked(&mut ms);
+        assert!(ms.retired.is_empty());
     }
 
     /// Fails every write that starts below `fail_below` bytes — the

@@ -5,7 +5,7 @@
 //! (§2.3.2, §3.3, §4.2.2). This module builds the serving tier on the
 //! routing arithmetic of [`crate::route`]: every shard is a whole
 //! [`crate::BLsmTree`] wrapped in its own [`ThreadedBLsm`] — its own
-//! directory, WAL ring, `C0`, spring-and-gear scheduler, merge thread
+//! directory, WAL ring, `C0`, spring-and-gear scheduler, merge threads
 //! and recovery path — so write throughput, merge stalls and crash
 //! recovery are per-shard, never globally coupled:
 //!
@@ -96,7 +96,7 @@ pub struct DegradedShard<'a> {
 }
 
 /// N independent bLSM shards (each with its own WAL, `C0`, merge
-/// scheduler and merge thread) behind one key-range router.
+/// scheduler and merge threads) behind one key-range router.
 ///
 /// All operations are `&self`: routing is pure arithmetic over the
 /// immutable boundary list, and each shard's engine is internally
@@ -507,7 +507,7 @@ impl ShardedBLsm {
         }
     }
 
-    /// Stops every shard's merge thread, completes pending merges,
+    /// Stops every shard's merge threads, completes pending merges,
     /// checkpoints, bumps the manifest epoch, and returns the settled
     /// trees (shard order; degraded shards omitted).
     ///

@@ -201,7 +201,7 @@ pub struct TreeStatsSnapshot {
     pub merges12: u64,
     /// Writes that hit the hard `C0` cap and had to run forced merge work.
     pub forced_stalls: u64,
-    /// Background merge quanta that returned an error. The merge thread
+    /// Background merge quanta that returned an error. A merge thread
     /// retries one wait timeout later, so on a failing device this rises
     /// at that rate; the typed error reaches the next writer's pacing.
     pub merge_errors: u64,

@@ -1,60 +1,116 @@
-//! Background merge-thread driver.
+//! Background merge-thread drivers.
 //!
-//! The paper's implementation runs merges on dedicated threads (§4.4.1);
-//! our engine exposes merges as an incremental state machine so the
-//! simulated-device experiments stay deterministic. [`ThreadedBLsm`] puts
-//! the thread back for real deployments: a merge thread repeatedly asks
-//! the engine for maintenance work, backing off when there is none, while
-//! application threads use the tree *directly* — the handle derefs to
-//! [`BLsmTree`], whose operations are all `&self`, so this wrapper
-//! declares no operations of its own and adds no mutex around the tree's.
+//! The paper's implementation runs each merge on a dedicated thread
+//! (§4.4.1); our engine exposes merges as incremental state machines so
+//! the simulated-device experiments stay deterministic. [`ThreadedBLsm`]
+//! puts the threads back for real deployments: one for `C0:C1` and one
+//! for `C1':C2`, each repeatedly running a bounded quantum of its own
+//! merge under its own driver lock and parking when it has none. On two
+//! cores both merges progress at once, and the `C0` drain never waits
+//! for a downstream quantum. Application threads use the tree
+//! *directly* — the handle derefs to [`BLsmTree`], whose operations are
+//! all `&self`, so this wrapper declares no operations of its own and
+//! adds no mutex around the tree's.
 //!
 //! §4.4.1 notes the concurrency pitfalls of merge threads ("it is
 //! prohibitively expensive to acquire a coarse-grained mutex for each
 //! merged tuple or page ... each merge thread must take action based upon
 //! stale statistics"). The split here matches: writers contend only on
 //! their `C0` key-range shard (plus the log mutex when durability is on),
-//! the merge thread serializes on the tree's internal merge state for one
-//! bounded quantum at a time, and reads never take any of those locks
-//! (see `read.rs`). The tree's write tail rings the merge thread's
-//! doorbell (`TreeShared::work_pending`) whenever a write leaves `C0`
-//! above `Idle`.
+//! each merge thread holds its driver for one bounded quantum at a time,
+//! and reads never take any of those locks (see `read.rs`). The tree's
+//! write tail rings the `C0:C1` thread's [`Doorbell`] whenever a write
+//! leaves `C0` above `Idle`; a pass that rotates `C1` into `C1'` rings
+//! the `C1':C2` thread's.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blsm_storage::{Result, StorageError};
+use parking_lot::{Condvar, Mutex};
 
 use crate::stats;
 use crate::tree::BLsmTree;
 
-/// How long the merge thread sleeps between staleness re-checks when no
-/// writer has rung it: the bound on how stale the spring-and-gear
+/// How long a merge thread sleeps between staleness re-checks when
+/// nobody has rung it: the bound on how stale the spring-and-gear
 /// schedule can go while writes skip the doorbell at `Idle`.
 const MERGE_WAIT_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// A merge thread's wake-up call: rung by whoever hands the thread work,
+/// parked on by the thread once its merge is idle. Last in the lock
+/// hierarchy — only ever taken with nothing held.
+pub(crate) struct Doorbell {
+    pub(crate) pending: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    pub(crate) fn new() -> Doorbell {
+        Doorbell {
+            pending: Mutex::new(false),
+            cv: Condvar::new(),
+        }
+    }
+
+    pub(crate) fn ring(&self) {
+        *self.pending.lock() = true;
+        self.cv.notify_one();
+    }
+
+    /// Sleeps until the bell rings, `MERGE_WAIT_TIMEOUT` passes (so paced
+    /// schedulers still make progress on idle trees) or `shutdown` is
+    /// set, then clears the ring. After a failed quantum (`deaf`) the
+    /// wait runs its full length whatever rings arrive: the dropped merge
+    /// would otherwise be restarted — region, Bloom filter and all — once
+    /// per write, only to fail again. The predicate is re-checked in a
+    /// loop: a bare `if` would let a ring that lands between a
+    /// spurious/timeout wakeup and the `*pending = false` store below be
+    /// silently consumed, stalling that work until the next timeout (the
+    /// classic lost-wakeup shape).
+    fn park(&self, deaf: bool, shutdown: &AtomicBool) {
+        let mut pending = self.pending.lock();
+        let wake_at = Instant::now() + MERGE_WAIT_TIMEOUT;
+        while (deaf || !*pending) && !shutdown.load(Ordering::SeqCst) {
+            let left = wake_at.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.cv.wait_for(&mut pending, left).timed_out() {
+                break;
+            }
+        }
+        *pending = false;
+    }
+}
 
 struct Shared {
     /// The tree itself — writes and reads are `&self`, so no wrapper
     /// mutex: application threads call straight into it while the merge
-    /// thread drives `maintenance`.
+    /// threads drive its two merges.
     tree: BLsmTree,
     // ordering: SeqCst — shutdown flag checked against the condvar
     // handshake; SeqCst keeps the store totally ordered with the
-    // `work_pending` notifies so the merge loop cannot miss it
-    // (model-checked in crates/modelcheck).
+    // doorbell rings so a merge loop cannot miss it (model-checked in
+    // crates/modelcheck).
     shutdown: AtomicBool,
 }
 
-/// A [`BLsmTree`] with a background merge thread. Derefs to the tree:
-/// every operation (`put`, `get`, `scan`, `commit_group`, `stats`, …) is
-/// the tree's own.
+/// A [`BLsmTree`] with its two background merge threads. Derefs to the
+/// tree: every operation (`put`, `get`, `scan`, `commit_group`, `stats`,
+/// …) is the tree's own.
 pub struct ThreadedBLsm {
     /// `Some` until `shutdown` hands the tree back.
     shared: Option<Arc<Shared>>,
-    merge_thread: Option<std::thread::JoinHandle<()>>,
+    /// The `C0:C1` and `C1':C2` threads, until stopped.
+    merge_threads: Vec<std::thread::JoinHandle<()>>,
     /// Merge input bytes processed per background quantum.
     quantum: u64,
+}
+
+/// The two merges, one thread each.
+#[derive(Clone, Copy)]
+enum Driver {
+    C0C1,
+    C1C2,
 }
 
 impl std::fmt::Debug for ThreadedBLsm {
@@ -80,16 +136,16 @@ impl std::ops::Deref for ThreadedBLsm {
 }
 
 impl ThreadedBLsm {
-    /// Wraps a tree and starts the merge thread. `quantum` bounds merge
-    /// bytes processed per background quantum (and therefore the time any
-    /// application *write* can wait behind the merge thread at the hard
-    /// `C0` cap; reads never wait).
+    /// Wraps a tree and starts its two merge threads. `quantum` bounds
+    /// merge bytes processed per background quantum (and therefore the
+    /// time any application *write* can wait behind the `C0:C1` thread at
+    /// the hard `C0` cap; reads never wait).
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Io`] if the merge thread cannot be
-    /// spawned (e.g. the process hit its thread limit); the tree itself
-    /// is dropped in that case, so reopen it from its devices.
+    /// Returns [`StorageError::Io`] if a merge thread cannot be spawned
+    /// (e.g. the process hit its thread limit); the tree itself is
+    /// dropped in that case, so reopen it from its devices.
     pub fn start(tree: BLsmTree, quantum: u64) -> Result<ThreadedBLsm> {
         // ordering: Release — see the field docs in `catalog.rs`.
         tree.shared
@@ -99,16 +155,23 @@ impl ThreadedBLsm {
             tree,
             shutdown: AtomicBool::new(false),
         });
-        let thread_shared = shared.clone();
-        let merge_thread = std::thread::Builder::new()
-            .name("blsm-merge".into())
-            .spawn(move || merge_loop(&thread_shared, quantum.max(64 << 10)))
-            .map_err(StorageError::Io)?;
-        Ok(ThreadedBLsm {
-            shared: Some(shared),
-            merge_thread: Some(merge_thread),
+        let mut db = ThreadedBLsm {
+            shared: Some(shared.clone()),
+            merge_threads: Vec::with_capacity(2),
             quantum,
-        })
+        };
+        for (name, driver) in [
+            ("blsm-merge01", Driver::C0C1),
+            ("blsm-merge12", Driver::C1C2),
+        ] {
+            let thread_shared = shared.clone();
+            let thread = std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || merge_loop(&thread_shared, driver, quantum.max(64 << 10)))
+                .map_err(StorageError::Io)?;
+            db.merge_threads.push(thread);
+        }
+        Ok(db)
     }
 
     /// Runs `f` against the tree — for callers that want a `&BLsmTree`
@@ -123,10 +186,10 @@ impl ThreadedBLsm {
         self.quantum
     }
 
-    /// Stops the merge thread, completes all pending merges, and returns
+    /// Stops the merge threads, completes all pending merges, and returns
     /// the tree.
     pub fn shutdown(mut self) -> Result<BLsmTree> {
-        self.stop_thread();
+        self.stop_threads();
         let Some(shared) = self.shared.take() else {
             // Unreachable: `shutdown` takes `self` by value.
             return Err(blsm_storage::StorageError::corruption(
@@ -135,40 +198,34 @@ impl ThreadedBLsm {
                 "shutdown on an already shut-down tree",
             ));
         };
-        let shared =
-            Arc::try_unwrap(shared).unwrap_or_else(|_| panic!("merge thread still holds the tree"));
+        let shared = Arc::try_unwrap(shared)
+            .unwrap_or_else(|_| panic!("a merge thread still holds the tree"));
         let tree = shared.tree;
         tree.checkpoint()?;
         Ok(tree)
     }
 
-    fn stop_thread(&mut self) {
+    fn stop_threads(&mut self) {
         let Some(shared) = self.shared.as_ref() else {
             return;
         };
         shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut pending = shared.tree.shared.work_pending.lock();
-            *pending = true;
-            shared.tree.shared.work_cv.notify_one();
-        }
-        if let Some(h) = self.merge_thread.take() {
-            let _ = h.join();
+        let tree = &shared.tree.shared;
+        tree.bell01.ring();
+        tree.bell12.ring();
+        for thread in self.merge_threads.drain(..) {
+            let _ = thread.join();
         }
         // The returned tree is a bare tree again: nobody left to wake.
         // ordering: Release — see the field docs in `catalog.rs`.
-        shared
-            .tree
-            .shared
-            .merge_thread_attached
-            .store(false, Ordering::Release);
+        tree.merge_thread_attached.store(false, Ordering::Release);
     }
 }
 
 impl Drop for ThreadedBLsm {
     fn drop(&mut self) {
-        if self.merge_thread.is_some() {
-            self.stop_thread();
+        if !self.merge_threads.is_empty() {
+            self.stop_threads();
         }
         // Drop-safe shutdown hook: a handle dropped without an explicit
         // `shutdown` (e.g. a server unwinding on error) still checkpoints
@@ -184,20 +241,19 @@ impl Drop for ThreadedBLsm {
     }
 }
 
-fn merge_loop(shared: &Arc<Shared>, quantum: u64) {
+fn merge_loop(shared: &Shared, driver: Driver, quantum: u64) {
     let tree = &shared.tree;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Bounded work per quantum; writers and readers proceed
-        // concurrently (maintenance serializes only on the tree's
-        // internal merge state).
-        let active_before = tree.merges_active();
-        // A failed quantum is counted here; the error itself reaches the
-        // next writer through `pace`.
-        let failed = tree.maintenance(quantum).is_err();
-        if failed {
+    let (step, bell): (fn(&BLsmTree, u64) -> Result<bool>, _) = match driver {
+        Driver::C0C1 => (BLsmTree::maintain01, &tree.shared.bell01),
+        Driver::C1C2 => (BLsmTree::maintain12, &tree.shared.bell12),
+    };
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        // One bounded quantum of this thread's merge; writers, readers
+        // and the other merge proceed concurrently. A failed quantum is
+        // counted here; the error itself reaches the next writer through
+        // `pace`.
+        let outcome = step(tree, quantum);
+        if outcome.is_err() {
             stats::bump(&tree.shared.stats.merge_errors, 1);
         }
         // Every background quantum is an invariant boundary; a
@@ -207,32 +263,13 @@ fn merge_loop(shared: &Arc<Shared>, quantum: u64) {
         if let Err(e) = tree.check_invariants() {
             panic!("merge-thread quantum violated a tree invariant: {e}");
         }
-        let active_after = tree.merges_active();
-        if !failed && (active_before.0 || active_before.1 || active_after.0 || active_after.1) {
+        if matches!(outcome, Ok(true)) {
             // Yield briefly so application threads stay ahead of us on
-            // the merge state at the hard cap.
+            // the driver at the hard cap.
             std::thread::yield_now();
             continue;
         }
-        // No work: sleep until a writer rings us (or `MERGE_WAIT_TIMEOUT`,
-        // so paced schedulers still make progress on idle trees). After a
-        // failed quantum the wait runs its full length whatever rings
-        // arrive: the dropped merge would otherwise be restarted — region,
-        // Bloom filter and all — once per write, only to fail again. The
-        // predicate is re-checked in a loop: a bare `if` would let a
-        // ring that lands between a spurious/timeout wakeup and the
-        // `*pending = false` store below be silently consumed, stalling
-        // that writer's work until the next timeout (the classic
-        // lost-wakeup shape).
-        let mut pending = tree.shared.work_pending.lock();
-        let wake_at = Instant::now() + MERGE_WAIT_TIMEOUT;
-        while (failed || !*pending) && !shared.shutdown.load(Ordering::SeqCst) {
-            let left = wake_at.saturating_duration_since(Instant::now());
-            if left.is_zero() || tree.shared.work_cv.wait_for(&mut pending, left).timed_out() {
-                break;
-            }
-        }
-        *pending = false;
+        bell.park(outcome.is_err(), &shared.shutdown);
     }
 }
 
@@ -443,12 +480,8 @@ mod tests {
         // the thread a moment to park again: it now sleeps on a fresh,
         // (almost) full wait timeout whether or not writes ring.
         let tree: &BLsmTree = &db;
-        {
-            let mut pending = tree.shared.work_pending.lock();
-            *pending = true;
-            tree.shared.work_cv.notify_one();
-        }
-        while *tree.shared.work_pending.lock() {
+        tree.shared.bell01.ring();
+        while *tree.shared.bell01.pending.lock() {
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -464,6 +497,30 @@ mod tests {
                 "write above Idle did not wake the merge thread"
             );
             std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn c0_c1_passes_complete_while_the_c1_prime_c2_driver_is_held() {
+        // Hold the `C1':C2` driver the way a long downstream quantum
+        // would: the `C0` drain has its own driver and thread, so writes
+        // keep flowing and `C0:C1` passes keep completing.
+        let db = new_threaded();
+        let tree: &BLsmTree = &db;
+        let downstream = tree.merge12.lock();
+        let before = tree.stats().merges01;
+        for i in 0..5_000u32 {
+            db.put(format!("k{i:06}").into_bytes(), Bytes::from(vec![0u8; 100]))
+                .unwrap();
+        }
+        let passes = tree.stats().merges01 - before;
+        assert!(
+            passes >= 3,
+            "{passes} C0:C1 passes behind a held C1':C2 driver"
+        );
+        drop(downstream);
+        for i in (0..5_000u32).step_by(97) {
+            assert!(db.get(format!("k{i:06}").as_bytes()).unwrap().is_some());
         }
     }
 
@@ -517,8 +574,7 @@ mod tests {
         let before = tree.stats().merge_errors;
         let started = Instant::now();
         while started.elapsed() < Duration::from_millis(200) {
-            *tree.shared.work_pending.lock() = true;
-            tree.shared.work_cv.notify_one();
+            tree.shared.bell01.ring();
         }
         let waits = (started.elapsed().as_millis() / MERGE_WAIT_TIMEOUT.as_millis()) as u64;
         let errors = tree.stats().merge_errors - before;

@@ -26,15 +26,20 @@
 //!   [`ConcurrentC0`](blsm_memtable::ConcurrentC0) — two writers contend
 //!   only when they touch the same key-range shard (or both need the
 //!   log).
-//! * **Merges** serialize on the `merge` mutex holding [`MergeState`].
-//!   Writers *opportunistically* pace (try-lock: if the merge thread or a
-//!   sibling writer already holds the state, the quantum is already being
-//!   run) and only block on it to enforce the hard `C0` cap.
+//! * **Merges** have two drivers, as in the paper (§4.4.1): `C0:C1`
+//!   runs under the `merge01` mutex and `C1':C2` under `merge12`, so the
+//!   `C0` drain never queues behind the downstream merge. Both install
+//!   their output through `merge` (allocator, manifest, retired list),
+//!   held only to allocate and to install a finished merge, never across
+//!   merge work. Writers *opportunistically* pace (try-lock: if a merge
+//!   thread or a sibling writer already holds a driver, that quantum is
+//!   already being run) and only block on `merge01` to enforce the hard
+//!   `C0` cap.
 //!
-//! Lock order: `merge` → `wal` → `catalog` → `recovery` (see DESIGN.md
-//! §14). The module split mirrors the design: `catalog.rs` (the
-//! atomically swapped component snapshot), `read.rs` (the read path),
-//! `merge.rs` (the merge machinery).
+//! Lock order: `merge01` → `merge12` → `merge` → `wal` → `catalog` →
+//! `recovery` (see DESIGN.md §14). The module split mirrors the design:
+//! `catalog.rs` (the atomically swapped component snapshot), `read.rs`
+//! (the read path), `merge.rs` (the merge machinery).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -58,6 +63,7 @@ use crate::meta::{ComponentSlot, TreeMeta};
 use crate::read::{ReadView, ScanItem, TreeScrubReport};
 use crate::sched::{make_scheduler, MergeScheduler, SchedInputs};
 use crate::stats::{self, RecoveryReport, TreeStats, TreeStatsSnapshot};
+use crate::threaded::Doorbell;
 
 /// Upper bound on merge bytes processed in one burst of inline work;
 /// bounds the latency any single write can observe from pacing.
@@ -66,36 +72,49 @@ const WORK_QUANTUM: u64 = 4 << 20;
 /// A general purpose log structured merge tree (the paper's system).
 ///
 /// Writes and reads are `&self` and safe from any number of threads;
-/// merge quanta serialize internally on the `merge` mutex (see the module
+/// each merge's quanta serialize on its own driver mutex (see the module
 /// docs for the concurrency planes).
 pub struct BLsmTree {
     /// State shared with every [`ReadView`] and concurrent writer.
     pub(crate) shared: Arc<TreeShared>,
-    /// The serialized merge state machine. Writers try-lock it for
-    /// opportunistic pacing and block on it only at the hard `C0` cap.
+    /// The `C0:C1` driver. Writers try-lock it for opportunistic pacing
+    /// and block on it only at the hard `C0` cap.
+    pub(crate) merge01: Mutex<Driver01>,
+    /// The `C1':C2` driver: the merge in flight, if any.
+    pub(crate) merge12: Mutex<Option<Merge12>>,
+    /// What both drivers install their output through.
     pub(crate) merge: Mutex<MergeState>,
+    /// The level size ratio `R` as `f64` bits, recomputed after merges
+    /// unless pinned.
+    // ordering: Release stores (at open, and by a merge's install under
+    // `merge`), Acquire loads; a pacing input that publishes no data.
+    pub(crate) r_bits: AtomicU64,
 }
 
-/// Everything only the (single) merge driver of the moment touches:
-/// allocator, manifest, scheduler, in-flight merges, retired components.
+/// The `C0:C1` driver: the scheduler that paces writers, and the pass in
+/// flight.
+pub(crate) struct Driver01 {
+    pub(crate) scheduler: Box<dyn MergeScheduler>,
+    pub(crate) pass: Option<Merge01>,
+    #[cfg(feature = "strict-invariants")]
+    pub(crate) strict: StrictState,
+}
+
+/// The data device's bookkeeping, shared by both drivers: held to
+/// allocate a merge's output and to install a finished merge (catalog
+/// swap, manifest save, reap), so installs never interleave, and never
+/// across merge work.
 pub(crate) struct MergeState {
     pub(crate) allocator: RegionAllocator,
     pub(crate) manifest: ManifestStore,
-    pub(crate) scheduler: Box<dyn MergeScheduler>,
-    pub(crate) merge01: Option<Merge01>,
-    pub(crate) merge12: Option<Merge12>,
     /// Replaced components awaiting deferred reclamation (readers may
     /// still hold pinned catalog snapshots referencing them).
     pub(crate) retired: Vec<RetiredTable>,
-    /// Current level size ratio (recomputed after merges unless pinned).
-    pub(crate) r: f64,
     /// The log head the last manifest save was recording, if that save
     /// failed: the on-disk root still names the retired components and
-    /// the old head, so nothing is reaped and no merge work runs until
+    /// the old head, so nothing is reaped and no merge work starts until
     /// [`BLsmTree::resave_manifest`] gets it through.
     pub(crate) unsaved_wal_head: Option<Lsn>,
-    #[cfg(feature = "strict-invariants")]
-    pub(crate) strict: StrictState,
 }
 
 /// Cross-quantum bookkeeping for [`BLsmTree::check_invariants`].
@@ -116,11 +135,13 @@ pub(crate) struct StrictState {
 impl std::fmt::Debug for BLsmTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("BLsmTree");
-        d.field("c0_bytes", &self.c0_bytes());
-        if let Some(m) = self.merge.try_lock() {
-            d.field("merge01_active", &m.merge01.is_some())
-                .field("merge12_active", &m.merge12.is_some())
-                .field("r", &m.r);
+        d.field("c0_bytes", &self.c0_bytes())
+            .field("r", &self.current_r());
+        if let Some(d01) = self.merge01.try_lock() {
+            d.field("merge01_active", &d01.pass.is_some());
+        }
+        if let Some(m12) = self.merge12.try_lock() {
+            d.field("merge12_active", &m12.is_some());
         }
         d.finish_non_exhaustive()
     }
@@ -190,25 +211,27 @@ impl BLsmTree {
             unsynced_writes: AtomicU64::new(0),
             stats: TreeStats::default(),
             recovery: parking_lot::RwLock::new(RecoveryReport::default()),
-            work_pending: Mutex::new(false),
-            work_cv: parking_lot::Condvar::new(),
+            bell01: Doorbell::new(),
+            bell12: Doorbell::new(),
             merge_thread_attached: std::sync::atomic::AtomicBool::new(false),
             config,
         });
         let tree = BLsmTree {
             shared,
-            merge: Mutex::new(MergeState {
-                allocator,
-                manifest,
+            merge01: Mutex::new(Driver01 {
                 scheduler,
-                merge01: None,
-                merge12: None,
-                retired: Vec::new(),
-                r: 4.0,
-                unsaved_wal_head: None,
+                pass: None,
                 #[cfg(feature = "strict-invariants")]
                 strict: StrictState::default(),
             }),
+            merge12: Mutex::new(None),
+            merge: Mutex::new(MergeState {
+                allocator,
+                manifest,
+                retired: Vec::new(),
+                unsaved_wal_head: None,
+            }),
+            r_bits: AtomicU64::new(0),
         };
 
         // Replay the logical log into C0 (§4.4.2). Each record is checked
@@ -267,13 +290,9 @@ impl BLsmTree {
         }
         *tree.shared.recovery.write() = recovery;
 
-        {
-            let mut m = tree.merge.lock();
-            m.r = tree.shared.config.r.unwrap_or(4.0);
-            // A crash mid-C1':C2 leaves C1' installed; restart its merge.
-            tree.restart_merge12_locked(&mut m)?;
-            tree.recompute_r(&mut m);
-        }
+        // A crash mid-C1':C2 leaves C1' installed; restart its merge.
+        tree.restart_merge12_locked(&mut tree.merge12.lock())?;
+        tree.recompute_r();
         Ok(tree)
     }
 
@@ -315,7 +334,8 @@ impl BLsmTree {
 
     /// Current level size ratio `R`.
     pub fn current_r(&self) -> f64 {
-        self.merge.lock().r
+        // ordering: Acquire — see the field docs.
+        f64::from_bits(self.r_bits.load(Ordering::Acquire))
     }
 
     /// Bytes buffered in `C0` — an atomic counter read, no locks.
@@ -515,8 +535,8 @@ impl BLsmTree {
         Ok(target)
     }
 
-    /// Wakes the attached merge thread (if any) — unless the tree is
-    /// idle.
+    /// Wakes the attached `C0:C1` merge thread (if any) — unless the tree
+    /// is idle.
     ///
     /// Below the low watermark no scheduler starts a merge (naive and
     /// spring-and-gear wait for the hard cap resp. high water; gear's
@@ -536,9 +556,7 @@ impl BLsmTree {
         {
             return;
         }
-        let mut pending = self.shared.work_pending.lock();
-        *pending = true;
-        self.shared.work_cv.notify_one();
+        self.shared.bell01.ring();
     }
 
     /// Applies one replicated WAL record (a payload produced by the
@@ -744,7 +762,12 @@ impl BLsmTree {
     // Merge pacing
     // -----------------------------------------------------------------
 
-    pub(crate) fn sched_inputs(&self, m: &MergeState, incoming: u64) -> SchedInputs {
+    pub(crate) fn sched_inputs(
+        &self,
+        m01: Option<&Merge01>,
+        m12: Option<&Merge12>,
+        incoming: u64,
+    ) -> SchedInputs {
         let catalog = self.shared.catalog.load();
         let c0 = &self.shared.c0;
         let filling = match c0.pass_mode() {
@@ -760,82 +783,107 @@ impl BLsmTree {
             c0_fill: self.shared.config.c0_fill_bytes() as u64,
             c0_cap: self.shared.config.mem_budget as u64,
             incoming,
-            m01: m.merge01.as_ref().map(|mm| MergeProgress {
+            m01: m01.map(|mm| MergeProgress {
                 bytes_read: self.merge01_consumed(mm),
                 input_total: mm.input_total,
             }),
-            m01_c0_input: m.merge01.as_ref().map_or(1, |mm| mm.c0_input.max(1)),
-            m12: m.merge12.as_ref().map(|mm| MergeProgress {
+            m01_c0_input: m01.map_or(1, |mm| mm.c0_input.max(1)),
+            m12: m12.map(|mm| MergeProgress {
                 bytes_read: mm.consumed.load(Ordering::Relaxed),
                 input_total: mm.input_total,
             }),
             c1_bytes: catalog.c1.as_ref().map_or(0, |c| c.data_bytes()),
-            r_ceil: m.r.ceil() as u64,
+            r_ceil: self.current_r().ceil() as u64,
         }
     }
 
-    /// Pre-write pacing: start merges, run planned work, enforce the hard
-    /// cap. This is where the paper's write-latency bound comes from.
-    ///
-    /// Planned quanta are *opportunistic*: the merge state is try-locked,
-    /// and a writer that loses the race simply skips — whoever holds the
-    /// state (the merge thread, or a sibling writer) is running the very
-    /// quantum this one would have. Only the hard cap blocks.
+    /// Pre-write pacing: run the scheduler's planned merge work, enforce
+    /// the hard cap. This is where the paper's write-latency bound comes
+    /// from.
     fn pace(&self, incoming: u64) -> Result<()> {
         if !self.shared.config.external_pacing {
-            if let Some(mut m) = self.merge.try_lock() {
-                self.resave_manifest(&mut m)?;
-                let mut ran_quantum = false;
-                let c0_has_data = m.merge01.is_none() && !self.shared.c0.is_empty();
-                if c0_has_data
-                    && m.scheduler
-                        .should_start_merge01(&self.sched_inputs(&m, incoming))
-                {
-                    self.start_merge01_locked(&mut m)?;
-                }
-
-                let inputs = self.sched_inputs(&m, incoming);
-                let plan = m.scheduler.plan(&inputs);
-                if plan.merge01_bytes > 0 {
-                    self.run_merge01_locked(&mut m, plan.merge01_bytes.min(WORK_QUANTUM))?;
-                    ran_quantum = true;
-                }
-                if plan.merge12_bytes > 0 {
-                    self.run_merge12_locked(&mut m, plan.merge12_bytes.min(WORK_QUANTUM))?;
-                    ran_quantum = true;
-                }
-                self.quantum_boundary_check(&mut m, ran_quantum)?;
-            }
+            self.run_planned_quanta(incoming)?;
         }
 
         // Hard cap: C0 must never exceed the memory budget. A paced
         // scheduler rarely lands here; the naive scheduler lives here.
-        // This path *blocks* on the merge state: when the buffer is full
-        // the writer must wait for (or perform) drain work.
+        // This path *blocks* on the `C0:C1` driver (never on `C1':C2`):
+        // when the buffer is full the writer must wait for (or perform)
+        // drain work.
+        let over_cap = || {
+            self.shared.c0.approx_bytes() as u64 + incoming > self.shared.config.mem_budget as u64
+        };
         let mut stalled = false;
-        while self.shared.c0.approx_bytes() as u64 + incoming > self.shared.config.mem_budget as u64
-        {
+        while over_cap() {
             if !stalled {
                 stats::bump(&self.shared.stats.forced_stalls, 1);
                 stalled = true;
             }
-            let mut m = self.merge.lock();
-            self.resave_manifest(&mut m)?;
+            let mut d = self.merge01.lock();
+            self.resave_manifest(&mut self.merge.lock())?;
             // Re-check under the lock: the holder we waited behind may
             // have drained below the cap already.
-            if self.shared.c0.approx_bytes() as u64 + incoming
-                <= self.shared.config.mem_budget as u64
-            {
+            if !over_cap() {
                 break;
             }
-            if m.merge01.is_none() {
+            if d.pass.is_none() {
                 if self.shared.c0.is_empty() {
                     break;
                 }
-                self.start_merge01_locked(&mut m)?;
+                self.start_merge01_locked(&mut d.pass)?;
             }
-            self.run_merge01_locked(&mut m, WORK_QUANTUM)?;
-            self.quantum_boundary_check(&mut m, true)?;
+            self.run_merge01_locked(&mut d, WORK_QUANTUM)?;
+            drop(d);
+            self.quantum_boundary_check(true)?;
+        }
+        Ok(())
+    }
+
+    /// The scheduler's planned quanta, run *opportunistically*: the
+    /// drivers are try-locked, and a writer that loses a race simply
+    /// skips — whoever holds the driver (its merge thread, or a sibling
+    /// writer) is running the very quantum this one would have.
+    fn run_planned_quanta(&self, incoming: u64) -> Result<()> {
+        let Some(mut d) = self.merge01.try_lock() else {
+            return Ok(());
+        };
+        // Likewise while the other driver installs its output.
+        let Some(mut m) = self.merge.try_lock() else {
+            return Ok(());
+        };
+        self.resave_manifest(&mut m)?;
+        drop(m);
+        self.start_merge01_if_due(&mut d, incoming)?;
+        let plan = {
+            let m12 = self.merge12.try_lock();
+            let inputs = self.sched_inputs(
+                d.pass.as_ref(),
+                m12.as_deref().and_then(Option::as_ref),
+                incoming,
+            );
+            d.scheduler.plan(&inputs)
+        };
+        if plan.merge01_bytes > 0 {
+            self.run_merge01_locked(&mut d, plan.merge01_bytes.min(WORK_QUANTUM))?;
+        }
+        drop(d);
+        if plan.merge12_bytes > 0 {
+            if let Some(mut m12) = self.merge12.try_lock() {
+                self.run_merge12_locked(&mut m12, plan.merge12_bytes.min(WORK_QUANTUM))?;
+            }
+        }
+        self.quantum_boundary_check(plan.merge01_bytes > 0 || plan.merge12_bytes > 0)
+    }
+
+    /// Starts a `C0:C1` pass when none is running and the scheduler asks
+    /// for one.
+    fn start_merge01_if_due(&self, d: &mut Driver01, incoming: u64) -> Result<()> {
+        if d.pass.is_none()
+            && !self.shared.c0.is_empty()
+            && d.scheduler
+                .should_start_merge01(&self.sched_inputs(None, None, incoming))
+        {
+            self.start_merge01_locked(&mut d.pass)?;
         }
         Ok(())
     }
@@ -853,15 +901,16 @@ impl BLsmTree {
         data_pages + index_pages + bloom_pages + 16
     }
 
-    pub(crate) fn recompute_r(&self, m: &mut MergeState) {
-        if let Some(r) = self.shared.config.r {
-            m.r = r;
-            return;
-        }
+    pub(crate) fn recompute_r(&self) {
         // R = sqrt(|data| / |C0|), the three-level optimum (§2.3.1).
-        let data = self.total_data_bytes().max(1) as f64;
-        let c0 = self.shared.config.mem_budget as f64;
-        m.r = (data / c0).sqrt().max(2.0);
+        let r = self.shared.config.r.unwrap_or_else(|| {
+            let data = self.total_data_bytes().max(1) as f64;
+            (data / self.shared.config.mem_budget as f64)
+                .sqrt()
+                .max(2.0)
+        });
+        // ordering: Release — see the field docs.
+        self.r_bits.store(r.to_bits(), Ordering::Release);
     }
 
     /// Persist, then apply: writes a manifest recording `new_wal_head`
@@ -924,21 +973,45 @@ impl BLsmTree {
 
     /// Runs up to `budget` input bytes of pending merge work on each
     /// level. Lets callers drive merges during idle periods (§3.2's
-    /// "merges can be run during off-peak periods"). Blocks on the merge
-    /// state (this is the background thread's entry point).
+    /// "merges can be run during off-peak periods"). Blocks on each
+    /// merge's driver in turn; [`crate::ThreadedBLsm`]'s two threads run
+    /// one driver each.
     pub fn maintenance(&self, budget: u64) -> Result<()> {
-        let mut m = self.merge.lock();
-        self.resave_manifest(&mut m)?;
-        let c0_has_data = m.merge01.is_none() && !self.shared.c0.is_empty();
-        if c0_has_data && m.scheduler.should_start_merge01(&self.sched_inputs(&m, 0)) {
-            self.start_merge01_locked(&mut m)?;
-        }
-        self.restart_merge12_locked(&mut m)?;
-        let ran_quantum = m.merge01.is_some() || m.merge12.is_some();
-        self.run_merge01_locked(&mut m, budget)?;
-        self.run_merge12_locked(&mut m, budget)?;
-        self.reap_retired_locked(&mut m);
-        self.quantum_boundary_check(&mut m, ran_quantum)
+        self.maintain01(budget)?;
+        self.maintain12(budget)?;
+        Ok(())
+    }
+
+    /// One `C0:C1` quantum: starts a pass when the scheduler asks for one
+    /// and runs up to `budget` bytes of it. True when a pass ran.
+    pub(crate) fn maintain01(&self, budget: u64) -> Result<bool> {
+        let ran = {
+            let mut d = self.merge01.lock();
+            self.resave_manifest(&mut self.merge.lock())?;
+            self.start_merge01_if_due(&mut d, 0)?;
+            let ran = d.pass.is_some();
+            self.run_merge01_locked(&mut d, budget)?;
+            ran
+        };
+        self.reap_retired_locked(&mut self.merge.lock());
+        self.quantum_boundary_check(ran)?;
+        Ok(ran)
+    }
+
+    /// One `C1':C2` quantum: starts the merge when a `C1'` waits for one
+    /// and runs up to `budget` bytes of it. True when a merge ran.
+    pub(crate) fn maintain12(&self, budget: u64) -> Result<bool> {
+        let ran = {
+            let mut m12 = self.merge12.lock();
+            self.resave_manifest(&mut self.merge.lock())?;
+            self.restart_merge12_locked(&mut m12)?;
+            let ran = m12.is_some();
+            self.run_merge12_locked(&mut m12, budget)?;
+            ran
+        };
+        self.reap_retired_locked(&mut self.merge.lock());
+        self.quantum_boundary_check(ran)?;
+        Ok(ran)
     }
 
     /// Drains `C0` and completes every pending merge, then truncates the
@@ -947,34 +1020,25 @@ impl BLsmTree {
     /// truncation is skipped if any of their effects are not yet durable.
     pub fn checkpoint(&self) -> Result<()> {
         {
-            let mut m = self.merge.lock();
-            self.resave_manifest(&mut m)?;
+            let mut d = self.merge01.lock();
+            self.resave_manifest(&mut self.merge.lock())?;
             loop {
-                self.restart_merge12_locked(&mut m)?;
-                if m.merge01.is_some() {
-                    self.run_merge01_locked(&mut m, u64::MAX)?;
-                }
-                if m.merge12.is_some() {
-                    self.run_merge12_locked(&mut m, u64::MAX)?;
-                }
-                if m.merge01.is_some() || m.merge12.is_some() {
-                    continue;
-                }
+                self.run_merge01_locked(&mut d, u64::MAX)?;
+                self.drain_merge12()?;
                 // An open pass with no merge state is one whose merge
                 // failed: its drained rows are in no component, so fall
                 // into `start_merge01_locked`'s typed error rather than
                 // truncate the log over them below.
-                if !self.shared.c0.is_empty() || self.shared.c0.pass_mode() != PassMode::Idle {
-                    self.start_merge01_locked(&mut m)?;
-                    continue;
+                if self.shared.c0.is_empty() && self.shared.c0.pass_mode() == PassMode::Idle {
+                    break;
                 }
-                break;
+                self.start_merge01_locked(&mut d.pass)?;
             }
-            self.quantum_boundary_check(&mut m, true)?;
             // Released before the log flush: the merge plane need not
             // stall on checkpoint I/O, and truncation safety below never
             // depended on it.
         }
+        self.quantum_boundary_check(true)?;
         if let Some(wal) = self.shared.wal.lock().as_mut() {
             wal.flush()?;
         }
@@ -982,18 +1046,17 @@ impl BLsmTree {
             let mut m = self.merge.lock();
             // Full truncation is safe only at quiescence. Appends and
             // their C0 inserts are atomic under the log mutex, so an
-            // empty C0 observed under it proves every logged record's
-            // effect reached the disk components; a record that landed
-            // after the final pass above leaves C0 non-empty and keeps
-            // the whole live window (the next clean pass truncates it).
-            // Decided with `merge` held, so no pass moves the head
-            // between here and the save.
-            let to_tail = self
-                .shared
-                .wal
-                .lock()
-                .as_ref()
-                .and_then(|wal| self.shared.c0.is_empty().then(|| wal.tail_lsn()));
+            // empty C0 with no pass open, observed under it, proves every
+            // logged record's effect reached the disk components. A
+            // record that landed after the final pass above — or a pass a
+            // merge thread has started since, whose drained rows are in
+            // no component yet — keeps the whole live window (the next
+            // clean pass truncates it). Decided with `merge` held, so no
+            // merge installs between here and the save.
+            let to_tail = self.shared.wal.lock().as_ref().and_then(|wal| {
+                (self.shared.c0.is_empty() && self.shared.c0.pass_mode() == PassMode::Idle)
+                    .then(|| wal.tail_lsn())
+            });
             self.save_manifest(&mut m, to_tail)?;
             self.reap_retired_locked(&mut m);
         }
@@ -1026,12 +1089,6 @@ impl BLsmTree {
     /// invariant, or propagates device errors from sampled leaf reads.
     #[cfg(feature = "strict-invariants")]
     pub fn check_invariants(&self) -> Result<()> {
-        let mut m = self.merge.lock();
-        self.check_invariants_locked(&mut m)
-    }
-
-    #[cfg(feature = "strict-invariants")]
-    pub(crate) fn check_invariants_locked(&self, m: &mut MergeState) -> Result<()> {
         fn violated(what: String) -> StorageError {
             StorageError::corruption(
                 blsm_storage::ComponentId::Tree,
@@ -1060,8 +1117,11 @@ impl BLsmTree {
             )));
         }
 
-        // Progress estimators (§4.1) stay in [0, 1].
-        let inputs = self.sched_inputs(m, 0);
+        // Progress estimators (§4.1) stay in [0, 1]. A `C1':C2` driver
+        // busy elsewhere is checked at its own quantum boundary.
+        let mut d = self.merge01.lock();
+        let m12 = self.merge12.try_lock();
+        let inputs = self.sched_inputs(d.pass.as_ref(), m12.as_deref().and_then(Option::as_ref), 0);
         for (name, p) in [("merge01", inputs.m01), ("merge12", inputs.m12)] {
             let Some(p) = p else { continue };
             let inp = p.inprogress();
@@ -1081,16 +1141,16 @@ impl BLsmTree {
         // cursor only advances. A completed pass (merges01 bumped) resets
         // it legitimately.
         let merges01 = self.stats().merges01;
-        if merges01 != m.strict.last_merges01 {
-            m.strict.last_merges01 = merges01;
-            m.strict.last_cursor = None;
+        if merges01 != d.strict.last_merges01 {
+            d.strict.last_merges01 = merges01;
+            d.strict.last_cursor = None;
         }
         let pass_cursor = match self.shared.c0.pass_kind() {
             blsm_memtable::PassKind::Snowshovel { last_drained } => Some(last_drained),
             _ => None,
         };
         if let Some(last_drained) = pass_cursor {
-            match (&m.strict.last_cursor, &last_drained) {
+            match (&d.strict.last_cursor, &last_drained) {
                 (Some(prev), Some(cur)) if cur < prev => {
                     return Err(violated(format!(
                         "snowshovel cursor moved backwards: {cur:?} < {prev:?}"
@@ -1103,14 +1163,14 @@ impl BLsmTree {
                 }
                 _ => {}
             }
-            m.strict.last_cursor = last_drained;
+            d.strict.last_cursor = last_drained;
         } else {
-            m.strict.last_cursor = None;
+            d.strict.last_cursor = None;
         }
 
         // Component ordering + bloom agreement, on rotating leaf samples.
-        m.strict.rotation = m.strict.rotation.wrapping_add(1);
-        let rotation = m.strict.rotation;
+        d.strict.rotation = d.strict.rotation.wrapping_add(1);
+        let rotation = d.strict.rotation;
         let catalog = self.shared.catalog.load();
         for (name, comp) in [
             ("C1", &catalog.c1),
@@ -1128,16 +1188,13 @@ impl BLsmTree {
 
     /// Merge-quantum boundary hook: a full [`check_invariants`] sweep when
     /// the `strict-invariants` feature is on and merge work actually ran.
+    /// Called with no driver held: the sweep takes them.
     ///
     /// [`check_invariants`]: Self::check_invariants
     #[cfg(feature = "strict-invariants")]
-    pub(crate) fn quantum_boundary_check(
-        &self,
-        m: &mut MergeState,
-        ran_quantum: bool,
-    ) -> Result<()> {
+    pub(crate) fn quantum_boundary_check(&self, ran_quantum: bool) -> Result<()> {
         if ran_quantum {
-            self.check_invariants_locked(m)
+            self.check_invariants()
         } else {
             Ok(())
         }
@@ -1147,7 +1204,7 @@ impl BLsmTree {
     #[cfg(not(feature = "strict-invariants"))]
     #[inline(always)]
     #[allow(clippy::unnecessary_wraps)]
-    pub(crate) fn quantum_boundary_check(&self, _m: &mut MergeState, _ran: bool) -> Result<()> {
+    pub(crate) fn quantum_boundary_check(&self, _ran: bool) -> Result<()> {
         Ok(())
     }
 
@@ -1158,23 +1215,21 @@ impl BLsmTree {
 
     /// Whether a `C0:C1` (resp. `C1':C2`) merge is currently in flight.
     pub fn merges_active(&self) -> (bool, bool) {
-        let m = self.merge.lock();
-        (m.merge01.is_some(), m.merge12.is_some())
+        let m01 = self.merge01.lock().pass.is_some();
+        (m01, self.merge12.lock().is_some())
     }
 
     /// Starts a `C0:C1` pass by hand (mid-pass race tests).
     #[cfg(test)]
     pub(crate) fn start_merge01(&self) -> Result<()> {
-        let mut m = self.merge.lock();
-        self.start_merge01_locked(&mut m)
+        self.start_merge01_locked(&mut self.merge01.lock().pass)
     }
 
     /// Runs up to `budget` bytes of `C0:C1` work by hand (mid-pass race
     /// tests).
     #[cfg(test)]
     pub(crate) fn run_merge01(&self, budget: u64) -> Result<()> {
-        let mut m = self.merge.lock();
-        self.run_merge01_locked(&mut m, budget)
+        self.run_merge01_locked(&mut self.merge01.lock(), budget)
     }
 }
 

@@ -7,8 +7,8 @@
 //! real code uses (`Correct`) or deliberately reintroduces a historical
 //! bug class, which the checker must catch:
 //!
-//! * [`condvar_handshake`] — the merge thread's `work_pending` /
-//!   `work_cv` sleep from `blsm::threaded`. The buggy mode signals
+//! * [`condvar_handshake`] — a merge thread's `Doorbell` sleep from
+//!   `blsm::threaded`. The buggy mode signals
 //!   shutdown without taking the mutex: the notify can land between the
 //!   worker's predicate check and its park, and with a timeout-free
 //!   wait the lost wakeup manifests as a deadlock.

@@ -25,16 +25,20 @@ use super::{Finding, FnSummary};
 /// `a → b` is legal iff `a` appears strictly before `b`.
 fn hierarchy(krate: &str) -> &'static [&'static str] {
     match krate {
-        // DESIGN.md §14: merge → commit → wal → catalog → recovery →
-        // work_pending. (`commit` is the group-commit election state,
+        // DESIGN.md §14: merge01 → merge12 → merge → commit → wal →
+        // catalog → recovery → pending. (`merge01`/`merge12` are the two
+        // merge drivers and `merge` is what both install through; a
+        // `C0:C1` pass that rotates `C1` may start the `C1':C2` merge, so
+        // `merge01` comes first. `pending` is a merge thread's doorbell.)
+        // (`commit` is the group-commit election state,
         // DESIGN.md §18: a tiny bookkeeping mutex the leader drops
         // before any I/O or `wal` acquisition. Its slot between `merge`
         // and `wal` makes the leader-side direction the legal one if an
         // edge ever forms; taking `commit` while holding `wal` would
         // deadlock the election and is an inversion.)
         // (`tree` and `c0` left the hierarchy in the concurrent-C0
-        // refactor: the tree-wide mutex became the merge-plane `merge`
-        // lock and C0 became internally synchronized — its `pass` /
+        // refactor: the tree-wide mutex became the merge-plane locks
+        // above and C0 became internally synchronized — its `pass` /
         // `tables` locks are checked under the `memtable` crate below.)
         // The sharded serving tier (DESIGN.md §16) deliberately adds
         // nothing here: `ShardedBLsm`'s routing table is immutable after
@@ -44,12 +48,7 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // construction. A lock appearing in `sharded.rs` or `route.rs`
         // must be argued into §14/§16 and this table together.
         "core" => &[
-            "merge",
-            "commit",
-            "wal",
-            "catalog",
-            "recovery",
-            "work_pending",
+            "merge01", "merge12", "merge", "commit", "wal", "catalog", "recovery", "pending",
         ],
         // DESIGN.md §15: the pass lock wraps per-shard table locks; no
         // C0 code path may take `pass` while holding any shard's
