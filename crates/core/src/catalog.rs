@@ -246,13 +246,18 @@ pub(crate) struct TreeShared {
     /// The `C1':C2` merge thread's doorbell: a pass that rotates `C1`
     /// into `C1'` rings it.
     pub(crate) bell12: Doorbell,
+    /// Where writers over the hard `C0` cap park while merge threads are
+    /// attached: the `C0:C1` drain rings it once `C0` is back at the
+    /// high water mark, and the thread rings it after a failed quantum.
+    pub(crate) bell_cap: Doorbell,
     /// True while [`crate::ThreadedBLsm`]'s merge threads are attached. A
     /// bare tree has nobody to wake, so its writes never touch the
     /// doorbell lock.
     // ordering: Release store before the merge threads are spawned (no
     // writer can exist yet: `start` owns the tree), Acquire loads in the
     // write tail. The flag publishes no data — a stale read costs one
-    // skipped ring, which the merge loop's wait timeout bounds.
+    // skipped ring, which the merge loop's wait timeout bounds. A merge
+    // thread that unwinds clears it (Release) so writers pace again.
     pub(crate) merge_thread_attached: AtomicBool,
 }
 

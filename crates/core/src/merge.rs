@@ -15,9 +15,9 @@
 //! step for the seqlock readers (see `catalog.rs` for the protocol).
 //!
 //! Draining `C0` uses the buffer's [`DrainGuard`] — an exclusive pass
-//! lock held per merged entry and released before any builder append or
-//! sstable iteration, so concurrent writers wait for at most one
-//! peek/drain, never for merge I/O.
+//! lock held per key run (at most [`RUN_ENTRIES`] entries) and released
+//! before any builder append or sstable iteration, so concurrent writers
+//! wait for at most one run's in-memory work, never for merge I/O.
 //!
 //! Retired components are reclaimed *deferred*: a reader that pinned an
 //! older catalog may still stream from the old table, so its pages are
@@ -28,12 +28,13 @@
 //! [`ConcurrentC0::end_capped_pass_with`]: blsm_memtable::ConcurrentC0::end_capped_pass_with
 //! [`DrainGuard`]: blsm_memtable::DrainGuard
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm_memtable::{merge_versions, PassMode, Versioned};
+use blsm_memtable::{merge_versions, PassMode, Versioned, ENTRY_OVERHEAD};
 use blsm_sstable::{EntryRef, EntryStream, MergeIter, ReadMode, Sstable, SstableBuilder};
 use blsm_storage::{Lsn, PageId, Region, Result, Wal};
 
@@ -46,6 +47,10 @@ use crate::tree::{invariant_err, BLsmTree, Driver01, MergeState};
 /// input estimate, bounding run length under sorted insert storms
 /// (snowshoveling would otherwise never finish a pass).
 const RUN_LENGTH_CAP: f64 = 4.0;
+
+/// Longest key run one drain-guard hold covers, and the `C1` look-ahead:
+/// bounds how long a writer's insert can wait on the pass lock.
+const RUN_ENTRIES: usize = 64;
 
 /// Wraps an owned sstable iterator, counting consumed input bytes so the
 /// merge's `inprogress` estimator stays smooth (§4.1).
@@ -63,8 +68,7 @@ impl Iterator for CountingStream {
     fn next(&mut self) -> Option<Self::Item> {
         let item = self.inner.next();
         if let Some(Ok(e)) = &item {
-            let cost = (e.key.len() + e.version.entry.payload_len()) as u64;
-            self.counter.fetch_add(cost, Ordering::Relaxed);
+            self.counter.fetch_add(entry_cost(e), Ordering::Relaxed);
         }
         item
     }
@@ -75,10 +79,8 @@ pub(crate) struct Merge01 {
     pub(crate) builder: SstableBuilder,
     /// Region as allocated (the unused tail is freed at completion).
     pub(crate) full_region: Region,
-    /// Old `C1` input stream (None when there was no `C1`).
-    pub(crate) c1_stream: Option<std::iter::Peekable<CountingStream>>,
-    // ordering: Relaxed — pacing progress counter (see CountingStream).
-    pub(crate) c1_consumed: Arc<AtomicU64>,
+    /// Old `C1` input (None when there was no `C1`).
+    pub(crate) c1: Option<C1Input>,
     /// `|C0'| + |C1|` at pass start.
     pub(crate) input_total: u64,
     /// `|C0'|` at pass start (spring-and-gear rate denominator).
@@ -106,6 +108,116 @@ pub(crate) struct Merge12 {
     pub(crate) input_total: u64,
 }
 
+/// The old `C1` as a `C0:C1` pass reads it: a stream with a look-ahead
+/// of up to [`RUN_ENTRIES`] entries, so a run of `C1` keys below the next
+/// `C0` key costs one drain-guard hold and one cursor advance. An entry's
+/// bytes count as consumed from the moment it is peeked as the head —
+/// as with a plain peeked stream — however early it was read ahead.
+pub(crate) struct C1Input {
+    iter: blsm_sstable::SstIterator,
+    /// Entries read but not yet merged, head first. Nothing is read past
+    /// an error, which surfaces once it reaches the head.
+    ahead: VecDeque<Result<EntryRef>>,
+    head_counted: bool,
+    /// `C1` bytes consumed so far (`inprogress`, §4.1).
+    pub(crate) consumed: u64,
+}
+
+fn entry_cost(e: &EntryRef) -> u64 {
+    (e.key.len() + e.version.entry.payload_len()) as u64
+}
+
+impl C1Input {
+    fn new(table: &Arc<Sstable>) -> C1Input {
+        C1Input {
+            iter: table.iter(ReadMode::Buffered(64)),
+            ahead: VecDeque::new(),
+            head_counted: false,
+            consumed: 0,
+        }
+    }
+
+    /// The next `C1` key, if any; a read error surfaces here.
+    fn peek(&mut self) -> Result<Option<Bytes>> {
+        if self.ahead.is_empty() {
+            self.ahead.extend(self.iter.next());
+        }
+        if let Some(Err(_)) = self.ahead.front() {
+            return self.pop().map(|_| None);
+        }
+        let Some(Ok(head)) = self.ahead.front() else {
+            return Ok(None);
+        };
+        if !self.head_counted {
+            self.consumed += entry_cost(head);
+            self.head_counted = true;
+        }
+        Ok(Some(head.key.clone()))
+    }
+
+    /// Reads ahead (I/O: never under the drain guard) exactly what the
+    /// merge would peek next were every entry a `C1` step: while the
+    /// last entry read sorts below `c0_next` and the budget left after
+    /// `spent` (head included) lasts. `c0_next` is unknown (`None`) until
+    /// the first guard of a quantum; `Some(None)` means no `C0` key.
+    fn read_ahead(&mut self, c0_next: Option<&Option<Bytes>>, spent: u64, budget: u64) {
+        let Some(c0_next) = c0_next else {
+            return;
+        };
+        let ahead = self.ahead.iter().skip(1).flatten().map(entry_cost);
+        let mut spent = spent + ahead.sum::<u64>();
+        while self.ahead.len() < RUN_ENTRIES && spent < budget {
+            match self.ahead.back() {
+                Some(Ok(last)) if c0_next.as_ref().is_none_or(|k0| last.key < *k0) => {}
+                _ => return,
+            }
+            let Some(next) = self.iter.next() else {
+                return;
+            };
+            spent += next.as_ref().map_or(0, entry_cost);
+            self.ahead.push_back(next);
+        }
+    }
+
+    /// The run of read-ahead entries from the head that sort below
+    /// `c0_key` and fit the budget left after `spent` (the head always
+    /// does): its length and last key.
+    fn run(&self, c0_key: Option<&Bytes>, mut spent: u64, budget: u64) -> Option<(usize, Bytes)> {
+        let mut entries = self.ahead.iter().map_while(|e| e.as_ref().ok());
+        let mut last = entries.next()?.key.clone();
+        let mut len = 1;
+        for e in entries {
+            if spent >= budget || c0_key.is_some_and(|k0| e.key >= *k0) {
+                break;
+            }
+            spent += entry_cost(e);
+            last = e.key.clone();
+            len += 1;
+        }
+        Some((len, last))
+    }
+
+    /// Takes the head entry.
+    fn pop(&mut self) -> Result<EntryRef> {
+        let head = self
+            .ahead
+            .pop_front()
+            .ok_or_else(|| invariant_err("C1 entry vanished after peek"))??;
+        if !self.head_counted {
+            self.consumed += entry_cost(&head);
+        }
+        self.head_counted = false;
+        Ok(head)
+    }
+}
+
+/// Takes the head entry of a pass's `C1` input.
+fn pop_c1(c1: &mut Option<C1Input>) -> Result<EntryRef> {
+    c1.as_mut()
+        .ok_or_else(|| invariant_err("C1 entry vanished after peek"))?
+        .pop()
+}
+
 /// A retired on-disk component awaiting reclamation.
 pub(crate) struct RetiredTable {
     pub(crate) table: Arc<Sstable>,
@@ -113,18 +225,17 @@ pub(crate) struct RetiredTable {
 }
 
 /// One step of the `C0`/`C1` two-way merge, decided under the drain
-/// guard and executed (builder append, `C1` iterator pull) after the
-/// guard drops.
+/// guard and finished (builder appends, `C1` pulls) after it drops.
 enum Step {
     /// Both inputs exhausted — finish the pass.
     Finish,
-    /// `C0` holds the smallest key.
-    C0(Bytes, Versioned),
     /// Both inputs hold the same key; `C1`'s version still needs pulling.
     Both(Bytes, Versioned),
-    /// `C1` holds the smallest key (already peeked); the drain cursor has
-    /// been advanced past it.
-    C1,
+    /// A run of `C0` keys below the next `C1` key, drained and resolved.
+    C0(Vec<(Bytes, Option<Versioned>)>),
+    /// A run of this many `C1` entries below the next `C0` key; the drain
+    /// cursor has been advanced past the last.
+    C1(usize),
 }
 
 impl BLsmTree {
@@ -163,20 +274,12 @@ impl BLsmTree {
             region,
             (est_entries as f64 * factor) as u64 + 16,
         );
-        let c1_consumed = Arc::new(AtomicU64::new(0));
-        let c1_stream = catalog.c1.as_ref().map(|c| {
-            CountingStream {
-                inner: c.iter(ReadMode::Buffered(64)),
-                counter: c1_consumed.clone(),
-            }
-            .peekable()
-        });
+        let c1 = catalog.c1.as_ref().map(C1Input::new);
         let bottom = catalog.c2.is_none() && catalog.c1_prime.is_none();
         *pass = Some(Merge01 {
             builder,
             full_region: region,
-            c1_stream,
-            c1_consumed,
+            c1,
             input_total: est_bytes.max(1),
             c0_input: c0_input.max(1),
             bottom,
@@ -216,13 +319,22 @@ impl BLsmTree {
     /// Merges until `budget` input bytes are consumed (`Ok(false)`) or
     /// both inputs are exhausted (`Ok(true)`).
     ///
-    /// The buffer's exclusive drain guard is taken per merged entry and
-    /// released before the builder append and before any `C1` iterator
-    /// pull — writers only ever wait for one peek/drain, never for merge
-    /// I/O.
+    /// The merge moves in key runs (§4.4.1): one hold of the buffer's
+    /// exclusive drain guard drains a run of `C0` keys below the next
+    /// `C1` key, or advances the cursor past a run of `C1` keys below the
+    /// next `C0` key. A run stops at [`RUN_ENTRIES`] and exactly where the
+    /// one-entry-per-step merge would have: at the byte budget and the
+    /// output's run-length cap, both checked before each entry. Builder
+    /// appends and `C1` reads run after the guard drops — writers only
+    /// ever wait for one run's in-memory work, never for merge I/O.
     fn step_merge01(&self, m: &mut Merge01, budget: u64) -> Result<bool> {
         let op = self.shared.op.clone();
         let start_consumed = self.merge01_consumed(m);
+        let high_water = (crate::HIGH_WATER * self.shared.config.mem_budget as f64) as usize;
+        // The next `C0` key as the last guard saw it, `None` before the
+        // quantum's first guard (inserts may have landed since the last
+        // quantum): bounds the `C1` read-ahead.
+        let mut c0_next: Option<Option<Bytes>> = None;
         loop {
             if self.merge01_consumed(m) - start_consumed >= budget {
                 return Ok(false);
@@ -232,79 +344,105 @@ impl BLsmTree {
             if !m.c0_capped && m.builder.data_bytes() >= m.run_cap_bytes {
                 m.c0_capped = true;
             }
-            // Peek C1 outside the drain guard: sstable iteration may do
-            // I/O and must never run under the buffer's pass lock.
-            let c1_key = match m.c1_stream.as_mut().and_then(|s| s.peek()) {
-                Some(Ok(e)) => Some(e.key.clone()),
-                Some(Err(_)) => {
-                    // peek() just returned Err; next() must yield it.
-                    let err = match m.c1_stream.as_mut().and_then(Iterator::next) {
-                        Some(Err(err)) => err,
-                        _ => invariant_err("C1 stream error vanished between peek and next"),
-                    };
-                    return Err(err);
-                }
+            // Peek and read `C1` ahead outside the drain guard: sstable
+            // iteration may do I/O and must never run under the buffer's
+            // pass lock.
+            let c1_key = match &mut m.c1 {
+                Some(c1) => c1.peek()?,
                 None => None,
             };
+            let spent = self.merge01_consumed(m) - start_consumed;
+            if let Some(c1) = &mut m.c1 {
+                c1.read_ahead(c0_next.as_ref(), spent, budget);
+            }
             let step = {
                 let mut g = self.shared.c0.drain_guard();
                 let c0_key = if m.c0_capped { None } else { g.peek_drain() };
-                match (c0_key, &c1_key) {
+                let step = match (&c0_key, &c1_key) {
                     (None, None) => Step::Finish,
-                    (Some(k0), Some(k1)) if k0 == *k1 => {
+                    (Some(k0), Some(k1)) if k0 == k1 => {
                         let (k, v0) = g
                             .drain_next()
                             .ok_or_else(|| invariant_err("C0 entry vanished after peek"))?;
                         Step::Both(k, v0)
                     }
-                    (Some(k0), c1k) if c1k.as_ref().is_none_or(|k1| k0 < *k1) => {
-                        let (k, v0) = g
-                            .drain_next()
-                            .ok_or_else(|| invariant_err("C0 entry vanished after peek"))?;
-                        Step::C0(k, v0)
+                    (Some(k0), c1k) if c1k.as_ref().is_none_or(|k1| k0 < k1) => {
+                        let (mut spent, mut out_bytes) = (spent, m.builder.data_bytes());
+                        let mut run = Vec::new();
+                        g.drain_run(c1k.as_deref(), |k, v| {
+                            spent += (ENTRY_OVERHEAD + k.len() + v.entry.payload_len()) as u64;
+                            let out =
+                                merge_versions(op.as_ref(), std::slice::from_ref(v), m.bottom);
+                            out_bytes += out
+                                .as_ref()
+                                .map_or(0, |o| (k.len() + o.entry.payload_len()) as u64);
+                            run.push((k.clone(), out));
+                            run.len() < RUN_ENTRIES && spent < budget && out_bytes < m.run_cap_bytes
+                        });
+                        Step::C0(run)
                     }
-                    (_, Some(k1)) => {
-                        // The merge output cursor moves past k1 *before*
-                        // C1's entry is pulled: a racing insert at or
-                        // below it must defer to the next pass (§4.2).
-                        g.advance_cursor(k1);
-                        Step::C1
+                    (_, Some(_)) => {
+                        let (len, last) =
+                            m.c1.as_ref()
+                                .and_then(|c1| c1.run(c0_key.as_ref(), spent, budget))
+                                .ok_or_else(|| invariant_err("C1 entry vanished after peek"))?;
+                        // The merge output cursor moves past the run
+                        // *before* `C1`'s entries are pulled: a racing
+                        // insert at or below it must defer to the next
+                        // pass (§4.2).
+                        g.advance_cursor(&last);
+                        Step::C1(len)
                     }
                     (Some(_), None) => unreachable!("guarded above"),
-                }
+                };
+                c0_next = Some(match step {
+                    Step::C1(_) => c0_key,
+                    _ if m.c0_capped => None,
+                    _ => g.peek_drain(),
+                });
+                step
             };
-            let (key, versions) = match step {
+            if matches!(step, Step::Both(..) | Step::C0(_))
+                && self.shared.c0.approx_bytes() <= high_water
+            {
+                // Writers parked at the hard cap wait for exactly this.
+                self.shared.bell_cap.ring();
+            }
+            let mut add = |key: Bytes, v: Option<Versioned>| -> Result<()> {
+                if let Some(v) = v {
+                    stats::bump(
+                        &self.shared.stats.merge_bytes_consumed,
+                        (key.len() + v.entry.payload_len()) as u64,
+                    );
+                    m.builder.add(&key, &v)?;
+                }
+                Ok(())
+            };
+            match step {
                 Step::Finish => return Ok(true),
                 Step::Both(k, v0) => {
-                    let e1 = m
-                        .c1_stream
-                        .as_mut()
-                        .and_then(Iterator::next)
-                        .ok_or_else(|| invariant_err("C1 entry vanished after peek"))??;
+                    let e1 = pop_c1(&mut m.c1)?;
                     // C0's version is *usually* the fresher one, but a
                     // seqno-ticket race can leave C0 holding an older
                     // seqno than C1 (the older concurrent write deferred
                     // to a later pass while the newer one was published);
                     // merge_versions resolves by seqno, not position, so
                     // the newer value wins either way.
-                    (k, vec![v0, e1.version])
+                    let v = merge_versions(op.as_ref(), &[v0, e1.version], m.bottom);
+                    add(k, v)?;
                 }
-                Step::C0(k, v0) => (k, vec![v0]),
-                Step::C1 => {
-                    let e1 = m
-                        .c1_stream
-                        .as_mut()
-                        .and_then(Iterator::next)
-                        .ok_or_else(|| invariant_err("C1 entry vanished after peek"))??;
-                    (e1.key, vec![e1.version])
+                Step::C0(run) => {
+                    for (k, v) in run {
+                        add(k, v)?;
+                    }
                 }
-            };
-            if let Some(v) = merge_versions(op.as_ref(), &versions, m.bottom) {
-                stats::bump(
-                    &self.shared.stats.merge_bytes_consumed,
-                    (key.len() + v.entry.payload_len()) as u64,
-                );
-                m.builder.add(&key, &v)?;
+                Step::C1(len) => {
+                    for _ in 0..len {
+                        let e1 = pop_c1(&mut m.c1)?;
+                        let v = merge_versions(op.as_ref(), &[e1.version], m.bottom);
+                        add(e1.key, v)?;
+                    }
+                }
             }
         }
     }
@@ -312,7 +450,7 @@ impl BLsmTree {
     /// Input bytes a running `C0:C1` merge has consumed: drained `C0`
     /// bytes plus `C1` bytes pulled.
     pub(crate) fn merge01_consumed(&self, m: &Merge01) -> u64 {
-        self.shared.c0.drained_bytes() as u64 + m.c1_consumed.load(Ordering::Relaxed)
+        self.shared.c0.drained_bytes() as u64 + m.c1.as_ref().map_or(0, |c1| c1.consumed)
     }
 
     /// Seals a merge's output off to the side and returns the unused tail
@@ -347,14 +485,14 @@ impl BLsmTree {
         let Merge01 {
             builder,
             full_region,
-            c1_stream,
+            c1,
             pass_start_lsn,
             ..
         } = m;
         // Nothing is visible to readers until the catalog swap below.
         let new_c1 = self.seal_output(builder, full_region)?;
         // Release the old-C1 iterator's table handle before reclamation.
-        drop(c1_stream);
+        drop(c1);
 
         let mut ms = self.merge.lock();
         let had_leftover = {

@@ -22,7 +22,7 @@ pub(crate) fn bump(counter: &AtomicU64, n: u64) {
 
 /// Read a statistics counter. Relaxed for the same reason as [`bump`].
 #[inline]
-fn read(counter: &AtomicU64) -> u64 {
+pub(crate) fn read(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 

@@ -21,42 +21,65 @@
 //! and reads never take any of those locks (see `read.rs`). The tree's
 //! write tail rings the `C0:C1` thread's [`Doorbell`] whenever a write
 //! leaves `C0` above `Idle`; a pass that rotates `C1` into `C1'` rings
-//! the `C1':C2` thread's.
+//! the `C1':C2` thread's; and the `C0:C1` drain rings the hard-cap bell
+//! that writers over the cap park on, so a writer waits for drain
+//! progress, never for a driver lock the thread keeps re-taking.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blsm_storage::{Result, StorageError};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::stats;
 use crate::tree::BLsmTree;
 
 /// How long a merge thread sleeps between staleness re-checks when
 /// nobody has rung it: the bound on how stale the spring-and-gear
-/// schedule can go while writes skip the doorbell at `Idle`.
-const MERGE_WAIT_TIMEOUT: Duration = Duration::from_millis(10);
+/// schedule can go while writes skip the doorbell at `Idle`. Also how
+/// long a writer parked at the hard cap sleeps between re-checks.
+pub(crate) const MERGE_WAIT_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// A merge thread's wake-up call: rung by whoever hands the thread work,
-/// parked on by the thread once its merge is idle. Last in the lock
-/// hierarchy — only ever taken with nothing held.
+/// A wake-up call: rung by whoever hands a merge thread work (or, for
+/// the hard-cap bell, by the `C0:C1` drain), parked on by the thread
+/// once its merge is idle (or by writers over the cap). Last in the
+/// lock hierarchy — only ever taken with nothing held.
 pub(crate) struct Doorbell {
-    pub(crate) pending: Mutex<bool>,
+    pub(crate) pending: Mutex<Bell>,
     cv: Condvar,
+}
+
+/// A doorbell's state, under its `pending` mutex.
+#[derive(Default)]
+pub(crate) struct Bell {
+    /// A ring not yet consumed by [`Doorbell::park`].
+    pub(crate) rung: bool,
+    /// Threads waiting on the condvar. `ring` notifies only when this is
+    /// non-zero: a write that rings a busy merge thread costs one
+    /// uncontended lock, not a `futex_wake` syscall.
+    parked: usize,
 }
 
 impl Doorbell {
     pub(crate) fn new() -> Doorbell {
         Doorbell {
-            pending: Mutex::new(false),
+            pending: Mutex::new(Bell::default()),
             cv: Condvar::new(),
         }
     }
 
     pub(crate) fn ring(&self) {
-        *self.pending.lock() = true;
-        self.cv.notify_one();
+        let mut bell = self.pending.lock();
+        bell.rung = true;
+        if bell.parked > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// True while some thread is parked on the bell.
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.pending.lock().parked > 0
     }
 
     /// Sleeps until the bell rings, `MERGE_WAIT_TIMEOUT` passes (so paced
@@ -66,19 +89,101 @@ impl Doorbell {
     /// would otherwise be restarted — region, Bloom filter and all — once
     /// per write, only to fail again. The predicate is re-checked in a
     /// loop: a bare `if` would let a ring that lands between a
-    /// spurious/timeout wakeup and the `*pending = false` store below be
+    /// spurious/timeout wakeup and the `rung = false` store below be
     /// silently consumed, stalling that work until the next timeout (the
     /// classic lost-wakeup shape).
     fn park(&self, deaf: bool, shutdown: &AtomicBool) {
-        let mut pending = self.pending.lock();
+        let mut bell = self.pending.lock();
+        self.sleep(&mut bell, |bell| {
+            (!deaf && bell.rung) || shutdown.load(Ordering::SeqCst)
+        });
+        bell.rung = false;
+    }
+
+    /// Parks the caller until `done` holds or `MERGE_WAIT_TIMEOUT`
+    /// passes, leaving the ring flag alone (any number of writers may
+    /// wait on one bell). `done` is evaluated under the bell's lock, so
+    /// a ring that follows the change it reads cannot be lost.
+    pub(crate) fn wait_until(&self, done: impl Fn() -> bool) {
+        self.sleep(&mut self.pending.lock(), |_| done());
+    }
+
+    fn sleep(&self, bell: &mut MutexGuard<'_, Bell>, done: impl Fn(&Bell) -> bool) {
         let wake_at = Instant::now() + MERGE_WAIT_TIMEOUT;
-        while (deaf || !*pending) && !shutdown.load(Ordering::SeqCst) {
+        while !done(bell) {
             let left = wake_at.saturating_duration_since(Instant::now());
-            if left.is_zero() || self.cv.wait_for(&mut pending, left).timed_out() {
+            if left.is_zero() {
+                break;
+            }
+            bell.parked += 1;
+            let timed_out = self.cv.wait_for(bell, left).timed_out();
+            bell.parked -= 1;
+            if timed_out {
                 break;
             }
         }
-        *pending = false;
+    }
+}
+
+/// What the tree's write path does differently while merge threads
+/// are attached.
+impl BLsmTree {
+    /// True while [`ThreadedBLsm`]'s merge threads run this tree's merges.
+    pub(crate) fn merge_threads_attached(&self) -> bool {
+        // ordering: Acquire — see the field docs in `catalog.rs`.
+        self.shared.merge_thread_attached.load(Ordering::Acquire)
+    }
+
+    /// Wakes the attached `C0:C1` merge thread (if any) — unless the tree
+    /// is idle.
+    ///
+    /// Below the low watermark no scheduler starts a merge (naive and
+    /// spring-and-gear wait for the hard cap resp. high water; gear's
+    /// fill unit is at least `LOW_WATER * mem_budget`), so waking a
+    /// parked merge thread would buy a futex syscall and a context switch
+    /// per write just to find nothing to do. That cost is invisible with
+    /// one busy tree (the merge thread is rarely parked) but dominates
+    /// with N mostly-idle shards on few cores. Skipped rings are bounded
+    /// by the merge loop's wait timeout, which runs `maintenance`
+    /// regardless; and a merge already in flight keeps the loop in its
+    /// busy phase (it only parks once no merge is active), so nothing
+    /// can stall behind a skipped ring.
+    pub(crate) fn ring_doorbell(&self) {
+        if self.merge_threads_attached()
+            && self.backpressure() != crate::sched::BackpressureLevel::Idle
+        {
+            self.shared.bell01.ring();
+        }
+    }
+
+    /// The hard cap with merge threads attached: parks a writer over it
+    /// until the `C0:C1` thread's drain brings `C0` back to the high
+    /// water mark, so the writer never queues on the driver the thread
+    /// keeps re-taking. False when a merge quantum failed or a merge
+    /// thread died meanwhile: the caller's locked path then returns the
+    /// failure's typed error, or drains `C0` itself.
+    pub(crate) fn park_at_cap(&self, incoming: u64) -> bool {
+        let budget = self.shared.config.mem_budget as u64;
+        let mark = (crate::HIGH_WATER * budget as f64) as u64;
+        let c0 = || self.shared.c0.approx_bytes() as u64;
+        let errors = || stats::read(&self.shared.stats.merge_errors);
+        let seen = errors();
+        let failed = || errors() != seen || !self.merge_threads_attached();
+        while c0() + incoming > budget {
+            if failed() {
+                return false;
+            }
+            // An oversize write into an empty `C0` goes through, as on
+            // the locked path.
+            if self.shared.c0.is_empty() {
+                break;
+            }
+            self.shared.bell01.ring();
+            self.shared
+                .bell_cap
+                .wait_until(|| c0() + incoming <= mark || c0() == 0 || failed());
+        }
+        true
     }
 }
 
@@ -137,9 +242,10 @@ impl std::ops::Deref for ThreadedBLsm {
 
 impl ThreadedBLsm {
     /// Wraps a tree and starts its two merge threads. `quantum` bounds
-    /// merge bytes processed per background quantum (and therefore the
-    /// time any application *write* can wait behind the `C0:C1` thread at
-    /// the hard `C0` cap; reads never wait).
+    /// merge bytes processed per background quantum. Writers never run
+    /// merge work or wait on a driver: one over the hard `C0` cap parks
+    /// until the `C0:C1` thread's drain brings `C0` back to the high
+    /// water mark; reads never wait.
     ///
     /// # Errors
     ///
@@ -241,8 +347,28 @@ impl Drop for ThreadedBLsm {
     }
 }
 
+/// Armed for a merge thread's lifetime: if the thread unwinds (a
+/// `strict-invariants` violation, a failed assert), the tree is handed
+/// back to its writers. Writers parked at the hard cap would otherwise
+/// wait on a drain that never comes; with the tree detached they, and
+/// every later writer, pace and drain on the drivers themselves.
+struct DetachOnPanic<'a>(&'a BLsmTree);
+
+impl Drop for DetachOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let tree = &self.0.shared;
+            // ordering: Release — see the field docs in `catalog.rs`.
+            tree.merge_thread_attached.store(false, Ordering::Release);
+            stats::bump(&tree.stats.merge_errors, 1);
+            tree.bell_cap.ring();
+        }
+    }
+}
+
 fn merge_loop(shared: &Shared, driver: Driver, quantum: u64) {
     let tree = &shared.tree;
+    let _detach = DetachOnPanic(tree);
     let (step, bell): (fn(&BLsmTree, u64) -> Result<bool>, _) = match driver {
         Driver::C0C1 => (BLsmTree::maintain01, &tree.shared.bell01),
         Driver::C1C2 => (BLsmTree::maintain12, &tree.shared.bell12),
@@ -255,6 +381,9 @@ fn merge_loop(shared: &Shared, driver: Driver, quantum: u64) {
         let outcome = step(tree, quantum);
         if outcome.is_err() {
             stats::bump(&tree.shared.stats.merge_errors, 1);
+            // Writers parked at the hard cap pick the error up on the
+            // tree's locked path.
+            tree.shared.bell_cap.ring();
         }
         // Every background quantum is an invariant boundary; a
         // violation here means the merge thread corrupted the tree,
@@ -263,13 +392,9 @@ fn merge_loop(shared: &Shared, driver: Driver, quantum: u64) {
         if let Err(e) = tree.check_invariants() {
             panic!("merge-thread quantum violated a tree invariant: {e}");
         }
-        if matches!(outcome, Ok(true)) {
-            // Yield briefly so application threads stay ahead of us on
-            // the driver at the hard cap.
-            std::thread::yield_now();
-            continue;
+        if !matches!(outcome, Ok(true)) {
+            bell.park(outcome.is_err(), &shared.shutdown);
         }
-        bell.park(outcome.is_err(), &shared.shutdown);
     }
 }
 
@@ -278,10 +403,140 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::config::BLsmConfig;
-    use blsm_memtable::AppendOperator;
+    use blsm_memtable::{AppendOperator, PassMode};
     use blsm_storage::{MemDevice, SharedDevice};
     use bytes::Bytes;
     use std::time::Duration;
+
+    /// A tree on `data` whose `C1` holds 20 000 even-numbered keys of
+    /// 100-byte values (~2.3 MB, many read-ahead chunks), reopened with
+    /// a 64 KiB `C0` and `R` pinned so no pass rotates `C1`, under merge
+    /// threads whose quantum covers a whole pass.
+    fn threaded_over_a_large_c1(data: SharedDevice) -> ThreadedBLsm {
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let open = |mem_budget| {
+            let config = BLsmConfig {
+                mem_budget,
+                r: Some(1000.0),
+                ..Default::default()
+            };
+            BLsmTree::open(
+                data.clone(),
+                wal.clone(),
+                64,
+                config,
+                Arc::new(AppendOperator),
+            )
+            .unwrap()
+        };
+        let tree = open(8 << 20);
+        for i in 0..20_000u32 {
+            tree.put(format!("k{:08}", 2 * i).into_bytes(), vec![0u8; 100])
+                .unwrap();
+        }
+        tree.checkpoint().unwrap();
+        drop(tree);
+        ThreadedBLsm::start(open(64 << 10), 1 << 30).unwrap()
+    }
+
+    /// Odd keys spread over the `C1` key range, so a pass's `C0` drain
+    /// moves along with its `C1` copy.
+    fn spread_key(i: u32) -> Vec<u8> {
+        format!("k{:08}", 2 * ((i * 7919) % 20_000) + 1).into_bytes()
+    }
+
+    #[test]
+    fn a_writer_parked_at_the_cap_resumes_while_the_pass_is_in_flight() {
+        // A writer over the hard cap waits for drain progress: the first
+        // tenth of the pass's `C0` drain brings `C0` back to the high
+        // water mark, long before the `C1` copy ends. A writer queued on
+        // the driver instead waits out the thread's quantum — here the
+        // whole pass.
+        let db = threaded_over_a_large_c1(Arc::new(MemDevice::new()));
+        for i in 0..100_000u32 {
+            let before = db.stats();
+            db.put(spread_key(i), vec![1u8; 100]).unwrap();
+            let after = db.stats();
+            if after.forced_stalls > before.forced_stalls {
+                assert_eq!(
+                    after.merges01, before.merges01,
+                    "the stalled write waited out a whole C0:C1 pass"
+                );
+                return;
+            }
+        }
+        panic!("the writer never reached the hard cap");
+    }
+
+    #[test]
+    fn a_c1_read_fault_mid_pass_reaches_the_writer_at_the_cap() {
+        use blsm_storage::{FaultMode, FaultyDevice};
+        let data = Arc::new(FaultyDevice::new(
+            Arc::new(MemDevice::new()),
+            FaultMode::FailReads,
+            u64::MAX,
+        ));
+        let db = threaded_over_a_large_c1(data.clone());
+        let tree: &BLsmTree = &db;
+        // Arm one failed read once a pass is under way: the thread's next
+        // `C1` chunk read fails and the pass is dropped.
+        let mut armed = false;
+        for i in 0..100_000u32 {
+            if !armed && tree.shared.c0.pass_mode() != PassMode::Idle {
+                data.fail_next(1);
+                armed = true;
+            }
+            if let Err(e) = db.put(spread_key(i), vec![1u8; 100]) {
+                assert!(armed, "a write failed before the fault: {e}");
+                assert!(e.to_string().contains("reopen the tree"), "{e}");
+                assert!(db.stats().merge_errors >= 1);
+                return;
+            }
+        }
+        panic!("the failed pass never reached the writer");
+    }
+
+    #[test]
+    fn a_merge_thread_that_unwinds_hands_the_cap_back_to_writers() {
+        let db = new_threaded();
+        let tree: &BLsmTree = &db;
+        // Unwind the way a dying merge thread does, with its guard armed.
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                let _detach = DetachOnPanic(tree);
+                panic!("merge thread died");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(!tree.merge_threads_attached());
+        assert_eq!(tree.stats().merge_errors, 1);
+        // A writer over the cap no longer parks: it drains on the driver.
+        assert!(!tree.park_at_cap(u64::MAX / 2));
+        for i in 0..3_000u32 {
+            db.put(format!("k{i:06}").into_bytes(), vec![0u8; 100])
+                .unwrap();
+        }
+        assert!(tree.c0_bytes() <= 64 << 10);
+    }
+
+    #[test]
+    fn a_ring_before_park_is_not_lost() {
+        // `ring` notifies only parked threads; one that parks after the
+        // ring must find it pending and return at once. A lost ring would
+        // cost each park the whole wait timeout.
+        let bell = Doorbell::new();
+        let shutdown = AtomicBool::new(false);
+        let started = Instant::now();
+        for _ in 0..50 {
+            bell.ring();
+            bell.park(false, &shutdown);
+            assert!(!bell.pending.lock().rung, "park left the ring pending");
+        }
+        assert!(
+            started.elapsed() < MERGE_WAIT_TIMEOUT * 25,
+            "rings before park were lost"
+        );
+    }
 
     fn new_threaded() -> ThreadedBLsm {
         let data: SharedDevice = Arc::new(MemDevice::new());
@@ -481,7 +736,7 @@ mod tests {
         // (almost) full wait timeout whether or not writes ring.
         let tree: &BLsmTree = &db;
         tree.shared.bell01.ring();
-        while *tree.shared.bell01.pending.lock() {
+        while tree.shared.bell01.pending.lock().rung {
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -508,10 +763,14 @@ mod tests {
         let db = new_threaded();
         let tree: &BLsmTree = &db;
         let downstream = tree.merge12.lock();
+        // Descending keys never join the pass in flight (§4.2: a key at
+        // or below the drain cursor waits for the next pass), so each
+        // pass drains at most one full `C0` and ends however fast the
+        // writer runs.
+        let key = |i: u32| format!("k{:06}", 4_999 - i).into_bytes();
         let before = tree.stats().merges01;
         for i in 0..5_000u32 {
-            db.put(format!("k{i:06}").into_bytes(), Bytes::from(vec![0u8; 100]))
-                .unwrap();
+            db.put(key(i), Bytes::from(vec![0u8; 100])).unwrap();
         }
         let passes = tree.stats().merges01 - before;
         assert!(
@@ -520,7 +779,7 @@ mod tests {
         );
         drop(downstream);
         for i in (0..5_000u32).step_by(97) {
-            assert!(db.get(format!("k{i:06}").as_bytes()).unwrap().is_some());
+            assert!(db.get(&key(i)).unwrap().is_some());
         }
     }
 

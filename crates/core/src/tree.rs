@@ -31,10 +31,12 @@
 //!   `C0` drain never queues behind the downstream merge. Both install
 //!   their output through `merge` (allocator, manifest, retired list),
 //!   held only to allocate and to install a finished merge, never across
-//!   merge work. Writers *opportunistically* pace (try-lock: if a merge
-//!   thread or a sibling writer already holds a driver, that quantum is
-//!   already being run) and only block on `merge01` to enforce the hard
-//!   `C0` cap.
+//!   merge work. In the cooperative model writers *opportunistically*
+//!   pace (try-lock: if a sibling writer already holds a driver, that
+//!   quantum is already being run) and only block on `merge01` to
+//!   enforce the hard `C0` cap. With merge threads attached writers run
+//!   no merge work: over the cap they park until the `C0:C1` drain
+//!   brings `C0` back to the high water mark (`threaded.rs`).
 //!
 //! Lock order: `merge01` → `merge12` → `merge` → `wal` → `catalog` →
 //! `recovery` (see DESIGN.md §14). The module split mirrors the design:
@@ -77,8 +79,8 @@ const WORK_QUANTUM: u64 = 4 << 20;
 pub struct BLsmTree {
     /// State shared with every [`ReadView`] and concurrent writer.
     pub(crate) shared: Arc<TreeShared>,
-    /// The `C0:C1` driver. Writers try-lock it for opportunistic pacing
-    /// and block on it only at the hard `C0` cap.
+    /// The `C0:C1` driver. Cooperative writers try-lock it for
+    /// opportunistic pacing and block on it only at the hard `C0` cap.
     pub(crate) merge01: Mutex<Driver01>,
     /// The `C1':C2` driver: the merge in flight, if any.
     pub(crate) merge12: Mutex<Option<Merge12>>,
@@ -213,6 +215,7 @@ impl BLsmTree {
             recovery: parking_lot::RwLock::new(RecoveryReport::default()),
             bell01: Doorbell::new(),
             bell12: Doorbell::new(),
+            bell_cap: Doorbell::new(),
             merge_thread_attached: std::sync::atomic::AtomicBool::new(false),
             config,
         });
@@ -535,30 +538,6 @@ impl BLsmTree {
         Ok(target)
     }
 
-    /// Wakes the attached `C0:C1` merge thread (if any) — unless the tree
-    /// is idle.
-    ///
-    /// Below the low watermark no scheduler starts a merge (naive and
-    /// spring-and-gear wait for the hard cap resp. high water; gear's
-    /// fill unit is at least `LOW_WATER * mem_budget`), so waking the
-    /// merge thread would buy a futex syscall and a context switch per
-    /// write just to find nothing to do. That cost is invisible with one
-    /// busy tree (the merge thread is rarely parked) but dominates with
-    /// N mostly-idle shards on few cores. Skipped rings are bounded by
-    /// the merge loop's wait timeout, which runs `maintenance`
-    /// regardless; and a merge already in flight keeps the loop in its
-    /// busy phase (it only parks once no merge is active), so nothing
-    /// can stall behind a skipped ring.
-    fn ring_doorbell(&self) {
-        // ordering: Acquire — see the field docs in `catalog.rs`.
-        if !self.shared.merge_thread_attached.load(Ordering::Acquire)
-            || self.backpressure() == crate::sched::BackpressureLevel::Idle
-        {
-            return;
-        }
-        self.shared.bell01.ring();
-    }
-
     /// Applies one replicated WAL record (a payload produced by the
     /// leader's `encode_wal_record`) through the normal write path,
     /// keeping the **leader's** seqno: the record is appended to this
@@ -799,26 +778,30 @@ impl BLsmTree {
 
     /// Pre-write pacing: run the scheduler's planned merge work, enforce
     /// the hard cap. This is where the paper's write-latency bound comes
-    /// from.
+    /// from. With merge threads attached, writers run no merge work and
+    /// wait on no driver lock: the threads run the merges.
     fn pace(&self, incoming: u64) -> Result<()> {
-        if !self.shared.config.external_pacing {
+        let threaded = self.merge_threads_attached();
+        if !threaded && !self.shared.config.external_pacing {
             self.run_planned_quanta(incoming)?;
         }
 
         // Hard cap: C0 must never exceed the memory budget. A paced
         // scheduler rarely lands here; the naive scheduler lives here.
-        // This path *blocks* on the `C0:C1` driver (never on `C1':C2`):
-        // when the buffer is full the writer must wait for (or perform)
-        // drain work.
         let over_cap = || {
             self.shared.c0.approx_bytes() as u64 + incoming > self.shared.config.mem_budget as u64
         };
-        let mut stalled = false;
+        if !over_cap() {
+            return Ok(());
+        }
+        stats::bump(&self.shared.stats.forced_stalls, 1);
+        if threaded && self.park_at_cap(incoming) {
+            return Ok(());
+        }
+        // Cooperative, or a merge quantum failed while we were parked:
+        // wait for (or perform) drain work on the `C0:C1` driver, which
+        // also returns a failed pass's typed error.
         while over_cap() {
-            if !stalled {
-                stats::bump(&self.shared.stats.forced_stalls, 1);
-                stalled = true;
-            }
             let mut d = self.merge01.lock();
             self.resave_manifest(&mut self.merge.lock())?;
             // Re-check under the lock: the holder we waited behind may
@@ -876,12 +859,15 @@ impl BLsmTree {
     }
 
     /// Starts a `C0:C1` pass when none is running and the scheduler asks
-    /// for one.
+    /// for one, or a writer is parked at the hard cap (whose own bytes may
+    /// be what a start mark is waiting for).
     fn start_merge01_if_due(&self, d: &mut Driver01, incoming: u64) -> Result<()> {
         if d.pass.is_none()
             && !self.shared.c0.is_empty()
-            && d.scheduler
+            && (d
+                .scheduler
                 .should_start_merge01(&self.sched_inputs(None, None, incoming))
+                || self.shared.bell_cap.has_waiters())
         {
             self.start_merge01_locked(&mut d.pass)?;
         }

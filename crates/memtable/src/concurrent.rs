@@ -426,8 +426,8 @@ impl ConcurrentC0 {
 
     /// Takes the exclusive drain handle for the active pass. The guard
     /// blocks inserts only while held — the merge thread takes it per
-    /// entry (or small batch), mirroring the old per-quantum `c0` write
-    /// lock but at far finer grain.
+    /// key run ([`DrainGuard::drain_run`]), mirroring the old
+    /// per-quantum `c0` write lock but at far finer grain.
     pub fn drain_guard(&self) -> DrainGuard<'_> {
         DrainGuard {
             c0: self,
@@ -574,29 +574,70 @@ impl DrainGuard<'_> {
     ///
     /// Panics if no pass is active.
     pub fn drain_next(&mut self) -> Option<(Bytes, Versioned)> {
+        let mut next = None;
+        self.drain_run(None, |k, v| {
+            next = Some((k.clone(), v.clone()));
+            false
+        });
+        next
+    }
+
+    /// Drains a run: the pass's smallest entries, in key order, while
+    /// their keys stay below `below` (no bound when `None`). Each entry
+    /// goes to `take`, which returns whether the run goes on; the first
+    /// entry is always drained. Like [`drain_next`](Self::drain_next)
+    /// for each entry — cursor advanced, copy retained for concurrent
+    /// readers — but under one hold of the guard and one write lock per
+    /// shard visited (§4.4.1: a lock per merged tuple is prohibitively
+    /// expensive). Returns the entries drained.
+    ///
+    /// Panics if no pass is active.
+    pub fn drain_run(
+        &mut self,
+        below: Option<&[u8]>,
+        mut take: impl FnMut(&Bytes, &Versioned) -> bool,
+    ) -> usize {
         assert_ne!(self.pass.kind, PassKind::Idle, "no pass active");
+        let (mut drained, mut more) = (0, true);
         for shard in &self.c0.shards {
             let mut t = shard.tables.write();
-            let Some((key, v)) = t.current.pop_first() else {
-                continue;
-            };
-            let cost = ENTRY_OVERHEAD + key.len() + v.entry.payload_len();
-            // ordering: AcqRel — watermark/progress adjustments; see the
-            // counter field docs.
-            self.c0.bytes_current.fetch_sub(cost, Ordering::AcqRel);
-            self.c0.drained_bytes.fetch_add(cost, Ordering::AcqRel);
-            if let PassKind::Snowshovel { last_drained } = &mut self.pass.kind {
-                *last_drained = Some(key.clone());
+            let mut cost = 0;
+            while more {
+                let Some(k) = t.current.first_key() else {
+                    break;
+                };
+                if below.is_some_and(|b| k.as_ref() >= b) {
+                    more = false;
+                    break;
+                }
+                let Some((key, v)) = t.current.pop_first() else {
+                    break;
+                };
+                cost += ENTRY_OVERHEAD + key.len() + v.entry.payload_len();
+                more = take(&key, &v);
+                if let PassKind::Snowshovel { last_drained } = &mut self.pass.kind {
+                    *last_drained = Some(key.clone());
+                }
+                // Keep a copy visible to concurrent readers until the
+                // merge output is published. The cursor is now ≥ `key`, so
+                // a re-insert lands in `behind` — each key drains at most
+                // once per pass, so the retained table never sees a
+                // duplicate.
+                t.retained.insert_unmerged(key, v);
+                drained += 1;
             }
-            // Keep a copy visible to concurrent readers until the merge
-            // output is published. The cursor is now ≥ `key`, so a
-            // re-insert lands in `behind` — each key drains at most once
-            // per pass, so the retained table never sees a duplicate.
-            t.retained.insert_unmerged(key.clone(), v.clone());
-            self.c0.bytes_retained.fetch_add(cost, Ordering::AcqRel);
-            return Some((key, v));
+            if cost > 0 {
+                // ordering: AcqRel — watermark/progress adjustments,
+                // under the shard lock; see the counter field docs.
+                self.c0.bytes_current.fetch_sub(cost, Ordering::AcqRel);
+                self.c0.drained_bytes.fetch_add(cost, Ordering::AcqRel);
+                self.c0.bytes_retained.fetch_add(cost, Ordering::AcqRel);
+            }
+            if !more {
+                break;
+            }
         }
-        None
+        drained
     }
 
     /// Advances the drain cursor to at least `key` without draining —
@@ -766,6 +807,41 @@ mod tests {
         assert!(buf.get(b"a").is_none());
         assert_eq!(buf.retained_bytes(), 0);
         assert_eq!(buf.drained_bytes(), 0);
+    }
+
+    #[test]
+    fn drain_run_stops_below_its_bound_and_when_told() {
+        let buf = ConcurrentC0::new();
+        // First bytes 0x10, 0x33, 0x63 → shards 1, 3, 6.
+        for k in ["\u{10}a", "\u{10}b", "3a", "3b", "c"] {
+            put(&buf, k, 1);
+        }
+        let total = buf.approx_bytes();
+        buf.begin_pass(true);
+        let mut g = buf.drain_guard();
+        // Bounded by a key: the run crosses shards and stops below it.
+        let mut run = Vec::new();
+        let n = g.drain_run(Some(b"3b"), |k, _| {
+            run.push(k.clone());
+            true
+        });
+        assert_eq!(n, 3);
+        assert_eq!(run, vec![b("\u{10}a"), b("\u{10}b"), b("3a")]);
+        // Told to stop: the first entry is drained all the same.
+        assert_eq!(g.drain_run(None, |_, _| false), 1);
+        drop(g);
+        let cursor = Some(b("3b"));
+        assert_eq!(
+            buf.pass_kind(),
+            PassKind::Snowshovel {
+                last_drained: cursor
+            }
+        );
+        // Accounting and retained copies as with per-entry draining.
+        assert!(buf.get(b"3a").is_some());
+        assert_eq!(buf.drained_bytes() + buf.current_bytes(), total);
+        assert_eq!(buf.retained_bytes(), buf.drained_bytes());
+        assert_eq!(drain_all(&buf), vec![b("c")]);
     }
 
     #[test]

@@ -39,7 +39,8 @@ use sync::{thread, Arc, Condvar, Mutex, RwLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shutdown {
     /// The shipped shape: set the flag, then set `work_pending` and
-    /// notify *under the mutex*.
+    /// notify *under the mutex* — only when the worker is parked, as
+    /// the parked count kept under that mutex says.
     Correct,
     /// The historical bug: set the flag and notify without the mutex.
     /// The notify can race into the predicate-to-park window and be
@@ -52,8 +53,12 @@ pub enum Shutdown {
 /// latency. `kicks` is the number of work units handed over before
 /// shutdown (1 for PR-bounded runs, more for nightly depth).
 pub fn condvar_handshake(mode: Shutdown, kicks: usize) {
+    struct Bell {
+        pending: bool,
+        parked: usize,
+    }
     struct Shared {
-        work_pending: Mutex<bool>,
+        work_pending: Mutex<Bell>,
         work_cv: Condvar,
         // ordering: SeqCst — mirrors the production shutdown flag; under the
         // model scheduler every ordering is sequentially consistent anyway.
@@ -62,11 +67,24 @@ pub fn condvar_handshake(mode: Shutdown, kicks: usize) {
         quanta: AtomicU64,
     }
     let shared = Arc::new(Shared {
-        work_pending: Mutex::new(false),
+        work_pending: Mutex::new(Bell {
+            pending: false,
+            parked: 0,
+        }),
         work_cv: Condvar::new(),
         shutdown: AtomicBool::new(false),
         quanta: AtomicU64::new(0),
     });
+    // A ring: set the flag and notify only while someone is parked,
+    // under the mutex (`Doorbell::ring`; `notify_all`, as there, since
+    // many writers may park on the hard-cap bell).
+    let ring = |s: &Shared| {
+        let mut bell = s.work_pending.lock();
+        bell.pending = true;
+        if bell.parked > 0 {
+            s.work_cv.notify_all();
+        }
+    };
 
     let worker = {
         let s = Arc::clone(&shared);
@@ -74,31 +92,27 @@ pub fn condvar_handshake(mode: Shutdown, kicks: usize) {
             if s.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let mut pending = s.work_pending.lock();
-            while !*pending && !s.shutdown.load(Ordering::SeqCst) {
-                s.work_cv.wait(&mut pending);
+            let mut bell = s.work_pending.lock();
+            while !bell.pending && !s.shutdown.load(Ordering::SeqCst) {
+                bell.parked += 1;
+                s.work_cv.wait(&mut bell);
+                bell.parked -= 1;
             }
-            if *pending {
-                *pending = false;
-                drop(pending);
+            if bell.pending {
+                bell.pending = false;
+                drop(bell);
                 s.quanta.fetch_add(1, Ordering::SeqCst);
             }
         })
     };
 
     for _ in 0..kicks {
-        let mut pending = shared.work_pending.lock();
-        *pending = true;
-        shared.work_cv.notify_one();
+        ring(&shared);
     }
 
     shared.shutdown.store(true, Ordering::SeqCst);
     match mode {
-        Shutdown::Correct => {
-            let mut pending = shared.work_pending.lock();
-            *pending = true;
-            shared.work_cv.notify_one();
-        }
+        Shutdown::Correct => ring(&shared),
         Shutdown::LostWakeup => {
             shared.work_cv.notify_one();
         }

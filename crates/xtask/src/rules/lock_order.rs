@@ -29,7 +29,10 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // catalog → recovery → pending. (`merge01`/`merge12` are the two
         // merge drivers and `merge` is what both install through; a
         // `C0:C1` pass that rotates `C1` may start the `C1':C2` merge, so
-        // `merge01` comes first. `pending` is a merge thread's doorbell.)
+        // `merge01` comes first. `pending` is a doorbell's lock: each
+        // merge thread's (`bell01`, `bell12`) and the hard cap's
+        // (`bell_cap`, which writers over the cap park on and the
+        // `C0:C1` drain rings under `merge01`).)
         // (`commit` is the group-commit election state,
         // DESIGN.md §18: a tiny bookkeeping mutex the leader drops
         // before any I/O or `wal` acquisition. Its slot between `merge`

@@ -4,10 +4,20 @@
 //! `lock()` returns the guard directly, and a poisoned std lock (a thread
 //! panicked while holding it) is transparently recovered, matching
 //! `parking_lot`'s behaviour of not propagating poison.
+//!
+//! **No eventual fairness.** `parking_lot` 0.12's `Mutex` hands the lock
+//! straight to a waiter when that waiter has been kept out for about
+//! half a millisecond; std's mutex, and so this one, never does. A thread
+//! that unlocks and re-locks in a loop can starve a blocked waiter for
+//! as long as the loop runs — and yielding between the two does not
+//! help. Code must not rely on a waiter getting in between another
+//! thread's critical sections; hand work over with a condvar instead.
 
 use std::time::Duration;
 
-/// A mutex that does not propagate poisoning, mirroring `parking_lot::Mutex`.
+/// A mutex that does not propagate poisoning, mirroring `parking_lot::Mutex`
+/// — except for fairness: a waiter is never handed the lock (see the
+/// crate docs).
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
