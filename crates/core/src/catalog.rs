@@ -13,9 +13,10 @@
 //! [`TreeShared`] is everything the *write and read* paths need: the
 //! catalog cell, the sharded [`ConcurrentC0`], the atomic sequence-number
 //! allocator, the WAL behind its own mutex, the merge operator, the
-//! buffer pool and the atomic statistics. [`crate::BLsmTree`] (whose
-//! driver mutexes serialize only the merge state machines) and every
-//! [`crate::ReadView`] hold it via `Arc`.
+//! buffer pool and the atomic statistics. It is reached only through a
+//! [`crate::ReadView`], which implements every read over it; a
+//! [`crate::BLsmTree`] holds its own view (and derefs to it) beside the
+//! driver mutexes that serialize the merge state machines.
 //!
 //! Consistency between `C0` and the catalog no longer rests on a
 //! buffer-wide `c0` write lock. The `C0:C1` commit point runs inside
@@ -29,13 +30,15 @@
 //! never both.
 //!
 //! Lock order (see `DESIGN.md` §14): `merge01` → `merge12` → `merge` →
-//! `commit` → `wal` → `catalog` → `recovery` → `pending` (a merge
+//! `commit` → `wal` → `catalog` → `pending` (a merge
 //! thread's doorbell). The memtable's internal
 //! `pass` → `tables` locks are encapsulated below `catalog` and never
 //! escape the crate.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::Arc;
+#[cfg(feature = "strict-invariants")]
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -45,8 +48,7 @@ use blsm_storage::{BufferPool, ComponentId, Wal};
 
 use crate::commit::CommitState;
 use crate::config::BLsmConfig;
-use crate::sched::BackpressureLevel;
-use crate::stats::{RecoveryReport, TreeStats, TreeStatsSnapshot};
+use crate::stats::{RecoveryReport, TreeStats};
 use crate::threaded::Doorbell;
 
 /// An immutable snapshot of the on-disk component set, searched
@@ -170,11 +172,12 @@ pub(crate) struct TreeShared {
     // replayed floor at open, Acquire loads in the dedupe check and
     // replication acks — an acked floor implies fully applied records.
     pub(crate) applied_floor: AtomicU64,
-    /// Bytes writers were admitted for by `pace` but have not yet made
-    /// resident in `C0` (claimed before the WAL append + insert, released
-    /// when the insert lands or the write errors out). Feeds
-    /// `admitted_peak` — the quantity the strict-invariants cap check
+    /// Strict-invariants builds only: bytes writers were admitted for by
+    /// `pace` but have not yet made resident in `C0` (claimed before the
+    /// WAL append + insert, released when the insert lands or the write
+    /// errors out). Feeds `admitted_peak` — the quantity the cap check
     /// actually uses.
+    #[cfg(feature = "strict-invariants")]
     // ordering: AcqRel RMWs — a claim precedes its C0 insert, so any
     // observer that sees an insert's bytes in the C0 counters also sees
     // its (possibly already released) claim.
@@ -191,6 +194,7 @@ pub(crate) struct TreeShared {
     /// fixed constant a large fleet or large values could exceed, while a
     /// broken pacer that admits serially past the budget still trips the
     /// check.
+    #[cfg(feature = "strict-invariants")]
     // ordering: AcqRel `fetch_max` before the claim's C0 insert, Acquire
     // loads — an invariant check that observes an insert's bytes in C0
     // also observes the peak that admitted it.
@@ -237,9 +241,9 @@ pub(crate) struct TreeShared {
     // bookkeeping, not a synchronization edge.
     pub(crate) unsynced_writes: AtomicU64,
     pub(crate) stats: TreeStats,
-    /// Set once at the end of [`crate::BLsmTree::open`]; the lock is only
-    /// for interior mutability, never held across I/O.
-    pub(crate) recovery: RwLock<RecoveryReport>,
+    /// Set once at the end of [`crate::BLsmTree::open`]; a write-once
+    /// cell, so `stats()` reads it without a lock.
+    pub(crate) recovery: OnceLock<RecoveryReport>,
     /// The `C0:C1` merge thread's doorbell: the write tail rings it when
     /// a write leaves the tree above `Idle` (`threaded.rs`).
     pub(crate) bell01: Doorbell,
@@ -259,35 +263,6 @@ pub(crate) struct TreeShared {
     // skipped ring, which the merge loop's wait timeout bounds. A merge
     // thread that unwinds clears it (Release) so writers pace again.
     pub(crate) merge_thread_attached: AtomicBool,
-}
-
-impl TreeShared {
-    /// Counter snapshot plus the live spring-and-gear backpressure level
-    /// derived from `C0` occupancy against the configured watermarks —
-    /// the single source of truth the serving layer's admission control
-    /// and STATS command read. Lock-free: `C0` occupancy is an atomic
-    /// counter read.
-    pub(crate) fn stats_snapshot(&self) -> TreeStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        snap.backpressure = self.backpressure_level();
-        snap.recovery = *self.recovery.read();
-        // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry` / the replicated-apply CAS; see the field docs.
-        snap.next_seqno = self.next_seqno.load(std::sync::atomic::Ordering::Acquire);
-        snap
-    }
-
-    /// Just the backpressure level — one atomic `C0` occupancy read plus
-    /// arithmetic, for per-write fast paths (the doorbell gate, admission) that
-    /// cannot afford the full counter snapshot.
-    pub(crate) fn backpressure_level(&self) -> BackpressureLevel {
-        BackpressureLevel::from_occupancy(
-            self.c0.approx_bytes() as u64,
-            self.config.mem_budget as u64,
-            crate::sched::LOW_WATER,
-            crate::sched::HIGH_WATER,
-        )
-    }
 }
 
 impl std::fmt::Debug for TreeShared {

@@ -30,12 +30,13 @@ use blsm_storage::{Result, Wal};
 
 use crate::catalog::{ComponentCatalog, TreeShared};
 use crate::config::Durability;
+use crate::sched::BackpressureLevel;
 use crate::stats::{self, TreeStatsSnapshot};
 use crate::tree::invariant_err;
 
 /// Tree-wide outcome of a scrub pass over every on-disk component.
 ///
-/// Produced by [`crate::BLsmTree::scrub`] / [`ReadView::scrub`]; the
+/// Produced by [`ReadView::scrub`]; the
 /// per-component numbers are summed and every problem string is prefixed
 /// with the component slot it came from.
 #[derive(Debug, Clone, Default)]
@@ -67,16 +68,19 @@ pub struct ScanItem {
     pub value: Bytes,
 }
 
-/// A shareable handle to the tree's read path and replication shipping.
+/// A shareable handle to the tree's read path and replication shipping —
+/// the one implementation of every read operation.
 ///
 /// Cheap to clone (one `Arc`), `Send + Sync`, and valid for as long as
 /// the originating [`crate::BLsmTree`] world exists — including while
-/// merges run. Data reads pin an immutable component snapshot and never
-/// take a tree-wide lock; the shipping reads (`wal_window`,
-/// `wal_records_from`) take the tree's log mutex, with nothing else held.
+/// merges run. The tree holds one and derefs to it, so `tree.get(k)` and
+/// `view.get(k)` are the same call. Data reads pin an immutable component
+/// snapshot and never take a tree-wide lock; the shipping reads
+/// (`wal_window`, `wal_records_from`) take the tree's log mutex, with
+/// nothing else held.
 #[derive(Clone)]
 pub struct ReadView {
-    shared: Arc<TreeShared>,
+    pub(crate) shared: Arc<TreeShared>,
 }
 
 impl std::fmt::Debug for ReadView {
@@ -84,101 +88,6 @@ impl std::fmt::Debug for ReadView {
         f.debug_struct("ReadView")
             .field("stats", &self.shared.stats.snapshot())
             .finish_non_exhaustive()
-    }
-}
-
-impl ReadView {
-    pub(crate) fn new(shared: Arc<TreeShared>) -> ReadView {
-        ReadView { shared }
-    }
-
-    /// Point lookup. Walks components newest→oldest, consults a Bloom
-    /// filter before every disk probe, folds deltas, and stops at the
-    /// first base record (§3.1, §3.1.1).
-    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.shared.get(key)
-    }
-
-    /// Existence check with early termination and Bloom short-circuits.
-    pub fn exists(&self, key: &[u8]) -> Result<bool> {
-        self.shared.exists(key)
-    }
-
-    /// Ordered scan: up to `limit` live rows with key ≥ `from`.
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.shared.scan(from, None, limit)
-    }
-
-    /// Ordered scan of `[from, to)`, up to `limit` rows.
-    pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.shared.scan(from, Some(to), limit)
-    }
-
-    /// Snapshot of the engine counters plus the live backpressure level.
-    /// Fully lock-free: `C0` occupancy is an atomic counter read.
-    pub fn stats(&self) -> TreeStatsSnapshot {
-        self.shared.stats_snapshot()
-    }
-
-    /// Just the live backpressure level — one atomic read, for per-write
-    /// admission (see [`crate::BLsmTree::backpressure`]).
-    pub(crate) fn backpressure(&self) -> crate::sched::BackpressureLevel {
-        self.shared.backpressure_level()
-    }
-
-    /// Verifies every on-disk component against the device (checksums,
-    /// footers, ordering, Bloom agreement). Lock-free like every other
-    /// data read: the pass runs on a pinned catalog snapshot while writes
-    /// and merges proceed.
-    pub fn scrub(&self) -> TreeScrubReport {
-        self.shared.scrub()
-    }
-
-    /// See [`crate::BLsmTree::next_seqno`].
-    pub fn next_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry`; see the field docs in `catalog.rs`.
-        self.shared.next_seqno.load(Ordering::Acquire)
-    }
-
-    /// See [`crate::BLsmTree::applied_seqno`].
-    pub fn applied_seqno(&self) -> u64 {
-        // ordering: Acquire — pairs with the AcqRel floor advance in
-        // `insert_versioned`; see the field docs in `catalog.rs`.
-        self.shared
-            .applied_floor
-            .load(Ordering::Acquire)
-            .saturating_sub(1)
-    }
-
-    /// See [`crate::BLsmTree::wal_window`]; takes the log mutex.
-    pub fn wal_window(&self) -> Result<(u64, u64)> {
-        self.ship_read(|wal, horizon| Ok((wal.head_lsn(), horizon)))
-    }
-
-    /// See [`crate::BLsmTree::wal_records_from`]; takes the log mutex.
-    pub fn wal_records_from(
-        &self,
-        start_lsn: u64,
-        budget: usize,
-    ) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        self.ship_read(|wal, horizon| wal.records_up_to(start_lsn, horizon, budget))
-    }
-
-    /// Runs `read` under the log mutex with the LSN horizon replication
-    /// may ship up to: under `Durability::Sync` the last synced group
-    /// boundary (a record must be durable *here* before a follower can
-    /// ack it elsewhere), otherwise the flushed tail.
-    fn ship_read<T>(&self, read: impl FnOnce(&Wal, u64) -> Result<T>) -> Result<T> {
-        let guard = self.shared.wal.lock();
-        let wal = guard
-            .as_ref()
-            .ok_or_else(|| invariant_err("no wal to ship"))?;
-        let horizon = match self.shared.config.durability {
-            Durability::Sync => wal.synced_lsn(),
-            _ => wal.flushed_lsn(),
-        };
-        read(wal, horizon)
     }
 }
 
@@ -216,22 +125,239 @@ enum C0Verdict {
     Continue,
 }
 
-impl TreeShared {
+impl ReadView {
+    pub(crate) fn new(shared: Arc<TreeShared>) -> ReadView {
+        ReadView { shared }
+    }
+
+    /// Point lookup. Walks components newest→oldest, consults a Bloom
+    /// filter before every disk probe, folds deltas, and stops at the
+    /// first base record (§3.1, §3.1.1).
+    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
+        let shared = &*self.shared;
+        stats::bump(&shared.stats.gets, 1);
+        let mut deltas: Vec<Bytes> = Vec::new();
+        let (verdict, catalog) = self.pin_for_get(key, &mut deltas);
+        match verdict {
+            C0Verdict::Terminated(Some(base)) => {
+                stats::bump(&shared.stats.early_terminations, 1);
+                return Ok(resolve_base(shared.op.as_ref(), Some(&base), &deltas));
+            }
+            C0Verdict::Terminated(None) => {
+                // Tombstone: deltas above it (if any) apply to an absent
+                // base; with none, the key is simply gone.
+                return Ok(
+                    resolve_base(shared.op.as_ref(), None, &deltas).filter(|_| !deltas.is_empty())
+                );
+            }
+            C0Verdict::Continue => {}
+        }
+
+        for (slot, table) in catalog.named_tables() {
+            if !table.may_contain(key) {
+                stats::bump(&shared.stats.bloom_skips, 1);
+                continue;
+            }
+            stats::bump(&shared.stats.disk_probes, 1);
+            let Some(v) = table.get(key).map_err(|e| e.in_component(slot))? else {
+                continue;
+            };
+            match v.entry {
+                Entry::Put(b) => {
+                    stats::bump(&shared.stats.early_terminations, 1);
+                    return Ok(resolve_base(shared.op.as_ref(), Some(&b), &deltas));
+                }
+                Entry::Tombstone => {
+                    return Ok(resolve_base(shared.op.as_ref(), None, &deltas)
+                        .filter(|_| !deltas.is_empty()));
+                }
+                Entry::Delta(d) => deltas.push(d),
+            }
+        }
+        if deltas.is_empty() {
+            Ok(None)
+        } else {
+            // Orphan deltas: apply against an absent base.
+            Ok(resolve_base(shared.op.as_ref(), None, &deltas))
+        }
+    }
+
+    /// Existence check with early termination and Bloom short-circuits.
+    pub fn exists(&self, key: &[u8]) -> Result<bool> {
+        let (chain, catalog) = self.pin_chain(key);
+        if let Some(v) = chain.into_iter().next() {
+            // A delta implies a live record (it materializes on read).
+            return Ok(!matches!(v.entry, Entry::Tombstone));
+        }
+        let counters = &self.shared.stats;
+        for (slot, table) in catalog.named_tables() {
+            if !table.may_contain(key) {
+                stats::bump(&counters.bloom_skips, 1);
+                continue;
+            }
+            stats::bump(&counters.disk_probes, 1);
+            if let Some(v) = table.get(key).map_err(|e| e.in_component(slot))? {
+                return Ok(!matches!(v.entry, Entry::Tombstone));
+            }
+        }
+        Ok(false)
+    }
+
+    /// Ordered scan: up to `limit` live rows with key ≥ `from`.
+    /// Touches every component once (§3.3's two/three-seek scans).
+    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
+        self.scan_bounded(from, None, limit)
+    }
+
+    /// Ordered scan of `[from, to)`, up to `limit` rows.
+    pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
+        self.scan_bounded(from, Some(to), limit)
+    }
+
+    /// Snapshot of the engine counters plus the live spring-and-gear
+    /// backpressure level derived from `C0` occupancy against the
+    /// configured watermarks — the single source of truth the serving
+    /// layer's admission control and STATS command read. Fully
+    /// lock-free: `C0` occupancy is an atomic counter read.
+    pub fn stats(&self) -> TreeStatsSnapshot {
+        let shared = &*self.shared;
+        let mut snap = shared.stats.snapshot();
+        snap.backpressure = self.backpressure();
+        snap.recovery = shared.recovery.get().copied().unwrap_or_default();
+        // ordering: Acquire — pairs with the AcqRel ticket allocation in
+        // `write_entry` / the replicated-apply CAS; see the field docs.
+        snap.next_seqno = shared.next_seqno.load(Ordering::Acquire);
+        snap
+    }
+
+    /// Just the live backpressure level — one atomic `C0` occupancy read
+    /// plus arithmetic, the cheap form of the field in
+    /// [`stats`](Self::stats) for per-write fast paths (the doorbell
+    /// gate, admission).
+    pub fn backpressure(&self) -> BackpressureLevel {
+        BackpressureLevel::from_occupancy(
+            self.shared.c0.approx_bytes() as u64,
+            self.shared.config.mem_budget as u64,
+            crate::sched::LOW_WATER,
+            crate::sched::HIGH_WATER,
+        )
+    }
+
+    /// Verifies every on-disk component against the device: per-page
+    /// checksums (read device-direct, bypassing the cache), footer
+    /// checksums, key ordering, fence agreement, Bloom-filter agreement
+    /// and entry counts. Returns the problems found instead of failing on
+    /// the first one, each prefixed with its slot name, and bumps the
+    /// `scrubs`/`scrub_errors` counters. Lock-free like every other data
+    /// read: the pass runs on a pinned catalog snapshot while writes and
+    /// merges proceed.
+    pub fn scrub(&self) -> TreeScrubReport {
+        let catalog = self.shared.catalog.load();
+        let mut report = TreeScrubReport::default();
+        for (slot, table) in catalog.named_tables() {
+            let r = table.scrub();
+            report.components_checked += 1;
+            report.pages_checked += r.pages_checked;
+            report.entries_checked += r.entries_checked;
+            report
+                .errors
+                .extend(r.errors.into_iter().map(|e| format!("{slot}: {e}")));
+        }
+        stats::bump(&self.shared.stats.scrubs, 1);
+        stats::bump(&self.shared.stats.scrub_errors, report.errors.len() as u64);
+        report
+    }
+
+    /// The next sequence number the tree would allocate — an atomic
+    /// counter read, no locks. Monotone non-decreasing over the life of
+    /// an open tree (the concurrency hammer asserts exactly that).
+    pub fn next_seqno(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel ticket allocation in
+        // `write_entry`; see the field docs in `catalog.rs`.
+        self.shared.next_seqno.load(Ordering::Acquire)
+    }
+
+    /// The highest seqno this tree has *fully applied* (WAL + `C0`),
+    /// from one atomic read. Unlike [`next_seqno`](Self::next_seqno)
+    /// (a reservation counter), this never covers a write whose apply
+    /// failed — it is the horizon replication acks report.
+    pub fn applied_seqno(&self) -> u64 {
+        // ordering: Acquire — pairs with the AcqRel floor advance in
+        // `insert_versioned`; see the field docs in `catalog.rs`.
+        self.shared
+            .applied_floor
+            .load(Ordering::Acquire)
+            .saturating_sub(1)
+    }
+
+    /// The WAL's live shippable window `(head, horizon)`: records below
+    /// `head` are truncated, records in `[head, horizon)` are readable
+    /// for replication catch-up via [`wal_records_from`](Self::wal_records_from).
+    /// Under `Durability::Sync` the horizon is the last *synced* group
+    /// boundary — an append whose group has not retired must not reach a
+    /// follower before it is durable on the leader; otherwise it is the
+    /// flushed tail. Takes the log mutex.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a tree running with durability off (no WAL to ship).
+    pub fn wal_window(&self) -> Result<(u64, u64)> {
+        self.ship_read(|wal, horizon| Ok((wal.head_lsn(), horizon)))
+    }
+
+    /// Reads already-durable WAL records from `start_lsn` for shipping
+    /// to a replication follower — up to `budget` payload bytes, but at
+    /// least one record when any is readable — returning the records and
+    /// the LSN the next read should resume from. The readable window ends
+    /// at the [`wal_window`](Self::wal_window) horizon. Takes the log
+    /// mutex.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::SnapshotNeeded`](blsm_storage::StorageError::SnapshotNeeded)
+    /// when `start_lsn` predates the ring's truncation point (the
+    /// follower is too far behind the log); see
+    /// [`blsm_storage::Wal::records_up_to`] for the full contract.
+    pub fn wal_records_from(
+        &self,
+        start_lsn: u64,
+        budget: usize,
+    ) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
+        self.ship_read(|wal, horizon| wal.records_up_to(start_lsn, horizon, budget))
+    }
+
+    /// Runs `read` under the log mutex with the LSN horizon replication
+    /// may ship up to: under `Durability::Sync` the last synced group
+    /// boundary (a record must be durable *here* before a follower can
+    /// ack it elsewhere), otherwise the flushed tail.
+    fn ship_read<T>(&self, read: impl FnOnce(&Wal, u64) -> Result<T>) -> Result<T> {
+        let guard = self.shared.wal.lock();
+        let wal = guard
+            .as_ref()
+            .ok_or_else(|| invariant_err("no wal to ship"))?;
+        let horizon = match self.shared.config.durability {
+            Durability::Sync => wal.synced_lsn(),
+            _ => wal.flushed_lsn(),
+        };
+        read(wal, horizon)
+    }
+
     /// Pins a `(C0 version chain, catalog)` pair for `key` behind the
     /// buffer's publish epoch — the consistency unit of the whole read
     /// path. Retries while a catalog publish is in flight (odd epoch) or
     /// completed mid-read (epoch moved); publishes are rare (once per
     /// merge pass), so the loop almost always exits first try.
     fn pin_chain(&self, key: &[u8]) -> (Vec<Versioned>, Arc<ComponentCatalog>) {
+        let shared = &*self.shared;
         loop {
-            let e1 = self.c0.publish_epoch();
+            let e1 = shared.c0.publish_epoch();
             if e1 & 1 == 1 {
                 std::hint::spin_loop();
                 continue;
             }
-            let chain = self.c0.version_chain(key);
-            let catalog = self.catalog.load();
-            if self.c0.publish_epoch() == e1 {
+            let chain = shared.c0.version_chain(key);
+            let catalog = shared.catalog.load();
+            if shared.c0.publish_epoch() == e1 {
                 return (chain, catalog);
             }
         }
@@ -261,112 +387,6 @@ impl TreeShared {
         (verdict, catalog)
     }
 
-    pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        stats::bump(&self.stats.gets, 1);
-        let mut deltas: Vec<Bytes> = Vec::new();
-        let (verdict, catalog) = self.pin_for_get(key, &mut deltas);
-        match verdict {
-            C0Verdict::Terminated(Some(base)) => {
-                stats::bump(&self.stats.early_terminations, 1);
-                return Ok(resolve_base(self.op.as_ref(), Some(&base), &deltas));
-            }
-            C0Verdict::Terminated(None) => {
-                // Tombstone: deltas above it (if any) apply to an absent
-                // base; with none, the key is simply gone.
-                return Ok(
-                    resolve_base(self.op.as_ref(), None, &deltas).filter(|_| !deltas.is_empty())
-                );
-            }
-            C0Verdict::Continue => {}
-        }
-
-        for (slot, table) in catalog.named_tables() {
-            if !table.may_contain(key) {
-                stats::bump(&self.stats.bloom_skips, 1);
-                continue;
-            }
-            stats::bump(&self.stats.disk_probes, 1);
-            let Some(v) = table.get(key).map_err(|e| e.in_component(slot))? else {
-                continue;
-            };
-            match v.entry {
-                Entry::Put(b) => {
-                    stats::bump(&self.stats.early_terminations, 1);
-                    return Ok(resolve_base(self.op.as_ref(), Some(&b), &deltas));
-                }
-                Entry::Tombstone => {
-                    return Ok(resolve_base(self.op.as_ref(), None, &deltas)
-                        .filter(|_| !deltas.is_empty()));
-                }
-                Entry::Delta(d) => deltas.push(d),
-            }
-        }
-        if deltas.is_empty() {
-            Ok(None)
-        } else {
-            // Orphan deltas: apply against an absent base.
-            Ok(resolve_base(self.op.as_ref(), None, &deltas))
-        }
-    }
-
-    pub(crate) fn exists(&self, key: &[u8]) -> Result<bool> {
-        let (chain, catalog) = self.pin_chain(key);
-        if let Some(v) = chain.into_iter().next() {
-            // A delta implies a live record (it materializes on read).
-            return Ok(!matches!(v.entry, Entry::Tombstone));
-        }
-        for (slot, table) in catalog.named_tables() {
-            if !table.may_contain(key) {
-                stats::bump(&self.stats.bloom_skips, 1);
-                continue;
-            }
-            stats::bump(&self.stats.disk_probes, 1);
-            if let Some(v) = table.get(key).map_err(|e| e.in_component(slot))? {
-                return Ok(!matches!(v.entry, Entry::Tombstone));
-            }
-        }
-        Ok(false)
-    }
-
-    /// Newest on-disk sequence number for `key` (recovery's replay
-    /// check). The seqno horizon answers "no component can cover this
-    /// record" without any probe.
-    pub(crate) fn disk_newest_seqno(&self, key: &[u8], at_least: u64) -> Result<Option<u64>> {
-        let catalog = self.catalog.load();
-        if at_least > catalog.seqno_horizon {
-            return Ok(None);
-        }
-        for (slot, table) in catalog.named_tables() {
-            if !table.may_contain(key) {
-                continue;
-            }
-            if let Some(v) = table.get(key).map_err(|e| e.in_component(slot))? {
-                return Ok(Some(v.seqno));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Scrubs every catalogued component, summing the per-component
-    /// reports and prefixing each problem with its slot name. Bumps the
-    /// `scrubs`/`scrub_errors` counters.
-    pub(crate) fn scrub(&self) -> TreeScrubReport {
-        let catalog = self.catalog.load();
-        let mut report = TreeScrubReport::default();
-        for (slot, table) in catalog.named_tables() {
-            let r = table.scrub();
-            report.components_checked += 1;
-            report.pages_checked += r.pages_checked;
-            report.entries_checked += r.entries_checked;
-            report
-                .errors
-                .extend(r.errors.into_iter().map(|e| format!("{slot}: {e}")));
-        }
-        stats::bump(&self.stats.scrubs, 1);
-        stats::bump(&self.stats.scrub_errors, report.errors.len() as u64);
-        report
-    }
-
     /// Pins a `(C0 rows, rows left, catalog)` triple for a scan behind the
     /// publish epoch (same seqlock as [`pin_chain`](Self::pin_chain)): up
     /// to `budget` rows of `[from, to)`, cut on a key boundary.
@@ -376,16 +396,17 @@ impl TreeShared {
         to: Option<&[u8]>,
         budget: usize,
     ) -> (Vec<(Bytes, Versioned)>, bool, Arc<ComponentCatalog>) {
+        let shared = &*self.shared;
         loop {
-            let e1 = self.c0.publish_epoch();
+            let e1 = shared.c0.publish_epoch();
             if e1 & 1 == 1 {
                 std::hint::spin_loop();
                 continue;
             }
-            let (rows, rows_left) = self.c0.range_rows_bounded(from, to, budget);
-            stats::bump(&self.stats.scan_c0_rows, rows.len() as u64);
-            let catalog = self.catalog.load();
-            if self.c0.publish_epoch() == e1 {
+            let (rows, rows_left) = shared.c0.range_rows_bounded(from, to, budget);
+            stats::bump(&shared.stats.scan_c0_rows, rows.len() as u64);
+            let catalog = shared.catalog.load();
+            if shared.c0.publish_epoch() == e1 {
                 return (rows, rows_left, catalog);
             }
         }
@@ -415,13 +436,9 @@ impl TreeShared {
     /// (a deferred Delta and the base it shadows, newest first); the rows
     /// go to MergeIter as one multi-version stream so tied versions fold
     /// exactly like any other component chain.
-    pub(crate) fn scan(
-        &self,
-        from: &[u8],
-        to: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<ScanItem>> {
-        stats::bump(&self.stats.scans, 1);
+    fn scan_bounded(&self, from: &[u8], to: Option<&[u8]>, limit: usize) -> Result<Vec<ScanItem>> {
+        let shared = &*self.shared;
+        stats::bump(&shared.stats.scans, 1);
         if limit == 0 {
             return Ok(Vec::new());
         }
@@ -450,7 +467,7 @@ impl TreeShared {
             // Running out of input settles the scan only when all of C0
             // was in the copy.
             let mut settled = horizon.is_none();
-            for item in MergeIter::new(streams, self.op.clone(), true) {
+            for item in MergeIter::new(streams, shared.op.clone(), true) {
                 let e = item?;
                 if horizon.as_ref().is_some_and(|h| e.key > *h) {
                     break;
@@ -470,9 +487,30 @@ impl TreeShared {
             if settled {
                 return Ok(out);
             }
-            stats::bump(&self.stats.scan_repins, 1);
+            stats::bump(&shared.stats.scan_repins, 1);
             budget = budget.saturating_mul(C0_BUDGET_GROWTH);
         }
+    }
+}
+
+impl TreeShared {
+    /// Newest on-disk sequence number for `key` (recovery's replay
+    /// check). The seqno horizon answers "no component can cover this
+    /// record" without any probe.
+    pub(crate) fn disk_newest_seqno(&self, key: &[u8], at_least: u64) -> Result<Option<u64>> {
+        let catalog = self.catalog.load();
+        if at_least > catalog.seqno_horizon {
+            return Ok(None);
+        }
+        for (slot, table) in catalog.named_tables() {
+            if !table.may_contain(key) {
+                continue;
+            }
+            if let Some(v) = table.get(key).map_err(|e| e.in_component(slot))? {
+                return Ok(Some(v.seqno));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -480,6 +518,7 @@ impl TreeShared {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     use blsm_memtable::AppendOperator;
     use blsm_storage::{MemDevice, SharedDevice};
@@ -695,6 +734,61 @@ mod tests {
         let copied = after.scan_c0_rows - before.scan_c0_rows;
         assert!((20..=64).contains(&copied), "copied {copied} C0 rows");
         assert_eq!(after.scan_repins, before.scan_repins);
+    }
+
+    #[test]
+    fn reads_complete_while_every_driver_lock_is_held() {
+        // Hold both merge drivers and the install lock, in lock order, the
+        // way a long merge quantum plus its install would: point reads,
+        // existence checks and scans through a view must keep completing
+        // the whole time. A read path that takes any of these locks stalls
+        // for the 200 ms window and fails the count.
+        const KEYS: u64 = 1_000;
+        let t = hand_driven_tree(SchedulerKind::SpringGear);
+        for k in 0..KEYS {
+            t.put(key(k), Bytes::from_static(b"disk")).unwrap();
+        }
+        t.checkpoint().unwrap();
+        for k in (0..KEYS).step_by(3) {
+            t.put(key(k), Bytes::from_static(b"mem")).unwrap();
+        }
+
+        let stop = AtomicBool::new(false);
+        let reads = AtomicU64::new(0);
+        let during = std::thread::scope(|s| {
+            for r in 0..4u64 {
+                let view = t.read_view();
+                let (stop, reads) = (&stop, &reads);
+                s.spawn(move || {
+                    let mut rng = Rng(r + 1);
+                    while !stop.load(Ordering::SeqCst) {
+                        let k = key(rng.below(KEYS));
+                        match rng.below(3) {
+                            0 => assert!(view.get(&k).unwrap().is_some()),
+                            1 => assert!(view.exists(&k).unwrap()),
+                            _ => assert_eq!(view.scan(&k, 4).unwrap()[0].key, k),
+                        }
+                        reads.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            while reads.load(Ordering::SeqCst) < 100 {
+                std::thread::yield_now();
+            }
+            let d01 = t.merge01.lock();
+            let d12 = t.merge12.lock();
+            let m = t.merge.lock();
+            let before = reads.load(Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            let during = reads.load(Ordering::SeqCst) - before;
+            drop((m, d12, d01));
+            stop.store(true, Ordering::SeqCst);
+            during
+        });
+        assert!(
+            during >= 1_000,
+            "readers completed only {during} reads while the driver locks were held"
+        );
     }
 
     #[test]

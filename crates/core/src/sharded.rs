@@ -10,14 +10,15 @@
 //! recovery are per-shard, never globally coupled:
 //!
 //! * a hot shard's spring-and-gear backpressure paces only writers of
-//!   *its* key range ([`ShardedBLsm::backpressure`] is per shard);
+//!   *its* key range ([`ShardedReadView::backpressure`] is per shard);
 //! * recovery replays N small WALs independently; a corrupt shard
 //!   degrades to a typed per-shard error ([`ComponentId::Shard`]) while
 //!   its siblings keep serving;
 //! * scans scatter to the shards overlapping the range and concatenate
 //!   the results, in shard order, into one globally key-ordered stream.
 //!
-//! The store routes the in-process operations (`put`, `get`, `scan`, …);
+//! The store routes the in-process writes (`put`, `delete`, …) and derefs
+//! to its [`ShardedReadView`] for every read (`get`, `scan`, `stats`, …);
 //! everything else a caller wants from one shard — nowait writes, commit
 //! groups, durable horizons — is that shard's own engine
 //! ([`ShardedBLsm::shard_engine`]), which derefs to the tree.
@@ -101,13 +102,14 @@ pub struct DegradedShard<'a> {
 /// All operations are `&self`: routing is pure arithmetic over the
 /// immutable boundary list, and each shard's engine is internally
 /// synchronized — concurrent connections write to different shards with
-/// zero shared state between them.
+/// zero shared state between them. Every read (`get`, `exists`, `scan`,
+/// `stats`, `backpressure`, `shard_for`, …) is a [`ShardedReadView`]
+/// method, reached through `Deref`.
 pub struct ShardedBLsm {
     shards: Vec<ShardSlot>,
     /// The lock-free read handle over every shard, built once at open.
     /// It owns the immutable boundary list (`bounds[i]` is the inclusive
-    /// lower bound of shard `i + 1`, see [`crate::route`]); the store's
-    /// own reads, stats and backpressure go through it.
+    /// lower bound of shard `i + 1`, see [`crate::route`]).
     view: ShardedReadView,
     /// The persisted shard manifest; `None` for manifest-less stores
     /// built over explicit devices ([`ShardedBLsm::from_single`]).
@@ -125,6 +127,14 @@ impl std::fmt::Debug for ShardedBLsm {
             .field("degraded", &self.degraded_shards().len())
             .field("epoch", &self.epoch)
             .finish_non_exhaustive()
+    }
+}
+
+impl std::ops::Deref for ShardedBLsm {
+    type Target = ShardedReadView;
+
+    fn deref(&self) -> &ShardedReadView {
+        &self.view
     }
 }
 
@@ -304,25 +314,10 @@ impl ShardedBLsm {
         Self::assemble(Arc::from(Vec::new()), vec![ShardSlot::Serving(db)], None, 0)
     }
 
-    /// Number of shards (serving + degraded).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The boundary list (`len() == shard_count() - 1`).
-    pub fn bounds(&self) -> &[Bytes] {
-        &self.view.bounds
-    }
-
     /// Manifest epoch recorded at the last open/checkpoint (0 when
     /// manifest-less).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Index of the shard owning `key`.
-    pub fn shard_for(&self, key: &[u8]) -> usize {
-        self.view.shard_for(key)
     }
 
     /// Every degraded shard with its preserved open error.
@@ -412,64 +407,6 @@ impl ShardedBLsm {
     ) -> Result<bool> {
         let key = key.into();
         self.owner(&key)?.insert_if_not_exists(key, value)
-    }
-
-    /// Point lookup — lock-free within the owning shard.
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the target is degraded.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.view.get(key)
-    }
-
-    /// Existence check — lock-free within the owning shard.
-    ///
-    /// # Errors
-    ///
-    /// Shard engine errors; typed shard error when the target is degraded.
-    pub fn exists(&self, key: &[u8]) -> Result<bool> {
-        self.view.exists(key)
-    }
-
-    /// Ordered scan from `from`: scatter to every shard overlapping the
-    /// range, concatenate in shard order (see [`route::scatter_scan`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if any overlapping shard is degraded or errors.
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.view.scan(from, limit)
-    }
-
-    /// Ordered scan of `[from, to)` — scatter-gather like
-    /// [`ShardedBLsm::scan`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if any overlapping shard is degraded or errors.
-    pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.view.scan_range(from, to, limit)
-    }
-
-    /// Aggregated counters across serving shards (degraded shards
-    /// contribute nothing). `backpressure` is the *worst* shard's level
-    /// — per-shard levels come from [`ShardedBLsm::backpressure`].
-    pub fn stats(&self) -> TreeStatsSnapshot {
-        self.view.stats()
-    }
-
-    /// Per-shard counter snapshots; `None` marks a degraded shard.
-    pub fn shard_stats(&self) -> Vec<Option<TreeStatsSnapshot>> {
-        self.view.shard_stats()
-    }
-
-    /// Shard `i`'s live spring-and-gear backpressure level — the
-    /// admission signal that paces only *this* shard's writers, from one
-    /// atomic `C0` occupancy read. `None` for a degraded (or
-    /// out-of-range) shard.
-    pub fn backpressure(&self, i: usize) -> Option<BackpressureLevel> {
-        self.view.backpressure(i)
     }
 
     /// A cloneable lock-free read handle over every serving shard
@@ -569,9 +506,14 @@ impl std::fmt::Debug for ShardedReadView {
 }
 
 impl ShardedReadView {
-    /// Number of shards.
+    /// Number of shards (serving + degraded).
     pub fn shard_count(&self) -> usize {
         self.views.len()
+    }
+
+    /// The boundary list (`len() == shard_count() - 1`).
+    pub fn bounds(&self) -> &[Bytes] {
+        &self.bounds
     }
 
     /// Index of the shard owning `key`.
@@ -635,7 +577,9 @@ impl ShardedReadView {
         self.scatter(from, Some(to), limit)
     }
 
-    /// Aggregated counters across serving shards (worst backpressure).
+    /// Aggregated counters across serving shards (degraded shards
+    /// contribute nothing). `backpressure` is the *worst* shard's level
+    /// — per-shard levels come from [`backpressure`](Self::backpressure).
     pub fn stats(&self) -> TreeStatsSnapshot {
         let mut total = TreeStatsSnapshot::default();
         for v in self.views.iter().flatten() {
@@ -652,9 +596,10 @@ impl ShardedReadView {
             .collect()
     }
 
-    /// Shard `i`'s live backpressure level, from one atomic `C0`
-    /// occupancy read (`None` = degraded or out of range) — what
-    /// per-shard admission control keys off.
+    /// Shard `i`'s live spring-and-gear backpressure level — the
+    /// admission signal that paces only *this* shard's writers, from one
+    /// atomic `C0` occupancy read. `None` for a degraded (or
+    /// out-of-range) shard.
     pub fn backpressure(&self, i: usize) -> Option<BackpressureLevel> {
         self.views.get(i)?.as_ref().map(ReadView::backpressure)
     }

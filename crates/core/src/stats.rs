@@ -233,7 +233,7 @@ pub struct TreeStatsSnapshot {
     /// The next sequence number the tree would allocate at snapshot
     /// time. A *reservation* counter: it may run ahead of failed or
     /// in-flight applies, so the replication tier's progress meter is
-    /// the applied floor ([`crate::BLsmTree::applied_seqno`]), not
+    /// the applied floor ([`crate::ReadView::applied_seqno`]), not
     /// `next_seqno - 1`. Raw [`TreeStats::snapshot`] reports 0;
     /// snapshots taken through the tree or a [`crate::ReadView`] carry
     /// the live counter.

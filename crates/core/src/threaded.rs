@@ -200,8 +200,9 @@ struct Shared {
 }
 
 /// A [`BLsmTree`] with its two background merge threads. Derefs to the
-/// tree: every operation (`put`, `get`, `scan`, `commit_group`, `stats`,
-/// …) is the tree's own.
+/// tree, and through it to the tree's [`ReadView`](crate::ReadView):
+/// every write (`put`, `commit_group`, …) is the tree's own, every read
+/// (`get`, `scan`, `stats`, …) the view's.
 pub struct ThreadedBLsm {
     /// `Some` until `shutdown` hands the tree back.
     shared: Option<Arc<Shared>>,
@@ -581,7 +582,7 @@ mod tests {
             h.join().unwrap();
         }
         // The background thread must have driven merges.
-        let stats = db.with_tree(super::super::tree::BLsmTree::stats);
+        let stats = db.with_tree(|tree| tree.stats());
         assert!(stats.merges01 > 0, "merge thread never merged");
         for t in 0..4u32 {
             for i in (0..2_000u32).step_by(191) {

@@ -16,10 +16,11 @@
 //!
 //! Concurrency: the tree splits into three planes.
 //!
-//! * **Reads** go through `Arc<TreeShared>` (also reachable as a
-//!   standalone [`crate::ReadView`] via [`BLsmTree::read_view`]): `get`,
-//!   `scan` and `exists` pin the sharded `C0` plus the catalog behind the
-//!   buffer's publish epoch and never take a tree-wide lock.
+//! * **Reads** are [`crate::ReadView`]'s, and only its: the tree holds a
+//!   view and derefs to it (a standalone copy comes from
+//!   [`BLsmTree::read_view`]). `get`, `scan` and `exists` pin the sharded
+//!   `C0` plus the catalog behind the buffer's publish epoch and never
+//!   take a tree-wide lock.
 //! * **Writes** are `&self` and scale across threads: `put`, `delete` and
 //!   `apply_delta` claim a seqno from an atomic counter, append to the
 //!   WAL under its own mutex, and insert into the key-range-sharded
@@ -38,13 +39,15 @@
 //!   no merge work: over the cap they park until the `C0:C1` drain
 //!   brings `C0` back to the high water mark (`threaded.rs`).
 //!
-//! Lock order: `merge01` → `merge12` → `merge` → `wal` → `catalog` →
-//! `recovery` (see DESIGN.md §14). The module split mirrors the design:
+//! Lock order: `merge01` → `merge12` → `merge` → `wal` → `catalog` (see
+//! DESIGN.md §14). The module split mirrors the design:
 //! `catalog.rs` (the atomically swapped component snapshot), `read.rs`
 //! (the read path), `merge.rs` (the merge machinery).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+#[cfg(feature = "strict-invariants")]
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 
@@ -62,9 +65,9 @@ use crate::catalog::{CatalogCell, ComponentCatalog, TreeShared};
 use crate::config::{BLsmConfig, Durability};
 use crate::merge::{Merge01, Merge12, RetiredTable};
 use crate::meta::{ComponentSlot, TreeMeta};
-use crate::read::{ReadView, ScanItem, TreeScrubReport};
+use crate::read::ReadView;
 use crate::sched::{make_scheduler, MergeScheduler, SchedInputs};
-use crate::stats::{self, RecoveryReport, TreeStats, TreeStatsSnapshot};
+use crate::stats::{self, RecoveryReport, TreeStats};
 use crate::threaded::Doorbell;
 
 /// Upper bound on merge bytes processed in one burst of inline work;
@@ -75,10 +78,13 @@ const WORK_QUANTUM: u64 = 4 << 20;
 ///
 /// Writes and reads are `&self` and safe from any number of threads;
 /// each merge's quanta serialize on its own driver mutex (see the module
-/// docs for the concurrency planes).
+/// docs for the concurrency planes). Every read — `get`, `exists`,
+/// `scan`, `stats`, `scrub`, the seqno and WAL-shipping reads — is a
+/// [`ReadView`] method, reached through `Deref`.
 pub struct BLsmTree {
-    /// State shared with every [`ReadView`] and concurrent writer.
-    pub(crate) shared: Arc<TreeShared>,
+    /// The tree's own read view. Through `Deref`, `self.shared` is its
+    /// `Arc<TreeShared>`: the state every writer and reader shares.
+    view: ReadView,
     /// The `C0:C1` driver. Cooperative writers try-lock it for
     /// opportunistic pacing and block on it only at the hard `C0` cap.
     pub(crate) merge01: Mutex<Driver01>,
@@ -149,6 +155,14 @@ impl std::fmt::Debug for BLsmTree {
     }
 }
 
+impl std::ops::Deref for BLsmTree {
+    type Target = ReadView;
+
+    fn deref(&self) -> &ReadView {
+        &self.view
+    }
+}
+
 impl BLsmTree {
     /// Opens (or creates) a tree on `data_dev`, with the logical log on
     /// `wal_dev` — the paper expects logs on dedicated hardware (§5.1).
@@ -203,7 +217,9 @@ impl BLsmTree {
             c0: ConcurrentC0::new(),
             next_seqno: AtomicU64::new(next_seqno),
             applied_floor: AtomicU64::new(next_seqno),
+            #[cfg(feature = "strict-invariants")]
             admitted_inflight: AtomicUsize::new(0),
+            #[cfg(feature = "strict-invariants")]
             admitted_peak: AtomicUsize::new(0),
             wal: Mutex::new(None),
             commit: Mutex::new(crate::commit::CommitState::default()),
@@ -212,7 +228,7 @@ impl BLsmTree {
             durable: AtomicU64::new(0),
             unsynced_writes: AtomicU64::new(0),
             stats: TreeStats::default(),
-            recovery: parking_lot::RwLock::new(RecoveryReport::default()),
+            recovery: OnceLock::new(),
             bell01: Doorbell::new(),
             bell12: Doorbell::new(),
             bell_cap: Doorbell::new(),
@@ -220,7 +236,7 @@ impl BLsmTree {
             config,
         });
         let tree = BLsmTree {
-            shared,
+            view: ReadView::new(shared),
             merge01: Mutex::new(Driver01 {
                 scheduler,
                 pass: None,
@@ -291,7 +307,7 @@ impl BLsmTree {
             // the Acquire loads in `wait_durable`/`durable_lsn`.
             tree.shared.durable.store(tail, Ordering::Release);
         }
-        *tree.shared.recovery.write() = recovery;
+        tree.shared.recovery.get_or_init(|| recovery);
 
         // A crash mid-C1':C2 leaves C1' installed; restart its merge.
         tree.restart_merge12_locked(&mut tree.merge12.lock())?;
@@ -303,7 +319,7 @@ impl BLsmTree {
     /// tree's whole life; safe to use from any thread while this handle
     /// keeps writing and merging.
     pub fn read_view(&self) -> ReadView {
-        ReadView::new(self.shared.clone())
+        self.view.clone()
     }
 
     /// The tree's merge operator.
@@ -314,20 +330,6 @@ impl BLsmTree {
     /// The buffer pool (device access, cache statistics).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.shared.pool
-    }
-
-    /// Snapshot of the engine counters plus the live backpressure level.
-    pub fn stats(&self) -> TreeStatsSnapshot {
-        self.shared.stats_snapshot()
-    }
-
-    /// Verifies every on-disk component against the device: per-page
-    /// checksums (read device-direct, bypassing the cache), footer
-    /// checksums, key ordering, fence agreement, Bloom-filter agreement
-    /// and entry counts. Returns the problems found instead of failing on
-    /// the first one.
-    pub fn scrub(&self) -> TreeScrubReport {
-        self.shared.scrub()
     }
 
     /// Active configuration.
@@ -344,28 +346,6 @@ impl BLsmTree {
     /// Bytes buffered in `C0` — an atomic counter read, no locks.
     pub fn c0_bytes(&self) -> usize {
         self.shared.c0.approx_bytes()
-    }
-
-    /// The live spring-and-gear backpressure level, from one atomic `C0`
-    /// occupancy read — the cheap form of the field in
-    /// [`crate::ReadView::stats`], for per-write fast paths.
-    pub fn backpressure(&self) -> crate::sched::BackpressureLevel {
-        self.shared.backpressure_level()
-    }
-
-    /// The next sequence number the tree would allocate — an atomic
-    /// counter read, no locks. Monotone non-decreasing over the life of
-    /// an open tree (the concurrency hammer asserts exactly that).
-    pub fn next_seqno(&self) -> u64 {
-        self.read_view().next_seqno()
-    }
-
-    /// The highest seqno this tree has *fully applied* (WAL + `C0`),
-    /// from one atomic read. Unlike [`next_seqno`](Self::next_seqno)
-    /// (a reservation counter), this never covers a write whose apply
-    /// failed — it is the horizon replication acks report.
-    pub fn applied_seqno(&self) -> u64 {
-        self.read_view().applied_seqno()
     }
 
     /// Data bytes in each on-disk component `(C1, C1', C2)`.
@@ -447,11 +427,6 @@ impl BLsmTree {
         Ok(true)
     }
 
-    /// Existence check with early termination and Bloom short-circuits.
-    pub fn exists(&self, key: &[u8]) -> Result<bool> {
-        self.shared.exists(key)
-    }
-
     fn write_entry(&self, key: Bytes, entry: Entry) -> Result<()> {
         match self.write_entry_nowait(key, entry)? {
             // The write is applied; make it durable by joining (or
@@ -470,6 +445,7 @@ impl BLsmTree {
     pub(crate) fn write_entry_nowait(&self, key: Bytes, entry: Entry) -> Result<Option<u64>> {
         let incoming = (key.len() + entry.payload_len() + ENTRY_OVERHEAD) as u64;
         self.pace(incoming)?;
+        #[cfg(feature = "strict-invariants")]
         let _claim = self.claim_admission(incoming);
         // ordering: AcqRel — the ticket RMW both observes the replayed
         // floor (Acquire) and publishes its claim to later readers of the
@@ -483,6 +459,7 @@ impl BLsmTree {
     /// the claim into the concurrent-admission high-water mark (see
     /// `TreeShared::admitted_inflight`/`admitted_peak`); the guard
     /// releases the claim on every exit path, including WAL errors.
+    #[cfg(feature = "strict-invariants")]
     fn claim_admission(&self, incoming: u64) -> AdmissionClaim<'_> {
         // ordering: AcqRel RMWs — see the fields' annotations.
         let inflight_now = incoming as usize
@@ -604,44 +581,10 @@ impl BLsmTree {
             .fetch_max(seqno + 1, Ordering::AcqRel);
         let incoming = (key.len() + v.entry.payload_len() + ENTRY_OVERHEAD) as u64;
         self.pace(incoming)?;
+        #[cfg(feature = "strict-invariants")]
         let _claim = self.claim_admission(incoming);
         let target = self.insert_versioned(key, v)?;
         Ok(Some((seqno, target)))
-    }
-
-    /// The WAL's live shippable window `(head, horizon)`: records below
-    /// `head` are truncated, records in `[head, horizon)` are readable
-    /// for replication catch-up via [`wal_records_from`](Self::wal_records_from).
-    /// Under `Durability::Sync` the horizon is the last *synced* group
-    /// boundary — an append whose group has not retired must not reach a
-    /// follower before it is durable on the leader; otherwise it is the
-    /// flushed tail (the pre-group-commit behaviour, where flushed and
-    /// synced never diverged on the shipping path).
-    ///
-    /// # Errors
-    ///
-    /// Fails on a tree running with durability off (no WAL to ship).
-    pub fn wal_window(&self) -> Result<(u64, u64)> {
-        self.read_view().wal_window()
-    }
-
-    /// Reads already-durable WAL records from `start_lsn` for shipping
-    /// to a replication follower — up to `budget` payload bytes, but at
-    /// least one record when any is readable — returning the records and
-    /// the LSN the next read should resume from. The readable window ends
-    /// at the [`wal_window`](Self::wal_window) horizon.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::SnapshotNeeded`] when `start_lsn` predates the
-    /// ring's truncation point (the follower is too far behind the log);
-    /// see [`blsm_storage::Wal::records_up_to`] for the full contract.
-    pub fn wal_records_from(
-        &self,
-        start_lsn: u64,
-        budget: usize,
-    ) -> Result<(Vec<blsm_storage::WalRecord>, u64)> {
-        self.read_view().wal_records_from(start_lsn, budget)
     }
 
     /// Appends one record to the WAL and performs the paired `C0` insert
@@ -713,28 +656,6 @@ impl BLsmTree {
         });
         self.shared.c0.insert(key, v, self.shared.op.as_ref());
         Ok(target)
-    }
-
-    // -----------------------------------------------------------------
-    // Read path (delegates to the shared, lock-free implementation)
-    // -----------------------------------------------------------------
-
-    /// Point lookup. Walks components newest→oldest, consults a Bloom
-    /// filter before every disk probe, folds deltas, and stops at the
-    /// first base record (§3.1, §3.1.1).
-    pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.shared.get(key)
-    }
-
-    /// Ordered scan: up to `limit` live rows with key ≥ `from`.
-    /// Touches every component once (§3.3's two/three-seek scans).
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.shared.scan(from, None, limit)
-    }
-
-    /// Ordered scan of `[from, to)`, up to `limit` rows.
-    pub fn scan_range(&self, from: &[u8], to: &[u8], limit: usize) -> Result<Vec<ScanItem>> {
-        self.shared.scan(from, Some(to), limit)
     }
 
     // -----------------------------------------------------------------
@@ -1225,6 +1146,7 @@ use crate::progress::MergeProgress;
 /// `TreeShared::admitted_inflight`): dropping it — on completion or on
 /// any error path between admission and the `C0` insert — returns the
 /// bytes to the pool the strict-invariants cap check measures.
+#[cfg(feature = "strict-invariants")]
 struct AdmissionClaim<'a> {
     // ordering: AcqRel `fetch_sub` on drop — releases the claim taken by
     // the paired `fetch_add`; see `TreeShared::admitted_inflight`.
@@ -1232,6 +1154,7 @@ struct AdmissionClaim<'a> {
     bytes: usize,
 }
 
+#[cfg(feature = "strict-invariants")]
 impl Drop for AdmissionClaim<'_> {
     fn drop(&mut self) {
         // ordering: AcqRel — see `TreeShared::admitted_inflight`.

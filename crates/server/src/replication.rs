@@ -9,7 +9,7 @@
 //! reply is a `REPL_ACK` naming the follower's current epoch, its
 //! applied seqno, and the LSN it wants next. Followers apply records
 //! through the engine's normal `&self` write path (keeping the
-//! *leader's* seqnos via [`blsm::ThreadedBLsm::apply_replicated`],
+//! *leader's* seqnos via [`blsm::BLsmTree::apply_replicated`],
 //! which skips duplicates), log them in their own WAL for independent
 //! durability, and serve snapshot-consistent reads from the lock-free
 //! read view — a follower never surfaces a seqno it has not fully

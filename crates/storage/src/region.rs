@@ -151,7 +151,7 @@ impl RegionAllocator {
     ///
     /// # Errors
     ///
-    /// Fails with [`StorageError::InvalidFormat`] if the reader runs out of
+    /// Fails with [`StorageError::InvalidFormat`](crate::StorageError::InvalidFormat) if the reader runs out of
     /// bytes or a varint is malformed.
     pub fn decode(r: &mut Reader<'_>) -> Result<RegionAllocator> {
         let next_page = r.u64()?;

@@ -26,7 +26,7 @@ use super::{Finding, FnSummary};
 fn hierarchy(krate: &str) -> &'static [&'static str] {
     match krate {
         // DESIGN.md §14: merge01 → merge12 → merge → commit → wal →
-        // catalog → recovery → pending. (`merge01`/`merge12` are the two
+        // catalog → pending. (`merge01`/`merge12` are the two
         // merge drivers and `merge` is what both install through; a
         // `C0:C1` pass that rotates `C1` may start the `C1':C2` merge, so
         // `merge01` comes first. `pending` is a doorbell's lock: each
@@ -42,7 +42,9 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // (`tree` and `c0` left the hierarchy in the concurrent-C0
         // refactor: the tree-wide mutex became the merge-plane locks
         // above and C0 became internally synchronized — its `pass` /
-        // `tables` locks are checked under the `memtable` crate below.)
+        // `tables` locks are checked under the `memtable` crate below.
+        // `recovery` left when the write-once report became a
+        // `OnceLock`, which no code path holds.)
         // The sharded serving tier (DESIGN.md §16) deliberately adds
         // nothing here: `ShardedBLsm`'s routing table is immutable after
         // open and its shard-manifest `ManifestStore` is a plain field
@@ -51,7 +53,7 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // construction. A lock appearing in `sharded.rs` or `route.rs`
         // must be argued into §14/§16 and this table together.
         "core" => &[
-            "merge01", "merge12", "merge", "commit", "wal", "catalog", "recovery", "pending",
+            "merge01", "merge12", "merge", "commit", "wal", "catalog", "pending",
         ],
         // DESIGN.md §15: the pass lock wraps per-shard table locks; no
         // C0 code path may take `pass` while holding any shard's

@@ -322,7 +322,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `Vec`s of `element` values; see [`vec`].
+    /// Strategy for `Vec`s of `element` values; see [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

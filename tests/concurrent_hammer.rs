@@ -5,9 +5,10 @@
 //! pin a consistent `C0`/catalog snapshot: a racing merge or write can
 //! never expose a torn value, a vanished key, or a double-visible
 //! version. These tests drive that promise hard — many reader threads on
-//! [`ReadView`] clones against put/delete writers and live merge quanta —
-//! and verify that readers keep making progress even while a merge
-//! quantum holds the tree's write lock.
+//! [`ReadView`] clones against put/delete writers and live merge quanta.
+//! That reads never wait on a merge driver is pinned in-crate, where the
+//! driver locks are reachable (`read.rs`,
+//! `reads_complete_while_every_driver_lock_is_held`).
 //!
 //! Run with `--features strict-invariants` to additionally verify the
 //! tree's structural invariants at every merge-quantum boundary (which
@@ -23,7 +24,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -203,7 +203,7 @@ fn four_writers_four_readers_no_lost_writes_monotone_seqnos() {
     // Small C0 budget: the merge thread churns C0:C1 passes (and the
     // occasional rotation) under the writers the whole time.
     let db = Arc::new(new_db(256 << 10));
-    let seqno_floor = db.with_tree(blsm_repro::blsm::BLsmTree::next_seqno);
+    let seqno_floor = db.with_tree(|t| t.next_seqno());
 
     let writers_done = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)
@@ -245,7 +245,7 @@ fn four_writers_four_readers_no_lost_writes_monotone_seqnos() {
                     }
                     // Seqnos must never run backwards, from any thread's
                     // point of view.
-                    let now = db.with_tree(blsm_repro::blsm::BLsmTree::next_seqno);
+                    let now = db.with_tree(|t| t.next_seqno());
                     assert!(
                         now >= last_seen,
                         "seqno ran backwards: {now} after {last_seen}"
@@ -269,7 +269,7 @@ fn four_writers_four_readers_no_lost_writes_monotone_seqnos() {
 
     // Every put claims exactly one seqno ticket; none may be skipped or
     // double-issued.
-    let allocated = db.with_tree(blsm_repro::blsm::BLsmTree::next_seqno) - seqno_floor;
+    let allocated = db.with_tree(|t| t.next_seqno()) - seqno_floor;
     assert_eq!(
         allocated,
         WRITERS * KEYS_PER_WRITER * ROUNDS,
@@ -297,63 +297,4 @@ fn four_writers_four_readers_no_lost_writes_monotone_seqnos() {
             );
         }
     }
-}
-
-#[test]
-fn readers_progress_while_merge_quantum_holds_the_write_lock() {
-    const KEYS: u64 = 1_000;
-
-    let db = Arc::new(new_db(1 << 20));
-    for i in 0..KEYS {
-        db.put(key(i), value(9)).unwrap();
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads = Arc::new(AtomicU64::new(0));
-    let readers: Vec<_> = (0..4usize)
-        .map(|r| {
-            let view = db.read_view();
-            let stop = stop.clone();
-            let reads = reads.clone();
-            std::thread::spawn(move || {
-                let mut rng = r as u64 + 1;
-                while !stop.load(Ordering::SeqCst) {
-                    rng = rng
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let id = (rng >> 33) % KEYS;
-                    view.get(&key(id)).unwrap();
-                    reads.fetch_add(1, Ordering::SeqCst);
-                }
-            })
-        })
-        .collect();
-
-    // Let the readers spin up.
-    while reads.load(Ordering::SeqCst) < 100 {
-        std::thread::yield_now();
-    }
-
-    // Occupy the tree's exclusive lock the way a long merge quantum
-    // would. Lock-free readers must keep completing point reads the
-    // whole time.
-    let before = reads.load(Ordering::SeqCst);
-    db.with_tree(|_tree| {
-        std::thread::sleep(Duration::from_millis(200));
-    });
-    let during = reads.load(Ordering::SeqCst) - before;
-
-    stop.store(true, Ordering::SeqCst);
-    for h in readers {
-        h.join().unwrap();
-    }
-    assert!(
-        during >= 1_000,
-        "readers completed only {during} reads while the write lock was held"
-    );
-
-    Arc::try_unwrap(db)
-        .unwrap_or_else(|_| panic!("threads exited; sole owner expected"))
-        .shutdown()
-        .unwrap();
 }
