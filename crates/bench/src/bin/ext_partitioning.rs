@@ -1,7 +1,7 @@
 //! Extension experiment: key-range partitioning (§2.3.2, §3.3, §4.2.2 —
-//! the paper's future work): `PARTITIONS` bare trees routed by
-//! `blsm::route`, with a partition scheduler ([`Partitions::drive_merges`])
-//! layered over each tree's level scheduler.
+//! the paper's future work): `PARTITIONS` trees routed by
+//! `blsm::route`, on one stepped [`MergePlane`] whose grant rule is the
+//! partition scheduler layered over each tree's level scheduler.
 //!
 //! Two claims to validate:
 //!
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use blsm::{route, AppendOperator, BLsmConfig, BLsmTree, ScanItem, HIGH_WATER};
+use blsm::{route, AppendOperator, BLsmConfig, BLsmTree, MergePlane, ScanItem};
 use blsm_bench::setup::{make_blsm, Scale};
 use blsm_bench::{fmt_f, print_table};
 use blsm_storage::{DiskModel, SharedDevice, SimDevice};
@@ -61,28 +61,17 @@ fn main() {
     let bounds: Vec<Bytes> = (1..PARTITIONS)
         .map(|p| format_key(records * p as u64 / PARTITIONS as u64))
         .collect();
-    let mut parted = Partitions {
-        trees: devices
-            .iter()
-            .map(|(data, wal)| {
-                BLsmTree::open(
-                    data.clone(),
-                    wal.clone(),
-                    scale.blsm_cache_pages / PARTITIONS,
-                    BLsmConfig {
-                        mem_budget: scale.blsm_c0 / PARTITIONS,
-                        // The partition scheduler below paces merges.
-                        external_pacing: true,
-                        ..Default::default()
-                    },
-                    Arc::new(AppendOperator),
-                )
-                .unwrap()
-            })
-            .collect(),
-        bounds,
-        focus: 0,
+    let config = BLsmConfig {
+        mem_budget: scale.blsm_c0 / PARTITIONS,
+        ..Default::default()
     };
+    let pages = scale.blsm_cache_pages / PARTITIONS;
+    let open = |(data, wal): &(SharedDevice, SharedDevice)| {
+        let op = Arc::new(AppendOperator);
+        BLsmTree::open(data.clone(), wal.clone(), pages, config.clone(), op).unwrap()
+    };
+    let plane = MergePlane::stepped(devices.iter().map(open).collect());
+    let mut parted = Partitions { plane, bounds };
     let parted_seeks = scan_seeks_under_write_load(
         records,
         scale.value_size,
@@ -116,7 +105,12 @@ fn main() {
     );
 
     // --- Skew: merge activity stays on the hot partition ---------------
-    let before: Vec<u64> = parted.trees.iter().map(|t| t.stats().merges01).collect();
+    let before: Vec<u64> = parted
+        .plane
+        .trees()
+        .iter()
+        .map(|t| t.stats().merges01)
+        .collect();
     let hot_lo = records / PARTITIONS as u64; // partition 1's range
     for round in 0..60_000u64 {
         let id = hot_lo + (round % (records / PARTITIONS as u64 / 2));
@@ -125,7 +119,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut cold_merges = 0u64;
     for (p, before_merges) in before.iter().enumerate() {
-        let merges = parted.trees[p].stats().merges01 - before_merges;
+        let merges = parted.plane.trees()[p].stats().merges01 - before_merges;
         if p != 1 {
             cold_merges += merges;
         }
@@ -146,51 +140,32 @@ fn main() {
     assert_eq!(cold_merges, 0, "cold partitions must not merge");
 }
 
-/// Range-partitioned trees (each the paper's three-level tree) with the
-/// partition scheduler of Figure 3 layered over their level schedulers:
-/// per-tree pacing is off (`external_pacing`) and merge work is granted to
-/// *one focused partition at a time*, rotating when the focus quiesces.
-/// At any instant only a small fraction of the keyspace is under merge,
-/// which is what buys §3.3's two-seek scans; a partition that receives no
-/// writes never merges (§2.3.2).
+/// Range-partitioned trees on a stepped merge plane, whose grant rule is
+/// Figure 3's partition scheduler: each lane finishes one partition's
+/// merge before it starts another's, so only a small fraction of the
+/// keyspace is under merge at once (§3.3's two-seek scans), and a
+/// partition that receives no writes never merges (§2.3.2).
 struct Partitions {
-    trees: Vec<BLsmTree>,
+    plane: MergePlane,
     /// `bounds[i]` is the inclusive lower bound of partition `i + 1`.
     bounds: Vec<Bytes>,
-    /// Partition currently granted merge work.
-    focus: usize,
 }
 
 impl Partitions {
+    /// Writes, then steps the plane by the write's merge debt.
     fn put(&mut self, key: Bytes, value: Bytes) {
         let incoming = (key.len() + value.len()) as u64;
-        self.trees[route::shard_for(&self.bounds, &key)]
+        self.plane.trees()[route::shard_for(&self.bounds, &key)]
             .put(key, value)
             .unwrap();
-        self.drive_merges(incoming);
+        self.plane.step(incoming).unwrap();
     }
 
     fn scan(&self, from: &[u8], limit: usize) -> Vec<ScanItem> {
         route::scatter_scan(&self.bounds, from, None, limit, |i, f, _, l| {
-            self.trees[i].scan(f, l)
+            self.plane.trees()[i].scan(f, l)
         })
         .unwrap()
-    }
-
-    /// Grants the focused partition merge work covering the whole
-    /// store's steady-state merge debt for a write of `incoming` bytes.
-    fn drive_merges(&mut self, incoming: u64) {
-        for _ in 0..self.trees.len() {
-            let p = &self.trees[self.focus];
-            let (m01, m12) = p.merges_active();
-            let start_mark = HIGH_WATER * p.config().mem_budget as f64;
-            if m01 || m12 || p.c0_bytes() as f64 >= start_mark {
-                let budget = (incoming as f64 * (2.0 + 2.0 * p.current_r())).ceil() as u64 + 512;
-                p.maintenance(budget).unwrap();
-                return;
-            }
-            self.focus = (self.focus + 1) % self.trees.len();
-        }
     }
 }
 

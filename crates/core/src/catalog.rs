@@ -30,14 +30,14 @@
 //! never both.
 //!
 //! Lock order (see `DESIGN.md` §14): `merge01` → `merge12` → `merge` →
-//! `commit` → `wal` → `catalog` → `pending` (a merge
-//! thread's doorbell). The memtable's internal
+//! `commit` → `wal` → `catalog` → `lanes` (a tree's link to its
+//! plane's lanes) → `pending` (a doorbell). The memtable's internal
 //! `pass` → `tables` locks are encapsulated below `catalog` and never
 //! escape the crate.
 
+use std::sync::atomic::AtomicU64;
 #[cfg(feature = "strict-invariants")]
 use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -48,8 +48,8 @@ use blsm_storage::{BufferPool, ComponentId, Wal};
 
 use crate::commit::CommitState;
 use crate::config::BLsmConfig;
+use crate::plane::{AttachCell, Doorbell};
 use crate::stats::{RecoveryReport, TreeStats};
-use crate::threaded::Doorbell;
 
 /// An immutable snapshot of the on-disk component set, searched
 /// newest→oldest: `C1`, then `C1'`, then `C2`.
@@ -244,25 +244,12 @@ pub(crate) struct TreeShared {
     /// Set once at the end of [`crate::BLsmTree::open`]; a write-once
     /// cell, so `stats()` reads it without a lock.
     pub(crate) recovery: OnceLock<RecoveryReport>,
-    /// The `C0:C1` merge thread's doorbell: the write tail rings it when
-    /// a write leaves the tree above `Idle` (`threaded.rs`).
-    pub(crate) bell01: Doorbell,
-    /// The `C1':C2` merge thread's doorbell: a pass that rotates `C1`
-    /// into `C1'` rings it.
-    pub(crate) bell12: Doorbell,
-    /// Where writers over the hard `C0` cap park while merge threads are
-    /// attached: the `C0:C1` drain rings it once `C0` is back at the
-    /// high water mark, and the thread rings it after a failed quantum.
+    /// Where writers over the hard `C0` cap park on a threaded plane: the
+    /// `C0:C1` drain rings it once `C0` is back at the high water mark,
+    /// and the lane after a failed quantum.
     pub(crate) bell_cap: Doorbell,
-    /// True while [`crate::ThreadedBLsm`]'s merge threads are attached. A
-    /// bare tree has nobody to wake, so its writes never touch the
-    /// doorbell lock.
-    // ordering: Release store before the merge threads are spawned (no
-    // writer can exist yet: `start` owns the tree), Acquire loads in the
-    // write tail. The flag publishes no data — a stale read costs one
-    // skipped ring, which the merge loop's wait timeout bounds. A merge
-    // thread that unwinds clears it (Release) so writers pace again.
-    pub(crate) merge_thread_attached: AtomicBool,
+    /// Bare, or on a stepped or threaded plane (`plane.rs`).
+    pub(crate) attach: AttachCell,
 }
 
 impl std::fmt::Debug for TreeShared {

@@ -55,13 +55,6 @@ pub struct BLsmConfig {
     /// Expected value size, used only to pre-size Bloom filters for the
     /// first merge (afterwards real counts are known).
     pub expected_value_size: usize,
-    /// When true, the write path performs no merge scheduling of its own
-    /// (beyond the hard `C0` cap): an external coordinator drives merges
-    /// via `maintenance`. Lets a partition scheduler be layered over
-    /// the per-tree level scheduler, as §4 envisions ("level schedulers
-    /// are designed to complement existing partition schedulers"; see
-    /// the `ext_partitioning` experiment).
-    pub external_pacing: bool,
 }
 
 impl Default for BLsmConfig {
@@ -74,7 +67,6 @@ impl Default for BLsmConfig {
             durability: Durability::Buffered,
             wal_capacity: 256 << 20,
             expected_value_size: 1000,
-            external_pacing: false,
         }
     }
 }

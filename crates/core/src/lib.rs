@@ -37,16 +37,17 @@ mod commit;
 mod config;
 mod merge;
 mod meta;
+mod plane;
 mod progress;
 mod read;
 pub mod route;
 mod sched;
 mod sharded;
 mod stats;
-mod threaded;
 mod tree;
 
 pub use config::{BLsmConfig, Durability, SchedulerKind};
+pub use plane::{MergePlane, ThreadedBLsm};
 pub use progress::{outprogress, MergeProgress};
 pub use read::{ReadView, ScanItem, TreeScrubReport};
 pub use sched::{
@@ -58,7 +59,6 @@ pub use stats::{
     fsync_micros_bucket, group_size_bucket, RecoveryReport, TreeStats, TreeStatsSnapshot,
     COMMIT_HIST_BUCKETS,
 };
-pub use threaded::ThreadedBLsm;
 pub use tree::BLsmTree;
 
 pub use blsm_memtable::{

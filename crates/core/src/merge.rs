@@ -567,7 +567,7 @@ impl BLsmTree {
             } else if let Some(mut m12) = self.merge12.try_lock() {
                 self.restart_merge12_locked(&mut m12)?;
             }
-            self.shared.bell12.ring();
+            self.shared.attach.ring_lane(crate::plane::Lane::C1C2);
         }
         self.reap_retired_locked(&mut self.merge.lock());
         Ok(())
@@ -745,25 +745,25 @@ mod tests {
 
     use super::*;
     use crate::config::BLsmConfig;
+    use crate::plane::tests::HandDriven;
     use blsm_memtable::AppendOperator;
     use blsm_storage::device::Device;
     use blsm_storage::{
         DeviceStats, FaultMode, FaultyDevice, MemDevice, SharedDevice, StorageError, PAGE_SIZE,
     };
 
-    /// Hand-driven (`external_pacing`), with `R` pinned so `C1` grows
+    /// Hand-driven (on a stepped plane), with `R` pinned so `C1` grows
     /// past one 256 KiB read-ahead chunk before it rotates: a merge then
     /// reads its inputs in several device calls, and one of them can be
     /// made to fail.
-    fn open(data: SharedDevice, wal: SharedDevice) -> BLsmTree {
+    fn open(data: SharedDevice, wal: SharedDevice) -> HandDriven {
         let config = BLsmConfig {
             mem_budget: 64 << 10,
             wal_capacity: 8 << 20,
             r: Some(8.0),
-            external_pacing: true,
             ..Default::default()
         };
-        BLsmTree::open(data, wal, 256, config, Arc::new(AppendOperator)).unwrap()
+        HandDriven::new(BLsmTree::open(data, wal, 256, config, Arc::new(AppendOperator)).unwrap())
     }
 
     fn flaky_reads() -> Arc<FaultyDevice> {

@@ -525,20 +525,20 @@ mod tests {
 
     use super::*;
     use crate::config::{BLsmConfig, SchedulerKind};
+    use crate::plane::tests::HandDriven;
     use crate::BLsmTree;
 
     /// A tree whose merges only run when the test says so.
-    fn hand_driven_tree(scheduler: SchedulerKind) -> BLsmTree {
+    fn hand_driven_tree(scheduler: SchedulerKind) -> HandDriven {
         let data: SharedDevice = Arc::new(MemDevice::new());
         let wal: SharedDevice = Arc::new(MemDevice::new());
         let config = BLsmConfig {
             mem_budget: 4 << 20,
             wal_capacity: 16 << 20,
-            external_pacing: true,
             scheduler,
             ..Default::default()
         };
-        BLsmTree::open(data, wal, 4096, config, Arc::new(AppendOperator)).unwrap()
+        HandDriven::new(BLsmTree::open(data, wal, 4096, config, Arc::new(AppendOperator)).unwrap())
     }
 
     fn key(i: u64) -> Bytes {
@@ -560,7 +560,7 @@ mod tests {
 
     /// A tree beside the map it must read like (under `AppendOperator`).
     struct Modelled {
-        tree: BLsmTree,
+        tree: HandDriven,
         model: BTreeMap<Bytes, Vec<u8>>,
     }
 

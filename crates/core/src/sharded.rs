@@ -4,10 +4,11 @@
 //! The paper names key-range partitioning as its future work
 //! (§2.3.2, §3.3, §4.2.2). This module builds the serving tier on the
 //! routing arithmetic of [`crate::route`]: every shard is a whole
-//! [`crate::BLsmTree`] wrapped in its own [`ThreadedBLsm`] — its own
-//! directory, WAL ring, `C0`, spring-and-gear scheduler, merge threads
-//! and recovery path — so write throughput, merge stalls and crash
-//! recovery are per-shard, never globally coupled:
+//! [`crate::BLsmTree`] — its own directory, WAL ring, `C0`,
+//! spring-and-gear scheduler and recovery path — so write throughput,
+//! merge stalls and crash recovery are per-shard, never globally coupled.
+//! Their merges run on the store's one [`MergePlane`](crate::MergePlane),
+//! two threads for any shard count, each shard a [`ThreadedBLsm`] on it:
 //!
 //! * a hot shard's spring-and-gear backpressure paces only writers of
 //!   *its* key range ([`ShardedReadView::backpressure`] is per shard);
@@ -42,12 +43,12 @@ use blsm_storage::manifest::ManifestStore;
 use blsm_storage::{ComponentId, FileDevice, Result, SharedDevice, StorageError};
 
 use crate::config::BLsmConfig;
+use crate::plane::{MergePlane, ThreadedBLsm};
 use crate::read::{ReadView, ScanItem, TreeScrubReport};
 use crate::route;
 use crate::sched::BackpressureLevel;
 use crate::stats::TreeStatsSnapshot;
-use crate::threaded::ThreadedBLsm;
-use crate::tree::BLsmTree;
+use crate::tree::{invariant_err, BLsmTree};
 
 /// Shard-manifest payload magic: "BLSMSHR1".
 const SHARD_MANIFEST_MAGIC: u64 = 0x424C_534D_5348_5231;
@@ -63,7 +64,7 @@ pub struct ShardedConfig {
     pub tree: BLsmConfig,
     /// Buffer-pool pages per shard.
     pub pool_pages: usize,
-    /// Merge-thread quantum per shard (bytes per background quantum).
+    /// Bytes per merge quantum the store's merge threads grant a shard.
     pub quantum: u64,
 }
 
@@ -96,8 +97,8 @@ pub struct DegradedShard<'a> {
     pub error: &'a StorageError,
 }
 
-/// N independent bLSM shards (each with its own WAL, `C0`, merge
-/// scheduler and merge threads) behind one key-range router.
+/// N independent bLSM shards (each with its own WAL, `C0` and merge
+/// scheduler, all on one merge plane) behind one key-range router.
 ///
 /// All operations are `&self`: routing is pure arithmetic over the
 /// immutable boundary list, and each shard's engine is internally
@@ -200,7 +201,8 @@ impl ShardedBLsm {
     ///
     /// Fails only on whole-store problems: an unreadable/corrupt shard
     /// manifest (without it requests cannot be routed safely), unsorted
-    /// `bounds`, or a manifest save failure on creation.
+    /// `bounds`, merge threads that cannot be spawned, or a manifest save
+    /// failure on creation.
     pub fn open_with_devices(
         manifest_dev: SharedDevice,
         bounds: Vec<Bytes>,
@@ -219,29 +221,24 @@ impl ShardedBLsm {
             Some(payload) => decode_shard_manifest(&payload)?.into(),
             None => bounds.into(),
         };
-        let mut shards = Vec::with_capacity(bounds.len() + 1);
+        // Each shard opens — and recovers its own WAL — independently:
+        // an error here degrades shard `i` alone.
+        let open =
+            |(d, w)| BLsmTree::open(d, w, config.pool_pages, config.tree.clone(), op.clone());
+        let (mut trees, mut opened) = (Vec::new(), Vec::new());
         for i in 0..=bounds.len() {
-            // Each shard opens — and recovers its own WAL — independently:
-            // an error here degrades shard `i` alone.
-            let opened = devices(i).and_then(|(data, wal)| {
-                let tree = BLsmTree::open(
-                    data,
-                    wal,
-                    config.pool_pages,
-                    config.tree.clone(),
-                    op.clone(),
-                )?;
-                ThreadedBLsm::start(tree, config.quantum)
-            });
-            shards.push(match opened {
-                Ok(db) => ShardSlot::Serving(db),
-                Err(e) => ShardSlot::Degraded(e),
-            });
+            opened.push(devices(i).and_then(open).map(|tree| trees.push(tree)));
         }
+        let plane = MergePlane::threaded(trees, config.quantum)?;
+        let mut engines = ThreadedBLsm::handles(plane).into_iter();
+        let shards = opened.into_iter().map(|opened| {
+            let db = opened.and_then(|()| engines.next().ok_or_else(|| invariant_err("no engine")));
+            db.map_or_else(ShardSlot::Degraded, ShardSlot::Serving)
+        });
         // Record this generation (and, on creation, the layout itself).
         store.save(&shard_manifest_payload(&bounds))?;
         let epoch = store.epoch();
-        Ok(Self::assemble(bounds, shards, Some(store), epoch))
+        Ok(Self::assemble(bounds, shards.collect(), Some(store), epoch))
     }
 
     fn assemble(
@@ -423,30 +420,21 @@ impl ShardedBLsm {
     /// Returns the first shard checkpoint or manifest-save error
     /// (after attempting every shard).
     pub fn checkpoint(&mut self) -> Result<()> {
-        let mut first_err = None;
-        for slot in &self.shards {
-            if let ShardSlot::Serving(db) = slot {
-                if let Err(e) = db.with_tree(BLsmTree::checkpoint) {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(store) = &mut self.manifest {
-            if let Err(e) = store.save(&shard_manifest_payload(&self.view.bounds)) {
-                first_err.get_or_insert(e);
-            } else {
-                self.epoch = store.epoch();
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|slot| match slot {
+                ShardSlot::Serving(db) => db.checkpoint(),
+                ShardSlot::Degraded(_) => Ok(()),
+            })
+            .collect();
+        let saved = self.save_manifest();
+        shards.into_iter().collect::<Result<()>>().and(saved)
     }
 
-    /// Stops every shard's merge threads, completes pending merges,
-    /// checkpoints, bumps the manifest epoch, and returns the settled
-    /// trees (shard order; degraded shards omitted).
+    /// Stops the store's merge threads, completes pending merges,
+    /// checkpoints every shard, bumps the manifest epoch, and returns the
+    /// settled trees (shard order; degraded shards omitted).
     ///
     /// # Errors
     ///
@@ -454,27 +442,23 @@ impl ShardedBLsm {
     /// attempting every shard — one failing shard never blocks its
     /// siblings' clean shutdown).
     pub fn shutdown(mut self) -> Result<Vec<BLsmTree>> {
-        let mut trees = Vec::with_capacity(self.shards.len());
-        let mut first_err = None;
-        for slot in self.shards.drain(..) {
-            if let ShardSlot::Serving(db) = slot {
-                match db.shutdown() {
-                    Ok(tree) => trees.push(tree),
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-        }
+        let engines = self.shards.drain(..).filter_map(|slot| match slot {
+            ShardSlot::Serving(db) => Some(db),
+            ShardSlot::Degraded(_) => None,
+        });
+        let trees = ThreadedBLsm::shutdown_all(engines.collect());
+        let saved = self.save_manifest();
+        let trees = trees.into_iter().collect::<Result<Vec<_>>>()?;
+        saved.map(|()| trees)
+    }
+
+    /// Records a new epoch in the shard manifest, if the store has one.
+    fn save_manifest(&mut self) -> Result<()> {
         if let Some(store) = &mut self.manifest {
-            if let Err(e) = store.save(&shard_manifest_payload(&self.view.bounds)) {
-                first_err.get_or_insert(e);
-            }
+            store.save(&shard_manifest_payload(&self.view.bounds))?;
+            self.epoch = store.epoch();
         }
-        match first_err {
-            None => Ok(trees),
-            Some(e) => Err(e),
-        }
+        Ok(())
     }
 }
 
@@ -844,6 +828,28 @@ mod tests {
             .collect();
         assert!(merges[2] > 0, "the hot shard must have merged: {merges:?}");
         assert_eq!(merges[0] + merges[1] + merges[3], 0, "{merges:?}");
+    }
+
+    #[test]
+    fn a_four_shard_store_runs_two_merge_threads_and_joins_them() {
+        // One plane serves every shard: two lane threads for any shard
+        // count, and `shutdown` joins them before it hands the trees back.
+        let (manifest, devs) = mem_shards(4);
+        let store = open(&manifest, &devs, ShardedBLsm::even_bounds(4));
+        let plane = store.shard_engine(0).unwrap().plane.clone().unwrap();
+        for i in 1..4 {
+            let shard = store.shard_engine(i).unwrap().plane.as_ref().unwrap();
+            assert!(Arc::ptr_eq(shard, &plane), "shard {i} has its own plane");
+        }
+        assert_eq!(plane.workers.len(), 2);
+        // Every lane thread holds the lanes until it exits.
+        let lanes = Arc::downgrade(&plane.lanes);
+        drop(plane);
+        for i in 0..2_000u32 {
+            store.put(key(i), Bytes::from(vec![1u8; 64])).unwrap();
+        }
+        assert_eq!(store.shutdown().unwrap().len(), 4);
+        assert_eq!(lanes.strong_count(), 0, "a merge thread outlived the store");
     }
 
     fn is_shard_error<T: std::fmt::Debug>(r: Result<T>) -> bool {

@@ -83,7 +83,7 @@ pub struct TreeStats {
     /// Scans' `C0` budget escalations: attempts that reached their horizon
     /// short of `limit` and started over with a larger copy.
     pub(crate) scan_repins: AtomicU64, // ordering: Relaxed (statistic)
-    /// Background merge quanta that returned an error (`threaded.rs`).
+    /// Background merge quanta that returned an error (`plane.rs`).
     pub(crate) merge_errors: AtomicU64, // ordering: Relaxed (statistic)
 }
 
@@ -201,7 +201,7 @@ pub struct TreeStatsSnapshot {
     pub merges12: u64,
     /// Writes that hit the hard `C0` cap and had to run forced merge work.
     pub forced_stalls: u64,
-    /// Background merge quanta that returned an error. A merge thread
+    /// Background merge quanta that returned an error. A merge lane
     /// retries one wait timeout later, so on a failing device this rises
     /// at that rate; the typed error reaches the next writer's pacing.
     pub merge_errors: u64,

@@ -5,14 +5,14 @@
 //! incremental merges paced by a pluggable level scheduler, a logical log,
 //! and manifest-based crash recovery.
 //!
-//! Merges run *cooperatively*: each application write asks the scheduler
-//! for a [`WorkPlan`](crate::WorkPlan) and performs that much merge work
-//! inline before inserting. This makes pacing deterministic (essential for
-//! the simulated-device experiments) while remaining faithful to the
-//! paper's semantics — the scheduler decides exactly when merge I/O
-//! happens relative to application writes, which is all that matters for
-//! latency and throughput. `maintenance` exposes the same state machine
-//! for background/idle driving.
+//! A bare tree runs its merges *cooperatively*: each application write
+//! asks the scheduler for a [`WorkPlan`](crate::WorkPlan) and performs
+//! that much merge work inline before inserting. This keeps pacing
+//! deterministic (essential for the simulated-device experiments) and
+//! faithful to the paper: the scheduler decides exactly when merge I/O
+//! happens relative to application writes. A tree on a
+//! [`MergePlane`](crate::MergePlane) hands its merges to the plane's
+//! lanes instead (`plane.rs`, which also holds the pacing code).
 //!
 //! Concurrency: the tree splits into three planes.
 //!
@@ -32,12 +32,8 @@
 //!   `C0` drain never queues behind the downstream merge. Both install
 //!   their output through `merge` (allocator, manifest, retired list),
 //!   held only to allocate and to install a finished merge, never across
-//!   merge work. In the cooperative model writers *opportunistically*
-//!   pace (try-lock: if a sibling writer already holds a driver, that
-//!   quantum is already being run) and only block on `merge01` to
-//!   enforce the hard `C0` cap. With merge threads attached writers run
-//!   no merge work: over the cap they park until the `C0:C1` drain
-//!   brings `C0` back to the high water mark (`threaded.rs`).
+//!   merge work. Cooperative writers try-lock the drivers to pace and
+//!   block on `merge01` only at the hard `C0` cap.
 //!
 //! Lock order: `merge01` → `merge12` → `merge` → `wal` → `catalog` (see
 //! DESIGN.md §14). The module split mirrors the design:
@@ -56,23 +52,17 @@ use blsm_sstable::Sstable;
 use blsm_storage::codec::{self, Reader};
 use blsm_storage::manifest::{ManifestStore, DEFAULT_SLOT_PAGES};
 use blsm_storage::page::PAGE_PAYLOAD_LEN;
-use blsm_storage::{
-    BufferPool, Lsn, RegionAllocator, Result, SharedDevice, StorageError, Wal, PAGE_SIZE,
-};
+use blsm_storage::{BufferPool, Lsn, RegionAllocator, Result, SharedDevice, StorageError, Wal};
 use parking_lot::Mutex;
 
 use crate::catalog::{CatalogCell, ComponentCatalog, TreeShared};
 use crate::config::{BLsmConfig, Durability};
 use crate::merge::{Merge01, Merge12, RetiredTable};
 use crate::meta::{ComponentSlot, TreeMeta};
+use crate::plane::{AttachCell, Doorbell};
 use crate::read::ReadView;
-use crate::sched::{make_scheduler, MergeScheduler, SchedInputs};
+use crate::sched::{make_scheduler, MergeScheduler};
 use crate::stats::{self, RecoveryReport, TreeStats};
-use crate::threaded::Doorbell;
-
-/// Upper bound on merge bytes processed in one burst of inline work;
-/// bounds the latency any single write can observe from pacing.
-const WORK_QUANTUM: u64 = 4 << 20;
 
 /// A general purpose log structured merge tree (the paper's system).
 ///
@@ -229,10 +219,8 @@ impl BLsmTree {
             unsynced_writes: AtomicU64::new(0),
             stats: TreeStats::default(),
             recovery: OnceLock::new(),
-            bell01: Doorbell::new(),
-            bell12: Doorbell::new(),
             bell_cap: Doorbell::new(),
-            merge_thread_attached: std::sync::atomic::AtomicBool::new(false),
+            attach: AttachCell::default(),
             config,
         });
         let tree = BLsmTree {
@@ -658,143 +646,6 @@ impl BLsmTree {
         Ok(target)
     }
 
-    // -----------------------------------------------------------------
-    // Merge pacing
-    // -----------------------------------------------------------------
-
-    pub(crate) fn sched_inputs(
-        &self,
-        m01: Option<&Merge01>,
-        m12: Option<&Merge12>,
-        incoming: u64,
-    ) -> SchedInputs {
-        let catalog = self.shared.catalog.load();
-        let c0 = &self.shared.c0;
-        let filling = match c0.pass_mode() {
-            PassMode::Frozen | PassMode::Snowshovel => c0.behind_bytes() as u64,
-            PassMode::Idle => c0.approx_bytes() as u64,
-        };
-        SchedInputs {
-            c0_bytes: if self.shared.config.snowshovel {
-                c0.approx_bytes() as u64
-            } else {
-                filling
-            },
-            c0_fill: self.shared.config.c0_fill_bytes() as u64,
-            c0_cap: self.shared.config.mem_budget as u64,
-            incoming,
-            m01: m01.map(|mm| MergeProgress {
-                bytes_read: self.merge01_consumed(mm),
-                input_total: mm.input_total,
-            }),
-            m01_c0_input: m01.map_or(1, |mm| mm.c0_input.max(1)),
-            m12: m12.map(|mm| MergeProgress {
-                bytes_read: mm.consumed.load(Ordering::Relaxed),
-                input_total: mm.input_total,
-            }),
-            c1_bytes: catalog.c1.as_ref().map_or(0, |c| c.data_bytes()),
-            r_ceil: self.current_r().ceil() as u64,
-        }
-    }
-
-    /// Pre-write pacing: run the scheduler's planned merge work, enforce
-    /// the hard cap. This is where the paper's write-latency bound comes
-    /// from. With merge threads attached, writers run no merge work and
-    /// wait on no driver lock: the threads run the merges.
-    fn pace(&self, incoming: u64) -> Result<()> {
-        let threaded = self.merge_threads_attached();
-        if !threaded && !self.shared.config.external_pacing {
-            self.run_planned_quanta(incoming)?;
-        }
-
-        // Hard cap: C0 must never exceed the memory budget. A paced
-        // scheduler rarely lands here; the naive scheduler lives here.
-        let over_cap = || {
-            self.shared.c0.approx_bytes() as u64 + incoming > self.shared.config.mem_budget as u64
-        };
-        if !over_cap() {
-            return Ok(());
-        }
-        stats::bump(&self.shared.stats.forced_stalls, 1);
-        if threaded && self.park_at_cap(incoming) {
-            return Ok(());
-        }
-        // Cooperative, or a merge quantum failed while we were parked:
-        // wait for (or perform) drain work on the `C0:C1` driver, which
-        // also returns a failed pass's typed error.
-        while over_cap() {
-            let mut d = self.merge01.lock();
-            self.resave_manifest(&mut self.merge.lock())?;
-            // Re-check under the lock: the holder we waited behind may
-            // have drained below the cap already.
-            if !over_cap() {
-                break;
-            }
-            if d.pass.is_none() {
-                if self.shared.c0.is_empty() {
-                    break;
-                }
-                self.start_merge01_locked(&mut d.pass)?;
-            }
-            self.run_merge01_locked(&mut d, WORK_QUANTUM)?;
-            drop(d);
-            self.quantum_boundary_check(true)?;
-        }
-        Ok(())
-    }
-
-    /// The scheduler's planned quanta, run *opportunistically*: the
-    /// drivers are try-locked, and a writer that loses a race simply
-    /// skips — whoever holds the driver (its merge thread, or a sibling
-    /// writer) is running the very quantum this one would have.
-    fn run_planned_quanta(&self, incoming: u64) -> Result<()> {
-        let Some(mut d) = self.merge01.try_lock() else {
-            return Ok(());
-        };
-        // Likewise while the other driver installs its output.
-        let Some(mut m) = self.merge.try_lock() else {
-            return Ok(());
-        };
-        self.resave_manifest(&mut m)?;
-        drop(m);
-        self.start_merge01_if_due(&mut d, incoming)?;
-        let plan = {
-            let m12 = self.merge12.try_lock();
-            let inputs = self.sched_inputs(
-                d.pass.as_ref(),
-                m12.as_deref().and_then(Option::as_ref),
-                incoming,
-            );
-            d.scheduler.plan(&inputs)
-        };
-        if plan.merge01_bytes > 0 {
-            self.run_merge01_locked(&mut d, plan.merge01_bytes.min(WORK_QUANTUM))?;
-        }
-        drop(d);
-        if plan.merge12_bytes > 0 {
-            if let Some(mut m12) = self.merge12.try_lock() {
-                self.run_merge12_locked(&mut m12, plan.merge12_bytes.min(WORK_QUANTUM))?;
-            }
-        }
-        self.quantum_boundary_check(plan.merge01_bytes > 0 || plan.merge12_bytes > 0)
-    }
-
-    /// Starts a `C0:C1` pass when none is running and the scheduler asks
-    /// for one, or a writer is parked at the hard cap (whose own bytes may
-    /// be what a start mark is waiting for).
-    fn start_merge01_if_due(&self, d: &mut Driver01, incoming: u64) -> Result<()> {
-        if d.pass.is_none()
-            && !self.shared.c0.is_empty()
-            && (d
-                .scheduler
-                .should_start_merge01(&self.sched_inputs(None, None, incoming))
-                || self.shared.bell_cap.has_waiters())
-        {
-            self.start_merge01_locked(&mut d.pass)?;
-        }
-        Ok(())
-    }
-
     /// Estimates a generous region for a merge output. Leaf packing can
     /// waste up to half a page when entries are large (a leaf seals when
     /// the next entry does not fit), so data pages are budgeted at a 50%
@@ -872,53 +723,6 @@ impl BLsmTree {
             Some(wal_head) => self.save_manifest(m, Some(wal_head)),
             None => Ok(()),
         }
-    }
-
-    // -----------------------------------------------------------------
-    // Maintenance
-    // -----------------------------------------------------------------
-
-    /// Runs up to `budget` input bytes of pending merge work on each
-    /// level. Lets callers drive merges during idle periods (§3.2's
-    /// "merges can be run during off-peak periods"). Blocks on each
-    /// merge's driver in turn; [`crate::ThreadedBLsm`]'s two threads run
-    /// one driver each.
-    pub fn maintenance(&self, budget: u64) -> Result<()> {
-        self.maintain01(budget)?;
-        self.maintain12(budget)?;
-        Ok(())
-    }
-
-    /// One `C0:C1` quantum: starts a pass when the scheduler asks for one
-    /// and runs up to `budget` bytes of it. True when a pass ran.
-    pub(crate) fn maintain01(&self, budget: u64) -> Result<bool> {
-        let ran = {
-            let mut d = self.merge01.lock();
-            self.resave_manifest(&mut self.merge.lock())?;
-            self.start_merge01_if_due(&mut d, 0)?;
-            let ran = d.pass.is_some();
-            self.run_merge01_locked(&mut d, budget)?;
-            ran
-        };
-        self.reap_retired_locked(&mut self.merge.lock());
-        self.quantum_boundary_check(ran)?;
-        Ok(ran)
-    }
-
-    /// One `C1':C2` quantum: starts the merge when a `C1'` waits for one
-    /// and runs up to `budget` bytes of it. True when a merge ran.
-    pub(crate) fn maintain12(&self, budget: u64) -> Result<bool> {
-        let ran = {
-            let mut m12 = self.merge12.lock();
-            self.resave_manifest(&mut self.merge.lock())?;
-            self.restart_merge12_locked(&mut m12)?;
-            let ran = m12.is_some();
-            self.run_merge12_locked(&mut m12, budget)?;
-            ran
-        };
-        self.reap_retired_locked(&mut self.merge.lock());
-        self.quantum_boundary_check(ran)?;
-        Ok(ran)
     }
 
     /// Drains `C0` and completes every pending merge, then truncates the
@@ -1140,8 +944,6 @@ impl BLsmTree {
     }
 }
 
-use crate::progress::MergeProgress;
-
 /// RAII release of a writer's admitted-but-uninserted byte claim (see
 /// `TreeShared::admitted_inflight`): dropping it — on completion or on
 /// any error path between admission and the `C0` insert — returns the
@@ -1209,13 +1011,12 @@ fn decode_wal_record(payload: &[u8]) -> Result<(Bytes, Versioned)> {
     Ok((key, Versioned { seqno, entry }))
 }
 
-// Keep PAGE_SIZE import alive for region math readability.
-const _: usize = PAGE_SIZE;
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::config::SchedulerKind;
+    use crate::plane::tests::HandDriven;
     use blsm_memtable::AppendOperator;
     use blsm_storage::MemDevice;
 
@@ -1611,11 +1412,7 @@ mod tests {
         // and verify every key is readable: some live in the old C1 (not
         // yet rotated out), some in the retained C0 copies, some ahead of
         // the drain cursor.
-        let config = BLsmConfig {
-            external_pacing: true, // no inline pacing: we drive quanta
-            ..small_config()
-        };
-        let t = new_tree(config);
+        let t = HandDriven::new(new_tree(small_config())); // we drive quanta
         for i in 0..800u32 {
             t.put(key(i), Bytes::from(vec![7u8; 40])).unwrap();
         }
@@ -1697,11 +1494,7 @@ mod tests {
         // in the retained (already-drained) C0 copies while a fresher
         // Delta lands in the deferred table. A scan racing the pass must
         // fold the two, not return the delta over an absent base.
-        let config = BLsmConfig {
-            external_pacing: true, // we drive the pass by hand
-            ..small_config()
-        };
-        let t = new_tree(config);
+        let t = HandDriven::new(new_tree(small_config())); // we drive the pass
         assert!(t.config().snowshovel);
         t.put(key(0), Bytes::from_static(b"base")).unwrap();
         t.put(key(1), Bytes::from_static(b"other")).unwrap();
@@ -1728,10 +1521,9 @@ mod tests {
         // table (undrained C0') when the delta lands in the next table.
         let config = BLsmConfig {
             scheduler: SchedulerKind::Gear, // gear partitions C0/C0' (frozen passes)
-            external_pacing: true,
             ..small_config()
         };
-        let t = new_tree(config);
+        let t = HandDriven::new(new_tree(config));
         assert!(!t.config().snowshovel);
         t.put(key(0), Bytes::from_static(b"base")).unwrap();
         t.put(key(1), Bytes::from_static(b"other")).unwrap();

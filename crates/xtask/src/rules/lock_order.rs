@@ -26,13 +26,15 @@ use super::{Finding, FnSummary};
 fn hierarchy(krate: &str) -> &'static [&'static str] {
     match krate {
         // DESIGN.md §14: merge01 → merge12 → merge → commit → wal →
-        // catalog → pending. (`merge01`/`merge12` are the two
+        // catalog → lanes → pending. (`merge01`/`merge12` are the two
         // merge drivers and `merge` is what both install through; a
         // `C0:C1` pass that rotates `C1` may start the `C1':C2` merge, so
-        // `merge01` comes first. `pending` is a doorbell's lock: each
-        // merge thread's (`bell01`, `bell12`) and the hard cap's
-        // (`bell_cap`, which writers over the cap park on and the
-        // `C0:C1` drain rings under `merge01`).)
+        // `merge01` comes first. `lanes` is a tree's link to its threaded
+        // merge plane, held only to ring a lane. `pending` is a
+        // doorbell's lock: each of a plane's two lane bells (the
+        // `C0:C1` and `C1':C2` lanes' `plane::Lanes::bells`) and a
+        // tree's hard-cap bell (`bell_cap`, which writers over the cap
+        // park on and the `C0:C1` drain rings under `merge01`).)
         // (`commit` is the group-commit election state,
         // DESIGN.md §18: a tiny bookkeeping mutex the leader drops
         // before any I/O or `wal` acquisition. Its slot between `merge`
@@ -53,7 +55,7 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // construction. A lock appearing in `sharded.rs` or `route.rs`
         // must be argued into §14/§16 and this table together.
         "core" => &[
-            "merge01", "merge12", "merge", "commit", "wal", "catalog", "pending",
+            "merge01", "merge12", "merge", "commit", "wal", "catalog", "lanes", "pending",
         ],
         // DESIGN.md §15: the pass lock wraps per-shard table locks; no
         // C0 code path may take `pass` while holding any shard's

@@ -1,9 +1,10 @@
 //! Range-partitioned bLSM — the paper's future work in action.
 //!
 //! Demonstrates `ShardedBLsm` (§2.3.2, §3.3, §4.2.2): eight key-range
-//! shards, each a full three-level bLSM tree with its own WAL, level
-//! scheduler and merge thread. A skewed write burst shows merge activity
-//! confined to the hot range while the cold ranges stay scan-friendly.
+//! shards, each a full three-level bLSM tree with its own WAL and level
+//! scheduler, whose merges share the store's two merge threads. A skewed
+//! write burst shows merge activity confined to the hot range while the
+//! cold ranges stay scan-friendly.
 //!
 //! Run with: `cargo run --release --example partitioned_store`
 
