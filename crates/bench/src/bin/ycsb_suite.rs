@@ -88,7 +88,11 @@ fn run_network_suite(args: &[String]) {
     let stats = engine.client().stats().expect("STATS");
     println!(
         "server: backpressure={:?} admitted={} delayed={} rejected={} merges01={}",
-        stats.backpressure, stats.admitted, stats.delayed, stats.rejected, stats.merges01
+        stats.engine.backpressure,
+        stats.admitted,
+        stats.delayed,
+        stats.rejected,
+        stats.engine.merges01
     );
 }
 

@@ -55,10 +55,7 @@ pub use sched::{
     SpringGearScheduler, WorkPlan, HIGH_WATER, LOW_WATER,
 };
 pub use sharded::{DegradedShard, ShardedBLsm, ShardedConfig, ShardedReadView};
-pub use stats::{
-    fsync_micros_bucket, group_size_bucket, RecoveryReport, TreeStats, TreeStatsSnapshot,
-    COMMIT_HIST_BUCKETS,
-};
+pub use stats::{RecoveryReport, TreeStats, TreeStatsSnapshot};
 pub use tree::BLsmTree;
 
 pub use blsm_memtable::{

@@ -5,6 +5,11 @@
 //! path and the merge thread all bump the same [`TreeStats`] cell inside
 //! `TreeShared`. Consumers take a [`TreeStatsSnapshot`] — a plain `Copy`
 //! struct — and do delta arithmetic on that.
+//!
+//! This module is the only one that knows which statistics exist. One
+//! table, `FIELDS`, names every snapshot scalar and says where it is read
+//! from and how shards fold it; the snapshot, the shard sum and the STATS
+//! wire encoding all walk that table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,119 +35,177 @@ pub(crate) fn read(counter: &AtomicU64) -> u64 {
 /// counts live in `blsm_storage::DeviceStats`; these add the engine-side
 /// breakdown (bloom effectiveness, merge volume, stall behaviour).
 ///
-/// Fields mirror [`TreeStatsSnapshot`]; use [`TreeStats::snapshot`] to
-/// read them coherently enough for reporting.
+/// Each field means what its [`TreeStatsSnapshot`] twin's docs say; use
+/// [`TreeStats::snapshot`] to read them coherently enough for reporting.
+/// A new counter is a field here, a field there and a row in `FIELDS`.
 #[derive(Debug, Default)]
 pub struct TreeStats {
-    /// Application point lookups.
-    pub(crate) gets: AtomicU64, // ordering: Relaxed (statistic)
-    /// Application writes (put/delete/delta).
-    pub(crate) writes: AtomicU64, // ordering: Relaxed (statistic)
-    /// Application scans.
-    pub(crate) scans: AtomicU64, // ordering: Relaxed (statistic)
-    /// `insert_if_not_exists` calls.
-    pub(crate) check_inserts: AtomicU64, // ordering: Relaxed (statistic)
-    /// On-disk component probes actually performed (post-bloom).
-    pub(crate) disk_probes: AtomicU64, // ordering: Relaxed (statistic)
-    /// Component probes skipped because a Bloom filter said "absent".
-    pub(crate) bloom_skips: AtomicU64, // ordering: Relaxed (statistic)
-    /// Reads that terminated at a base record before exhausting components.
+    pub(crate) gets: AtomicU64,               // ordering: Relaxed (statistic)
+    pub(crate) writes: AtomicU64,             // ordering: Relaxed (statistic)
+    pub(crate) scans: AtomicU64,              // ordering: Relaxed (statistic)
+    pub(crate) check_inserts: AtomicU64,      // ordering: Relaxed (statistic)
+    pub(crate) disk_probes: AtomicU64,        // ordering: Relaxed (statistic)
+    pub(crate) bloom_skips: AtomicU64,        // ordering: Relaxed (statistic)
     pub(crate) early_terminations: AtomicU64, // ordering: Relaxed (statistic)
-    /// Bytes of user data written by the application.
     pub(crate) user_bytes_written: AtomicU64, // ordering: Relaxed (statistic)
-    /// Input bytes consumed by merges (both levels).
     pub(crate) merge_bytes_consumed: AtomicU64, // ordering: Relaxed (statistic)
-    /// `C0:C1` merge passes completed.
-    pub(crate) merges01: AtomicU64, // ordering: Relaxed (statistic)
-    /// `C1':C2` merges completed.
-    pub(crate) merges12: AtomicU64, // ordering: Relaxed (statistic)
-    /// Writes that hit the hard `C0` cap and had to run forced merge work.
-    pub(crate) forced_stalls: AtomicU64, // ordering: Relaxed (statistic)
-    /// Scrub passes completed over the on-disk components.
-    pub(crate) scrubs: AtomicU64, // ordering: Relaxed (statistic)
-    /// Total problems reported by scrub passes.
-    pub(crate) scrub_errors: AtomicU64, // ordering: Relaxed (statistic)
-    /// Commit groups retired (one device sync each; see `commit.rs`).
-    pub(crate) commit_groups: AtomicU64, // ordering: Relaxed (statistic)
-    /// Writes retired across all commit groups — `/ commit_groups` is
-    /// the mean group size, the amortization factor one fsync buys.
+    pub(crate) merges01: AtomicU64,           // ordering: Relaxed (statistic)
+    pub(crate) merges12: AtomicU64,           // ordering: Relaxed (statistic)
+    pub(crate) forced_stalls: AtomicU64,      // ordering: Relaxed (statistic)
+    pub(crate) scrubs: AtomicU64,             // ordering: Relaxed (statistic)
+    pub(crate) scrub_errors: AtomicU64,       // ordering: Relaxed (statistic)
+    pub(crate) commit_groups: AtomicU64,      // ordering: Relaxed (statistic)
     pub(crate) commit_group_writes: AtomicU64, // ordering: Relaxed (statistic)
-    /// Total microseconds spent in group-commit device syncs.
     pub(crate) fsync_micros_total: AtomicU64, // ordering: Relaxed (statistic)
-    /// Histogram of commit-group sizes; bucket `i` counts groups of
-    /// `2^i` to `2^(i+1)-1` writes (last bucket open-ended). See
-    /// [`group_size_bucket`].
     pub(crate) group_size_hist: [AtomicU64; COMMIT_HIST_BUCKETS], // ordering: Relaxed (statistic)
-    /// Histogram of group fsync latencies; see [`fsync_micros_bucket`]
-    /// for the bucket boundaries.
     pub(crate) fsync_micros_hist: [AtomicU64; COMMIT_HIST_BUCKETS], // ordering: Relaxed (statistic)
     // The scan counters sit last so the cache line the point-read counters
     // above share (`gets` … `early_terminations`) keeps its layout.
-    /// `C0` rows cloned into scans' pinned copies (every attempt counts).
     pub(crate) scan_c0_rows: AtomicU64, // ordering: Relaxed (statistic)
-    /// Scans' `C0` budget escalations: attempts that reached their horizon
-    /// short of `limit` and started over with a larger copy.
-    pub(crate) scan_repins: AtomicU64, // ordering: Relaxed (statistic)
-    /// Background merge quanta that returned an error (`plane.rs`).
+    pub(crate) scan_repins: AtomicU64,  // ordering: Relaxed (statistic)
     pub(crate) merge_errors: AtomicU64, // ordering: Relaxed (statistic)
 }
 
 /// Buckets in each commit-group histogram ([`TreeStatsSnapshot::group_size_hist`],
 /// [`TreeStatsSnapshot::fsync_micros_hist`]).
-pub const COMMIT_HIST_BUCKETS: usize = 8;
+pub(crate) const COMMIT_HIST_BUCKETS: usize = 8;
 
-/// Histogram bucket for a commit group of `n` writes: bucket `i` covers
-/// sizes `2^i ..= 2^(i+1)-1` (1, 2–3, 4–7, …), with the last bucket
-/// collecting everything from 128 up.
-pub fn group_size_bucket(n: u64) -> usize {
+/// The [`TreeStatsSnapshot::group_size_hist`] bucket of a group of `n` writes.
+pub(crate) fn group_size_bucket(n: u64) -> usize {
     (n.max(1).ilog2() as usize).min(COMMIT_HIST_BUCKETS - 1)
 }
 
-/// Histogram bucket for a group fsync that took `micros` µs: bucket 0 is
-/// `< 200µs`, bucket `i` covers `100·2^i .. 100·2^(i+1)` µs (200–400µs,
-/// 400–800µs, …), with the last bucket collecting everything from
-/// 12.8ms up.
-pub fn fsync_micros_bucket(micros: u64) -> usize {
+/// The [`TreeStatsSnapshot::fsync_micros_hist`] bucket of a `micros` µs sync.
+pub(crate) fn fsync_micros_bucket(micros: u64) -> usize {
     ((micros / 100).max(1).ilog2() as usize).min(COMMIT_HIST_BUCKETS - 1)
 }
+
+/// How [`TreeStatsSnapshot::accumulate`] folds one field across shards.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// A counter: the shards' values add up.
+    Sum,
+    /// A level, a flag or a ticket: the store is as far along as its
+    /// furthest shard.
+    Max,
+}
+
+/// One named scalar of [`TreeStatsSnapshot`].
+#[derive(Debug)]
+struct Field {
+    name: &'static str,
+    fold: Fold,
+    /// The [`TreeStats`] atomic the field is read from; `None` for the
+    /// fields the tree fills in itself (`crate::ReadView::stats`).
+    cell: Option<fn(&TreeStats) -> &AtomicU64>, // ordering: Relaxed (statistic), via `read`
+    get: fn(&TreeStatsSnapshot) -> u64,
+    set: fn(&mut TreeStatsSnapshot, u64),
+}
+
+/// A [`TreeStats`] counter, named `core.<part>.<field>`.
+macro_rules! counter {
+    ($part:ident . $f:ident) => {
+        Field {
+            name: concat!("core.", stringify!($part), ".", stringify!($f)),
+            fold: Fold::Sum,
+            cell: Some(|t| &t.$f),
+            get: |s| s.$f,
+            set: |s, v| s.$f = v,
+        }
+    };
+}
+
+/// A [`RecoveryReport`] count, named `core.recovery.<field>`.
+macro_rules! recovered {
+    ($f:ident) => {
+        Field {
+            name: concat!("core.recovery.", stringify!($f)),
+            fold: Fold::Sum,
+            cell: None,
+            get: |s| s.recovery.$f,
+            set: |s, v| s.recovery.$f = v,
+        }
+    };
+}
+
+/// Every scalar of [`TreeStatsSnapshot`] by name: the one list that
+/// [`TreeStats::snapshot`], [`TreeStatsSnapshot::accumulate`] and STATS
+/// walk. Names are `layer.part.field`, the scheme the benchmark's
+/// per-layer metrics use, with the snapshot field's own name last.
+const FIELDS: &[Field] = &[
+    counter!(read.gets),
+    counter!(write.writes),
+    counter!(read.scans),
+    counter!(read.scan_c0_rows),
+    counter!(read.scan_repins),
+    counter!(write.check_inserts),
+    counter!(read.disk_probes),
+    counter!(read.bloom_skips),
+    counter!(read.early_terminations),
+    counter!(write.user_bytes_written),
+    counter!(merge.merge_bytes_consumed),
+    counter!(merge.merges01),
+    counter!(merge.merges12),
+    counter!(sched.forced_stalls),
+    counter!(merge.merge_errors),
+    counter!(scrub.scrubs),
+    counter!(scrub.scrub_errors),
+    counter!(commit.commit_groups),
+    counter!(commit.commit_group_writes),
+    counter!(commit.fsync_micros_total),
+    // The level as a number that orders like it (see `named`).
+    Field {
+        name: "core.sched.backpressure",
+        fold: Fold::Max,
+        cell: None,
+        get: |s| match s.backpressure {
+            BackpressureLevel::Idle => 0,
+            BackpressureLevel::Paced(p) => 1 + u64::from(p),
+            BackpressureLevel::Saturated => 2 + u64::from(u16::MAX),
+        },
+        set: |s, v| {
+            s.backpressure = match v {
+                0 => BackpressureLevel::Idle,
+                v => u16::try_from(v - 1)
+                    .map_or(BackpressureLevel::Saturated, BackpressureLevel::Paced),
+            }
+        },
+    },
+    recovered!(components_salvaged),
+    Field {
+        name: "core.recovery.manifest_rolled_back",
+        fold: Fold::Max,
+        cell: None,
+        get: |s| u64::from(s.recovery.manifest_rolled_back),
+        set: |s, v| s.recovery.manifest_rolled_back = v != 0,
+    },
+    recovered!(wal_records_replayed),
+    recovered!(wal_records_skipped),
+    recovered!(wal_recovered_bytes),
+    recovered!(wal_torn_tail_bytes),
+    Field {
+        name: "core.write.next_seqno",
+        fold: Fold::Max,
+        cell: None,
+        get: |s| s.next_seqno,
+        set: |s, v| s.next_seqno = v,
+    },
+];
 
 impl TreeStats {
     /// Lock-free point-in-time copy of every counter.
     pub fn snapshot(&self) -> TreeStatsSnapshot {
-        let read_hist = |hist: &[AtomicU64; COMMIT_HIST_BUCKETS]| {
-            let mut out = [0u64; COMMIT_HIST_BUCKETS];
-            for (slot, counter) in out.iter_mut().zip(hist.iter()) {
-                *slot = read(counter);
-            }
-            out
+        let mut snap = TreeStatsSnapshot {
+            group_size_hist: self.group_size_hist.each_ref().map(read),
+            fsync_micros_hist: self.fsync_micros_hist.each_ref().map(read),
+            ..TreeStatsSnapshot::default()
         };
-        TreeStatsSnapshot {
-            gets: read(&self.gets),
-            writes: read(&self.writes),
-            scans: read(&self.scans),
-            scan_c0_rows: read(&self.scan_c0_rows),
-            scan_repins: read(&self.scan_repins),
-            check_inserts: read(&self.check_inserts),
-            disk_probes: read(&self.disk_probes),
-            bloom_skips: read(&self.bloom_skips),
-            early_terminations: read(&self.early_terminations),
-            user_bytes_written: read(&self.user_bytes_written),
-            merge_bytes_consumed: read(&self.merge_bytes_consumed),
-            merges01: read(&self.merges01),
-            merges12: read(&self.merges12),
-            forced_stalls: read(&self.forced_stalls),
-            merge_errors: read(&self.merge_errors),
-            scrubs: read(&self.scrubs),
-            scrub_errors: read(&self.scrub_errors),
-            commit_groups: read(&self.commit_groups),
-            commit_group_writes: read(&self.commit_group_writes),
-            fsync_micros_total: read(&self.fsync_micros_total),
-            group_size_hist: read_hist(&self.group_size_hist),
-            fsync_micros_hist: read_hist(&self.fsync_micros_hist),
-            backpressure: BackpressureLevel::Idle,
-            recovery: RecoveryReport::default(),
-            next_seqno: 0,
+        for field in FIELDS {
+            if let Some(cell) = field.cell {
+                (field.set)(&mut snap, read(cell(self)));
+            }
         }
+        snap
     }
 }
 
@@ -168,7 +231,8 @@ pub struct RecoveryReport {
 }
 
 /// Plain-value snapshot of [`TreeStats`], safe to copy around, compare and
-/// subtract. Field meanings match the atomic struct one-for-one.
+/// subtract. Every field also has a name ([`named`](Self::named),
+/// [`histograms`](Self::histograms)), which is how STATS carries it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeStatsSnapshot {
     /// Application point lookups.
@@ -216,9 +280,12 @@ pub struct TreeStatsSnapshot {
     pub commit_group_writes: u64,
     /// Total microseconds spent in group-commit device syncs.
     pub fsync_micros_total: u64,
-    /// Commit-group size histogram; see [`group_size_bucket`].
+    /// Commit-group size histogram: bucket `i` counts groups of `2^i ..=
+    /// 2^(i+1)-1` writes (1, 2–3, 4–7, …), the last one everything from 128.
     pub group_size_hist: [u64; COMMIT_HIST_BUCKETS],
-    /// Group fsync latency histogram; see [`fsync_micros_bucket`].
+    /// Group fsync latency histogram: bucket 0 counts syncs under 200 µs,
+    /// bucket `i` those of `100·2^i .. 100·2^(i+1)` µs, the last one
+    /// everything from 12.8 ms.
     pub fsync_micros_hist: [u64; COMMIT_HIST_BUCKETS],
     /// The spring-and-gear watermark regime at snapshot time — the shared
     /// backpressure signal admission control and STATS read (§4.3). Raw
@@ -252,50 +319,55 @@ impl TreeStatsSnapshot {
     }
 
     /// Field-wise accumulate, used by `ShardedReadView::stats` to sum
-    /// per-shard counters.
+    /// per-shard counters. Levels, flags and seqno tickets take the max:
+    /// the store is as pressed as its most-pressed partition.
     pub fn accumulate(&mut self, other: &TreeStatsSnapshot) {
-        self.gets += other.gets;
-        self.writes += other.writes;
-        self.scans += other.scans;
-        self.scan_c0_rows += other.scan_c0_rows;
-        self.scan_repins += other.scan_repins;
-        self.check_inserts += other.check_inserts;
-        self.disk_probes += other.disk_probes;
-        self.bloom_skips += other.bloom_skips;
-        self.early_terminations += other.early_terminations;
-        self.user_bytes_written += other.user_bytes_written;
-        self.merge_bytes_consumed += other.merge_bytes_consumed;
-        self.merges01 += other.merges01;
-        self.merges12 += other.merges12;
-        self.forced_stalls += other.forced_stalls;
-        self.merge_errors += other.merge_errors;
-        self.scrubs += other.scrubs;
-        self.scrub_errors += other.scrub_errors;
-        self.commit_groups += other.commit_groups;
-        self.commit_group_writes += other.commit_group_writes;
-        self.fsync_micros_total += other.fsync_micros_total;
-        for (mine, theirs) in self.group_size_hist.iter_mut().zip(other.group_size_hist) {
-            *mine += theirs;
+        for field in FIELDS {
+            let (mine, theirs) = ((field.get)(self), (field.get)(other));
+            let folded = match field.fold {
+                Fold::Sum => mine + theirs,
+                Fold::Max => mine.max(theirs),
+            };
+            (field.set)(self, folded);
         }
-        for (mine, theirs) in self
-            .fsync_micros_hist
-            .iter_mut()
-            .zip(other.fsync_micros_hist)
-        {
-            *mine += theirs;
+        for ((_, mine), (_, theirs)) in self.histograms_mut().into_iter().zip(other.histograms()) {
+            for (bucket, n) in mine.iter_mut().zip(theirs) {
+                *bucket += n;
+            }
         }
-        self.recovery.components_salvaged += other.recovery.components_salvaged;
-        self.recovery.manifest_rolled_back |= other.recovery.manifest_rolled_back;
-        self.recovery.wal_records_replayed += other.recovery.wal_records_replayed;
-        self.recovery.wal_records_skipped += other.recovery.wal_records_skipped;
-        self.recovery.wal_recovered_bytes += other.recovery.wal_recovered_bytes;
-        self.recovery.wal_torn_tail_bytes += other.recovery.wal_torn_tail_bytes;
-        // Backpressure is a level, not a counter: the store is as pressed
-        // as its most-pressed partition.
-        self.backpressure = self.backpressure.max(other.backpressure);
-        // Seqnos are per-tree tickets, not counters: an aggregate view
-        // reports the furthest-along tree.
-        self.next_seqno = self.next_seqno.max(other.next_seqno);
+    }
+
+    /// Every scalar field as a `(name, value)` pair, in one fixed order.
+    /// The backpressure level reads 0 idle, 1 + per-mille while paced and
+    /// 65 537 saturated; the rolled-back flag reads 0 or 1.
+    pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        FIELDS.iter().map(|field| (field.name, (field.get)(self)))
+    }
+
+    /// Sets the scalar field called `name` (see [`named`](Self::named)).
+    /// Returns false, changing nothing, when no field has that name.
+    pub fn set_named(&mut self, name: &str, value: u64) -> bool {
+        let field = FIELDS.iter().find(|field| field.name == name);
+        if let Some(field) = field {
+            (field.set)(self, value);
+        }
+        field.is_some()
+    }
+
+    /// The commit histograms by name.
+    pub fn histograms(&self) -> [(&'static str, [u64; COMMIT_HIST_BUCKETS]); 2] {
+        // Through a copy, so the names are written down once, below.
+        let mut copy = *self;
+        copy.histograms_mut()
+            .map(|(name, buckets)| (name, *buckets))
+    }
+
+    /// The commit histograms by name, writable.
+    pub fn histograms_mut(&mut self) -> [(&'static str, &mut [u64; COMMIT_HIST_BUCKETS]); 2] {
+        [
+            ("core.commit.group_size_hist", &mut self.group_size_hist),
+            ("core.commit.fsync_micros_hist", &mut self.fsync_micros_hist),
+        ]
     }
 }
 
@@ -367,6 +439,75 @@ mod tests {
         assert_eq!(a.fsync_micros_hist[0], 4);
         assert_eq!(a.commit_groups, 9);
         assert_eq!(a.commit_group_writes, 40);
+    }
+
+    #[test]
+    fn every_field_has_its_own_name_and_is_set_by_it() {
+        let names: Vec<&str> = TreeStatsSnapshot::default()
+            .named()
+            .map(|(n, _)| n)
+            .collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} named twice");
+            let mut snap = TreeStatsSnapshot::default();
+            assert!(snap.set_named(name, 1));
+            let set: Vec<&str> = snap
+                .named()
+                .filter(|&(_, v)| v != 0)
+                .map(|(n, _)| n)
+                .collect();
+            assert_eq!(set, [*name], "setting {name} changed another field");
+        }
+        let mut snap = TreeStatsSnapshot::default();
+        assert!(!snap.set_named("core.read.no_such_counter", 7));
+        assert_eq!(snap, TreeStatsSnapshot::default());
+    }
+
+    #[test]
+    fn snapshot_reads_every_counter_by_name() {
+        let stats = TreeStats::default();
+        for (i, field) in FIELDS.iter().enumerate() {
+            if let Some(cell) = field.cell {
+                bump(cell(&stats), 100 + i as u64);
+            }
+        }
+        let snap = stats.snapshot();
+        for (i, (field, (name, value))) in FIELDS.iter().zip(snap.named()).enumerate() {
+            let want = if field.cell.is_some() {
+                100 + i as u64
+            } else {
+                0
+            };
+            assert_eq!(value, want, "{name}");
+        }
+    }
+
+    #[test]
+    fn backpressure_round_trips_by_name_in_severity_order() {
+        let levels = [
+            BackpressureLevel::Idle,
+            BackpressureLevel::Paced(0),
+            BackpressureLevel::Paced(1000),
+            BackpressureLevel::Paced(u16::MAX),
+            BackpressureLevel::Saturated,
+        ];
+        let mut last = None;
+        for level in levels {
+            let snap = TreeStatsSnapshot {
+                backpressure: level,
+                ..TreeStatsSnapshot::default()
+            };
+            let rank = snap
+                .named()
+                .find(|(n, _)| *n == "core.sched.backpressure")
+                .unwrap()
+                .1;
+            let mut back = TreeStatsSnapshot::default();
+            back.set_named("core.sched.backpressure", rank);
+            assert_eq!(back.backpressure, level);
+            assert!(last < Some(rank));
+            last = Some(rank);
+        }
     }
 
     #[test]

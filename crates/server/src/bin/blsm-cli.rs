@@ -16,6 +16,10 @@
 //! blsm-cli promote-auto ADDR1,ADDR2,... [GROUP_SIZE]
 //! ```
 //!
+//! `stats` prints the admission counters, then every engine counter of
+//! the store as one `name=value` line, then each shard's, prefixed with
+//! `shard=N `.
+//!
 //! `scrub` exits 3 when the store has detectable damage (and prints
 //! each finding), so scripts can gate on integrity.
 //!
@@ -36,6 +40,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use blsm::TreeStatsSnapshot;
 use blsm_server::{elect_and_promote, Client, Response};
 
 fn usage() -> ! {
@@ -45,6 +50,16 @@ fn usage() -> ! {
          repl-status | promote EPOCH)\n       blsm-cli promote-auto ADDR1,ADDR2,... [GROUP_SIZE]"
     );
     std::process::exit(2);
+}
+
+/// One `name=value` line per engine counter, then one per histogram.
+fn print_engine(prefix: &str, engine: &TreeStatsSnapshot) {
+    for (name, value) in engine.named() {
+        println!("{prefix}{name}={value}");
+    }
+    for (name, buckets) in engine.histograms() {
+        println!("{prefix}{name}={buckets:?}");
+    }
 }
 
 fn main() {
@@ -127,56 +142,22 @@ fn main() {
         }
         "stats" => client.stats().map(|s| {
             println!(
-                "gets={} writes={} scans={} merges01={} merges12={} \
-                 backpressure={:?} admitted={} delayed={} rejected={} \
-                 scrubs={} scrub_errors={} wal_records_replayed={} \
-                 wal_torn_tail_bytes={} manifest_rolled_back={}",
-                s.gets,
-                s.writes,
-                s.scans,
-                s.merges01,
-                s.merges12,
-                s.backpressure,
-                s.admitted,
-                s.delayed,
-                s.rejected,
-                s.scrubs,
-                s.scrub_errors,
-                s.wal_records_replayed,
-                s.wal_torn_tail_bytes,
-                s.manifest_rolled_back
+                "admitted={} delayed={} rejected={}",
+                s.admitted, s.delayed, s.rejected
             );
-            let mean_group = if s.commit_groups == 0 {
-                0.0
-            } else {
-                s.commit_group_writes as f64 / s.commit_groups as f64
-            };
-            println!(
-                "commit_groups={} commit_group_writes={} mean_group_size={:.1} \
-                 fsync_micros_total={} group_size_hist={:?} fsync_micros_hist={:?}",
-                s.commit_groups,
-                s.commit_group_writes,
-                mean_group,
-                s.fsync_micros_total,
-                s.group_size_hist,
-                s.fsync_micros_hist
-            );
+            print_engine("", &s.engine);
             for sh in &s.shards {
+                let prefix = format!("shard={} ", sh.shard);
                 println!(
-                    "shard={} serving={} backpressure={:?} writes={} gets={} \
-                     merges01={} admitted={} delayed={} rejected={} \
-                     wal_records_replayed={}",
-                    sh.shard,
-                    sh.serving,
-                    sh.backpressure,
-                    sh.writes,
-                    sh.gets,
-                    sh.merges01,
+                    "{prefix}serving={} admitted={} delayed={} rejected={}",
+                    sh.engine.is_some(),
                     sh.admitted,
                     sh.delayed,
-                    sh.rejected,
-                    sh.wal_records_replayed
+                    sh.rejected
                 );
+                if let Some(engine) = &sh.engine {
+                    print_engine(&prefix, engine);
+                }
             }
             if let Some(r) = &s.repl {
                 println!(

@@ -16,7 +16,7 @@
 use blsm_storage::codec::{self, Reader};
 use blsm_storage::{Result, StorageError};
 
-use blsm::{BackpressureLevel, COMMIT_HIST_BUCKETS};
+use blsm::TreeStatsSnapshot;
 
 /// Hard ceiling on a frame payload (4 MiB). Anything larger is treated
 /// as protocol corruption, not a request.
@@ -158,10 +158,9 @@ impl ReplRole {
     }
 }
 
-/// Replication counters appended to [`WireStats`] when the server runs
-/// in a replication group. Encoded after every pre-replication field so
-/// old clients (which stop reading at the shard list) stay compatible;
-/// decoders treat its absence as "replication not configured".
+/// The replication block of [`WireStats`], present when the server runs
+/// in a replication group. It is protocol state, not a counter: the
+/// failover handshake compares its `(applied_seqno, node_id)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireReplStats {
     /// This node's id (unique within the static peer list).
@@ -181,88 +180,47 @@ pub struct WireReplStats {
     pub lag_bytes: u64,
 }
 
-/// One shard's slice of a STATS reply: the per-shard breakdown a
-/// sharded server appends so operators can see *which* key range is
-/// hot, degraded, or pacing its writers (aggregates alone hide exactly
-/// the skew sharding exists to isolate).
+/// One shard's slice of a STATS reply, so operators can see *which* key
+/// range is hot, degraded, or pacing its writers (aggregates alone hide
+/// exactly the skew sharding exists to isolate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireShardStats {
     /// Shard index (routing order).
     pub shard: u32,
-    /// False when the shard failed to open and is serving typed
-    /// degraded errors while its siblings stay healthy.
-    pub serving: bool,
-    /// This shard's live spring-and-gear backpressure level — the
-    /// signal its own admission controller keys off.
-    pub backpressure: BackpressureLevel,
-    /// Engine writes applied to this shard.
-    pub writes: u64,
-    /// Point lookups served by this shard.
-    pub gets: u64,
-    /// `C0:C1` merge passes completed on this shard.
-    pub merges01: u64,
     /// Writes admitted to this shard without throttling.
     pub admitted: u64,
     /// Writes to this shard whose responses were delayed.
     pub delayed: u64,
     /// Writes to this shard rejected with RETRY_LATER.
     pub rejected: u64,
-    /// WAL records this shard replayed at open (recovery is per shard).
-    pub wal_records_replayed: u64,
+    /// This shard's engine counters; `None` when the shard failed to open
+    /// and serves typed degraded errors while its siblings stay healthy.
+    pub engine: Option<TreeStatsSnapshot>,
 }
 
-/// Engine + admission counters carried by [`Response::Stats`].
+/// The reply to [`Request::Stats`]: admission counters, the engine's
+/// counters for the store and for each shard, and replication state.
+///
+/// The engine counters travel by name: each [`TreeStatsSnapshot`] is a
+/// list of `(name, value)` pairs plus its named histograms, so a counter
+/// the engine adds reaches every client with no change here. A decoder
+/// skips a name it does not know and reads a name it was not sent as 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireStats {
-    /// Point lookups served by the engine.
-    pub gets: u64,
-    /// Engine writes (put/delete/delta).
-    pub writes: u64,
-    /// Scans served.
-    pub scans: u64,
-    /// `C0:C1` merge passes completed.
-    pub merges01: u64,
-    /// `C1':C2` merges completed.
-    pub merges12: u64,
-    /// The live spring-and-gear backpressure level.
-    pub backpressure: BackpressureLevel,
     /// Writes admitted without throttling.
     pub admitted: u64,
     /// Writes whose responses were delayed (paced band).
     pub delayed: u64,
     /// Writes rejected with RETRY_LATER (above the high water mark).
     pub rejected: u64,
-    /// Scrub passes completed over the on-disk components.
-    pub scrubs: u64,
-    /// Total problems reported by scrub passes.
-    pub scrub_errors: u64,
-    /// WAL records replayed into `C0` when the tree was opened.
-    pub wal_records_replayed: u64,
-    /// Estimated bytes of a partially-written frame discarded at the WAL
-    /// tail during recovery.
-    pub wal_torn_tail_bytes: u64,
-    /// True when recovery had to fall back to the previous manifest
-    /// epoch because the newest slot was damaged.
-    pub manifest_rolled_back: bool,
+    /// The store's engine counters, summed over its serving shards.
+    pub engine: TreeStatsSnapshot,
     /// Per-shard breakdown, one entry per shard in routing order (a
     /// single-tree server reports one entry).
     pub shards: Vec<WireShardStats>,
     /// Replication state, present only when the server runs in a
-    /// replication group (appended field; absent on old servers).
+    /// replication group.
     pub repl: Option<WireReplStats>,
-    /// Commit groups retired (one WAL flush + fsync each).
-    pub commit_groups: u64,
-    /// Writes retired across all commit groups — `/ commit_groups` is
-    /// the mean batching factor the group-commit layer achieved.
-    pub commit_group_writes: u64,
-    /// Total microseconds spent inside group fsyncs.
-    pub fsync_micros_total: u64,
-    /// Histogram of writes-per-group, power-of-two buckets (see
-    /// [`blsm::group_size_bucket`]).
-    pub group_size_hist: [u64; COMMIT_HIST_BUCKETS],
-    /// Histogram of group fsync latencies (see
-    /// [`blsm::fsync_micros_bucket`]).
-    pub fsync_micros_hist: [u64; COMMIT_HIST_BUCKETS],
 }
 
 /// Broad classification of a server-side failure, carried with every
@@ -365,8 +323,8 @@ pub struct WireScrubReport {
 }
 
 /// A server-to-client reply.
-// The STATS variant dominates the enum size (WireStats grew two
-// 8-bucket histograms with the group-commit counters), but a Response
+// The STATS variant dominates the enum size (WireStats holds whole
+// engine snapshots, histograms included), but a Response
 // is built once per request and immediately serialized — it is never
 // stored in bulk, so boxing would buy nothing but an allocation on the
 // stats path.
@@ -581,24 +539,48 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request)> {
     Ok((id, req))
 }
 
-fn put_backpressure(out: &mut Vec<u8>, level: BackpressureLevel) {
-    match level {
-        BackpressureLevel::Idle => codec::put_u8(out, 0),
-        BackpressureLevel::Paced(p) => {
-            codec::put_u8(out, 1);
-            codec::put_u16(out, p);
+/// Writes `snap` as its `(name, value)` pairs, then its named histograms.
+fn put_snapshot(out: &mut Vec<u8>, snap: &TreeStatsSnapshot) {
+    codec::put_varint(out, snap.named().count() as u64);
+    for (name, value) in snap.named() {
+        codec::put_bytes(out, name.as_bytes());
+        codec::put_varint(out, value);
+    }
+    let histograms = snap.histograms();
+    codec::put_varint(out, histograms.len() as u64);
+    for (name, buckets) in histograms {
+        codec::put_bytes(out, name.as_bytes());
+        codec::put_varint(out, buckets.len() as u64);
+        for n in buckets {
+            codec::put_varint(out, n);
         }
-        BackpressureLevel::Saturated => codec::put_u8(out, 2),
     }
 }
 
-fn read_backpressure(r: &mut Reader<'_>) -> Result<BackpressureLevel> {
-    match r.u8()? {
-        0 => Ok(BackpressureLevel::Idle),
-        1 => Ok(BackpressureLevel::Paced(r.u16()?)),
-        2 => Ok(BackpressureLevel::Saturated),
-        other => Err(frame_error(&format!("bad backpressure tag {other}"))),
+/// Reads what [`put_snapshot`] wrote. A name this build does not know (a
+/// newer server's counter) or a bucket past the end is skipped; anything
+/// not sent reads 0.
+fn read_snapshot(r: &mut Reader<'_>) -> Result<TreeStatsSnapshot> {
+    let mut snap = TreeStatsSnapshot::default();
+    for _ in 0..r.varint()? {
+        let name = String::from_utf8_lossy(r.bytes()?);
+        snap.set_named(&name, r.varint()?);
     }
+    for _ in 0..r.varint()? {
+        let name = String::from_utf8_lossy(r.bytes()?);
+        let mut histograms = snap.histograms_mut();
+        let mut buckets = histograms
+            .iter_mut()
+            .find(|(known, _)| *known == name)
+            .map(|(_, buckets)| buckets.iter_mut());
+        for _ in 0..r.varint()? {
+            let n = r.varint()?;
+            if let Some(bucket) = buckets.as_mut().and_then(Iterator::next) {
+                *bucket = n;
+            }
+        }
+    }
+    Ok(snap)
 }
 
 /// Encodes one response frame (header included) onto `out`.
@@ -629,39 +611,24 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) -> Result<()
         }
         Response::Inserted(inserted) => codec::put_u8(&mut payload, u8::from(*inserted)),
         Response::Stats(s) => {
-            codec::put_u64(&mut payload, s.gets);
-            codec::put_u64(&mut payload, s.writes);
-            codec::put_u64(&mut payload, s.scans);
-            codec::put_u64(&mut payload, s.merges01);
-            codec::put_u64(&mut payload, s.merges12);
-            put_backpressure(&mut payload, s.backpressure);
             codec::put_u64(&mut payload, s.admitted);
             codec::put_u64(&mut payload, s.delayed);
             codec::put_u64(&mut payload, s.rejected);
-            codec::put_u64(&mut payload, s.scrubs);
-            codec::put_u64(&mut payload, s.scrub_errors);
-            codec::put_u64(&mut payload, s.wal_records_replayed);
-            codec::put_u64(&mut payload, s.wal_torn_tail_bytes);
-            codec::put_u8(&mut payload, u8::from(s.manifest_rolled_back));
+            put_snapshot(&mut payload, &s.engine);
             codec::put_varint(&mut payload, s.shards.len() as u64);
             for sh in &s.shards {
                 codec::put_u32(&mut payload, sh.shard);
-                codec::put_u8(&mut payload, u8::from(sh.serving));
-                put_backpressure(&mut payload, sh.backpressure);
-                codec::put_u64(&mut payload, sh.writes);
-                codec::put_u64(&mut payload, sh.gets);
-                codec::put_u64(&mut payload, sh.merges01);
                 codec::put_u64(&mut payload, sh.admitted);
                 codec::put_u64(&mut payload, sh.delayed);
                 codec::put_u64(&mut payload, sh.rejected);
-                codec::put_u64(&mut payload, sh.wal_records_replayed);
+                match &sh.engine {
+                    Some(engine) => {
+                        codec::put_u8(&mut payload, 1);
+                        put_snapshot(&mut payload, engine);
+                    }
+                    None => codec::put_u8(&mut payload, 0),
+                }
             }
-            // Everything past the shard list is appended *after* what
-            // the original wire format carried, so decoders that stop
-            // at the shard list keep working and an exhausted payload
-            // decodes as "no replication, zero group-commit counters".
-            // First a replication presence byte + optional block, then
-            // the unconditional group-commit block.
             match &s.repl {
                 Some(repl) => {
                     codec::put_u8(&mut payload, 1);
@@ -673,15 +640,6 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) -> Result<()
                     codec::put_u64(&mut payload, repl.lag_bytes);
                 }
                 None => codec::put_u8(&mut payload, 0),
-            }
-            codec::put_u64(&mut payload, s.commit_groups);
-            codec::put_u64(&mut payload, s.commit_group_writes);
-            codec::put_u64(&mut payload, s.fsync_micros_total);
-            for b in &s.group_size_hist {
-                codec::put_u64(&mut payload, *b);
-            }
-            for b in &s.fsync_micros_hist {
-                codec::put_u64(&mut payload, *b);
             }
         }
         Response::RetryLater { backoff_ms } => codec::put_u32(&mut payload, *backoff_ms),
@@ -742,66 +700,36 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response)> {
         3 => Response::Inserted(r.u8()? != 0),
         4 => {
             let mut stats = WireStats {
-                gets: r.u64()?,
-                writes: r.u64()?,
-                scans: r.u64()?,
-                merges01: r.u64()?,
-                merges12: r.u64()?,
-                backpressure: read_backpressure(&mut r)?,
                 admitted: r.u64()?,
                 delayed: r.u64()?,
                 rejected: r.u64()?,
-                scrubs: r.u64()?,
-                scrub_errors: r.u64()?,
-                wal_records_replayed: r.u64()?,
-                wal_torn_tail_bytes: r.u64()?,
-                manifest_rolled_back: r.u8()? != 0,
-                shards: Vec::new(),
-                repl: None,
-                commit_groups: 0,
-                commit_group_writes: 0,
-                fsync_micros_total: 0,
-                group_size_hist: [0; COMMIT_HIST_BUCKETS],
-                fsync_micros_hist: [0; COMMIT_HIST_BUCKETS],
+                engine: read_snapshot(&mut r)?,
+                ..WireStats::default()
             };
             let n = r.varint()? as usize;
             stats.shards.reserve(n.min(1024));
             for _ in 0..n {
                 stats.shards.push(WireShardStats {
                     shard: r.u32()?,
-                    serving: r.u8()? != 0,
-                    backpressure: read_backpressure(&mut r)?,
-                    writes: r.u64()?,
-                    gets: r.u64()?,
-                    merges01: r.u64()?,
                     admitted: r.u64()?,
                     delayed: r.u64()?,
                     rejected: r.u64()?,
-                    wal_records_replayed: r.u64()?,
+                    engine: if r.u8()? != 0 {
+                        Some(read_snapshot(&mut r)?)
+                    } else {
+                        None
+                    },
                 });
             }
-            // Appended blocks: absent on old servers, so an exhausted
-            // payload means "no replication, zero group-commit stats".
-            if r.remaining() != 0 {
-                if r.u8()? != 0 {
-                    stats.repl = Some(WireReplStats {
-                        role: ReplRole::from_u8(r.u8()?)?,
-                        node_id: r.u64()?,
-                        epoch: r.u64()?,
-                        applied_seqno: r.u64()?,
-                        acked_lsn: r.u64()?,
-                        lag_bytes: r.u64()?,
-                    });
-                }
-                stats.commit_groups = r.u64()?;
-                stats.commit_group_writes = r.u64()?;
-                stats.fsync_micros_total = r.u64()?;
-                for b in &mut stats.group_size_hist {
-                    *b = r.u64()?;
-                }
-                for b in &mut stats.fsync_micros_hist {
-                    *b = r.u64()?;
-                }
+            if r.u8()? != 0 {
+                stats.repl = Some(WireReplStats {
+                    role: ReplRole::from_u8(r.u8()?)?,
+                    node_id: r.u64()?,
+                    epoch: r.u64()?,
+                    applied_seqno: r.u64()?,
+                    acked_lsn: r.u64()?,
+                    lag_bytes: r.u64()?,
+                });
             }
             Response::Stats(stats)
         }
@@ -978,6 +906,7 @@ impl std::fmt::Display for CloseReason {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use blsm::BackpressureLevel;
 
     fn roundtrip_request(req: Request) {
         let mut wire = Vec::new();
@@ -1070,37 +999,32 @@ mod tests {
             Response::Inserted(true),
             Response::Inserted(false),
             Response::Stats(WireStats {
-                gets: 1,
-                writes: 2,
-                scans: 3,
-                merges01: 4,
-                merges12: 5,
-                backpressure: BackpressureLevel::Paced(512),
                 admitted: 6,
                 delayed: 7,
                 rejected: 8,
-                scrubs: 9,
-                scrub_errors: 10,
-                wal_records_replayed: 11,
-                wal_torn_tail_bytes: 12,
-                manifest_rolled_back: true,
+                engine: TreeStatsSnapshot {
+                    gets: 1,
+                    writes: 2,
+                    merge_errors: 3,
+                    backpressure: BackpressureLevel::Paced(512),
+                    group_size_hist: [1, 2, 3, 4, 5, 6, 7, 8],
+                    ..TreeStatsSnapshot::default()
+                },
                 shards: vec![
                     WireShardStats {
                         shard: 0,
-                        serving: true,
-                        backpressure: BackpressureLevel::Saturated,
-                        writes: 100,
-                        gets: 50,
-                        merges01: 3,
                         admitted: 90,
                         delayed: 7,
                         rejected: 3,
-                        wal_records_replayed: 11,
+                        engine: Some(TreeStatsSnapshot {
+                            writes: 100,
+                            forced_stalls: 4,
+                            backpressure: BackpressureLevel::Saturated,
+                            ..TreeStatsSnapshot::default()
+                        }),
                     },
                     WireShardStats {
                         shard: 1,
-                        serving: false,
-                        backpressure: BackpressureLevel::Idle,
                         ..WireShardStats::default()
                     },
                 ],
@@ -1112,11 +1036,6 @@ mod tests {
                     acked_lsn: 4096,
                     lag_bytes: 128,
                 }),
-                commit_groups: 13,
-                commit_group_writes: 170,
-                fsync_micros_total: 9000,
-                group_size_hist: [1, 2, 3, 4, 5, 6, 7, 8],
-                fsync_micros_hist: [8, 7, 6, 5, 4, 3, 2, 1],
             }),
             Response::RetryLater { backoff_ms: 250 },
             Response::Err {
@@ -1230,27 +1149,42 @@ mod tests {
     }
 
     #[test]
-    fn stats_without_appended_blocks_decode_as_defaults() {
-        // An old server's STATS payload simply ends after the shard
-        // list; the decoder must report `repl: None` and zeroed
-        // group-commit counters, not error. Simulate the old payload by
-        // stripping the appended blocks (1 presence byte + 3 u64
-        // counters + 2 histograms of COMMIT_HIST_BUCKETS u64s).
-        let stats = WireStats {
-            gets: 5,
-            shards: vec![WireShardStats::default()],
-            repl: None,
+    fn stats_decode_by_name_skips_the_unknown_and_zeroes_the_missing() {
+        // A STATS payload from a server whose engine has one counter this
+        // build does not know and lacks every other one but `gets`.
+        let mut payload = Vec::new();
+        codec::put_u64(&mut payload, 1);
+        codec::put_u8(&mut payload, 4);
+        for admission in [10, 20, 30] {
+            codec::put_u64(&mut payload, admission);
+        }
+        codec::put_varint(&mut payload, 2);
+        codec::put_bytes(&mut payload, b"core.future.counter");
+        codec::put_varint(&mut payload, 99);
+        let value_at = payload.len() + 1 + b"core.read.gets".len();
+        codec::put_bytes(&mut payload, b"core.read.gets");
+        codec::put_varint(&mut payload, 5);
+        codec::put_varint(&mut payload, 0); // no histograms
+        codec::put_varint(&mut payload, 0); // no shards
+        codec::put_u8(&mut payload, 0); // no replication
+        let (_, back) = decode_response(&payload).unwrap();
+        let want = WireStats {
+            admitted: 10,
+            delayed: 20,
+            rejected: 30,
+            engine: TreeStatsSnapshot {
+                gets: 5,
+                ..TreeStatsSnapshot::default()
+            },
             ..WireStats::default()
         };
-        let mut wire = Vec::new();
-        encode_response(&mut wire, 1, &Response::Stats(stats.clone())).unwrap();
-        let appended = 1 + 8 * (3 + 2 * COMMIT_HIST_BUCKETS);
-        let (_, back) = decode_response(&wire[FRAME_HEADER..wire.len() - appended]).unwrap();
-        assert_eq!(back, Response::Stats(stats.clone()));
+        assert_eq!(back, Response::Stats(want));
 
-        // And the full payload roundtrips unchanged.
-        let (_, back) = decode_response(&wire[FRAME_HEADER..]).unwrap();
-        assert_eq!(back, Response::Stats(stats));
+        // A pair cut after its name, or inside it, is a typed error.
+        for cut in [value_at, value_at - 3] {
+            let err = decode_response(&payload[..cut]).unwrap_err();
+            assert!(matches!(err, StorageError::InvalidFormat(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -1012,59 +1012,28 @@ fn push_response(out: &mut Vec<u8>, id: u64, resp: &Response) -> Result<()> {
 }
 
 fn wire_stats(inner: &Inner, view: &ShardedReadView) -> WireStats {
-    let engine = view.stats();
-    let admission = inner.router.admission_counters();
+    let a = inner.router.admission_counters();
     let shards = view
         .shard_stats()
         .into_iter()
         .enumerate()
-        .map(|(i, per_shard)| {
+        .map(|(i, engine)| {
             let a = inner.router.shard_admission_counters(i);
-            match per_shard {
-                Some(s) => WireShardStats {
-                    shard: i as u32,
-                    serving: true,
-                    backpressure: s.backpressure,
-                    writes: s.writes,
-                    gets: s.gets,
-                    merges01: s.merges01,
-                    admitted: a.admitted,
-                    delayed: a.delayed,
-                    rejected: a.rejected,
-                    wal_records_replayed: s.recovery.wal_records_replayed,
-                },
-                None => WireShardStats {
-                    shard: i as u32,
-                    serving: false,
-                    admitted: a.admitted,
-                    delayed: a.delayed,
-                    rejected: a.rejected,
-                    ..WireShardStats::default()
-                },
+            WireShardStats {
+                shard: i as u32,
+                admitted: a.admitted,
+                delayed: a.delayed,
+                rejected: a.rejected,
+                engine,
             }
         })
         .collect();
     WireStats {
-        gets: engine.gets,
-        writes: engine.writes,
-        scans: engine.scans,
-        merges01: engine.merges01,
-        merges12: engine.merges12,
-        backpressure: engine.backpressure,
-        admitted: admission.admitted,
-        delayed: admission.delayed,
-        rejected: admission.rejected,
-        scrubs: engine.scrubs,
-        scrub_errors: engine.scrub_errors,
-        wal_records_replayed: engine.recovery.wal_records_replayed,
-        wal_torn_tail_bytes: engine.recovery.wal_torn_tail_bytes,
-        manifest_rolled_back: engine.recovery.manifest_rolled_back,
+        admitted: a.admitted,
+        delayed: a.delayed,
+        rejected: a.rejected,
+        engine: view.stats(),
         shards,
         repl: inner.repl.as_ref().map(Replication::wire_stats),
-        commit_groups: engine.commit_groups,
-        commit_group_writes: engine.commit_group_writes,
-        fsync_micros_total: engine.fsync_micros_total,
-        group_size_hist: engine.group_size_hist,
-        fsync_micros_hist: engine.fsync_micros_hist,
     }
 }

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use blsm::TreeStatsSnapshot;
 use blsm_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, ErrKind, FrameDecoder,
     Request, Response, WireScrubReport, WireStats, FRAME_HEADER,
@@ -41,6 +42,24 @@ fn request_strategy() -> impl Strategy<Value = Request> {
             }
         ),
     ]
+}
+
+/// An engine snapshot in which every named field and every histogram
+/// bucket holds a value that no other field of any `scope` (the store,
+/// each shard) holds: `i ↦ seed + i·odd` is injective mod 2^64. A field
+/// the codec dropped, swapped or truncated cannot round-trip unnoticed.
+fn distinct_snapshot(seed: u64, scope: u64) -> TreeStatsSnapshot {
+    let mut next =
+        (scope << 8..).map(|i| seed.wrapping_add((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    let mut snap = TreeStatsSnapshot::default();
+    let names: Vec<&str> = snap.named().map(|(name, _)| name).collect();
+    for name in names {
+        assert!(snap.set_named(name, next.next().unwrap()));
+    }
+    for (_, buckets) in snap.histograms_mut() {
+        buckets.fill_with(|| next.next().unwrap());
+    }
+    snap
 }
 
 fn response_strategy() -> impl Strategy<Value = Response> {
@@ -74,45 +93,17 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         ),
         1 => (any::<u64>(), any::<u64>(), any::<u16>()).prop_map(|(a, b, p)| {
             Response::Stats(WireStats {
-                gets: a,
-                writes: b,
-                scans: a ^ b,
-                merges01: a.wrapping_add(b),
-                merges12: b.wrapping_sub(a),
-                backpressure: match p % 3 {
-                    0 => blsm::BackpressureLevel::Idle,
-                    1 => blsm::BackpressureLevel::Paced(p),
-                    _ => blsm::BackpressureLevel::Saturated,
-                },
                 admitted: a,
                 delayed: b,
                 rejected: a & b,
-                scrubs: a >> 1,
-                scrub_errors: b >> 1,
-                wal_records_replayed: a | b,
-                wal_torn_tail_bytes: u64::from(p),
-                manifest_rolled_back: p & 1 == 1,
-                commit_groups: a % 997,
-                commit_group_writes: b % 9973,
-                fsync_micros_total: a.wrapping_add(u64::from(p)),
-                group_size_hist: core::array::from_fn(|i| a.rotate_left(i as u32)),
-                fsync_micros_hist: core::array::from_fn(|i| b.rotate_right(i as u32)),
+                engine: distinct_snapshot(a, 0),
                 shards: (0..(p % 5) as u32)
                     .map(|i| blsm_server::WireShardStats {
                         shard: i,
-                        serving: (a >> i) & 1 == 0,
-                        backpressure: match (p >> i) % 3 {
-                            0 => blsm::BackpressureLevel::Idle,
-                            1 => blsm::BackpressureLevel::Paced(p),
-                            _ => blsm::BackpressureLevel::Saturated,
-                        },
-                        writes: b.rotate_left(i),
-                        gets: a.rotate_left(i),
-                        merges01: a ^ u64::from(i),
                         admitted: a >> i,
                         delayed: b >> i,
                         rejected: (a & b) >> i,
-                        wal_records_replayed: (a | b) >> i,
+                        engine: ((a >> i) & 1 == 0).then(|| distinct_snapshot(a, u64::from(i) + 1)),
                     })
                     .collect(),
                 repl: (p & 2 == 0).then(|| blsm_server::WireReplStats {

@@ -75,8 +75,10 @@ fn basic_roundtrip_over_the_wire() {
     assert_eq!(bounded.len(), 1);
 
     let stats = c.stats().unwrap();
-    assert!(stats.gets >= 3);
-    assert!(stats.writes >= 4);
+    assert!(stats.engine.gets >= 3);
+    assert!(stats.engine.writes >= 4);
+    // A counter the old fixed-field STATS never carried.
+    assert!(stats.engine.user_bytes_written > 0);
 
     let tree = server.shutdown().unwrap().remove(0);
     assert_eq!(tree.get(b"alpha").unwrap().unwrap().as_ref(), b"1+");
@@ -139,7 +141,11 @@ fn concurrent_clients_race_merge_thread() {
 
     let mut c = Client::connect(addr).unwrap();
     let stats = c.stats().unwrap();
-    assert!(stats.writes >= 2000, "writes: {}", stats.writes);
+    assert!(
+        stats.engine.writes >= 2000,
+        "writes: {}",
+        stats.engine.writes
+    );
 
     let tree = server.shutdown().unwrap().remove(0);
     // Every acknowledged write survives shutdown.
@@ -367,9 +373,9 @@ fn saturation_sheds_writes_while_reads_flow() {
 
     let stats = reader.stats().unwrap();
     assert!(
-        stats.backpressure.is_saturated(),
+        stats.engine.backpressure.is_saturated(),
         "{:?}",
-        stats.backpressure
+        stats.engine.backpressure
     );
     assert!(stats.rejected > 0, "rejections not counted");
     assert!(
@@ -494,11 +500,11 @@ fn corrupt_component_degrades_reads_without_killing_connection() {
     assert!(!report.errors.is_empty(), "scrub missed the flipped bit");
     assert!(report.components > 0 && report.pages > 0);
     let stats = c.stats().unwrap();
-    assert!(stats.scrubs >= 1, "scrubs: {}", stats.scrubs);
+    assert!(stats.engine.scrubs >= 1, "scrubs: {}", stats.engine.scrubs);
     assert!(
-        stats.scrub_errors >= 1,
+        stats.engine.scrub_errors >= 1,
         "scrub_errors: {}",
-        stats.scrub_errors
+        stats.engine.scrub_errors
     );
 
     server.shutdown().unwrap();
@@ -515,8 +521,8 @@ fn wire_scrub_on_clean_store_reports_no_errors() {
     let report = c.scrub().unwrap();
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let stats = c.stats().unwrap();
-    assert_eq!(stats.scrub_errors, 0);
-    assert!(stats.scrubs >= 1);
+    assert_eq!(stats.engine.scrub_errors, 0);
+    assert!(stats.engine.scrubs >= 1);
     server.shutdown().unwrap();
 }
 
@@ -622,12 +628,20 @@ fn sharded_server_routes_and_scatter_gathers() {
     // Per-shard STATS breakdown: 4 serving shards, writes spread.
     let stats = c.stats().unwrap();
     assert_eq!(stats.shards.len(), 4);
-    assert!(stats.shards.iter().all(|s| s.serving));
-    let busy = stats.shards.iter().filter(|s| s.writes > 0).count();
+    assert!(stats.shards.iter().all(|s| s.engine.is_some()));
+    let busy = stats
+        .shards
+        .iter()
+        .filter(|s| s.engine.is_some_and(|e| e.writes > 0))
+        .count();
     assert_eq!(busy, 4, "writes must have landed on every shard");
     assert_eq!(
-        stats.shards.iter().map(|s| s.writes).sum::<u64>(),
-        stats.writes
+        stats
+            .shards
+            .iter()
+            .map(|s| s.engine.map_or(0, |e| e.writes))
+            .sum::<u64>(),
+        stats.engine.writes
     );
 
     let trees = server.shutdown().unwrap();

@@ -64,7 +64,11 @@ fn main() {
     let stats = c.stats().unwrap();
     println!(
         "server stats: writes={} backpressure={:?} admitted={} delayed={} rejected={}",
-        stats.writes, stats.backpressure, stats.admitted, stats.delayed, stats.rejected
+        stats.engine.writes,
+        stats.engine.backpressure,
+        stats.admitted,
+        stats.delayed,
+        stats.rejected
     );
 
     // Graceful shutdown: stop accepting, drain connections, checkpoint,

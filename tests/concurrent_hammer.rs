@@ -140,7 +140,7 @@ fn point_reads_are_never_torn_under_churn() {
                     // thread already checks at every quantum boundary).
                     #[cfg(feature = "strict-invariants")]
                     if n.is_multiple_of(1_024) {
-                        db.with_tree(|t| t.check_invariants()).unwrap();
+                        db.with_tree(BLsmTree::check_invariants).unwrap();
                     }
                 }
             })
@@ -253,7 +253,7 @@ fn four_writers_four_readers_no_lost_writes_monotone_seqnos() {
                     assert!(now > last_seen, "a whole round allocated no seqnos");
                     last_seen = now;
                     #[cfg(feature = "strict-invariants")]
-                    db.with_tree(|t| t.check_invariants()).unwrap();
+                    db.with_tree(BLsmTree::check_invariants).unwrap();
                 }
             })
         })

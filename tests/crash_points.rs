@@ -210,8 +210,7 @@ fn run_group_workload(data: &SharedDevice, wal: &SharedDevice) -> Oracle {
 
 /// Reopens from the durable (post-crash) devices and checks the oracle.
 fn check_survivors(data: &SharedDevice, wal: &SharedDevice, oracle: &Oracle, point: u64) {
-    #[cfg_attr(not(feature = "strict-invariants"), allow(unused_mut))]
-    let mut tree = match open(data, wal) {
+    let tree = match open(data, wal) {
         Ok(t) => t,
         Err(e) => panic!("crash point {point}: reopen failed: {e}"),
     };
