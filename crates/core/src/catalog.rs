@@ -29,6 +29,14 @@
 //! retained `C0` copies or the new `C1` without them — never neither,
 //! never both.
 //!
+//! Mid-pass, the same holds key by key. Each time a chunk of the pass's
+//! output reaches disk, the pass publishes a catalog whose `C1` is split
+//! at the chunk's last key, the *frontier*: the output's flushed prefix
+//! ([`ComponentCatalog::c1_prefix`]) answers for keys at or below it, the
+//! old `C1` for keys above. The retained copies at or below the frontier
+//! leave `C0` in the same window
+//! ([`ConcurrentC0::retire_through_with`]).
+//!
 //! Lock order (see `DESIGN.md` §14): `merge01` → `merge12` → `merge` →
 //! `commit` → `wal` → `catalog` → `lanes` (a tree's link to its
 //! plane's lanes) → `pending` (a doorbell). The memtable's internal
@@ -40,6 +48,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
 
+use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use blsm_memtable::{ConcurrentC0, MergeOperator};
@@ -52,11 +61,17 @@ use crate::plane::{AttachCell, Doorbell};
 use crate::stats::{RecoveryReport, TreeStats};
 
 /// An immutable snapshot of the on-disk component set, searched
-/// newest→oldest: `C1`, then `C1'`, then `C2`.
+/// newest→oldest: `C1` (split at the pass prefix's frontier mid-pass), then
+/// `C1'`, then `C2`.
 #[derive(Debug, Clone)]
 pub(crate) struct ComponentCatalog {
     /// Output of the most recent `C0:C1` merge.
     pub(crate) c1: Option<Arc<Sstable>>,
+    /// While a `C0:C1` pass runs: its output as far as it has reached
+    /// disk (a flushed prefix, in no manifest). It stands in for `c1` at
+    /// keys up to its `max_key`, the frontier; `c1` serves the keys
+    /// above.
+    pub(crate) c1_prefix: Option<Arc<Sstable>>,
     /// A full `C1` awaiting (or undergoing) the `C1':C2` merge.
     pub(crate) c1_prime: Option<Arc<Sstable>>,
     /// The largest component.
@@ -71,10 +86,11 @@ impl ComponentCatalog {
     /// Builds a catalog, deriving the seqno horizon from the components.
     pub(crate) fn new(
         c1: Option<Arc<Sstable>>,
+        c1_prefix: Option<Arc<Sstable>>,
         c1_prime: Option<Arc<Sstable>>,
         c2: Option<Arc<Sstable>>,
     ) -> ComponentCatalog {
-        let seqno_horizon = [&c1, &c1_prime, &c2]
+        let seqno_horizon = [&c1, &c1_prefix, &c1_prime, &c2]
             .into_iter()
             .flatten()
             .map(|t| t.meta().max_seqno)
@@ -82,22 +98,49 @@ impl ComponentCatalog {
             .unwrap_or(0);
         ComponentCatalog {
             c1,
+            c1_prefix,
             c1_prime,
             c2,
             seqno_horizon,
         }
     }
 
-    /// Components in probe order (newest first), absent slots skipped.
+    /// The complete components (no pass prefix), newest first, absent
+    /// slots skipped.
     pub(crate) fn tables(&self) -> impl Iterator<Item = &Arc<Sstable>> {
         [&self.c1, &self.c1_prime, &self.c2].into_iter().flatten()
     }
 
-    /// Like [`tables`](Self::tables), but each component is paired with
-    /// its slot identity so errors can name where they came from.
+    /// The pass prefix's frontier: the last key it answers for.
+    pub(crate) fn frontier(&self) -> Option<&Bytes> {
+        self.c1_prefix.as_ref().map(|p| &p.meta().max_key)
+    }
+
+    /// Every component, the pass prefix included, with its slot identity
+    /// so errors can name where they came from (the prefix is part of
+    /// `C1`).
     pub(crate) fn named_tables(&self) -> impl Iterator<Item = (ComponentId, &Arc<Sstable>)> {
         [
+            (ComponentId::C1, &self.c1_prefix),
             (ComponentId::C1, &self.c1),
+            (ComponentId::C1Prime, &self.c1_prime),
+            (ComponentId::C2, &self.c2),
+        ]
+        .into_iter()
+        .filter_map(|(id, t)| t.as_ref().map(|t| (id, t)))
+    }
+
+    /// The components a point read of `key` probes, newest first: one
+    /// side of a split `C1` — the pass prefix at or below its frontier,
+    /// the old `C1` above — then `C1'` and `C2`.
+    pub(crate) fn tables_for(
+        &self,
+        key: &[u8],
+    ) -> impl Iterator<Item = (ComponentId, &Arc<Sstable>)> {
+        let below = self.frontier().is_some_and(|f| key <= f.as_ref());
+        let c1 = if below { &self.c1_prefix } else { &self.c1 };
+        [
+            (ComponentId::C1, c1),
             (ComponentId::C1Prime, &self.c1_prime),
             (ComponentId::C2, &self.c2),
         ]
@@ -150,10 +193,11 @@ pub(crate) struct TreeShared {
     /// The sharded `C0`; writers insert through `&self` and scale across
     /// key-range shards, merges drain behind the buffer's pass lock.
     pub(crate) c0: ConcurrentC0,
-    /// Next sequence number to allocate. Writers claim seqnos with
-    /// `fetch_add` before inserting; per-key ordering is restored inside
-    /// the memtable fold (a racing latecomer folds in as the older
-    /// version).
+    /// Next sequence number to allocate. A local write takes its seqno
+    /// with `fetch_add` inside the section that orders its key's insert
+    /// (the `wal` mutex, or with durability off the key's `C0` shard
+    /// lock), so per key, seqno order is insert order. The memtable fold
+    /// still resolves an older seqno arriving late by seqno.
     // ordering: AcqRel ticket RMWs, a Release store of the replayed
     // floor at open, Acquire loads for manifest snapshots. The counter
     // only needs to hand out unique, monotone values; happens-before

@@ -13,6 +13,12 @@
 //! [`ConcurrentC0::end_capped_pass_with`]'s epoch-bumped window so the
 //! catalog swap and the retirement of drained `C0` entries are one atomic
 //! step for the seqlock readers (see `catalog.rs` for the protocol).
+//! A `C0:C1` pass also publishes as it goes: each time its builder's
+//! flushed prefix grows by a chunk, a catalog whose `C1` is split at the
+//! prefix's last key goes out in [`ConcurrentC0::retire_through_with`]'s
+//! window, and the drained entries it covers leave `C0` with it. Only the
+//! pass end counts as a completed merge, saves a manifest or truncates
+//! the log.
 //!
 //! Draining `C0` uses the buffer's [`DrainGuard`] — an exclusive pass
 //! lock held per key run (at most [`RUN_ENTRIES`] entries) and released
@@ -26,6 +32,7 @@
 //! be minted, so the check is stable).
 //!
 //! [`ConcurrentC0::end_capped_pass_with`]: blsm_memtable::ConcurrentC0::end_capped_pass_with
+//! [`ConcurrentC0::retire_through_with`]: blsm_memtable::ConcurrentC0::retire_through_with
 //! [`DrainGuard`]: blsm_memtable::DrainGuard
 
 use std::collections::VecDeque;
@@ -50,7 +57,7 @@ const RUN_LENGTH_CAP: f64 = 4.0;
 
 /// Longest key run one drain-guard hold covers, and the `C1` look-ahead:
 /// bounds how long a writer's insert can wait on the pass lock.
-const RUN_ENTRIES: usize = 64;
+pub(crate) const RUN_ENTRIES: usize = 64;
 
 /// Wraps an owned sstable iterator, counting consumed input bytes so the
 /// merge's `inprogress` estimator stays smooth (§4.1).
@@ -96,6 +103,15 @@ pub(crate) struct Merge01 {
     pub(crate) run_cap_bytes: u64,
     /// Set when the run cap fired; `C0` entries stay for the next pass.
     pub(crate) c0_capped: bool,
+    /// Pages of the output's flushed prefix readers were last given (0:
+    /// none yet). They stay allocated if the pass fails: the catalog
+    /// still reads them until a reopen.
+    pub(crate) published_pages: u64,
+    /// `C0` rows the pass drained and resolved to nothing (bottom-level
+    /// tombstones). Their retained copies leave only when the frontier
+    /// passes them: they are what `retained` may hold beyond the rows of
+    /// the output not yet on disk.
+    pub(crate) dropped_c0_rows: u64,
 }
 
 /// State of a running `C1':C2` merge.
@@ -262,6 +278,10 @@ impl BLsmTree {
         let c0_input = self.shared.c0.pass_start_bytes() as u64;
         let c0_len = self.shared.c0.len() as u64;
         let catalog = self.shared.catalog.load();
+        debug_assert!(
+            catalog.c1_prefix.is_none(),
+            "a pass prefix outlived its pass"
+        );
         let c1_data = catalog.c1.as_ref().map_or(0, |c| c.data_bytes());
         let c1_entries = catalog.c1.as_ref().map_or(0, |c| c.entry_count());
         let est_bytes = c0_input + c1_data;
@@ -286,6 +306,8 @@ impl BLsmTree {
             pass_start_lsn,
             run_cap_bytes: ((est_bytes as f64) * RUN_LENGTH_CAP) as u64 + 4096,
             c0_capped: false,
+            published_pages: 0,
+            dropped_c0_rows: 0,
         });
         Ok(())
     }
@@ -310,10 +332,51 @@ impl BLsmTree {
             }
             Ok(true) => self.finish_merge01_locked(&*d.scheduler, m),
             Err(e) => {
-                self.merge.lock().allocator.free(m.full_region);
+                let unread = Self::unpublished(m.full_region, m.published_pages);
+                self.merge.lock().allocator.free(unread);
                 Err(e)
             }
         }
+    }
+
+    /// The part of a pass's region past what its published prefixes
+    /// cover: what a failed pass gives back (`pages` may be 0).
+    fn unpublished(full_region: Region, published: u64) -> Region {
+        Region {
+            start: PageId(full_region.start.0 + published),
+            pages: full_region.pages - published,
+        }
+    }
+
+    /// Publishes the output's flushed prefix: a catalog whose `C1` is
+    /// split at the prefix's last key goes out inside `C0`'s publish
+    /// window, which also drops the retained copies at or below that key
+    /// (see `catalog.rs`). Under `merge`, like every catalog swap, so a
+    /// `C1':C2` install cannot lose the split. Not a completed merge: no
+    /// manifest, no truncation, no `merges01`.
+    fn publish_prefix(&self, m: &mut Merge01) {
+        let Some(prefix) = m.builder.flushed_prefix() else {
+            return;
+        };
+        m.published_pages = prefix.region().pages;
+        let frontier = prefix.meta().max_key.clone();
+        let prefix = Some(Arc::new(prefix));
+        let ms = self.merge.lock();
+        let old = self.shared.catalog.load();
+        let next = Arc::new(ComponentCatalog::new(
+            old.c1.clone(),
+            prefix,
+            old.c1_prime.clone(),
+            old.c2.clone(),
+        ));
+        drop(old);
+        let removed = self
+            .shared
+            .c0
+            .retire_through_with(&frontier, || self.shared.catalog.store(next));
+        drop(ms);
+        drop(removed);
+        stats::bump(&self.shared.stats.prefix_publishes, 1);
     }
 
     /// Merges until `budget` input bytes are consumed (`Ok(false)`) or
@@ -373,9 +436,10 @@ impl BLsmTree {
                             spent += (ENTRY_OVERHEAD + k.len() + v.entry.payload_len()) as u64;
                             let out =
                                 merge_versions(op.as_ref(), std::slice::from_ref(v), m.bottom);
-                            out_bytes += out
-                                .as_ref()
-                                .map_or(0, |o| (k.len() + o.entry.payload_len()) as u64);
+                            match &out {
+                                Some(o) => out_bytes += (k.len() + o.entry.payload_len()) as u64,
+                                None => m.dropped_c0_rows += 1,
+                            }
                             run.push((k.clone(), out));
                             run.len() < RUN_ENTRIES && spent < budget && out_bytes < m.run_cap_bytes
                         });
@@ -429,6 +493,9 @@ impl BLsmTree {
                     // merge_versions resolves by seqno, not position, so
                     // the newer value wins either way.
                     let v = merge_versions(op.as_ref(), &[v0, e1.version], m.bottom);
+                    if v.is_none() {
+                        m.dropped_c0_rows += 1;
+                    }
                     add(k, v)?;
                 }
                 Step::C0(run) => {
@@ -444,6 +511,9 @@ impl BLsmTree {
                     }
                 }
             }
+            if m.builder.flushed_pages() > m.published_pages {
+                self.publish_prefix(m);
+            }
         }
     }
 
@@ -455,19 +525,20 @@ impl BLsmTree {
 
     /// Seals a merge's output off to the side and returns the unused tail
     /// of its over-allocated region to the allocator — or, when sealing
-    /// fails, the whole region: nothing in it is referenced. `None` is an
-    /// empty output.
+    /// fails, the region past the first `published` pages: nothing else
+    /// in it is referenced. `None` is an empty output.
     fn seal_output(
         &self,
         builder: SstableBuilder,
         full_region: Region,
+        published: u64,
     ) -> Result<Option<Arc<Sstable>>> {
         let sealed = builder.finish();
         let mut ms = self.merge.lock();
         let table = match sealed {
             Ok(table) => Arc::new(table),
             Err(e) => {
-                ms.allocator.free(full_region);
+                ms.allocator.free(Self::unpublished(full_region, published));
                 return Err(e);
             }
         };
@@ -487,10 +558,12 @@ impl BLsmTree {
             full_region,
             c1,
             pass_start_lsn,
+            published_pages,
             ..
         } = m;
-        // Nothing is visible to readers until the catalog swap below.
-        let new_c1 = self.seal_output(builder, full_region)?;
+        // Beyond the published prefix, nothing is visible to readers
+        // until the catalog swap below.
+        let new_c1 = self.seal_output(builder, full_region, published_pages)?;
         // Release the old-C1 iterator's table handle before reclamation.
         drop(c1);
 
@@ -499,6 +572,7 @@ impl BLsmTree {
             let old = self.shared.catalog.load();
             let next = Arc::new(ComponentCatalog::new(
                 new_c1,
+                None,
                 old.c1_prime.clone(),
                 old.c2.clone(),
             ));
@@ -549,6 +623,7 @@ impl BLsmTree {
                 // C1 → C1' rotation: the same table is reachable before
                 // and after the swap, so readers never see a gap.
                 self.shared.catalog.store(Arc::new(ComponentCatalog::new(
+                    None,
                     None,
                     cat.c1.clone(),
                     cat.c2.clone(),
@@ -675,7 +750,7 @@ impl BLsmTree {
             iter,
             ..
         } = m;
-        let new_c2 = self.seal_output(builder, full_region)?;
+        let new_c2 = self.seal_output(builder, full_region, 0)?;
         // Release the input iterators' table handles before reclamation.
         drop(iter);
         let mut ms = self.merge.lock();
@@ -683,11 +758,12 @@ impl BLsmTree {
             let old = self.shared.catalog.load();
             // Single swap: C1' and the old C2 leave, the merged C2
             // arrives, and whatever C1 the `C0:C1` driver installed
-            // meanwhile stays. No C0 state changes, so no epoch bump is
-            // needed: a reader's pinned old catalog is still a complete
-            // view.
+            // meanwhile stays, split at its pass prefix if one is out.
+            // No C0 state changes, so no epoch bump is needed: a
+            // reader's pinned old catalog is still a complete view.
             self.shared.catalog.store(Arc::new(ComponentCatalog::new(
                 old.c1.clone(),
+                old.c1_prefix.clone(),
                 None,
                 new_c2,
             )));
@@ -714,7 +790,9 @@ impl BLsmTree {
     /// Reclaims retired components no longer referenced by any catalog
     /// snapshot or in-flight iterator. A strong count of one means the
     /// retired list holds the last handle; no new references can be
-    /// minted from it, so eviction + region free is safe. Nothing is
+    /// minted from it, so eviction + region free is safe — once no
+    /// flushed prefix of the same pages is alive either (a reader may
+    /// pin one in a catalog from mid-pass). Nothing is
     /// reaped while a manifest save is outstanding — the on-disk root may
     /// still name it — and with two drivers one's failed save can meet
     /// the other's reap, so this checks rather than assumes.
@@ -724,7 +802,7 @@ impl BLsmTree {
         }
         let pending = std::mem::take(&mut ms.retired);
         for r in pending {
-            if Arc::strong_count(&r.table) == 1 {
+            if Arc::strong_count(&r.table) == 1 && !r.table.region_shared() {
                 // Synchronize with the release decrement of the last
                 // reader's handle drop before discarding the pages (the
                 // same fence `Arc`'s own `Drop` issues before freeing).
@@ -869,8 +947,20 @@ mod tests {
         let err = tree.run_merge01(u64::MAX).unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{err}");
         assert!(!tree.merges_active().0);
-        assert_eq!(allocated(&tree.merge.lock()), allocated_before);
-        assert!(Arc::ptr_eq(&before, &tree.shared.catalog.load()));
+        // What reached disk before the fault stays published until a
+        // reopen: the catalog's C1 is split at that prefix, whose pages
+        // stay allocated. The rest of the pass's region went back.
+        let after = tree.shared.catalog.load();
+        let prefix = after.c1_prefix.as_ref().expect("a chunk was published");
+        assert!(Arc::ptr_eq(
+            before.c1.as_ref().unwrap(),
+            after.c1.as_ref().unwrap()
+        ));
+        assert_eq!(
+            allocated(&tree.merge.lock()),
+            allocated_before + prefix.region().pages
+        );
+        drop(after);
 
         // Every retry — a checkpoint, a writer reaching the cap — is the
         // typed error; the handle still reads every row, drained or not.

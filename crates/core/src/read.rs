@@ -13,7 +13,10 @@
 //! drained `C0` copies inside one odd-epoch window
 //! ([`ConcurrentC0::end_capped_pass_with`]), so an unchanged even epoch
 //! proves the pinned pair is consistent: every version of every key is
-//! visible exactly once along the newest→oldest search order. Individual
+//! visible exactly once along the newest→oldest search order. Mid-pass,
+//! the pinned catalog's `C1` may be split at a frontier (the pass's
+//! published prefix below, the old `C1` above): a point read probes the
+//! one side that holds its key, a scan chains the two. Individual
 //! shard reads take only that shard's lock; no tree-wide lock exists on
 //! this path.
 //!
@@ -153,7 +156,7 @@ impl ReadView {
             C0Verdict::Continue => {}
         }
 
-        for (slot, table) in catalog.named_tables() {
+        for (slot, table) in catalog.tables_for(key) {
             if !table.may_contain(key) {
                 stats::bump(&shared.stats.bloom_skips, 1);
                 continue;
@@ -190,7 +193,7 @@ impl ReadView {
             return Ok(!matches!(v.entry, Entry::Tombstone));
         }
         let counters = &self.shared.stats;
-        for (slot, table) in catalog.named_tables() {
+        for (slot, table) in catalog.tables_for(key) {
             if !table.may_contain(key) {
                 stats::bump(&counters.bloom_skips, 1);
                 continue;
@@ -224,8 +227,9 @@ impl ReadView {
         let mut snap = shared.stats.snapshot();
         snap.backpressure = self.backpressure();
         snap.recovery = shared.recovery.get().copied().unwrap_or_default();
+        snap.resident_peak_bytes = shared.c0.resident_peak_bytes() as u64;
         // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry` / the replicated-apply CAS; see the field docs.
+        // `take_seqno` / the replicated-apply CAS; see the field docs.
         snap.next_seqno = shared.next_seqno.load(Ordering::Acquire);
         snap
     }
@@ -273,7 +277,7 @@ impl ReadView {
     /// an open tree (the concurrency hammer asserts exactly that).
     pub fn next_seqno(&self) -> u64 {
         // ordering: Acquire — pairs with the AcqRel ticket allocation in
-        // `write_entry`; see the field docs in `catalog.rs`.
+        // `take_seqno`; see the field docs in `catalog.rs`.
         self.shared.next_seqno.load(Ordering::Acquire)
     }
 
@@ -459,7 +463,8 @@ impl ReadView {
                     .into_iter()
                     .map(|(key, version)| Ok(EntryRef { key, version })),
             ));
-            for table in catalog.tables() {
+            streams.extend(c1_stream(&catalog, from));
+            for table in [&catalog.c1_prime, &catalog.c2].into_iter().flatten() {
                 streams.push(Box::new(table.iter_from(from, ReadMode::Pooled)));
             }
 
@@ -493,6 +498,31 @@ impl ReadView {
     }
 }
 
+/// `C1`'s rows from `from` as one stream. Mid-pass that is the pass
+/// prefix up to its frontier, then the old `C1` above it: the two sides are
+/// disjoint and in key order, so the chain is a sorted stream. The old
+/// `C1`'s side is opened only when the scan gets past the prefix (opening
+/// it seeks).
+fn c1_stream(catalog: &ComponentCatalog, from: &[u8]) -> Option<EntryStream<'static>> {
+    let prefix = catalog
+        .c1_prefix
+        .as_ref()
+        .filter(|prefix| from <= prefix.meta().max_key.as_ref());
+    let Some(prefix) = prefix else {
+        let c1 = catalog.c1.as_ref()?;
+        return Some(Box::new(c1.iter_from(from, ReadMode::Pooled)));
+    };
+    let frontier = prefix.meta().max_key.clone();
+    let above = catalog.c1.clone().into_iter().flat_map(move |c1| {
+        let frontier = frontier.clone();
+        c1.iter_from(&frontier, ReadMode::Pooled)
+            .filter(move |e| !matches!(e, Ok(e) if e.key <= frontier))
+    });
+    Some(Box::new(
+        prefix.iter_from(from, ReadMode::Pooled).chain(above),
+    ))
+}
+
 impl TreeShared {
     /// Newest on-disk sequence number for `key` (recovery's replay
     /// check). The seqno horizon answers "no component can cover this
@@ -502,7 +532,7 @@ impl TreeShared {
         if at_least > catalog.seqno_horizon {
             return Ok(None);
         }
-        for (slot, table) in catalog.named_tables() {
+        for (slot, table) in catalog.tables_for(key) {
             if !table.may_contain(key) {
                 continue;
             }

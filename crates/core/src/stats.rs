@@ -64,6 +64,7 @@ pub struct TreeStats {
     pub(crate) scan_c0_rows: AtomicU64, // ordering: Relaxed (statistic)
     pub(crate) scan_repins: AtomicU64,  // ordering: Relaxed (statistic)
     pub(crate) merge_errors: AtomicU64, // ordering: Relaxed (statistic)
+    pub(crate) prefix_publishes: AtomicU64, // ordering: Relaxed (statistic)
 }
 
 /// Buckets in each commit-group histogram ([`TreeStatsSnapshot::group_size_hist`],
@@ -145,6 +146,7 @@ const FIELDS: &[Field] = &[
     counter!(write.user_bytes_written),
     counter!(merge.merge_bytes_consumed),
     counter!(merge.merges01),
+    counter!(merge.prefix_publishes),
     counter!(merge.merges12),
     counter!(sched.forced_stalls),
     counter!(merge.merge_errors),
@@ -183,6 +185,14 @@ const FIELDS: &[Field] = &[
     recovered!(wal_records_skipped),
     recovered!(wal_recovered_bytes),
     recovered!(wal_torn_tail_bytes),
+    // RAM, so the store's is its shards' together.
+    Field {
+        name: "core.c0.resident_peak_bytes",
+        fold: Fold::Sum,
+        cell: None,
+        get: |s| s.resident_peak_bytes,
+        set: |s, v| s.resident_peak_bytes = v,
+    },
     Field {
         name: "core.write.next_seqno",
         fold: Fold::Max,
@@ -261,6 +271,9 @@ pub struct TreeStatsSnapshot {
     pub merge_bytes_consumed: u64,
     /// `C0:C1` merge passes completed.
     pub merges01: u64,
+    /// Mid-pass publishes of a `C0:C1` pass's flushed output (one per
+    /// chunk that reached disk); not completed merges.
+    pub prefix_publishes: u64,
     /// `C1':C2` merges completed.
     pub merges12: u64,
     /// Writes that hit the hard `C0` cap and had to run forced merge work.
@@ -297,6 +310,12 @@ pub struct TreeStatsSnapshot {
     /// [`TreeStats::snapshot`] reports the default; snapshots taken
     /// through the tree or a [`crate::ReadView`] carry the real report.
     pub recovery: RecoveryReport,
+    /// The most bytes `C0` ever held in RAM at once, as `C0` counts them:
+    /// the write buffer (`current` + `behind`) plus the drained rows a
+    /// `C0:C1` pass still keeps readable (`retained`). Raw
+    /// [`TreeStats::snapshot`] reports 0; snapshots taken through the
+    /// tree or a [`crate::ReadView`] carry the live gauge.
+    pub resident_peak_bytes: u64,
     /// The next sequence number the tree would allocate at snapshot
     /// time. A *reservation* counter: it may run ahead of failed or
     /// in-flight applies, so the replication tier's progress meter is

@@ -22,7 +22,7 @@
 //!   `C0` plus the catalog behind the buffer's publish epoch and never
 //!   take a tree-wide lock.
 //! * **Writes** are `&self` and scale across threads: `put`, `delete` and
-//!   `apply_delta` claim a seqno from an atomic counter, append to the
+//!   `apply_delta` take a seqno from an atomic counter and append to the
 //!   WAL under its own mutex, and insert into the key-range-sharded
 //!   [`ConcurrentC0`](blsm_memtable::ConcurrentC0) — two writers contend
 //!   only when they touch the same key-range shard (or both need the
@@ -203,7 +203,7 @@ impl BLsmTree {
         let shared = Arc::new(TreeShared {
             op,
             pool,
-            catalog: CatalogCell::new(ComponentCatalog::new(c1, c1_prime, c2)),
+            catalog: CatalogCell::new(ComponentCatalog::new(c1, None, c1_prime, c2)),
             c0: ConcurrentC0::new(),
             next_seqno: AtomicU64::new(next_seqno),
             applied_floor: AtomicU64::new(next_seqno),
@@ -435,12 +435,20 @@ impl BLsmTree {
         self.pace(incoming)?;
         #[cfg(feature = "strict-invariants")]
         let _claim = self.claim_admission(incoming);
+        self.insert_versioned(key, None, entry)
+    }
+
+    /// Takes the next seqno. Called only inside the section that orders
+    /// the key's insert — the log mutex, or with durability off the
+    /// key's `C0` shard lock — so two writes of one key get their seqnos
+    /// in the order they reach `C0` and the log (DESIGN §15.5). Taken
+    /// earlier, a writer could fold a newer delta into the key's base
+    /// first, and the older delta arriving after it would be dropped.
+    fn take_seqno(&self) -> u64 {
         // ordering: AcqRel — the ticket RMW both observes the replayed
         // floor (Acquire) and publishes its claim to later readers of the
-        // counter (Release); per-key ordering is restored by the
-        // seqno-aware memtable fold and sorted WAL replay.
-        let seqno = self.shared.next_seqno.fetch_add(1, Ordering::AcqRel);
-        self.insert_versioned(key, Versioned { seqno, entry })
+        // counter (Release).
+        self.shared.next_seqno.fetch_add(1, Ordering::AcqRel)
     }
 
     /// Claims the admitted bytes until the C0 insert lands and folds
@@ -465,8 +473,9 @@ impl BLsmTree {
     }
 
     /// The tail of every write: bump counters, then log + insert (or
-    /// just insert under degraded durability). Shared by locally-ticketed
-    /// writes and the replication apply path, so a replicated record is
+    /// just insert under degraded durability). Shared by local writes
+    /// (`seqno` `None`: the next one is taken where the insert is
+    /// ordered) and the replication apply path, so a replicated record is
     /// logged to *this* node's WAL and folded into `C0` exactly like a
     /// local write. Returns the WAL commit target the caller must await
     /// for `Durability::Sync` (`None` otherwise).
@@ -478,20 +487,34 @@ impl BLsmTree {
     /// see a record as applied even while its group commit is still in
     /// flight — otherwise a leader resend racing the group would
     /// re-apply a non-idempotent delta.
-    fn insert_versioned(&self, key: Bytes, v: Versioned) -> Result<Option<u64>> {
+    fn insert_versioned(
+        &self,
+        key: Bytes,
+        seqno: Option<u64>,
+        entry: Entry,
+    ) -> Result<Option<u64>> {
         stats::bump(&self.shared.stats.writes, 1);
         stats::bump(
             &self.shared.stats.user_bytes_written,
-            (key.len() + v.entry.payload_len()) as u64,
+            (key.len() + entry.payload_len()) as u64,
         );
-        let seqno = v.seqno;
-        let target = if self.shared.config.durability == Durability::None {
+        let (seqno, target) = if self.shared.config.durability == Durability::None {
             // Degraded durability (§4.4.2): no log, no serialization —
-            // writers contend only on their C0 key-range shard.
-            self.shared.c0.insert(key, v, self.shared.op.as_ref());
-            None
+            // writers contend only on their C0 key-range shard, which
+            // is also where the seqno is taken.
+            let mut taken = 0;
+            self.shared
+                .c0
+                .insert_with(key, self.shared.op.as_ref(), || {
+                    taken = seqno.unwrap_or_else(|| self.take_seqno());
+                    Versioned {
+                        seqno: taken,
+                        entry,
+                    }
+                });
+            (taken, None)
         } else {
-            self.log_and_insert(key, v)?
+            self.log_and_insert(key, seqno, entry)?
         };
         // ordering: AcqRel — the insert above happens-before the floor
         // advance; see the field docs in `catalog.rs`. Only reached on
@@ -562,7 +585,7 @@ impl BLsmTree {
         // lands mid-apply must allocate fresh local seqnos above this
         // record. Reserving is safe precisely because dedupe does not
         // read this counter.
-        // ordering: AcqRel — same contract as the `write_entry` ticket
+        // ordering: AcqRel — same contract as the `take_seqno` ticket
         // RMW.
         self.shared
             .next_seqno
@@ -571,7 +594,7 @@ impl BLsmTree {
         self.pace(incoming)?;
         #[cfg(feature = "strict-invariants")]
         let _claim = self.claim_admission(incoming);
-        let target = self.insert_versioned(key, v)?;
+        let target = self.insert_versioned(key, Some(seqno), v.entry)?;
         Ok(Some((seqno, target)))
     }
 
@@ -581,7 +604,10 @@ impl BLsmTree {
     /// sample taken under this mutex cleanly partitions records into
     /// "fully inserted into C0 before the sample" and "appended after the
     /// sample" — there is never a record in the log whose C0 insert is
-    /// still in flight (see `start_merge01`'s truncation argument).
+    /// still in flight (see `start_merge01`'s truncation argument). A
+    /// local write's seqno is taken in the same section and the record
+    /// encoded there, so log order, seqno order and `C0` order agree.
+    /// Returns the seqno and the commit target.
     ///
     /// Under `Durability::Sync` nothing is flushed or synced here: the
     /// record joins the open commit group (counted under this mutex) and
@@ -594,7 +620,12 @@ impl BLsmTree {
     /// one all-or-nothing step before the insert: a failed flush takes
     /// it back out of the log, so a failed write is in neither the log
     /// nor `C0`.
-    fn log_and_insert(&self, key: Bytes, v: Versioned) -> Result<Option<u64>> {
+    fn log_and_insert(
+        &self,
+        key: Bytes,
+        seqno: Option<u64>,
+        mut entry: Entry,
+    ) -> Result<(u64, Option<u64>)> {
         // Ring full: checkpoint by completing the in-flight pass (which
         // truncates), then retry. Concurrent writers can refill the ring
         // between the checkpoint and the retry, so one retry is not
@@ -604,32 +635,39 @@ impl BLsmTree {
         // around the checkpoint — it takes `merge` then `wal` (lock
         // order).
         const MAX_FULL_RETRIES: u32 = 8;
-        let payload = encode_wal_record(&key, &v);
         let sync = self.shared.config.durability == Durability::Sync;
         let mut guard = self.shared.wal.lock();
         let mut attempts = 0;
-        loop {
+        let v = loop {
             let wal = guard
                 .as_mut()
                 .ok_or_else(|| invariant_err("durable tree lost its wal"))?;
+            // A retry takes a fresh seqno: writers that got in during the
+            // checkpoint hold newer ones.
+            let v = Versioned {
+                seqno: seqno.unwrap_or_else(|| self.take_seqno()),
+                entry,
+            };
+            let payload = encode_wal_record(&key, &v);
             match if sync {
                 wal.append(&payload)
             } else {
                 wal.append_flush(&payload)
             } {
-                Ok(_) => break,
+                Ok(_) => break v,
                 Err(e @ StorageError::OutOfSpace { .. }) => {
                     if attempts >= MAX_FULL_RETRIES {
                         return Err(e);
                     }
                     attempts += 1;
+                    entry = v.entry;
                     drop(guard);
                     self.checkpoint()?;
                     guard = self.shared.wal.lock();
                 }
                 Err(e) => return Err(e),
             }
-        }
+        };
         let wal = guard
             .as_mut()
             .ok_or_else(|| invariant_err("wal vanished after append"))?;
@@ -642,8 +680,9 @@ impl BLsmTree {
             self.shared.unsynced_writes.fetch_add(1, Ordering::AcqRel);
             wal.tail_lsn()
         });
+        let seqno = v.seqno;
         self.shared.c0.insert(key, v, self.shared.op.as_ref());
-        Ok(target)
+        Ok((seqno, target))
     }
 
     /// Estimates a generous region for a merge output. Leaf packing can
@@ -788,6 +827,10 @@ impl BLsmTree {
     ///   inside `[0, 1]`;
     /// * `C0` never exceeds the memory budget (§3.1 hard cap) beyond the
     ///   small transient overshoot concurrent admission permits;
+    /// * a `C0:C1` pass keeps no drained row at or below its published
+    ///   frontier, and no more drained rows than its output holds past
+    ///   the flushed prefix plus the rows it dropped — so resident `C0`
+    ///   stays within the budget, that overshoot and about one chunk;
     /// * the snowshovel drain cursor is monotone within a pass (§4.2).
     ///
     /// Called at every merge-quantum boundary when the feature is on —
@@ -828,9 +871,36 @@ impl BLsmTree {
             )));
         }
 
+        // Retained rows (§4.2's run length per byte of RAM): a pass keeps
+        // a drained row readable in C0 only until the chunk holding its
+        // output is on disk and published. None sits at or below the
+        // published frontier (never both), and there are no more of them
+        // than output rows past the flushed prefix — one chunk and the
+        // open leaf — plus the drained rows the merge resolved to nothing.
+        let mut d = self.merge01.lock();
+        if let Some(m) = d.pass.as_ref() {
+            let catalog = self.shared.catalog.load();
+            let first = self.shared.c0.first_retained_key();
+            if let (Some(frontier), Some(first)) = (catalog.frontier(), first) {
+                if first <= *frontier {
+                    return Err(violated(format!(
+                        "retained row {first:?} at or below the published frontier {frontier:?}"
+                    )));
+                }
+            }
+            let retained = self.shared.c0.retained_len() as u64;
+            let unflushed = m.builder.unflushed_entries();
+            if retained > unflushed + m.dropped_c0_rows {
+                return Err(violated(format!(
+                    "C0 retains {retained} drained rows; the output holds {unflushed} past its \
+                     flushed prefix and the pass dropped {}",
+                    m.dropped_c0_rows
+                )));
+            }
+        }
+
         // Progress estimators (§4.1) stay in [0, 1]. A `C1':C2` driver
         // busy elsewhere is checked at its own quantum boundary.
-        let mut d = self.merge01.lock();
         let m12 = self.merge12.try_lock();
         let inputs = self.sched_inputs(d.pass.as_ref(), m12.as_deref().and_then(Option::as_ref), 0);
         for (name, p) in [("merge01", inputs.m01), ("merge12", inputs.m12)] {
@@ -885,6 +955,7 @@ impl BLsmTree {
         let catalog = self.shared.catalog.load();
         for (name, comp) in [
             ("C1", &catalog.c1),
+            ("C1 pass prefix", &catalog.c1_prefix),
             ("C1'", &catalog.c1_prime),
             ("C2", &catalog.c2),
         ] {
@@ -1537,5 +1608,197 @@ mod tests {
         assert_eq!(items[0].value.as_ref(), b"base+d");
         t.checkpoint().unwrap();
         assert_eq!(t.get(&key(0)).unwrap().unwrap().as_ref(), b"base+d");
+    }
+    /// Reads the `AddOperator` counter stored under `k`.
+    fn counter(t: &BLsmTree, k: &[u8]) -> i64 {
+        let v = t.get(k).unwrap().expect("counter present");
+        i64::from_le_bytes(v[..8].try_into().unwrap())
+    }
+
+    #[test]
+    fn concurrent_deltas_to_one_key_are_never_lost() {
+        // Four writers add 1 to one counter whose base sits in C0, so
+        // each delta folds into a Put. Each write takes its seqno where
+        // its insert is ordered, so no delta arrives after a newer one
+        // was folded into that Put (it would resolve as the older
+        // version and be dropped): the live tree and the reopened one
+        // both count every write.
+        const THREADS: i64 = 4;
+        const PER_THREAD: i64 = 50_000;
+        for durability in [Durability::None, Durability::Buffered, Durability::Sync] {
+            let data: SharedDevice = Arc::new(MemDevice::new());
+            let wal: SharedDevice = Arc::new(MemDevice::new());
+            let config = BLsmConfig {
+                durability,
+                wal_capacity: 64 << 20,
+                ..small_config()
+            };
+            let open = || {
+                let op = Arc::new(blsm_memtable::AddOperator);
+                BLsmTree::open(data.clone(), wal.clone(), 4096, config.clone(), op).unwrap()
+            };
+            let t = open();
+            t.put(
+                Bytes::from_static(b"counter"),
+                Bytes::copy_from_slice(&0i64.to_le_bytes()),
+            )
+            .unwrap();
+            let one = Bytes::copy_from_slice(&1i64.to_le_bytes());
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        for _ in 0..PER_THREAD {
+                            t.apply_delta(Bytes::from_static(b"counter"), one.clone())
+                                .unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                counter(&t, b"counter"),
+                THREADS * PER_THREAD,
+                "{durability:?}"
+            );
+            if durability == Durability::None {
+                // No log to replay: what survives is what a checkpoint wrote.
+                t.checkpoint().unwrap();
+            }
+            drop(t);
+            let t = open();
+            assert_eq!(
+                counter(&t, b"counter"),
+                THREADS * PER_THREAD,
+                "{durability:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pass_publishes_each_flushed_chunk_and_drops_what_it_covers() {
+        // C1 holds every even key, C0 every odd key and a delta on every
+        // tenth: a pass's output interleaves the two, so its first chunk
+        // covers drained rows, C1 rows and folded deltas alike.
+        let t = HandDriven::new(new_tree(BLsmConfig {
+            mem_budget: 8 << 20,
+            ..small_config()
+        }));
+        let n = 6000u32;
+        let value = |i: u32, tag: u8| Bytes::from(vec![tag; 100 + (i % 7) as usize]);
+        for i in (0..n).step_by(2) {
+            t.put(key(i), value(i, b'c')).unwrap();
+        }
+        t.checkpoint().unwrap();
+        for i in (1..n).step_by(2) {
+            t.put(key(i), value(i, b'm')).unwrap();
+        }
+        for i in (0..n).step_by(10) {
+            t.apply_delta(key(i), Bytes::from_static(b"+d")).unwrap();
+        }
+        let expect = |i: u32| {
+            let mut v = value(i, if i.is_multiple_of(2) { b'c' } else { b'm' }).to_vec();
+            if i.is_multiple_of(10) {
+                v.extend_from_slice(b"+d");
+            }
+            v
+        };
+        let old_c1 = t.shared.catalog.load().c1.clone().unwrap();
+        let before = t.stats();
+        t.start_merge01().unwrap();
+        while t.shared.catalog.load().c1_prefix.is_none() {
+            t.run_merge01(4 << 10).unwrap();
+        }
+        assert!(t.merges_active().0, "the pass is still in flight");
+        let catalog = t.shared.catalog.load();
+        let frontier = catalog.frontier().unwrap().clone();
+        assert!(Arc::ptr_eq(catalog.c1.as_ref().unwrap(), &old_c1));
+        assert_eq!(t.stats().merges01, before.merges01, "not a completed merge");
+        assert_eq!(t.stats().prefix_publishes, before.prefix_publishes + 1);
+        // The drained rows the prefix covers left C0 with it; the rest of
+        // the drained rows are still retained.
+        assert!(t
+            .shared
+            .c0
+            .first_retained_key()
+            .is_some_and(|k| k > frontier));
+        // Every key reads once, on whichever side of the split holds it.
+        let view = t.read_view();
+        let probes = view.stats().disk_probes;
+        for i in 0..n {
+            assert_eq!(view.get(&key(i)).unwrap().unwrap().as_ref(), &expect(i)[..]);
+        }
+        let probes = view.stats().disk_probes - probes;
+        assert!(
+            probes <= u64::from(n),
+            "{probes} probes: more than one per get"
+        );
+        for i in 0..n {
+            assert!(view.exists(&key(i)).unwrap());
+        }
+        for from in [0, 17, 300, n - 40] {
+            let rows = view.scan(&key(from), 200).unwrap();
+            let want: Vec<u32> = (from..n).take(200).collect();
+            assert_eq!(rows.len(), want.len());
+            for (row, i) in rows.iter().zip(want) {
+                assert_eq!(row.key, key(i));
+                assert_eq!(row.value.as_ref(), &expect(i)[..]);
+            }
+        }
+        assert!(view.scrub().is_clean());
+        t.checkpoint().unwrap();
+        assert!(t.shared.catalog.load().c1_prefix.is_none());
+        assert_eq!(t.stats().merges01, before.merges01 + 1);
+        for i in (0..n).step_by(13) {
+            assert_eq!(t.get(&key(i)).unwrap().unwrap().as_ref(), &expect(i)[..]);
+        }
+    }
+
+    #[test]
+    fn threaded_ingest_keeps_resident_c0_within_a_chunk_of_its_budget() {
+        // Resident C0 — the write buffer plus the drained rows a pass
+        // still keeps readable — stays within the budget, the bytes
+        // admitted against the cap at once (one entry per writer) and
+        // one chunk of output with its open leaf and the run a drain
+        // step takes ahead of its appends.
+        const WRITERS: u64 = 2;
+        let (key_len, value_len) = (12, 100);
+        let row = (ENTRY_OVERHEAD + key_len + value_len) as u64;
+        let entry = key_len + value_len + 4;
+        let leaf_rows = (blsm_sstable::LEAF_CAPACITY / entry) as u64 + 1;
+        let chunk_rows = blsm_sstable::FLUSH_PAGES as u64 * leaf_rows;
+        for mem_budget in [1 << 20, 4 << 20] {
+            let config = BLsmConfig {
+                mem_budget,
+                wal_capacity: 64 << 20,
+                durability: Durability::None,
+                ..Default::default()
+            };
+            let db = crate::ThreadedBLsm::start(new_tree(config), 256 << 10).unwrap();
+            std::thread::scope(|s| {
+                for w in 0..WRITERS {
+                    let db = &db;
+                    s.spawn(move || {
+                        let mut x = w + 1;
+                        for _ in 0..(6 * mem_budget as u64 / row / WRITERS) {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            let k = format!("{:012}", x % 1_000_000_000_000);
+                            db.put(Bytes::from(k), Bytes::from(vec![7u8; value_len]))
+                                .unwrap();
+                        }
+                    });
+                }
+            });
+            let stats = db.stats();
+            assert!(stats.prefix_publishes > 0 && stats.merges01 > 0);
+            let unpublished = chunk_rows + leaf_rows + crate::merge::RUN_ENTRIES as u64;
+            let bound = mem_budget as u64 + WRITERS * row + unpublished * row;
+            assert!(
+                stats.resident_peak_bytes <= bound,
+                "budget {mem_budget}: resident C0 peaked at {} > {bound}",
+                stats.resident_peak_bytes
+            );
+            db.shutdown().unwrap();
+        }
     }
 }

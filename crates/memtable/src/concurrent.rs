@@ -28,7 +28,11 @@
 //!   hold — a reader either sees (old catalog + retained entries) or
 //!   (new catalog without them), never a state in between. The retry is
 //!   load-bearing for *deltas*: a retained delta observed together with
-//!   the new `C1` (which already folded it in) would double-apply.
+//!   the new `C1` (which already folded it in) would double-apply. The
+//!   same window publishes each chunk of the pass's output as it reaches
+//!   disk ([`ConcurrentC0::retire_through_with`]): the retained entries
+//!   at or below the chunk's last key leave with it, so `retained` holds
+//!   about one chunk, not the whole pass.
 //!
 //! Ordering across shards is preserved by construction: range sharding
 //! means a key-order drain visits shard 0 to exhaustion, then shard 1,
@@ -135,6 +139,12 @@ pub struct ConcurrentC0 {
     // ordering: Release stores under the exclusive pass lock, Acquire
     // loads — progress estimator input.
     pass_start_bytes: AtomicUsize,
+    /// The most bytes `current` + `behind` + `retained` ever held at once
+    /// (sampled after each insert: a drain only moves bytes between
+    /// them).
+    // ordering: Acquire loads, AcqRel `fetch_max` — a gauge; it orders
+    // nothing else.
+    resident_peak: AtomicUsize,
 }
 
 impl Default for ConcurrentC0 {
@@ -158,6 +168,7 @@ impl ConcurrentC0 {
             bytes_retained: AtomicUsize::new(0),
             drained_bytes: AtomicUsize::new(0),
             pass_start_bytes: AtomicUsize::new(0),
+            resident_peak: AtomicUsize::new(0),
         }
     }
 
@@ -192,6 +203,33 @@ impl ConcurrentC0 {
     /// Bytes held for concurrent readers on behalf of the active pass.
     pub fn retained_bytes(&self) -> usize {
         self.bytes_retained.load(Ordering::Acquire)
+    }
+
+    /// Bytes resident across all three tables: `current` + `behind` +
+    /// `retained`, what `C0` costs in RAM.
+    pub fn resident_bytes(&self) -> usize {
+        self.approx_bytes() + self.retained_bytes()
+    }
+
+    /// The most [`resident_bytes`](Self::resident_bytes) ever reached.
+    pub fn resident_peak_bytes(&self) -> usize {
+        self.resident_peak.load(Ordering::Acquire)
+    }
+
+    /// Drained entries kept readable for the active pass (takes every
+    /// shard lock, for invariant checks and tests).
+    pub fn retained_len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.tables.read().retained.len())
+            .sum()
+    }
+
+    /// The smallest key among the retained entries.
+    pub fn first_retained_key(&self) -> Option<Bytes> {
+        self.shards
+            .iter()
+            .find_map(|s| s.tables.read().retained.first_key().cloned())
     }
 
     /// Bytes drained so far in the active pass.
@@ -255,6 +293,19 @@ impl ConcurrentC0 {
     /// holds the lock exclusively) observes either the whole insert or
     /// none of it.
     pub fn insert(&self, key: Bytes, write: Versioned, op: &dyn MergeOperator) {
+        self.insert_with(key, op, || write);
+    }
+
+    /// [`insert`](Self::insert) of the version `write` makes while the
+    /// key's shard lock is held: a seqno taken there orders the write
+    /// against every other write of the key, as a log append does for a
+    /// logged write.
+    pub fn insert_with(
+        &self,
+        key: Bytes,
+        op: &dyn MergeOperator,
+        write: impl FnOnce() -> Versioned,
+    ) {
         let pass = self.pass.read();
         let to_behind = match &pass.kind {
             PassKind::Idle => false,
@@ -272,11 +323,15 @@ impl ConcurrentC0 {
             (&mut t.current, &self.bytes_current)
         };
         let before = table.approx_bytes();
-        table.insert(key, write, op);
+        table.insert(key, write(), op);
         let after = table.approx_bytes();
         // Counter updated while both locks are held, so exclusive pass
         // sections (begin/end pass snapshots) see settled totals.
         Self::adjust(ctr, before, after);
+        let resident = self.resident_bytes();
+        if resident > self.resident_peak.load(Ordering::Acquire) {
+            self.resident_peak.fetch_max(resident, Ordering::AcqRel);
+        }
     }
 
     /// Looks up `key`: the **newest resident version by seqno** across
@@ -445,6 +500,43 @@ impl ConcurrentC0 {
                 .shards
                 .iter()
                 .all(|s| s.tables.read().current.is_empty())
+    }
+
+    /// Publishes part of the active pass's output: runs `commit` (the
+    /// catalog store that makes the output up to `last` readable) inside
+    /// the epoch-bumped window, and in the same window removes every
+    /// retained entry keyed at or below `last`. A reader pinning `C0` +
+    /// catalog sees, for each key, either the old catalog and its
+    /// retained copy or the new one without it — never both, never
+    /// neither — as at the pass end. The pass goes on: entries above
+    /// `last` stay retained, and the cursor does not move. Returns the
+    /// removed tables, to be dropped outside the window.
+    ///
+    /// Panics if no pass is active.
+    #[must_use = "drop the removed tables outside the critical section"]
+    pub fn retire_through_with(&self, last: &[u8], commit: impl FnOnce()) -> Vec<Memtable> {
+        let pass = self.pass.write();
+        assert_ne!(pass.kind, PassKind::Idle, "no pass active");
+        let upto = shard_of(last);
+        let mut removed = Vec::with_capacity(upto + 1);
+        self.epoch.fetch_add(1, Ordering::Release); // odd: publish begins
+        commit();
+        // Range sharding: the shards below `last`'s hold only smaller keys.
+        for (i, shard) in self.shards[..=upto].iter().enumerate() {
+            let mut t = shard.tables.write();
+            removed.push(if i < upto {
+                t.retained.take()
+            } else {
+                t.retained.split_through(last)
+            });
+        }
+        self.epoch.fetch_add(1, Ordering::Release); // even: publish done
+        let freed = removed.iter().map(Memtable::approx_bytes).sum();
+        // ordering: AcqRel — a retained-bytes adjustment under the
+        // exclusive pass lock; see the field docs.
+        self.bytes_retained.fetch_sub(freed, Ordering::AcqRel);
+        drop(pass);
+        removed
     }
 
     /// Ends the active pass — the only pass end. Runs `commit` (the
@@ -731,6 +823,44 @@ mod tests {
         assert_eq!(drained, vec![b("a"), b("z")]);
         drop(buf.end_capped_pass_with(&AppendOperator, || ()));
         assert_eq!(buf.get(b"z").unwrap().seqno, 2);
+    }
+
+    #[test]
+    fn retire_through_drops_only_the_published_retained_entries() {
+        let buf = ConcurrentC0::new();
+        // First bytes 0x10, 0x33, 0x33, 0x63 → shards 1, 3, 3, 6.
+        for k in ["\u{10}a", "3a", "3b", "c"] {
+            put(&buf, k, 1);
+        }
+        buf.begin_pass(true);
+        assert_eq!(drain_all(&buf).len(), 4);
+        let resident = buf.resident_bytes();
+        let before = buf.publish_epoch();
+        let mut stored = false;
+        let removed = buf.retire_through_with(b"3a", || stored = true);
+        assert!(stored);
+        assert_eq!(buf.publish_epoch(), before + 2, "publish bumps twice");
+        let gone: usize = removed.iter().map(Memtable::approx_bytes).sum();
+        assert_eq!(buf.resident_bytes(), resident - gone);
+        assert_eq!(buf.retained_bytes(), resident - gone);
+        assert!(buf.get(b"\x10a").is_none() && buf.get(b"3a").is_none());
+        assert!(buf.get(b"3b").is_some() && buf.get(b"c").is_some());
+        // The pass goes on; its end drops the rest.
+        assert_ne!(buf.pass_mode(), PassMode::Idle);
+        drop(buf.end_capped_pass_with(&AppendOperator, || ()));
+        assert_eq!(buf.resident_bytes(), 0);
+        assert_eq!(buf.resident_peak_bytes(), resident);
+    }
+
+    #[test]
+    fn insert_with_makes_the_version_under_the_shard_lock() {
+        let buf = ConcurrentC0::new();
+        let next = AtomicU64::new(1);
+        buf.insert_with(b("k"), &AppendOperator, || {
+            Versioned::put(next.fetch_add(1, Ordering::SeqCst), b("v"))
+        });
+        assert_eq!(buf.get(b"k").unwrap().seqno, 1);
+        assert_eq!(buf.resident_peak_bytes(), buf.resident_bytes());
     }
 
     #[test]

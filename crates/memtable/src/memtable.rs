@@ -172,6 +172,24 @@ impl Memtable {
         std::mem::take(self)
     }
 
+    /// Removes every entry keyed at or below `last` and returns them as a
+    /// table of their own; the entries above `last` stay.
+    pub fn split_through(&mut self, last: &[u8]) -> Memtable {
+        let first_above = self
+            .map
+            .range::<[u8], _>((Bound::Excluded(last), Bound::Unbounded))
+            .next()
+            .map(|(k, _)| k.clone());
+        let above = match first_above {
+            Some(k) => self.map.split_off(&k),
+            None => BTreeMap::new(),
+        };
+        let map = std::mem::replace(&mut self.map, above);
+        let bytes = map.iter().map(|(k, v)| Self::entry_cost(k, v)).sum();
+        self.bytes -= bytes;
+        Memtable { map, bytes }
+    }
+
     /// Inserts an entry for a key known to be absent — no folding is
     /// needed or attempted. The snowshovel buffer uses this to retain
     /// drained entries for concurrent readers: a pass drains each key at
@@ -302,6 +320,23 @@ mod tests {
         }
         let keys: Vec<_> = m.range_from(b"b").map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![b("b"), b("c"), b("d")]);
+    }
+
+    #[test]
+    fn split_through_keeps_what_is_above_and_its_bytes() {
+        let mut m = Memtable::new();
+        for k in ["a", "b", "bb", "c"] {
+            m.insert(b(k), Versioned::put(1, b("v")), &AppendOperator);
+        }
+        let total = m.approx_bytes();
+        let below = m.split_through(b"b");
+        let keys = |m: &Memtable| m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        assert_eq!(keys(&below), [b("a"), b("b")]);
+        assert_eq!(keys(&m), [b("bb"), b("c")]);
+        assert_eq!(below.approx_bytes() + m.approx_bytes(), total);
+        assert!(m.split_through(b"a").is_empty());
+        assert_eq!(m.split_through(b"z").len(), 2);
+        assert_eq!(m.approx_bytes(), 0);
     }
 
     #[test]

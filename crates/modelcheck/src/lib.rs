@@ -7,8 +7,8 @@
 //! real code uses (`Correct`) or deliberately reintroduces a historical
 //! bug class, which the checker must catch:
 //!
-//! * [`condvar_handshake`] — a merge thread's `Doorbell` sleep from
-//!   `blsm::threaded`. The buggy mode signals
+//! * [`condvar_handshake`] — a merge lane's sleep on the plane's
+//!   `Doorbell` (`blsm`'s `plane.rs`). The buggy mode signals
 //!   shutdown without taking the mutex: the notify can land between the
 //!   worker's predicate check and its park, and with a timeout-free
 //!   wait the lost wakeup manifests as a deadlock.
@@ -48,8 +48,8 @@ pub enum Shutdown {
     LostWakeup,
 }
 
-/// The merge thread's sleep/kick handshake (`blsm::threaded`), with a
-/// timeout-free wait so a lost wakeup deadlocks instead of costing
+/// A merge lane's sleep/kick handshake on the plane's `Doorbell`
+/// (`blsm`'s `plane.rs`), with a timeout-free wait so a lost wakeup deadlocks instead of costing
 /// latency. `kicks` is the number of work units handed over before
 /// shutdown (1 for PR-bounded runs, more for nightly depth).
 pub fn condvar_handshake(mode: Shutdown, kicks: usize) {

@@ -7,12 +7,13 @@
 //! on one spindle is one seek per chunk, not per page — this is what
 //! makes LSM write amplification a *bandwidth* figure (§2.1).
 //!
-//! Nothing reads a component under construction. The paper's readers
-//! look inside the half-built `C1` for rows snowshoveling already moved
-//! out of `C0` (§4.2); here drained rows stay readable as `retained`
-//! copies in `C0` until the finished table is swapped into the catalog,
-//! so the builder keeps no decoded copy of what it wrote and its Bloom
-//! filter is private until [`SstableBuilder::finish`] hands it over.
+//! The paper's readers look inside the half-built `C1` for rows
+//! snowshoveling already moved out of `C0` (§4.2). Here the builder
+//! offers what of its output has reached the device: after each chunk
+//! flush that ends on a complete leaf, [`SstableBuilder::flushed_prefix`]
+//! is a read-only [`Sstable`] of those leaves, with a copy of the Bloom
+//! filter as it stands. It has no index, filter or footer pages of its
+//! own; the finished table, which covers the same pages, does.
 
 use std::sync::Arc;
 
@@ -33,8 +34,22 @@ use crate::table::{Sstable, SstableMeta};
 pub const LEAF_CAPACITY: usize = PAGE_PAYLOAD_LEN - DATA_PAGE_HEADER;
 
 /// Write-buffer size in pages (256 KiB): the chunk granularity at which
-/// merge output reaches the device.
-const FLUSH_PAGES: usize = 64;
+/// merge output reaches the device, and so at which a flushed prefix grows.
+pub const FLUSH_PAGES: usize = 64;
+
+/// The builder's state as of the end of a leaf that reached the device:
+/// what a flushed prefix covers.
+#[derive(Debug, Clone)]
+struct Flushed {
+    leaves: usize,
+    pages: u64,
+    entries: u64,
+    data_bytes: u64,
+    tombstones: u64,
+    min_seqno: u64,
+    max_seqno: u64,
+    last_key: Bytes,
+}
 
 /// Streaming builder for one on-disk component.
 pub struct SstableBuilder {
@@ -61,6 +76,11 @@ pub struct SstableBuilder {
     max_seqno: u64,
     min_key: Option<Bytes>,
     last_key: Option<Bytes>,
+    /// The longest prefix of whole leaves known to be on the device.
+    flushed: Option<Flushed>,
+    /// One token per [`Sstable`] over this region (see
+    /// [`Sstable::region_shared`]); the finished table inherits it.
+    views: Arc<()>,
 }
 
 impl std::fmt::Debug for SstableBuilder {
@@ -96,6 +116,8 @@ impl SstableBuilder {
             max_seqno: 0,
             min_key: None,
             last_key: None,
+            flushed: None,
+            views: Arc::new(()),
         }
     }
 
@@ -120,7 +142,8 @@ impl SstableBuilder {
         if self.leaf.len() + len + reserve > LEAF_CAPACITY {
             self.seal_leaf()?;
         }
-        if len > LEAF_CAPACITY {
+        let spanning = len > LEAF_CAPACITY;
+        if spanning {
             self.add_spanning(key, v)?;
         } else {
             if self.leaf_first_key.is_none() {
@@ -143,7 +166,83 @@ impl SstableBuilder {
             self.min_key = Some(key.clone());
         }
         self.last_key = Some(key.clone());
+        if spanning {
+            self.leaf_done();
+        }
         Ok(())
+    }
+
+    /// Pages of the prefix [`flushed_prefix`](Self::flushed_prefix)
+    /// returns (0 before the first): grows by about a chunk per flush.
+    pub fn flushed_pages(&self) -> u64 {
+        self.flushed.as_ref().map_or(0, |f| f.pages)
+    }
+
+    /// Entries added past the end of the flushed prefix: those in the
+    /// open leaf and in sealed leaves not yet on the device.
+    pub fn unflushed_entries(&self) -> u64 {
+        self.entry_count - self.flushed.as_ref().map_or(0, |f| f.entries)
+    }
+
+    /// A read-only table of the whole leaves already on the device,
+    /// keyed up to its `max_key` (the last of them): the leaf index up to
+    /// there and a copy of the Bloom filter as it stands, which holds
+    /// every key of the prefix (and some above it). It has no index,
+    /// filter or footer pages — [`Sstable::scrub`] checks it by its data
+    /// pages — and shares its pages with the finished table. `None`
+    /// before the first flush.
+    pub fn flushed_prefix(&self) -> Option<Sstable> {
+        let f = self.flushed.as_ref()?;
+        let meta = SstableMeta {
+            n_data_pages: f.pages,
+            index_start: f.pages,
+            n_index_pages: 0,
+            bloom_start: f.pages,
+            bloom_len: 0,
+            entry_count: f.entries,
+            data_bytes: f.data_bytes,
+            tombstones: f.tombstones,
+            min_seqno: f.min_seqno,
+            max_seqno: f.max_seqno,
+            min_key: self.min_key.as_ref().map(Self::owned).unwrap_or_default(),
+            max_key: f.last_key.clone(),
+        };
+        let region = Region {
+            start: self.region.start,
+            pages: f.pages,
+        };
+        Some(Sstable::assemble(
+            self.pool.clone(),
+            region,
+            meta,
+            self.index[..f.leaves].to_vec(),
+            Arc::new(self.bloom.clone()),
+            self.views.clone(),
+            false,
+        ))
+    }
+
+    /// Called as each leaf completes. When its last page was the one that
+    /// filled the chunk, every leaf so far is on the device: they become
+    /// the flushed prefix. A flush inside a spanning record leaves the
+    /// prefix where it was until the next flush.
+    fn leaf_done(&mut self) {
+        if !self.chunk.is_empty() {
+            return;
+        }
+        let Some(last_key) = &self.last_key else {
+            return;
+        };
+        self.flushed = Some(Flushed {
+            leaves: self.index.len(),
+            pages: self.next_page,
+            entries: self.entry_count,
+            data_bytes: self.data_bytes,
+            tombstones: self.tombstones,
+            min_seqno: self.min_seqno,
+            max_seqno: self.max_seqno,
+            last_key: Self::owned(last_key),
+        });
     }
 
     /// A private copy of `key` for what outlives the build (the in-RAM
@@ -188,6 +287,7 @@ impl SstableBuilder {
         self.leaf.clear();
         self.leaf_count = 0;
         self.leaf_offsets.clear();
+        self.leaf_done();
         Ok(())
     }
 
@@ -335,6 +435,8 @@ impl SstableBuilder {
             meta,
             self.index,
             Arc::new(self.bloom),
+            self.views,
+            true,
         ))
     }
 }
@@ -514,6 +616,61 @@ mod tests {
                 Entry::Put(Bytes::from(vec![3u8; 990]))
             );
         }
+    }
+
+    #[test]
+    fn flushed_prefix_reads_what_reached_the_device() {
+        let dev = Arc::new(MemDevice::new());
+        let pool = Arc::new(BufferPool::new(dev.clone(), 1024));
+        let region = Region {
+            start: blsm_storage::PageId(0),
+            pages: 2048,
+        };
+        let mut b = SstableBuilder::new(pool, region, 3000);
+        let value = |i: u32| Bytes::from(vec![i as u8; 300]);
+        let mut i = 0;
+        while b.flushed_pages() == 0 {
+            assert!(b.flushed_prefix().is_none());
+            b.add(&key(i), &Versioned::put(u64::from(i), value(i)))
+                .unwrap();
+            i += 1;
+        }
+        // The first flush ends on a whole leaf: 64 pages, every one of
+        // them written, and the open leaf above the prefix.
+        assert_eq!(b.flushed_pages(), FLUSH_PAGES as u64);
+        assert_eq!(dev.len(), FLUSH_PAGES as u64 * PAGE_SIZE as u64);
+        let prefix = Arc::new(b.flushed_prefix().unwrap());
+        let last = prefix.meta().max_key.clone();
+        let n = prefix.entry_count() as u32;
+        assert_eq!(last, key(n - 1));
+        assert!(n < i, "the key that sealed the leaf is not in the prefix");
+        for j in 0..n {
+            assert!(prefix.may_contain(&key(j)));
+            let v = prefix.get(&key(j)).unwrap().unwrap();
+            assert_eq!(v.entry, Entry::Put(value(j)));
+        }
+        assert!(prefix.get(&key(n)).unwrap().is_none());
+        let scanned: Vec<Bytes> = prefix
+            .iter_from(&key(n - 3), crate::ReadMode::Pooled)
+            .map(|e| e.unwrap().key)
+            .collect();
+        assert_eq!(scanned, [key(n - 3), key(n - 2), key(n - 1)]);
+        let report = prefix.scrub();
+        assert!(report.is_clean(), "{:?}", report.errors);
+        assert_eq!(report.entries_checked, u64::from(n));
+        prefix.verify_integrity(usize::MAX, 0).unwrap();
+
+        // The finished table covers the same pages: its region stays
+        // shared while the prefix lives.
+        for j in i..i + 200 {
+            b.add(&key(j), &Versioned::put(u64::from(j), value(j)))
+                .unwrap();
+        }
+        let table = b.finish().unwrap();
+        assert!(table.region_shared());
+        assert_eq!(prefix.get(&key(7)).unwrap(), table.get(&key(7)).unwrap());
+        drop(prefix);
+        assert!(!table.region_shared());
     }
 
     #[test]

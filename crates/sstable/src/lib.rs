@@ -20,8 +20,10 @@
 //! * The Bloom filter image is persisted with the component (§4.4.3).
 //!
 //! [`SstableBuilder`] constructs a component *incrementally* (a bounded
-//! quantum of merge work at a time) and is write-only: a component
-//! becomes readable when the finished [`Sstable`] is published.
+//! quantum of merge work at a time). A component becomes readable when
+//! the finished [`Sstable`] is published; before that, only the prefix
+//! of it already on the device can be, as a read-only view
+//! ([`SstableBuilder::flushed_prefix`]).
 
 mod builder;
 mod format;
@@ -29,7 +31,7 @@ mod iter;
 mod table;
 
 pub use blsm_memtable::merge_versions;
-pub use builder::SstableBuilder;
+pub use builder::{SstableBuilder, FLUSH_PAGES, LEAF_CAPACITY};
 pub use format::{decode_entry, encode_entry, parse_data_page, shared_payload, EntryRef, LeafPage};
 pub use iter::{EntryStream, MergeIter, ReadMode, SstIterator};
 pub use table::{ScrubReport, Sstable, SstableMeta};

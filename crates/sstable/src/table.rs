@@ -147,6 +147,13 @@ pub struct Sstable {
     /// not re-walk the whole index.
     index_ram: usize,
     bloom: Arc<BloomFilter>,
+    /// One token per `Sstable` over this region: a merge's flushed
+    /// prefixes share theirs with the table the merge finishes.
+    views: Arc<()>,
+    /// False for a merge's flushed prefix
+    /// ([`SstableBuilder::flushed_prefix`](crate::SstableBuilder::flushed_prefix)),
+    /// which has only data pages.
+    footer: bool,
 }
 
 impl std::fmt::Debug for Sstable {
@@ -165,6 +172,8 @@ impl Sstable {
         meta: SstableMeta,
         index: Vec<(Bytes, u32)>,
         bloom: Arc<BloomFilter>,
+        views: Arc<()>,
+        footer: bool,
     ) -> Sstable {
         let index_ram = index
             .iter()
@@ -177,6 +186,8 @@ impl Sstable {
             index,
             index_ram,
             bloom,
+            views,
+            footer,
         }
     }
 
@@ -240,6 +251,8 @@ impl Sstable {
             meta,
             index,
             Arc::new(bloom),
+            Arc::new(()),
+            true,
         ))
     }
 
@@ -256,6 +269,13 @@ impl Sstable {
     /// Shared handle to the component's Bloom filter.
     pub fn bloom(&self) -> &Arc<BloomFilter> {
         &self.bloom
+    }
+
+    /// True while another `Sstable` over the same pages is alive: a
+    /// finished merge output whose flushed prefixes a reader still holds.
+    /// Its region must not be freed until this turns false.
+    pub fn region_shared(&self) -> bool {
+        Arc::strong_count(&self.views) > 1
     }
 
     /// The buffer pool this component reads through.
@@ -495,7 +515,8 @@ impl Sstable {
     /// walks every leaf checking ordering, fences, Bloom agreement, and
     /// the entry count against the footer. Problems are collected into the
     /// report rather than failing fast, so one bad page cannot hide
-    /// another.
+    /// another. A flushed prefix has no footer: it is checked by its data
+    /// pages, index and filter alone.
     ///
     /// [`verify_integrity`]: Self::verify_integrity
     pub fn scrub(&self) -> ScrubReport {
@@ -512,7 +533,7 @@ impl Sstable {
             }
         }
         let footer_pid = self.region.page(self.region.pages - 1);
-        if device.read_at(footer_pid.offset(), &mut buf).is_ok() {
+        if self.footer && device.read_at(footer_pid.offset(), &mut buf).is_ok() {
             match Page::from_bytes(&buf, footer_pid).and_then(|p| SstableMeta::decode(p.payload()))
             {
                 Ok(meta) if meta == self.meta => {}
