@@ -55,3 +55,52 @@ proptest! {
             "n={n} target={target} predicted={predicted} params={params:?}");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Folding is exact and keeps the target: a filter sized for up to
+    /// 8x the keys it gets, folded at finish, answers every inserted key,
+    /// lets at most 1.5 % of absent keys through, is bit for bit the
+    /// filter those keys set at the folded size directly, and survives a
+    /// `to_bytes`/`from_bytes` round trip.
+    #[test]
+    fn fold_is_exact_and_keeps_the_target(
+        n in 500u64..5_000,
+        oversize in 1u64..9,
+        seed in any::<u64>(),
+    ) {
+        let key = |i: u64| format!("k{seed:016x}-{i}").into_bytes();
+        let params = BloomParams::for_fp_rate(n * oversize, 0.01).foldable();
+        let mut f = BloomFilter::new(params);
+        for i in 0..n {
+            f.insert(&key(i));
+        }
+        let folded = f.fold(0.01);
+        prop_assert!(folded.is_some() || oversize < 2);
+        let g = folded.unwrap_or(f);
+        prop_assert_eq!(g.params().k, params.k);
+        prop_assert!(g.params().bits <= params.bits);
+        prop_assert!(g.params().bits as f64 / n as f64 <= 2.0 * 9.6 * 17.0 / 16.0 + 1.0,
+            "{} bits for {n} keys", g.params().bits);
+        for i in 0..n {
+            prop_assert!(g.contains(&key(i)));
+        }
+        let absent = 20_000u64;
+        let fp = (n..n + absent).filter(|&i| g.contains(&key(i))).count();
+        prop_assert!(fp as f64 / absent as f64 <= 0.015, "{fp} of {absent} absent keys passed");
+
+        let mut direct = BloomFilter::new(g.params());
+        for i in 0..n {
+            direct.insert(&key(i));
+        }
+        prop_assert_eq!(direct.to_bytes(), g.to_bytes());
+
+        let h = BloomFilter::from_bytes(&g.to_bytes()).unwrap();
+        prop_assert_eq!(h.params(), g.params());
+        prop_assert_eq!(h.inserted(), n);
+        for i in 0..n + 1_000 {
+            prop_assert_eq!(h.contains(&key(i)), g.contains(&key(i)));
+        }
+    }
+}

@@ -117,10 +117,10 @@ impl SstIterator {
     /// Fetches and parses the next leaf of the index, with its
     /// region-relative page. `None` at the end of the component.
     fn fetch_next_leaf(&mut self) -> Result<Option<(LeafPage, u64)>> {
-        let Some((_, page)) = self.table.leaf_index().get(self.next_leaf_pos) else {
+        let Some(page) = self.table.leaf_index().page(self.next_leaf_pos) else {
             return Ok(None);
         };
-        let leaf_idx = u64::from(*page);
+        let leaf_idx = u64::from(page);
         self.next_leaf_pos += 1;
         let (payload, ty) = self.fetch_page(leaf_idx)?;
         let leaf = LeafPage::parse(payload, ty == PageType::DataV2)?;

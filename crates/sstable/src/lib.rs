@@ -27,6 +27,7 @@
 
 mod builder;
 mod format;
+mod index;
 mod iter;
 mod table;
 

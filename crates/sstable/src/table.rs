@@ -11,6 +11,7 @@ use blsm_storage::page::{Page, PageType};
 use blsm_storage::{BufferPool, ComponentId, Region, Result, StorageError, PAGE_SIZE};
 
 use crate::format::{self, shared_payload, EntryRef, LeafPage};
+use crate::index::{LeafIndex, LeafIndexBuilder};
 use crate::iter::{ReadMode, SstIterator};
 
 /// Component metadata persisted in the footer page.
@@ -142,7 +143,7 @@ pub struct Sstable {
     region: Region,
     meta: SstableMeta,
     /// `(first_key, region-relative page)` per leaf, in key order.
-    index: Vec<(Bytes, u32)>,
+    index: LeafIndex,
     /// RAM held by `index`, computed once at assembly — stats calls must
     /// not re-walk the whole index.
     index_ram: usize,
@@ -170,15 +171,12 @@ impl Sstable {
         pool: Arc<BufferPool>,
         region: Region,
         meta: SstableMeta,
-        index: Vec<(Bytes, u32)>,
+        index: LeafIndex,
         bloom: Arc<BloomFilter>,
         views: Arc<()>,
         footer: bool,
     ) -> Sstable {
-        let index_ram = index
-            .iter()
-            .map(|(k, _)| k.len() + std::mem::size_of::<(Bytes, u32)>())
-            .sum();
+        let index_ram = index.ram_bytes();
         Sstable {
             pool,
             region,
@@ -207,7 +205,7 @@ impl Sstable {
         let meta = SstableMeta::decode(footer.payload())?;
 
         // Index pages.
-        let mut index = Vec::with_capacity(meta.entry_count as usize / 3);
+        let mut index = LeafIndexBuilder::default();
         for i in 0..meta.n_index_pages {
             let page = pool.read(region.page(meta.index_start + i))?;
             if page.page_type()? != PageType::Index {
@@ -217,9 +215,8 @@ impl Sstable {
             let count = format::le_u16(&payload[..2]);
             let mut r = Reader::new(&payload[2..]);
             for _ in 0..count {
-                let key = Bytes::copy_from_slice(r.bytes()?);
-                let page_idx = r.u32()?;
-                index.push((key, page_idx));
+                let key = r.bytes()?;
+                index.push(key, r.u32()?);
             }
         }
 
@@ -249,7 +246,7 @@ impl Sstable {
             pool,
             region,
             meta,
-            index,
+            index.finish(),
             Arc::new(bloom),
             Arc::new(()),
             true,
@@ -294,7 +291,8 @@ impl Sstable {
     }
 
     /// RAM consumed by the in-memory leaf index — the denominator of the
-    /// paper's *read fanout* metric (§2.1). Cached at assembly; O(1).
+    /// paper's *read fanout* metric (§2.1): the fences, 8 bytes per leaf
+    /// and the segment bookkeeping, exactly. Cached at assembly; O(1).
     pub fn index_ram_bytes(&self) -> usize {
         self.index_ram
     }
@@ -306,12 +304,7 @@ impl Sstable {
 
     /// Leaf-index position for `key`: the leaf that could contain it.
     fn leaf_for(&self, key: &[u8]) -> Option<u64> {
-        let pos = self.index.partition_point(|(k, _)| k.as_ref() <= key);
-        if pos == 0 {
-            None
-        } else {
-            Some(u64::from(self.index[pos - 1].1))
-        }
+        self.index.leaf_for(key).map(u64::from)
     }
 
     /// Reads and parses the leaf (data) page at region-relative `idx` into
@@ -386,17 +379,14 @@ impl Sstable {
     /// positioned inside it here, so its first `next` decodes the bound's
     /// entry and nothing before it.
     pub fn iter_from(self: &Arc<Self>, from: &[u8], mode: ReadMode) -> SstIterator {
-        let start_leaf_pos = {
-            let pos = self.index.partition_point(|(k, _)| k.as_ref() <= from);
-            pos.saturating_sub(1)
-        };
+        let start_leaf_pos = self.index.upto(from).saturating_sub(1);
         let mut iter = SstIterator::new(self.clone(), start_leaf_pos, mode);
         iter.seek(from);
         iter
     }
 
     /// The leaf index (first key + region-relative page per leaf).
-    pub(crate) fn leaf_index(&self) -> &[(Bytes, u32)] {
+    pub(crate) fn leaf_index(&self) -> &LeafIndex {
         &self.index
     }
 
@@ -430,17 +420,17 @@ impl Sstable {
                 self.meta.min_key, self.meta.max_key
             )));
         }
-        for (i, w) in self.index.windows(2).enumerate() {
-            if w[0].0 >= w[1].0 {
+        let fences = || self.index.iter().map(|(k, _)| k);
+        for (i, (a, b)) in fences().zip(fences().skip(1)).enumerate() {
+            if a >= b {
                 return Err(broken(format!(
-                    "leaf fences out of order at {i}: {:?} >= {:?}",
-                    w[0].0, w[1].0
+                    "leaf fences out of order at {i}: {a:?} >= {b:?}"
                 )));
             }
         }
-        match self.index.first() {
-            Some((first, _)) if *first == self.meta.min_key => {}
-            Some((first, _)) => {
+        match self.index.fence(0) {
+            Some(first) if first == self.meta.min_key.as_ref() => {}
+            Some(first) => {
                 return Err(broken(format!(
                     "first fence {first:?} != footer min_key {:?}",
                     self.meta.min_key
@@ -453,9 +443,11 @@ impl Sstable {
         let sample = max_leaves.min(n).max(1);
         for s in 0..sample {
             let li = (offset + s * n / sample) % n;
-            let (fence, page_idx) = &self.index[li];
-            let upper = self.index.get(li + 1).map(|(k, _)| k);
-            let page_idx = u64::from(*page_idx);
+            let (Some(fence), Some(page_idx)) = (self.index.fence(li), self.index.page(li)) else {
+                return Err(broken(format!("leaf {li} missing from an index of {n}")));
+            };
+            let upper = self.index.fence(li + 1);
+            let page_idx = u64::from(page_idx);
             // v2 leaves: the offset table must agree with the real entry
             // boundaries (a wrong slot would silently misroute binary
             // search on the hot path).
@@ -476,7 +468,7 @@ impl Sstable {
                     )));
                 }
                 prev = Some(&e.key);
-                if e.key < *fence || upper.is_some_and(|u| e.key >= *u) {
+                if e.key.as_ref() < fence || upper.is_some_and(|u| e.key.as_ref() >= u) {
                     return Err(broken(format!(
                         "leaf {li} key {:?} outside fence interval [{fence:?}, {upper:?})",
                         e.key
@@ -496,7 +488,7 @@ impl Sstable {
                 }
             }
             match entries.first() {
-                Some(e) if e.key == *fence => {}
+                Some(e) if e.key.as_ref() == fence => {}
                 _ => {
                     return Err(broken(format!(
                         "leaf {li} first entry does not match its fence {fence:?}"
@@ -547,10 +539,10 @@ impl Sstable {
             report.errors.push(e.to_string());
         }
         let mut entries = 0u64;
-        for (_, page_idx) in &self.index {
+        for (_, page_idx) in self.index.iter() {
             // Leaf reads go through the pool; physical damage was already
             // reported by the device pass above.
-            if let Ok(es) = self.read_leaf(u64::from(*page_idx)) {
+            if let Ok(es) = self.read_leaf(u64::from(page_idx)) {
                 entries += es.len() as u64;
             }
         }
