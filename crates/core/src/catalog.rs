@@ -196,8 +196,7 @@ pub(crate) struct TreeShared {
     /// Next sequence number to allocate. A local write takes its seqno
     /// with `fetch_add` inside the section that orders its key's insert
     /// (the `wal` mutex, or with durability off the key's `C0` shard
-    /// lock), so per key, seqno order is insert order. The memtable fold
-    /// still resolves an older seqno arriving late by seqno.
+    /// lock), so per key, seqno order is insert order and position order.
     // ordering: AcqRel ticket RMWs, a Release store of the replayed
     // floor at open, Acquire loads for manifest snapshots. The counter
     // only needs to hand out unique, monotone values; happens-before

@@ -509,12 +509,6 @@ impl BLsmTree {
                 Step::Finish => return Ok(true),
                 Step::Both(k, v0) => {
                     let e1 = pop_c1(&mut m.c1)?;
-                    // C0's version is *usually* the fresher one, but a
-                    // seqno-ticket race can leave C0 holding an older
-                    // seqno than C1 (the older concurrent write deferred
-                    // to a later pass while the newer one was published);
-                    // merge_versions resolves by seqno, not position, so
-                    // the newer value wins either way.
                     let v = merge_versions(op.as_ref(), &[v0, e1.version], m.bottom);
                     if v.is_none() {
                         m.dropped_c0_rows += 1;

@@ -251,38 +251,35 @@ impl BLsmTree {
             r_bits: AtomicU64::new(0),
         };
 
-        // Replay the logical log into C0 (§4.4.2). Each record is checked
-        // against the recovered components: snowshoveling delays log
-        // truncation, so the live log window can contain records whose
-        // effects already reached C1 — those are skipped by sequence
-        // number, keeping replay exactly-once even for deltas. Records are
-        // replayed in *seqno* order, not log order: concurrent writers
-        // claim seqnos before taking the log mutex, so two records can
-        // land in the log out of order.
+        // Replay the logical log into C0 (§4.4.2), one record at a time
+        // in log order — the order its writes reached `C0`, so each key's
+        // versions land newest-last, as they did live. Each record is
+        // checked against the recovered components: snowshoveling delays
+        // log truncation, so the live log window can contain records
+        // whose effects already reached C1 — those are skipped by
+        // sequence number, keeping replay exactly-once even for deltas.
         if tree.shared.config.durability != Durability::None {
-            let replay = blsm_storage::wal::replay_report(
+            let shared = &tree.shared;
+            let end = blsm_storage::wal::replay_each::<StorageError>(
                 &wal_dev,
-                tree.shared.config.wal_capacity,
+                shared.config.wal_capacity,
                 wal_head,
-            );
-            recovery.wal_records_replayed = replay.records.len() as u64;
-            recovery.wal_recovered_bytes = replay.tail - wal_head;
-            recovery.wal_torn_tail_bytes = replay.torn_tail_bytes;
-            let tail = replay.tail;
-            let mut records = Vec::with_capacity(replay.records.len());
-            for rec in replay.records {
-                records.push(decode_wal_record(&rec.payload)?);
-            }
-            records.sort_by_key(|(_, v)| v.seqno);
-            for (key, v) in records {
-                next_seqno = next_seqno.max(v.seqno + 1);
-                let durable = tree.shared.disk_newest_seqno(&key, v.seqno)?;
-                if durable.is_some_and(|s| s >= v.seqno) {
-                    recovery.wal_records_skipped += 1;
-                    continue;
-                }
-                tree.shared.c0.insert(key, v, tree.shared.op.as_ref());
-            }
+                |rec| {
+                    recovery.wal_records_replayed += 1;
+                    let (key, v) = decode_wal_record(&rec.payload)?;
+                    next_seqno = next_seqno.max(v.seqno + 1);
+                    let durable = shared.disk_newest_seqno(&key, v.seqno)?;
+                    if durable.is_some_and(|s| s >= v.seqno) {
+                        recovery.wal_records_skipped += 1;
+                    } else {
+                        shared.c0.insert(key, v, shared.op.as_ref());
+                    }
+                    Ok(())
+                },
+            )?;
+            recovery.wal_recovered_bytes = end.tail - wal_head;
+            recovery.wal_torn_tail_bytes = end.torn_tail_bytes;
+            let tail = end.tail;
             // ordering: Release — open() is single-threaded, but the
             // store pairs with the AcqRel tickets taken once the tree is
             // shared, so the replayed floor is visible to every writer.
@@ -548,6 +545,12 @@ impl BLsmTree {
     /// duplicated delivery (a flaky link re-sending a batch) is a no-op,
     /// which also makes replays after an ack loss safe for
     /// non-idempotent deltas.
+    ///
+    /// Records are applied one at a time, in the leader's order, and
+    /// before this node takes local writes: a key's versions must reach
+    /// `C0` in seqno order (DESIGN.md §15.1). The replication tier's
+    /// `handle_replicate` serializes its batches, and its promotion,
+    /// for exactly this.
     ///
     /// The dedupe check is deliberately **not** based on `next_seqno`:
     /// that counter is a reservation advanced *before* the fallible
@@ -1323,6 +1326,61 @@ mod tests {
         let t = BLsmTree::open(data, wal, 4096, small_config(), Arc::new(AppendOperator)).unwrap();
         // A double-applied delta would read "base+d+d".
         assert_eq!(t.get(&key(1)).unwrap().unwrap().as_ref(), b"base+d");
+    }
+
+    #[test]
+    fn a_promoted_followers_log_reopens_to_the_live_state() {
+        // A follower logs the leader's records under the leader's
+        // seqnos, is promoted, and logs its own writes above them: its
+        // log holds both, in the order they reached `C0`. Replayed in
+        // that order, one record at a time, it rebuilds the live tree —
+        // deltas over replicated bases included.
+        let data: SharedDevice = Arc::new(MemDevice::new());
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let open = || {
+            BLsmTree::open(
+                data.clone(),
+                wal.clone(),
+                4096,
+                small_config(),
+                Arc::new(AppendOperator),
+            )
+            .unwrap()
+        };
+        let entry = |i: u32| match i % 5 {
+            0 => Entry::Tombstone,
+            1 | 2 => Entry::Delta(Bytes::from(format!("+{i}"))),
+            _ => Entry::Put(Bytes::from(format!("v{i:0>200}"))),
+        };
+        let t = open();
+        for i in 0..1500u32 {
+            let v = Versioned {
+                seqno: u64::from(i) + 1,
+                entry: entry(i),
+            };
+            let applied = t.apply_replicated(&encode_wal_record(&key(i % 400), &v));
+            assert_eq!(applied.unwrap(), Some(v.seqno));
+        }
+        // Promoted: local writes take seqnos above every replicated one.
+        for i in 1500..3000u32 {
+            match entry(i) {
+                Entry::Put(v) => t.put(key(i % 400), v),
+                Entry::Delta(d) => t.apply_delta(key(i % 400), d),
+                Entry::Tombstone => t.delete(key(i % 400)),
+            }
+            .unwrap();
+        }
+        assert!(t.stats().merges01 > 0, "the log outlives a merge pass");
+        let state = |t: &BLsmTree| -> Vec<Option<Bytes>> {
+            (0..400).map(|k| t.get(&key(k)).unwrap()).collect()
+        };
+        let live = state(&t);
+        let live_scan = t.scan(b"", usize::MAX).unwrap();
+        drop(t); // crash: no checkpoint, no clean shutdown
+        let t = open();
+        assert!(t.stats().recovery.wal_records_replayed > 0);
+        assert_eq!(state(&t), live);
+        assert_eq!(t.scan(b"", usize::MAX).unwrap(), live_scan);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! [`ConcurrentC0`] preserves the exact semantics of
 //! [`SnowshovelBuffer`](crate::SnowshovelBuffer) — newest-first version
-//! chains (ordered by *seqno*, the authoritative freshness under
-//! concurrent writers — see [`ConcurrentC0::version_chain`]), pass/drain
+//! chains in table order `behind` → `current` → `retained`, pass/drain
 //! cursor monotonicity, retained-entry durability — while letting writer
 //! threads insert concurrently instead of funneling through one
 //! buffer-wide write lock:
@@ -46,7 +45,7 @@ use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::memtable::{Memtable, ENTRY_OVERHEAD};
 use crate::snowshovel::{DualIter, PassKind};
-use crate::types::{MergeOperator, Versioned};
+use crate::types::{check_newest_first, MergeOperator, Versioned};
 
 /// Number of key-range shards. Sixteen keeps the routing function a
 /// single shift (top nibble of the first key byte) while giving a
@@ -317,13 +316,21 @@ impl ConcurrentC0 {
         };
         let shard = &self.shards[shard_of(&key)];
         let mut t = shard.tables.write();
+        let write = write();
+        if cfg!(feature = "strict-invariants") {
+            // Every version behind the target table is older.
+            let current = t.current.get(&key).filter(|_| to_behind);
+            for older in [current, t.retained.get(&key)].into_iter().flatten() {
+                check_newest_first(&write, older);
+            }
+        }
         let (table, ctr) = if to_behind {
             (&mut t.behind, &self.bytes_behind)
         } else {
             (&mut t.current, &self.bytes_current)
         };
         let before = table.approx_bytes();
-        table.insert(key, write(), op);
+        table.insert(key, write, op);
         let after = table.approx_bytes();
         // Counter updated while both locks are held, so exclusive pass
         // sections (begin/end pass snapshots) see settled totals.
@@ -334,42 +341,32 @@ impl ConcurrentC0 {
         }
     }
 
-    /// Looks up `key`: the **newest resident version by seqno** across
-    /// `behind`/`current`/`retained`, cloned out of the shard lock. Table
-    /// position is not trusted for freshness: writers race seqno-ticket
-    /// allocation against routing, so an older ticket can land in `behind`
-    /// after a newer one was drained to `retained` (ties — impossible with
-    /// unique tickets — would fall to the `behind` → `current` →
-    /// `retained` order).
+    /// Looks up `key`: its newest resident version — the first hit in
+    /// `behind` → `current` → `retained` order — cloned out of the shard
+    /// lock.
     pub fn get(&self, key: &[u8]) -> Option<Versioned> {
         let t = self.shards[shard_of(key)].tables.read();
-        [t.behind.get(key), t.current.get(key), t.retained.get(key)]
-            .into_iter()
-            .flatten()
-            .reduce(|best, v| if v.seqno > best.seqno { v } else { best })
+        t.behind
+            .get(key)
+            .or_else(|| t.current.get(key))
+            .or_else(|| t.retained.get(key))
             .cloned()
     }
 
-    /// All resident versions of `key`, **newest first by seqno** (table
-    /// order `behind` → `current` → `retained` breaks ties), cloned out
-    /// of the shard lock. A key's versions all live in one shard, so a
-    /// single shard read lock yields a consistent chain; callers pair
-    /// this with an epoch check to pin it against a concurrent catalog
-    /// publish. Sorting by seqno (not table position) keeps reads
-    /// monotone when a racing older ticket lands in `behind` after a
-    /// newer version was drained to `retained`.
+    /// All resident versions of `key`, newest first (`behind` →
+    /// `current` → `retained`), cloned out of the shard lock. A key's
+    /// versions all live in one shard, so a single shard read lock
+    /// yields a consistent chain; callers pair this with an epoch check
+    /// to pin it against a concurrent catalog publish.
     pub fn version_chain(&self, key: &[u8]) -> Vec<Versioned> {
         let t = self.shards[shard_of(key)].tables.read();
-        let mut chain: Vec<Versioned> = t
-            .behind
+        t.behind
             .get(key)
             .into_iter()
             .chain(t.current.get(key))
             .chain(t.retained.get(key))
             .cloned()
-            .collect();
-        chain.sort_by_key(|v| std::cmp::Reverse(v.seqno)); // stable: table order breaks ties
-        chain
+            .collect()
     }
 
     /// Copies every resident entry with `from ≤ key` (`< to` when given):
@@ -381,9 +378,9 @@ impl ConcurrentC0 {
     /// Copies resident entries with `from ≤ key` (`< to` when given) in
     /// key order, with the same all-versions newest-first tie semantics
     /// as [`SnowshovelBuffer::range_from`]: a key present in more than
-    /// one table yields every copy, **fresher first by seqno** (table
-    /// order breaks ties). Shards are visited in index order, which *is*
-    /// key order under range sharding, one shard read lock at a time.
+    /// one table yields every copy, fresher table first. Shards are
+    /// visited in index order, which *is* key order under range
+    /// sharding, one shard read lock at a time.
     ///
     /// The copy stops at the first *key boundary* at or past `budget`
     /// rows — a key's copies are never split, so the result is always a
@@ -420,15 +417,6 @@ impl ConcurrentC0 {
                     return (out, true);
                 }
                 out.push((k.clone(), v.clone()));
-                // Table position is not authoritative for freshness (see
-                // `version_chain`): restore seqno-descending order within
-                // the equal-key run (at most three entries, already
-                // adjacent — DualIter yields a key's tables together).
-                let mut i = out.len() - 1;
-                while i > 0 && out[i - 1].0 == out[i].0 && out[i - 1].1.seqno < out[i].1.seqno {
-                    out.swap(i - 1, i);
-                    i -= 1;
-                }
             }
         }
         (out, false)
@@ -1018,46 +1006,32 @@ mod tests {
         drop(buf.end_capped_pass_with(&AppendOperator, || ()));
     }
 
-    // A writer claims its seqno ticket before inserting, so an older
-    // ticket can arrive after a newer version of the same key was drained
-    // to `retained` — it then routes to `behind`. Reads must stay
-    // seqno-monotone regardless of which table holds which version.
+    // Position is freshness: a version that enters a table in front of a
+    // newer one of its key is a bug upstream, and the checked build says
+    // so at the insert. First shape: the newer version was drained to
+    // `retained` and the older one routes to `behind`.
     #[test]
-    fn older_ticket_behind_newer_retained_reads_stay_monotone() {
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "freshness inverted")]
+    fn an_older_version_behind_a_drained_newer_one_panics() {
         let buf = ConcurrentC0::new();
-        buf.insert(b("k"), Versioned::put(6, b("new")), &AppendOperator);
+        put(&buf, "k", 6);
         buf.begin_pass(true);
-        buf.drain_guard().drain_next().unwrap(); // k@6 to retained, cursor >= "k"
-                                                 // The slow writer with the older ticket lands now: routes behind.
-        buf.insert(b("k"), Versioned::put(5, b("old")), &AppendOperator);
-        assert_eq!(buf.get(b"k").unwrap().seqno, 6, "newest seqno wins");
-        let chain: Vec<u64> = buf.version_chain(b"k").iter().map(|v| v.seqno).collect();
-        assert_eq!(chain, vec![6, 5], "chain is seqno-descending");
-        let rows: Vec<u64> = buf
-            .range_rows(b"", None)
-            .into_iter()
-            .map(|(_, v)| v.seqno)
-            .collect();
-        assert_eq!(rows, vec![6, 5], "range ties are seqno-descending");
+        buf.drain_guard().drain_next().unwrap(); // k@6 to retained
+        put(&buf, "k", 5); // → behind, in front of k@6
     }
 
-    // Same inversion, capped-pass shape: the cursor moved past "k" via a
-    // C1-side emission while k@6 stayed undrained in `current`, then the
-    // older ticket k@5 landed in `behind`. The end-of-pass fold must pick
-    // the newer version, not whichever table it presumes fresher.
+    // Second shape, a capped pass: the cursor passed "k" through a
+    // C1-side emission while k@6 stayed undrained in `current`.
     #[test]
-    fn capped_pass_fold_picks_newest_seqno() {
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "freshness inverted")]
+    fn an_older_version_behind_an_undrained_newer_one_panics() {
         let buf = ConcurrentC0::new();
-        buf.insert(b("k"), Versioned::put(6, b("new")), &AppendOperator);
+        put(&buf, "k", 6);
         buf.begin_pass(true);
-        buf.drain_guard().advance_cursor(&b("k")); // merge emitted a C1 key ≥ "k"
-        buf.insert(b("k"), Versioned::put(5, b("old")), &AppendOperator); // → behind
-        let (displaced, leftover) = buf.end_capped_pass_with(&AppendOperator, || ());
-        drop(displaced);
-        assert!(leftover);
-        let v = buf.get(b"k").unwrap();
-        assert_eq!(v.seqno, 6);
-        assert_eq!(v.entry, crate::types::Entry::Put(b("new")));
+        buf.drain_guard().advance_cursor(&b("k"));
+        put(&buf, "k", 5); // → behind, in front of k@6
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::ops::Bound;
 
 use bytes::Bytes;
 
-use crate::types::{Entry, MergeOperator, Versioned};
+use crate::types::{check_newest_first, merge_versions, Entry, MergeOperator, Versioned};
 
 /// Fixed per-entry overhead charged to the byte budget (map node, key and
 /// value headers). The exact figure only needs to be stable, not precise.
@@ -61,16 +61,13 @@ impl Memtable {
     /// * `Delta` over resident `Delta(d)` → `Delta(merge_deltas(d, delta))`.
     /// * `Delta` with nothing resident stays a `Delta` — the base record
     ///   may live in a larger component.
+    ///
+    /// The write is the key's newest version: every write reaches `C0` in
+    /// its seqno order (DESIGN §15.1), which a `strict-invariants` build
+    /// asserts.
     pub fn insert(&mut self, key: Bytes, write: Versioned, op: &dyn MergeOperator) {
         self.fold_in(key, write, |resident, write| {
-            // Concurrent writers race seqno allocation against the shard
-            // insert, so a latecomer can arrive carrying an older seqno
-            // than the resident entry. Fold it in as the *older* version —
-            // the resident entry wins, exactly as if the two had arrived
-            // in seqno order.
-            if write.seqno < resident.seqno {
-                return Self::resolve_pair(resident, write, op);
-            }
+            check_newest_first(&write, resident);
             let Entry::Delta(d) = &write.entry else {
                 return Some(write);
             };
@@ -106,22 +103,6 @@ impl Memtable {
                 slot.insert(folded);
             }
         }
-    }
-
-    /// Resolves a resident entry and an incoming one through
-    /// [`merge_versions`](crate::merge_versions), newest seqno first
-    /// (resident first on ties).
-    fn resolve_pair(
-        resident: &Versioned,
-        incoming: Versioned,
-        op: &dyn MergeOperator,
-    ) -> Option<Versioned> {
-        let pair = if resident.seqno >= incoming.seqno {
-            [resident.clone(), incoming]
-        } else {
-            [incoming, resident.clone()]
-        };
-        crate::types::merge_versions(op, &pair, false)
     }
 
     /// Looks up the resident entry for `key`.
@@ -203,17 +184,13 @@ impl Memtable {
         self.map.insert(key, v);
     }
 
-    /// Inserts an entry *presumed older* than anything resident for the
-    /// key, resolving the pair through
-    /// [`merge_versions`](crate::merge_versions). Used when a capped merge
-    /// pass returns undrained entries to the buffer, and by the
-    /// seqno-racing path of [`Memtable::insert`]. The presumption is not
-    /// trusted: concurrent writers race seqno-ticket allocation against
-    /// table routing, so the incoming entry can in fact be the newer one —
-    /// the winner is picked by seqno, resident-first on ties.
+    /// Inserts an entry older than anything resident for the key,
+    /// folding the pair resident-first through
+    /// [`merge_versions`](crate::merge_versions). A capped merge pass
+    /// uses this to fold its undrained entries under the deferred ones.
     pub fn insert_older(&mut self, key: Bytes, older: Versioned, op: &dyn MergeOperator) {
         self.fold_in(key, older, |resident, older| {
-            Self::resolve_pair(resident, older, op)
+            merge_versions(op, &[resident.clone(), older], false)
         });
     }
 }
@@ -348,5 +325,23 @@ mod tests {
         assert_eq!(m.approx_bytes(), 0);
         assert_eq!(frozen.len(), 1);
         assert!(frozen.approx_bytes() > 0);
+    }
+
+    #[test]
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "freshness inverted")]
+    fn an_insert_older_than_the_resident_version_panics() {
+        let mut m = Memtable::new();
+        m.insert(b("k"), Versioned::put(6, b("new")), &AppendOperator);
+        m.insert(b("k"), Versioned::put(5, b("old")), &AppendOperator);
+    }
+
+    #[test]
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "freshness inverted")]
+    fn an_insert_older_of_a_newer_version_panics() {
+        let mut m = Memtable::new();
+        m.insert(b("k"), Versioned::put(5, b("old")), &AppendOperator);
+        m.insert_older(b("k"), Versioned::put(6, b("new")), &AppendOperator);
     }
 }

@@ -163,13 +163,10 @@ impl MergeOperator for OverwriteOperator {
 /// Resolves all versions of one key into the entry a merge (or read)
 /// should emit.
 ///
-/// Freshness is decided by **seqno**, not slice position. Callers supply
-/// versions in component order (newest component first), which is almost
-/// always seqno order too — but concurrent writers race seqno-ticket
-/// allocation against table routing, so an older ticket can land in a
-/// fresher table (and from there, a fresher component). The already-sorted
-/// common case pays only a linear scan; an inverted chain is re-sorted by
-/// seqno, with slice position breaking ties (fresher component first).
+/// `versions` are in position order, newest first: fresher table, then
+/// fresher component. Position is the only freshness rule — each key's
+/// writes reach `C0` in seqno order, so position order is seqno order
+/// (DESIGN §15.1); a `strict-invariants` build asserts it.
 ///
 /// Implements §3.1.1's read semantics: walk newest→oldest collecting
 /// deltas, stop at the first base record or tombstone. When `bottom` is
@@ -182,21 +179,10 @@ pub fn merge_versions(
     bottom: bool,
 ) -> Option<Versioned> {
     debug_assert!(!versions.is_empty());
-    if versions.windows(2).all(|w| w[0].seqno >= w[1].seqno) {
-        return merge_sorted_versions(op, versions.iter(), bottom);
+    for pair in versions.windows(2) {
+        check_newest_first(&pair[0], &pair[1]);
     }
-    let mut by_seqno: Vec<&Versioned> = versions.iter().collect();
-    by_seqno.sort_by_key(|v| std::cmp::Reverse(v.seqno)); // stable: position breaks ties
-    merge_sorted_versions(op, by_seqno.into_iter(), bottom)
-}
-
-/// The resolution walk over a chain already in seqno-descending order.
-fn merge_sorted_versions<'a>(
-    op: &dyn MergeOperator,
-    versions: impl Iterator<Item = &'a Versioned> + Clone,
-    bottom: bool,
-) -> Option<Versioned> {
-    let newest_seq = versions.clone().next()?.seqno;
+    let newest_seq = versions.first()?.seqno;
     let mut deltas: Vec<&[u8]> = Vec::new();
     for v in versions {
         match &v.entry {
@@ -241,6 +227,19 @@ fn merge_sorted_versions<'a>(
         ))
     } else {
         Some(Versioned::delta(newest_seq, bytes::Bytes::from(acc)))
+    }
+}
+
+/// Panics, in a `strict-invariants` build, when `newer` — a version in
+/// front of `older` by position — carries the older seqno.
+pub(crate) fn check_newest_first(newer: &Versioned, older: &Versioned) {
+    if cfg!(feature = "strict-invariants") {
+        assert!(
+            newer.seqno >= older.seqno,
+            "freshness inverted: seqno {} sits in front of seqno {}",
+            newer.seqno,
+            older.seqno
+        );
     }
 }
 
@@ -296,5 +295,13 @@ mod tests {
         let op = OverwriteOperator;
         assert_eq!(op.apply(Some(b"old"), b"new"), b"new");
         assert_eq!(op.merge_deltas(b"a", b"b"), b"b");
+    }
+
+    #[test]
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "freshness inverted")]
+    fn an_inverted_chain_panics() {
+        let chain = [Versioned::put(5, "old"), Versioned::put(6, "new")];
+        merge_versions(&AppendOperator, &chain, false);
     }
 }

@@ -244,50 +244,45 @@ proptest! {
     }
 }
 
-/// A write whose seqno ticket may be older than one already resident —
-/// the race `ConcurrentC0` resolves by seqno rather than table position.
+/// An operation on a buffer caught mid-pass.
 #[derive(Debug, Clone)]
-enum RacyOp {
-    /// Key, payload, and how far the ticket lags the newest one handed out.
-    Write(u8, u8, u8),
+enum ScanOp {
+    /// Key and payload; the payload also picks the record kind.
+    Write(u8, u8),
     BeginPass(bool),
     Drain,
     EndPass,
 }
 
-fn racy_op_strategy() -> impl Strategy<Value = RacyOp> {
+fn scan_op_strategy() -> impl Strategy<Value = ScanOp> {
     prop_oneof![
-        8 => (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(k, v, lag)| RacyOp::Write(k, v, lag)),
-        1 => any::<bool>().prop_map(RacyOp::BeginPass),
-        4 => Just(RacyOp::Drain),
-        1 => Just(RacyOp::EndPass),
+        8 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| ScanOp::Write(k, v)),
+        1 => any::<bool>().prop_map(ScanOp::BeginPass),
+        4 => Just(ScanOp::Drain),
+        1 => Just(ScanOp::EndPass),
     ]
 }
 
 proptest! {
     /// For buffers caught mid-pass — rows in all three tables, keys
-    /// resident two or three times, racing-older seqnos — and any budget
+    /// resident two or three times — and any budget
     /// and range: the bounded copy is a prefix of the unbounded one, ends
     /// on a key boundary, and reports "rows left" iff the prefix is proper.
     #[test]
     fn bounded_copy_is_a_key_aligned_prefix(
-        ops in proptest::collection::vec(racy_op_strategy(), 1..160),
+        ops in proptest::collection::vec(scan_op_strategy(), 1..160),
         budget in 0usize..40,
         from in any::<u8>(),
         to in proptest::collection::vec(any::<u8>(), 0..2),
     ) {
         let op = AppendOperator;
         let conc = ConcurrentC0::new();
-        let mut newest = 0u64;
+        let mut seqno = 0u64;
         let mut in_pass = false;
         for o in &ops {
             match o {
-                RacyOp::Write(k, v, lag) => {
-                    newest += 1;
-                    // Mostly in order; one write in four carries a ticket
-                    // up to seven behind the newest.
-                    let lag = if lag % 4 == 0 { u64::from(lag >> 5) } else { 0 };
-                    let seqno = newest.saturating_sub(lag);
+                ScanOp::Write(k, v) => {
+                    seqno += 1;
                     let w = match v % 5 {
                         0 => Versioned::tombstone(seqno),
                         1 | 2 => Versioned::delta(seqno, Bytes::from(vec![*v])),
@@ -295,18 +290,18 @@ proptest! {
                     };
                     conc.insert(key(*k), w, &op);
                 }
-                RacyOp::BeginPass(snowshovel) => {
+                ScanOp::BeginPass(snowshovel) => {
                     if !in_pass {
                         conc.begin_pass(*snowshovel);
                         in_pass = true;
                     }
                 }
-                RacyOp::Drain => {
+                ScanOp::Drain => {
                     if in_pass {
                         conc.drain_guard().drain_next();
                     }
                 }
-                RacyOp::EndPass => {
+                ScanOp::EndPass => {
                     if in_pass {
                         drop(conc.end_capped_pass_with(&op, || ()));
                         in_pass = false;

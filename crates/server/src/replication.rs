@@ -47,14 +47,18 @@
 //! reached a follower — e.g. a full partition from before the write —
 //! does a post-failover group exclude it.
 //!
-//! **Concurrency invariant — no new locks.** This module owns zero
-//! mutexes: all shared state is plain atomics ([`ReplState`]), shipper
-//! threads hold only `Arc<ReplState>` + a [`ReadView`] of the engine
-//! (never the server's `Inner`, so graceful shutdown's sole-owner unwrap
-//! still holds), and the only blocking is bounded sleeps and the
-//! engine's own log mutex inside the view's shipping reads. The
-//! lock-order lint's server hierarchy therefore stays empty — see
-//! `xtask/src/rules/lock_order.rs`.
+//! **Concurrency invariant — one leaf lock.** Shared state is plain
+//! atomics ([`ReplState`]), shipper threads hold only `Arc<ReplState>`
+//! and a [`ReadView`] of the engine (never the server's `Inner`, so
+//! graceful shutdown's sole-owner unwrap still holds), and the only
+//! blocking is bounded sleeps, the engine's own log mutex inside the
+//! view's shipping reads, and the `apply` mutex. That one serializes
+//! follower applies (fence → cursor check → apply → cursor store) and
+//! promotion against them, so a key's replicated versions reach `C0`
+//! in the leader's order and no local write overtakes one in flight
+//! (DESIGN.md §17.3). It is a leaf: nothing else is acquired while it
+//! is held, so the lock-order lint's server hierarchy stays empty —
+//! see `xtask/src/rules/lock_order.rs`.
 //!
 //! The second half of this module is the network fault harness:
 //! [`FlakyStream`] mirrors `blsm_storage::FaultyDevice` at the socket
@@ -72,6 +76,7 @@ use std::time::{Duration, Instant};
 
 use blsm::{ReadView, ThreadedBLsm};
 use blsm_storage::{Result, StorageError};
+use parking_lot::Mutex;
 
 use crate::client::{Client, ClientConfig};
 use crate::protocol::{ErrKind, ReplRole, Response, WireReplStats};
@@ -271,6 +276,9 @@ pub struct Replication {
     state: Arc<ReplState>,
     source: ReadView,
     config: ReplicationConfig,
+    /// Held across a whole `REPLICATE` batch and across promotion (see
+    /// the module doc).
+    apply: Mutex<()>,
 }
 
 /// One open commit gate: the quorum a leader write's acknowledgement is
@@ -318,6 +326,7 @@ impl Replication {
             state,
             source,
             config,
+            apply: Mutex::new(()),
         };
         if repl.config.start_as_leader {
             repl.spawn_shippers(1);
@@ -440,7 +449,9 @@ impl Replication {
     }
 
     /// Handles one `REPLICATE` batch: fence, check LSN continuity,
-    /// apply through the normal write path, advance the cursor. The
+    /// apply through the normal write path, advance the cursor — all
+    /// under the `apply` mutex, so two deliveries of one batch (two
+    /// reactors after a reconnect) apply it once, in order. The
     /// session-opening frame (`from_lsn` = `CURSOR_UNSET`) stops right
     /// after the fence and answers with the follower's cursor.
     pub fn handle_replicate(
@@ -452,6 +463,7 @@ impl Replication {
         next_lsn: u64,
         records: &[Vec<u8>],
     ) -> Response {
+        let _apply = self.apply.lock();
         if !self.state.follow(epoch, leader_id) {
             return fenced(&self.state);
         }
@@ -507,9 +519,15 @@ impl Replication {
     }
 
     /// Handles `PROMOTE`: fence stale epochs, take leadership, start
-    /// shipping to every peer.
+    /// shipping to every peer. Leadership is taken under the `apply`
+    /// mutex: a batch in flight finishes first, so no local write takes
+    /// a seqno above its records and reaches `C0` before them.
     pub fn handle_promote(&self, epoch: u64) -> Response {
-        if !self.state.lead(epoch) {
+        let led = {
+            let _apply = self.apply.lock();
+            self.state.lead(epoch)
+        };
+        if !led {
             return fenced(&self.state);
         }
         self.spawn_shippers(epoch);
@@ -1235,6 +1253,50 @@ mod tests {
         // From a stale epoch it is fenced, naming the live epoch.
         let stale = repl.handle_replicate(&db, 1, 0, CURSOR_UNSET, CURSOR_UNSET, &[]);
         assert_eq!(stale, fenced(repl.state()));
+    }
+
+    #[test]
+    fn a_batch_delivered_twice_at_once_applies_once() {
+        // Two reactors hand the follower the same batch at the same time
+        // (a leader reconnecting while its old session still delivers).
+        // One applies it; the other finds the cursor moved and applies
+        // nothing — no delta lands twice.
+        let counter_tree = || {
+            let dev = || -> blsm_storage::SharedDevice { Arc::new(blsm_storage::MemDevice::new()) };
+            let op = Arc::new(blsm::AddOperator);
+            blsm::BLsmTree::open(dev(), dev(), 256, blsm::BLsmConfig::default(), op).unwrap()
+        };
+        const DELTAS: i64 = 2000;
+        let leader = counter_tree();
+        for _ in 0..DELTAS {
+            leader
+                .apply_delta(b"counter".to_vec(), 1i64.to_le_bytes().to_vec())
+                .unwrap();
+        }
+        let db = ThreadedBLsm::start(counter_tree(), 1 << 20).unwrap();
+        let repl = Replication::new(&db, ReplicationConfig::default()).unwrap();
+        repl.handle_replicate(&db, 1, 1, CURSOR_UNSET, CURSOR_UNSET, &[]);
+        let mut from = 0;
+        loop {
+            let (records, next) = leader.wal_records_from(from, 20 * 32).unwrap();
+            if records.is_empty() {
+                break;
+            }
+            let payloads: Vec<Vec<u8>> = records.into_iter().map(|r| r.payload).collect();
+            let both = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        both.wait();
+                        repl.handle_replicate(&db, 1, 1, from, next, &payloads);
+                    });
+                }
+            });
+            from = next;
+        }
+        let value = db.get(b"counter").unwrap().unwrap();
+        assert_eq!(i64::from_le_bytes(value[..8].try_into().unwrap()), DELTAS);
+        db.shutdown().unwrap();
     }
 
     #[test]

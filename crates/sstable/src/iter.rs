@@ -206,15 +206,13 @@ pub type EntryStream<'a> = Box<dyn Iterator<Item = Result<EntryRef>> + Send + 'a
 /// K-way merge over key-ordered entry streams.
 ///
 /// Streams must be supplied **newest first**; when several streams hold the
-/// same key, their versions are resolved with [`merge_versions`] — which
-/// orders by seqno, using stream position only to break ties, so a
-/// seqno-ticket race that left an older version in a fresher component
-/// still resolves to the newest write. A single
-/// stream may also carry *several consecutive versions of one key* (newest
-/// first, all newer than any same-key entry in later streams) — the `C0`
-/// snapshot of a scan does this mid-merge-pass, when a fresh `Delta` in
-/// the deferred table shadows a base that only lives in the drained
-/// (retained) copies. Every tied version is collected before folding.
+/// same key, their versions are resolved with [`merge_versions`] in stream
+/// order — position is freshness. A single stream may also carry
+/// *several consecutive versions of one key* (newest first, all newer
+/// than any same-key entry in later streams) — the `C0` snapshot of a
+/// scan does this mid-merge-pass, when a fresh `Delta` in the deferred
+/// table shadows a base that only lives in the drained (retained)
+/// copies. Every tied version is collected before folding.
 pub struct MergeIter<'a> {
     streams: Vec<std::iter::Peekable<EntryStream<'a>>>,
     op: Arc<dyn MergeOperator>,

@@ -289,14 +289,14 @@ impl Wal {
                     lsn += FRAME_HEADER_LEN as u64 + rec.payload.len() as u64;
                     records.push(rec);
                 }
-                FrameOutcome::End { state, .. } => {
+                FrameOutcome::End(end) => {
                     return Err(StorageError::corruption(
                         crate::error::ComponentId::Wal,
                         Some(lsn % self.capacity),
                         format!(
-                            "invalid frame ({state:?}) at lsn {lsn} below the flushed \
+                            "invalid frame ({:?}) at lsn {lsn} below the flushed \
                              tail {} during catch-up read",
-                            self.flushed
+                            end.tail_state, self.flushed
                         ),
                     ));
                 }
@@ -337,6 +337,18 @@ pub enum WalTailState {
     Garbage,
 }
 
+/// Where and how a replay stopped: what [`replay_each`] returns.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WalReplayEnd {
+    /// LSN at which replay stopped; new appends resume here.
+    pub tail: Lsn,
+    /// What was found at the stop position.
+    pub tail_state: WalTailState,
+    /// Estimated bytes of a partially-written frame discarded at the tail
+    /// (zero unless `tail_state` is `TornFrame` or `Garbage`).
+    pub torn_tail_bytes: u64,
+}
+
 /// Result of [`replay_report`]: the recovered records plus diagnostics
 /// about how the log ended.
 #[derive(Debug, Clone, Default)]
@@ -354,10 +366,8 @@ pub struct WalReplayReport {
 
 enum FrameOutcome {
     Record(WalRecord),
-    End {
-        state: WalTailState,
-        torn_bytes: u64,
-    },
+    /// No valid frame at the LSN: the log ends there.
+    End(WalReplayEnd),
 }
 
 /// Reads one frame at `lsn` from the ring, classifying the end of the log
@@ -375,7 +385,13 @@ fn read_frame(device: &SharedDevice, capacity: u64, lsn: Lsn) -> FrameOutcome {
         }
         Ok(())
     };
-    let end = |state: WalTailState, torn_bytes: u64| FrameOutcome::End { state, torn_bytes };
+    let end = |tail_state: WalTailState, torn_tail_bytes: u64| {
+        FrameOutcome::End(WalReplayEnd {
+            tail: lsn,
+            tail_state,
+            torn_tail_bytes,
+        })
+    };
 
     let mut header = [0u8; FRAME_HEADER_LEN];
     if read_ring(lsn, &mut header).is_err() || header.iter().all(|&b| b == 0) {
@@ -417,36 +433,55 @@ fn read_frame(device: &SharedDevice, capacity: u64, lsn: Lsn) -> FrameOutcome {
     end(WalTailState::TornFrame, (FRAME_HEADER_LEN + len) as u64)
 }
 
-/// Replays the log from `head`, returning all valid records, the recovered
-/// tail LSN, and diagnostics about how the log ended. Replay stops at the
-/// first invalid frame, which is where the crash cut the log (§4.4.2:
-/// "replaying the log at startup").
-pub fn replay_report(device: &SharedDevice, capacity: u64, head: Lsn) -> WalReplayReport {
-    let mut report = WalReplayReport {
-        tail: head,
-        ..WalReplayReport::default()
-    };
+/// Replays the log from `head`, handing each valid record to `visit` in
+/// log order, one at a time, and reports where and how the log ended.
+/// Replay stops at the first invalid frame, which is where the crash cut
+/// the log (§4.4.2: "replaying the log at startup").
+///
+/// # Errors
+///
+/// Stops at, and returns, the first error `visit` returns.
+pub fn replay_each<E>(
+    device: &SharedDevice,
+    capacity: u64,
+    head: Lsn,
+    mut visit: impl FnMut(WalRecord) -> std::result::Result<(), E>,
+) -> std::result::Result<WalReplayEnd, E> {
     if device.is_empty() {
-        return report;
+        return Ok(WalReplayEnd {
+            tail: head,
+            ..WalReplayEnd::default()
+        });
     }
+    let mut tail = head;
     loop {
-        match read_frame(device, capacity, report.tail) {
+        match read_frame(device, capacity, tail) {
             FrameOutcome::Record(rec) => {
-                report.tail += FRAME_HEADER_LEN as u64 + rec.payload.len() as u64;
-                report.records.push(rec);
+                tail += FRAME_HEADER_LEN as u64 + rec.payload.len() as u64;
+                visit(rec)?;
             }
-            FrameOutcome::End { state, torn_bytes } => {
-                report.tail_state = state;
-                report.torn_tail_bytes = torn_bytes;
-                return report;
-            }
+            FrameOutcome::End(end) => return Ok(end),
         }
     }
 }
 
-/// Replays the log from `head`, returning all valid records and the
-/// recovered tail LSN. Convenience wrapper over [`replay_report`] for
-/// callers that do not need tail diagnostics.
+/// [`replay_each`], collecting every record: the recovered records, the
+/// tail LSN, and diagnostics about how the log ended.
+pub fn replay_report(device: &SharedDevice, capacity: u64, head: Lsn) -> WalReplayReport {
+    let mut records = Vec::new();
+    let Ok(end) = replay_each(device, capacity, head, |rec| {
+        records.push(rec);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    WalReplayReport {
+        records,
+        tail: end.tail,
+        tail_state: end.tail_state,
+        torn_tail_bytes: end.torn_tail_bytes,
+    }
+}
+
+/// [`replay_report`] without the tail diagnostics.
 pub fn replay(device: &SharedDevice, capacity: u64, head: Lsn) -> (Vec<WalRecord>, Lsn) {
     let report = replay_report(device, capacity, head);
     (report.records, report.tail)

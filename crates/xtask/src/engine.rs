@@ -130,7 +130,15 @@ pub fn run(output: Output) -> ExitCode {
             .replace('\\', "/");
         files.push((rel, source));
     }
-    let analysis = analyze(&files);
+    let mut analysis = analyze(&files);
+    let design_path = root.join("DESIGN.md");
+    let Ok(design) = std::fs::read_to_string(&design_path) else {
+        eprintln!("xtask lint: unreadable file {}", design_path.display());
+        return ExitCode::FAILURE;
+    };
+    analysis
+        .findings
+        .extend(rules::citations::check(&design, &files));
 
     let mut used = vec![false; allow.len()];
     let mut unallowed: Vec<&Finding> = Vec::new();

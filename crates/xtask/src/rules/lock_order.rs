@@ -74,11 +74,12 @@ fn hierarchy(krate: &str) -> &'static [&'static str] {
         // per-shard `AdmissionController`s (atomic counters only), so
         // routing a request acquires no lock on any path (DESIGN.md
         // §16). The replicated tier (DESIGN.md §17) extends the same
-        // invariant: `replication.rs` is atomics-only by design —
-        // `ReplState` (epoch/role/cursor/acks) carries an `// ordering:`
-        // comment per atomic, the commit gate spins on peer-ack LSNs
-        // without blocking on any mutex, and shipper threads hold only
-        // the repl state plus a `ReadView` of the engine. A lock
+        // invariant: `ReplState` (epoch/role/cursor/acks) is atomics
+        // with an `// ordering:` comment each, the commit gate spins on
+        // peer-ack LSNs without blocking on any mutex, shipper threads
+        // hold only the repl state plus a `ReadView` of the engine, and
+        // the one lock, `apply`, is a leaf that serializes follower
+        // applies and promotion (DESIGN.md §17.3). A lock
         // appearing anywhere in the server crate must be argued into
         // DESIGN.md §14 and this table together.
         _ => &[],

@@ -14,12 +14,15 @@
 //!   lock hierarchy (DESIGN.md §14).
 //! - [`atomics`] — the atomics inventory: every `AtomicX` field carries
 //!   a `// ordering:` annotation, checked against use sites.
+//! - [`citations`] — `design-test-citation` (every `module::tests::name`
+//!   DESIGN.md cites still exists).
 //!
 //! This module owns the shared [`Finding`] type and the per-function
 //! event collection ([`collect_fns`]) that turns the guard-liveness
 //! walk into owned records the per-file and per-crate rules consume.
 
 pub mod atomics;
+pub mod citations;
 pub mod condvar;
 pub mod docs;
 pub mod guards;
