@@ -242,12 +242,6 @@ fn pop_c1(c1: &mut Option<C1Input>) -> Result<EntryRef> {
         .pop()
 }
 
-/// A retired on-disk component awaiting reclamation.
-pub(crate) struct RetiredTable {
-    pub(crate) table: Arc<Sstable>,
-    pub(crate) region: Region,
-}
-
 /// One step of the `C0`/`C1` two-way merge, decided under the drain
 /// guard and finished (builder appends, `C1` pulls) after it drops.
 enum Step {
@@ -807,8 +801,7 @@ impl BLsmTree {
 
     /// Queues a replaced component for deferred reclamation.
     pub(crate) fn retire(ms: &mut MergeState, table: Arc<Sstable>) {
-        let region = table.region();
-        ms.retired.push(RetiredTable { table, region });
+        ms.retired.push(table);
     }
 
     /// Reclaims retired components no longer referenced by any catalog
@@ -826,13 +819,13 @@ impl BLsmTree {
         }
         let pending = std::mem::take(&mut ms.retired);
         for r in pending {
-            if Arc::strong_count(&r.table) == 1 && !r.table.region_shared() {
+            if Arc::strong_count(&r) == 1 && !r.region_shared() {
                 // Synchronize with the release decrement of the last
                 // reader's handle drop before discarding the pages (the
                 // same fence `Arc`'s own `Drop` issues before freeing).
                 std::sync::atomic::fence(Ordering::Acquire);
-                r.table.evict_from_pool();
-                ms.allocator.free(r.region);
+                r.evict_from_pool();
+                ms.allocator.free(r.region());
             } else {
                 ms.retired.push(r);
             }
@@ -1113,7 +1106,7 @@ mod tests {
             let ms = tree.merge.lock();
             assert_eq!(ms.manifest.epoch(), epoch);
             assert_eq!(ms.retired.len(), 1);
-            assert_eq!(ms.retired[0].region, old_c1);
+            assert_eq!(ms.retired[0].region(), old_c1);
             assert_eq!(allocated(&ms), allocated_before + new_c1.pages);
         }
 

@@ -2,9 +2,12 @@
 //!
 //! Saved atomically at every merge installation; recovery reads it back,
 //! reopens the listed components, and replays the logical log (§4.4.2).
+//! It names only what recovery cannot work out: the live components (the
+//! free space is every other page, `RegionAllocator::around`), the log
+//! head and the next sequence number.
 
 use blsm_storage::codec::{self, Reader};
-use blsm_storage::{Lsn, PageId, Region, RegionAllocator, Result, StorageError};
+use blsm_storage::{Lsn, PageId, Region, Result, StorageError};
 
 /// Which slot of the three-level tree a persisted component occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,14 +48,6 @@ impl ComponentSlot {
 pub struct TreeMeta {
     /// Live components and their (exact-sized) regions.
     pub components: Vec<(ComponentSlot, Region)>,
-    /// Region allocator state at save time.
-    pub allocator: RegionAllocator,
-    /// Regions of retired components still allocated at save time (a
-    /// reader pinning an old catalog kept them alive). The retired list
-    /// itself does not survive a restart, so reopen reclaims these —
-    /// otherwise a component retired-but-pinned at the final manifest
-    /// save would leak its region on disk permanently.
-    pub retired: Vec<Region>,
     /// Logical-log truncation point: replay starts here.
     pub wal_head: Lsn,
     /// Next sequence number to assign (replayed records may push it up).
@@ -74,16 +69,12 @@ impl TreeMeta {
             codec::put_u64(&mut out, region.start.0);
             codec::put_u64(&mut out, region.pages);
         }
-        self.allocator.encode(&mut out);
-        codec::put_varint(&mut out, self.retired.len() as u64);
-        for region in &self.retired {
-            codec::put_u64(&mut out, region.start.0);
-            codec::put_u64(&mut out, region.pages);
-        }
         out
     }
 
-    /// Deserializes a manifest payload.
+    /// Deserializes a manifest payload. Reading stops after the
+    /// components: older manifests went on with the allocator's state and
+    /// the retired regions, which recovery now derives.
     pub fn decode(bytes: &[u8]) -> Result<TreeMeta> {
         let mut r = Reader::new(bytes);
         let magic = r.u32()?;
@@ -108,27 +99,10 @@ impl TreeMeta {
                 },
             ));
         }
-        let allocator = RegionAllocator::decode(&mut r)?;
-        // Optional trailer: manifests written before retired-region
-        // persistence end at the allocator state.
-        let mut retired = Vec::new();
-        if r.position() < bytes.len() {
-            let n = r.varint()?;
-            for _ in 0..n {
-                let start = r.u64()?;
-                let pages = r.u64()?;
-                retired.push(Region {
-                    start: PageId(start),
-                    pages,
-                });
-            }
-        }
         Ok(TreeMeta {
             components,
-            allocator,
             wal_head,
             next_seqno,
-            retired,
         })
     }
 }
@@ -138,51 +112,51 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
+    fn region(start: u64, pages: u64) -> Region {
+        Region {
+            start: PageId(start),
+            pages,
+        }
+    }
+
     #[test]
     fn roundtrip() {
-        let mut allocator = RegionAllocator::new(128);
-        let r1 = allocator.alloc(100);
-        let r2 = allocator.alloc(500);
-        let _r3 = allocator.alloc(7);
-        allocator.free(r1);
         let meta = TreeMeta {
             components: vec![
-                (ComponentSlot::C1, r2),
-                (
-                    ComponentSlot::C2,
-                    Region {
-                        start: PageId(700),
-                        pages: 42,
-                    },
-                ),
+                (ComponentSlot::C1, region(228, 500)),
+                (ComponentSlot::C2, region(700, 42)),
             ],
-            allocator,
             wal_head: 123_456,
             next_seqno: 999,
-            retired: vec![Region {
-                start: PageId(2000),
-                pages: 64,
-            }],
         };
         let enc = meta.encode();
         assert_eq!(TreeMeta::decode(&enc).unwrap(), meta);
     }
 
     #[test]
-    fn decode_tolerates_missing_retired_trailer() {
-        // A pre-trailer manifest ends at the allocator state. With no
-        // retired regions, the trailer is a single varint 0 — strip it to
-        // emulate the legacy layout.
+    fn decodes_the_layout_that_also_persisted_the_allocator() {
+        // Older manifests went on past the components: the allocator
+        // (high water, then free extents as varint pairs) and a trailer
+        // of retired regions. All of it is now derived, so it is skipped.
         let meta = TreeMeta {
-            components: vec![],
-            allocator: RegionAllocator::new(128),
+            components: vec![
+                (ComponentSlot::C1Prime, region(128, 40)),
+                (ComponentSlot::C2, region(300, 90)),
+            ],
             wal_head: 7,
             next_seqno: 3,
-            retired: vec![],
         };
-        let enc = meta.encode();
-        let legacy = &enc[..enc.len() - 1];
-        assert_eq!(TreeMeta::decode(legacy).unwrap(), meta);
+        let mut old = meta.encode();
+        codec::put_u64(&mut old, 1_000);
+        codec::put_varint(&mut old, 2);
+        for (start, pages) in [(168, 132), (390, 10)] {
+            codec::put_varint(&mut old, start);
+            codec::put_varint(&mut old, pages);
+        }
+        codec::put_varint(&mut old, 1);
+        codec::put_u64(&mut old, 400);
+        codec::put_u64(&mut old, 600);
+        assert_eq!(TreeMeta::decode(&old).unwrap(), meta);
     }
 
     #[test]
@@ -195,10 +169,8 @@ mod tests {
     fn empty_components_ok() {
         let meta = TreeMeta {
             components: vec![],
-            allocator: RegionAllocator::new(128),
             wal_head: 0,
             next_seqno: 1,
-            retired: vec![],
         };
         assert_eq!(TreeMeta::decode(&meta.encode()).unwrap(), meta);
     }

@@ -57,7 +57,7 @@ use parking_lot::Mutex;
 
 use crate::catalog::{CatalogCell, ComponentCatalog, TreeShared};
 use crate::config::{BLsmConfig, Durability};
-use crate::merge::{Merge01, Merge12, RetiredTable};
+use crate::merge::{Merge01, Merge12};
 use crate::meta::{ComponentSlot, TreeMeta};
 use crate::plane::{AttachCell, Doorbell};
 use crate::read::ReadView;
@@ -117,7 +117,7 @@ pub(crate) struct MergeState {
     pub(crate) manifest: ManifestStore,
     /// Replaced components awaiting deferred reclamation (readers may
     /// still hold pinned catalog snapshots referencing them).
-    pub(crate) retired: Vec<RetiredTable>,
+    pub(crate) retired: Vec<Arc<Sstable>>,
     /// The log head the last manifest save was recording, if that save
     /// failed: the on-disk root still names the retired components and
     /// the old head, so nothing is reaped and no merge work starts until
@@ -185,29 +185,30 @@ impl BLsmTree {
         let mut c1 = None;
         let mut c1_prime = None;
         let mut c2 = None;
-        let (allocator, wal_head, mut next_seqno) = match payload {
-            Some(bytes) => {
-                let meta = TreeMeta::decode(&bytes)?;
-                for (slot, region) in &meta.components {
-                    let table = Arc::new(Sstable::open(pool.clone(), *region)?);
-                    recovery.components_salvaged += 1;
-                    match slot {
-                        ComponentSlot::C1 => c1 = Some(table),
-                        ComponentSlot::C1Prime => c1_prime = Some(table),
-                        ComponentSlot::C2 => c2 = Some(table),
-                    }
-                }
-                let mut allocator = meta.allocator;
-                // Regions that were retired but still reader-pinned at
-                // the final manifest save belong to nobody now — without
-                // this they would stay allocated forever.
-                for region in meta.retired {
-                    allocator.free(region);
-                }
-                (allocator, meta.wal_head, meta.next_seqno)
-            }
-            None => (RegionAllocator::new(manifest.first_free_page()), 0, 1),
+        let meta = match payload {
+            Some(bytes) => TreeMeta::decode(&bytes)?,
+            None => TreeMeta {
+                components: Vec::new(),
+                wal_head: 0,
+                next_seqno: 1,
+            },
         };
+        // The tree is append-only, so every page the root does not name is
+        // free, whatever was in flight or retired at the crash. No root
+        // recovery can load names a reused page: a region is reused only
+        // after a save that no longer names it has succeeded.
+        let regions = meta.components.iter().map(|(_, region)| *region);
+        let allocator = RegionAllocator::around(manifest.first_free_page(), regions)?;
+        for (slot, region) in &meta.components {
+            let table = Arc::new(Sstable::open(pool.clone(), *region)?);
+            recovery.components_salvaged += 1;
+            match slot {
+                ComponentSlot::C1 => c1 = Some(table),
+                ComponentSlot::C1Prime => c1_prime = Some(table),
+                ComponentSlot::C2 => c2 = Some(table),
+            }
+        }
+        let (wal_head, mut next_seqno) = (meta.wal_head, meta.next_seqno);
 
         let scheduler = make_scheduler(&config);
         let shared = Arc::new(TreeShared {
@@ -748,10 +749,6 @@ impl BLsmTree {
         }
         let meta = TreeMeta {
             components,
-            allocator: m.allocator.clone(),
-            // Still-pinned retired regions ride along so a reopen can
-            // reclaim them (the in-memory retired list dies with us).
-            retired: m.retired.iter().map(|r| r.region).collect(),
             wal_head,
             // ordering: Acquire — pairs with the AcqRel tickets; a
             // point-in-time floor is all recovery needs, any seqno
@@ -846,7 +843,9 @@ impl BLsmTree {
     ///   stays within the budget, that overshoot and about one chunk;
     /// * the snowshovel drain cursor is monotone within a pass (§4.2);
     /// * a finished `C1` (or `C1'`) holds at most 20 filter bits per
-    ///   entry (§3.1's ~10 bits a key, at most doubled by folding).
+    ///   entry (§3.1's ~10 bits a key, at most doubled by folding);
+    /// * every allocated page has an owner (`page_accounts`),
+    ///   checked when the `C1':C2` driver is free.
     ///
     /// Called at every merge-quantum boundary when the feature is on —
     /// which includes every catalog swap, since swaps happen inside merge
@@ -933,6 +932,19 @@ impl BLsmTree {
             }
         }
 
+        // Space (§4.4.2): every allocated page has an owner, so neither a
+        // failed merge nor a reopen leaks one. It takes both drivers.
+        if let Some(m12) = m12.as_deref() {
+            let ms = self.merge.lock();
+            let (allocated, owned) = self.page_accounts(d.pass.as_ref(), m12.as_ref(), &ms);
+            if allocated != owned {
+                return Err(violated(format!(
+                    "{allocated} pages allocated, {owned} owned by the manifest slots, \
+                     components, merges in flight and retired components"
+                )));
+            }
+        }
+
         // Snowshovel cursor monotonicity (§4.2): within a pass the drain
         // cursor only advances. A completed pass (merges01 bumped) resets
         // it legitimately.
@@ -995,6 +1007,32 @@ impl BLsmTree {
             }
         }
         Ok(())
+    }
+
+    /// Pages the allocator holds, and pages something owns: the manifest
+    /// slots, the live components, the whole regions of the merges in
+    /// flight, a failed pass's published prefix (a pass in flight owns
+    /// its prefix through its region) and the retired components awaiting
+    /// a reap. Equal unless a page leaked. Needs both drivers and `merge`.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    pub(crate) fn page_accounts(
+        &self,
+        pass: Option<&Merge01>,
+        m12: Option<&Merge12>,
+        ms: &MergeState,
+    ) -> (u64, u64) {
+        let catalog = self.shared.catalog.load();
+        let prefix = catalog.c1_prefix.as_ref().filter(|_| pass.is_none());
+        let tables = [&catalog.c1, &catalog.c1_prime, &catalog.c2]
+            .into_iter()
+            .flatten()
+            .chain(prefix)
+            .chain(&ms.retired);
+        let owned = ms.manifest.first_free_page()
+            + tables.map(|t| t.region().pages).sum::<u64>()
+            + pass.map_or(0, |m| m.full_region.pages)
+            + m12.map_or(0, |m| m.full_region.pages);
+        (ms.allocator.high_water() - ms.allocator.free_pages(), owned)
     }
 
     /// Merge-quantum boundary hook: a full [`check_invariants`] sweep when
@@ -1118,7 +1156,7 @@ mod tests {
     use crate::config::SchedulerKind;
     use crate::plane::tests::HandDriven;
     use blsm_memtable::AppendOperator;
-    use blsm_storage::MemDevice;
+    use blsm_storage::{ComponentId, MemDevice, PageId, Region};
 
     fn new_tree(config: BLsmConfig) -> BLsmTree {
         let data: SharedDevice = Arc::new(MemDevice::new());
@@ -1594,8 +1632,8 @@ mod tests {
     fn retired_regions_pinned_at_shutdown_are_reclaimed_on_reopen() {
         // A reader pinning an old catalog across the final checkpoint
         // keeps the replaced component's region allocated; the manifest
-        // records it as retired so reopen reclaims it instead of leaking
-        // it on disk forever.
+        // does not name it, so reopen frees it instead of leaking it on
+        // disk forever.
         let data: SharedDevice = Arc::new(MemDevice::new());
         let wal: SharedDevice = Arc::new(MemDevice::new());
         let pinned;
@@ -1625,7 +1663,7 @@ mod tests {
                 !m.retired.is_empty(),
                 "the pinned old component must still be awaiting reclamation"
             );
-            retired_pages = m.retired.iter().map(|r| r.region.pages).sum::<u64>();
+            retired_pages = m.retired.iter().map(|r| r.region().pages).sum::<u64>();
             allocated_before = m.allocator.high_water() - m.allocator.free_pages();
             drop(m);
             // Tree dropped here with the reader still pinning.
@@ -1641,6 +1679,96 @@ mod tests {
             "reopen must reclaim regions that were retired-but-pinned at save"
         );
         assert_eq!(t2.get(&key(1)).unwrap().unwrap().as_ref(), &[2u8; 60][..]);
+    }
+
+    /// Allocated pages equal what the manifest slots, the components, the
+    /// merges in flight and the retired components own.
+    fn assert_every_page_owned(t: &BLsmTree) {
+        let d = t.merge01.lock();
+        let m12 = t.merge12.lock();
+        let (allocated, owned) = t.page_accounts(d.pass.as_ref(), m12.as_ref(), &t.merge.lock());
+        assert_eq!(allocated, owned, "allocated pages that nothing owns leaked");
+    }
+
+    #[test]
+    fn crashes_mid_merge_leak_no_pages_across_reopens() {
+        // Each cycle crashes right after a `C0:C1` install saved a root
+        // while a `C1':C2` merge was in flight. No root names that merge's
+        // output region, so the reopen frees it and restarts the merge.
+        let data: SharedDevice = Arc::new(MemDevice::new());
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let open = || {
+            let op = Arc::new(AppendOperator);
+            BLsmTree::open(data.clone(), wal.clone(), 4096, small_config(), op).unwrap()
+        };
+        let mut n = 0u32;
+        for _ in 0..4 {
+            let t = open();
+            loop {
+                let (in_flight, merges01) = (t.merges_active().1, t.stats().merges01);
+                t.put(key(n), Bytes::from(format!("val{n}"))).unwrap();
+                n += 1;
+                if in_flight && t.merges_active().1 && t.stats().merges01 > merges01 {
+                    break;
+                }
+            }
+            drop(t);
+            let t = open();
+            assert!(t.merges_active().1, "the reopen restarts the C1':C2 merge");
+            assert_every_page_owned(&t);
+            for i in (0..n).step_by(89) {
+                let v = t.get(&key(i)).unwrap();
+                assert_eq!(v.as_deref(), Some(format!("val{i}").as_bytes()), "key {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_root_whose_regions_overlap_fails_open() {
+        // A root with two components on one page must not hand that page
+        // out twice: recovery reports the manifest corrupt instead.
+        let data: SharedDevice = Arc::new(MemDevice::new());
+        let wal: SharedDevice = Arc::new(MemDevice::new());
+        let open = || {
+            let op = Arc::new(AppendOperator);
+            BLsmTree::open(data.clone(), wal.clone(), 4096, small_config(), op)
+        };
+        let t = open().unwrap();
+        for i in 0..500u32 {
+            t.put(key(i), Bytes::from(vec![1u8; 60])).unwrap();
+        }
+        t.checkpoint().unwrap();
+        let c1 = t.shared.catalog.load().c1.as_ref().unwrap().region();
+        let slots = t.merge.lock().manifest.first_free_page();
+        drop(t);
+        let at = |start: u64| Region {
+            start: PageId(start),
+            pages: c1.pages,
+        };
+        let overlapping = at(c1.start.0 + c1.pages - 1);
+        for components in [
+            vec![(ComponentSlot::C1, c1), (ComponentSlot::C2, overlapping)],
+            vec![(ComponentSlot::C2, at(slots - 1))],
+        ] {
+            let meta = TreeMeta {
+                components,
+                wal_head: 0,
+                next_seqno: 1,
+            };
+            let (mut manifest, _) = ManifestStore::open(data.clone(), DEFAULT_SLOT_PAGES).unwrap();
+            manifest.save(&meta.encode()).unwrap();
+            let err = open().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StorageError::Corruption {
+                        component: ComponentId::Manifest,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

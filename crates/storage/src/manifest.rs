@@ -4,9 +4,10 @@
 //! consistent version of the tree is available at crash" (§4.4.2). Our tree
 //! components are strictly append-only — merge threads never overwrite live
 //! pages — so shadow paging gives the identical guarantee with far less
-//! machinery: engine metadata (component list, region allocator state, WAL
-//! truncation point, next sequence number) is serialized into one of two
-//! fixed slots at the front of the data device, alternating by epoch. A
+//! machinery: engine metadata (component list, WAL truncation point, next
+//! sequence number) is serialized into one of two fixed slots at the front
+//! of the data device, alternating by epoch; every page the component list
+//! does not name is free (`RegionAllocator::around`). A
 //! torn write corrupts only the slot being written; recovery picks the
 //! valid slot with the highest epoch, which always describes a complete,
 //! physically consistent tree. This substitution is documented in

@@ -8,13 +8,14 @@
 //! scans of a component really are sequential on the device.
 //!
 //! Allocation is first-fit over a coalescing free list; freed regions merge
-//! with their neighbours. The allocator's state is tiny and is persisted in
-//! the manifest.
+//! with their neighbours. Nothing of the allocator is persisted: the tree
+//! is append-only, so after a restart every page no live component holds
+//! is free, and [`RegionAllocator::around`] rebuilds the state from the
+//! live regions alone.
 
 use std::collections::BTreeMap;
 
-use crate::codec::{self, Reader};
-use crate::error::Result;
+use crate::error::{ComponentId, Result, StorageError};
 use crate::page::PageId;
 
 /// A contiguous run of pages.
@@ -65,6 +66,39 @@ impl RegionAllocator {
             next_page: first_page,
             free: BTreeMap::new(),
         }
+    }
+
+    /// The allocator whose only allocations are `live`: below the highest
+    /// live page, every page no live region holds is free. This is how
+    /// recovery rebuilds the allocator from a manifest's components.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`StorageError::Corruption`] on the manifest if a region
+    /// starts below `first_page`, overlaps another, or runs past the page
+    /// space: a root like that would hand the same pages out twice.
+    pub fn around(
+        first_page: u64,
+        live: impl IntoIterator<Item = Region>,
+    ) -> Result<RegionAllocator> {
+        let mut live: Vec<Region> = live.into_iter().collect();
+        live.sort_by_key(|r| r.start.0);
+        let mut a = RegionAllocator::new(first_page);
+        for r in live {
+            let end = r.start.0.checked_add(r.pages);
+            let (Some(end), true) = (end, r.start.0 >= a.next_page) else {
+                return Err(StorageError::corruption(
+                    ComponentId::Manifest,
+                    None,
+                    format!("region {r:?} overlaps the manifest slots or another region"),
+                ));
+            };
+            if r.start.0 > a.next_page {
+                a.free.insert(a.next_page, r.start.0 - a.next_page);
+            }
+            a.next_page = end;
+        }
+        Ok(a)
     }
 
     /// Allocates a contiguous region of `pages` pages.
@@ -136,34 +170,6 @@ impl RegionAllocator {
     pub fn free_pages(&self) -> u64 {
         self.free.values().sum()
     }
-
-    /// Serializes allocator state (for the manifest).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        codec::put_u64(out, self.next_page);
-        codec::put_varint(out, self.free.len() as u64);
-        for (&start, &len) in &self.free {
-            codec::put_varint(out, start);
-            codec::put_varint(out, len);
-        }
-    }
-
-    /// Deserializes allocator state.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StorageError::InvalidFormat`](crate::StorageError::InvalidFormat) if the reader runs out of
-    /// bytes or a varint is malformed.
-    pub fn decode(r: &mut Reader<'_>) -> Result<RegionAllocator> {
-        let next_page = r.u64()?;
-        let n = r.varint()?;
-        let mut free = BTreeMap::new();
-        for _ in 0..n {
-            let start = r.varint()?;
-            let len = r.varint()?;
-            free.insert(start, len);
-        }
-        Ok(RegionAllocator { next_page, free })
-    }
 }
 
 #[cfg(test)]
@@ -222,15 +228,50 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn around_live_regions_equals_the_allocator_that_made_them() {
         let mut a = RegionAllocator::new(3);
         let r1 = a.alloc(5);
-        let _r2 = a.alloc(7);
+        let r2 = a.alloc(7);
+        let r3 = a.alloc(2);
+        let r4 = a.alloc(4);
         a.free(r1);
-        let mut buf = Vec::new();
-        a.encode(&mut buf);
-        let b = RegionAllocator::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(a, b);
+        a.free(r3);
+        a.free(r4);
+        assert_eq!(RegionAllocator::around(3, [r2]).unwrap(), a);
+        assert_eq!(a.high_water(), r2.start.0 + r2.pages);
+        assert_eq!(
+            RegionAllocator::around(3, []).unwrap(),
+            RegionAllocator::new(3)
+        );
+    }
+
+    #[test]
+    fn around_rejects_overlapping_or_reserved_regions() {
+        let region = |start, pages| Region {
+            start: PageId(start),
+            pages,
+        };
+        for live in [
+            vec![region(10, 5), region(14, 2)],
+            vec![region(20, 4), region(10, 11)],
+            vec![region(2, 4)],
+            vec![region(10, u64::MAX)],
+        ] {
+            let err = RegionAllocator::around(3, live.clone()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StorageError::Corruption {
+                        component: ComponentId::Manifest,
+                        ..
+                    }
+                ),
+                "{live:?}: {err}"
+            );
+        }
+        // Regions that merely touch are fine.
+        let a = RegionAllocator::around(3, [region(3, 4), region(7, 1)]).unwrap();
+        assert_eq!((a.high_water(), a.free_pages()), (8, 0));
     }
 
     #[test]
