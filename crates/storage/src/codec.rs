@@ -194,15 +194,16 @@ impl<'a> Reader<'a> {
 /// CRC-32C (Castagnoli). Used to checksum pages, WAL records and
 /// manifest slots.
 ///
-/// Every cache miss verifies a full 4 KiB page image, so this sits on
-/// the read-path critical path: on x86-64 with SSE 4.2 it uses the
-/// hardware `crc32` instruction (which implements exactly this
-/// reflected polynomial); elsewhere it falls back to slice-by-8 table
-/// lookups. Both paths produce identical digests.
+/// Every cache miss verifies a full 4 KiB page image and every sealed
+/// merge page computes one, so this sits on the critical path of both:
+/// on x86-64 with SSE 4.2 it uses the hardware `crc32` instruction
+/// (which implements exactly this reflected polynomial), running three
+/// independent streams over page-sized inputs (4 080 bytes or more);
+/// elsewhere it falls back to slice-by-8 table lookups. All paths
+/// produce identical digests.
 pub fn crc32c(data: &[u8]) -> u32 {
     crc32c_update(!0, data) ^ !0
 }
-
 /// Streaming CRC-32C over discontiguous parts. Produces exactly the same
 /// digest as [`crc32c`] over the concatenation, without requiring the
 /// caller to materialize it:
@@ -256,24 +257,79 @@ fn crc32c_update(crc: u32, data: &[u8]) -> u32 {
     crc32c_update_sw(crc, data)
 }
 
+/// Bytes each of the three interleaved hardware streams covers per round.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+/// Three stripes (4 080 bytes) span a page's checksummed body (4 092
+/// bytes) in one round.
+const STRIPE: usize = 1360;
+
+/// Inputs at least this long take the three-stream hardware path; below
+/// it a single stream runs, since a round needs three full stripes.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const INTERLEAVE_MIN: usize = 3 * STRIPE;
+
 /// Hardware CRC-32C: the SSE 4.2 `crc32` instruction folds 8 input bytes
 /// per instruction over the same reflected Castagnoli polynomial the
-/// table path uses.
+/// table path uses. One stream is latency-bound (3 cycles per
+/// instruction, 1 issued per cycle), so each [`INTERLEAVE_MIN`]-byte
+/// round runs three independent streams over consecutive stripes and
+/// joins them: the second and third start from state 0, and a state is
+/// carried past the stripe after it by [`shift_stripe`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_update_hw(crc: u32, data: &[u8]) -> u32 {
+unsafe fn crc32c_update_hw(mut crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    let mut rounds = data.chunks_exact(INTERLEAVE_MIN);
+    for round in &mut rounds {
+        let (a, rest) = round.split_at(STRIPE);
+        let (b, c) = rest.split_at(STRIPE);
+        let (mut sa, mut sb, mut sc) = (u64::from(crc), 0u64, 0u64);
+        for ((wa, wb), wc) in a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8))
+        {
+            sa = _mm_crc32_u64(sa, le_word(wa));
+            sb = _mm_crc32_u64(sb, le_word(wb));
+            sc = _mm_crc32_u64(sc, le_word(wc));
+        }
+        crc = shift_stripe(shift_stripe(sa as u32) ^ sb as u32) ^ sc as u32;
+    }
+    crc32c_stream_hw(crc, rounds.remainder())
+}
+
+/// One hardware stream: 8 bytes per instruction, then the byte tail.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_stream_hw(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let mut chunks = data.chunks_exact(8);
     let mut state = u64::from(crc);
     for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8]));
-        state = _mm_crc32_u64(state, word);
+        state = _mm_crc32_u64(state, le_word(chunk));
     }
     let mut crc = state as u32;
     for &b in chunks.remainder() {
         crc = _mm_crc32_u8(crc, b);
     }
     crc
+}
+
+#[cfg(target_arch = "x86_64")]
+fn le_word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8]))
+}
+
+/// The raw CRC state `crc` carried past [`STRIPE`] zero bytes: the update
+/// is linear over GF(2), so `update(s, data) = shift(s) ^ update(0, data)`
+/// for any `STRIPE`-byte `data`, and the shift is a multiplication by
+/// x^(8·STRIPE) mod P, read off four byte-indexed tables.
+#[cfg(target_arch = "x86_64")]
+fn shift_stripe(crc: u32) -> u32 {
+    STRIPE_SHIFT[0][(crc & 0xff) as usize]
+        ^ STRIPE_SHIFT[1][((crc >> 8) & 0xff) as usize]
+        ^ STRIPE_SHIFT[2][((crc >> 16) & 0xff) as usize]
+        ^ STRIPE_SHIFT[3][(crc >> 24) as usize]
 }
 
 /// Software CRC-32C, slice-by-8: eight parallel table lookups per 8-byte
@@ -299,10 +355,9 @@ fn crc32c_update_sw(mut crc: u32, data: &[u8]) -> u32 {
 }
 
 const fn make_tables() -> [[u32; 256]; 8] {
-    // Castagnoli polynomial, reflected. TABLES[0] is the classic
-    // byte-at-a-time table; TABLES[k][b] extends it by k zero bytes, so
-    // eight lookups fold a whole little-endian u64 at once.
-    const POLY: u32 = 0x82f6_3b78;
+    // TABLES[0] is the classic byte-at-a-time table over POLY;
+    // TABLES[k][b] extends it by k zero bytes, so eight lookups fold a
+    // whole little-endian u64 at once.
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -333,6 +388,55 @@ const fn make_tables() -> [[u32; 256]; 8] {
 }
 
 static TABLES: [[u32; 256]; 8] = make_tables();
+
+/// Castagnoli polynomial, reflected (bit 31 is x^0).
+const POLY: u32 = 0x82f6_3b78;
+
+/// `a · b mod P` over GF(2), both reflected.
+#[cfg(target_arch = "x86_64")]
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit += 1;
+    }
+    product
+}
+
+/// `STRIPE_SHIFT[k][v]` is `(v << 8k) · x^(8·STRIPE) mod P`, so the four
+/// lookups in [`shift_stripe`] multiply a whole state by that power.
+#[cfg(target_arch = "x86_64")]
+const fn make_stripe_shift() -> [[u32; 256]; 4] {
+    // x^(8·STRIPE): x^0 (bit 31) pushed through 8·STRIPE zero bits.
+    let mut power = 1u32 << 31;
+    let mut i = 0;
+    while i < 8 * STRIPE {
+        power = if power & 1 != 0 {
+            (power >> 1) ^ POLY
+        } else {
+            power >> 1
+        };
+        i += 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut v = 0;
+        while v < 256 {
+            tables[k][v] = mul_mod_p(power, (v as u32) << (8 * k));
+            v += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+#[cfg(target_arch = "x86_64")]
+static STRIPE_SHIFT: [[u32; 256]; 4] = make_stripe_shift();
 
 #[cfg(test)]
 mod tests {
@@ -426,44 +530,110 @@ mod tests {
         assert_eq!(Crc32c::new().finish(), 0);
     }
 
+    fn random_bytes(len: usize, seed: u32) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Byte-at-a-time raw update: the definition every path must match.
+    fn reference_step(crc: u32, b: u8) -> u32 {
+        (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize]
+    }
+
     #[test]
     fn crc_hw_and_sw_paths_agree() {
-        // Every length 0..64 plus page-sized, at two alignments, so the
-        // 8-byte fast loop, the remainder tail, and their seam are all
-        // exercised against the byte-at-a-time reference.
-        let mut data = vec![0u8; 4096 + 65];
-        let mut x = 0x1234_5678_u32;
-        for b in &mut data {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            *b = (x >> 24) as u8;
-        }
-        let reference = |crc: u32, data: &[u8]| -> u32 {
-            let mut crc = crc;
-            for &b in data {
-                crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
-            }
-            crc
-        };
-        for start in [0usize, 1] {
-            for len in (0..64).chain([4096]) {
-                let slice = &data[start..start + len];
-                let want = reference(!0, slice) ^ !0;
-                assert_eq!(crc32c(slice), want, "start={start} len={len}");
-                assert_eq!(
-                    crc32c_update_sw(!0, slice) ^ !0,
-                    want,
-                    "sw start={start} len={len}"
-                );
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("sse4.2") {
-                    // SAFETY: SSE4.2 presence was just verified at runtime.
-                    let hw = unsafe { crc32c_update_hw(!0, slice) } ^ !0;
-                    assert_eq!(hw, want, "hw start={start} len={len}");
+        // Every length through three interleaved rounds plus a tail, at
+        // all eight alignments, each from its own random initial state:
+        // the single-stream tail, the round seams and the joins of the
+        // three streams are all checked against the byte-at-a-time
+        // reference, which is extended one byte per length. The software
+        // path (unchanged, and slow unoptimized) is sampled.
+        const MAX: usize = 12_352;
+        const { assert!(MAX > 3 * INTERLEAVE_MIN) };
+        let data = random_bytes(MAX + 8, 0x1234_5678);
+        let mut seed = 0x9e37_79b9_u32;
+        for start in 0..8 {
+            seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
+            let init = seed;
+            let input = &data[start..start + MAX];
+            let mut want = init;
+            for len in 0..=MAX {
+                if len > 0 {
+                    want = reference_step(want, input[len - 1]);
+                }
+                let slice = &input[..len];
+                assert_eq!(crc32c_update(init, slice), want, "start={start} len={len}");
+                if len < 64 || len % 509 == 0 {
+                    assert_eq!(
+                        crc32c_update_sw(init, slice),
+                        want,
+                        "sw start={start} len={len}"
+                    );
                 }
             }
         }
         // Known-answer vector (RFC 3720 §B.4 / iSCSI test pattern).
         assert_eq!(crc32c(b"123456789"), 0xe306_9283);
+    }
+
+    #[test]
+    fn streaming_crc_splits_across_the_interleave_threshold() {
+        // A stream fed in two or three parts matches the one-shot digest
+        // whichever parts reach a full round and whichever do not.
+        let len = 2 * INTERLEAVE_MIN + 13;
+        let data = random_bytes(len, 0xfeed);
+        let whole = crc32c(&data);
+        let around = |at: usize| at.saturating_sub(9)..(at + 10).min(len + 1);
+        let splits = around(0)
+            .chain(around(INTERLEAVE_MIN))
+            .chain(around(len - INTERLEAVE_MIN))
+            .chain(around(len));
+        for split in splits {
+            let mut h = Crc32c::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finish(), whole, "split at {split}");
+        }
+        for (a, b) in [
+            (1, INTERLEAVE_MIN + 1),
+            (INTERLEAVE_MIN - 1, 2 * INTERLEAVE_MIN),
+        ] {
+            let mut h = Crc32c::new();
+            h.update(&data[..a]);
+            h.update(&data[a..b]);
+            h.update(&data[b..]);
+            assert_eq!(h.finish(), whole, "splits at {a}, {b}");
+        }
+    }
+
+    #[test]
+    fn a_page_sealed_on_either_path_verifies_on_the_other() {
+        use crate::page::{verify_page_image, Page, PageId, PageType, PAGE_SIZE};
+        let mut page = Page::new(PageType::DataV2);
+        page.payload_mut()
+            .copy_from_slice(&random_bytes(PAGE_SIZE - 8, 0xabcd));
+        // Sealed on the dispatching (on x86-64: interleaved) path, checked
+        // on the software one.
+        page.seal();
+        let image = *page.raw();
+        assert_eq!(crc32c_update_sw(!0, &image[4..]) ^ !0, le_u32(&image[..4]));
+        // Sealed on the software path, verified on the dispatching one.
+        let mut sw_sealed = image;
+        sw_sealed[..4].copy_from_slice(&[0; 4]);
+        let crc = crc32c_update_sw(!0, &sw_sealed[4..]) ^ !0;
+        sw_sealed[..4].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(sw_sealed, image);
+        assert_eq!(
+            verify_page_image(&sw_sealed, PageId(3)).unwrap(),
+            PageType::DataV2
+        );
+        sw_sealed[77] ^= 0x10;
+        assert!(verify_page_image(&sw_sealed, PageId(3)).is_err());
     }
 
     #[test]

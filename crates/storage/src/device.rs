@@ -203,17 +203,32 @@ impl Device for MemDevice {
 // ---------------------------------------------------------------------------
 
 /// File-backed device for real deployments.
+///
+/// Reads are the buffer pool's miss path, so their statistics are atomic
+/// counters rather than a mutex taken after every `pread`; writes and
+/// syncs, which batch behind merges and the log, keep theirs under one.
 pub struct FileDevice {
     file: File,
     // ordering: Release fetch_max publishes the new end-of-device after
     // the backing write completes; Acquire loads pair with it.
     len: AtomicU64,
-    inner: Mutex<FileTracking>,
+    reads: ReadTracking,
+    inner: Mutex<WriteTracking>,
 }
 
-struct FileTracking {
+/// Read statistics. Each read swaps its end into `last_end`, so the
+/// sequential/random call is made in the order the swaps land, exactly
+/// as a mutex would order them.
+#[derive(Debug)]
+struct ReadTracking {
+    random: AtomicU64,     // ordering: Relaxed (statistic; publishes no data)
+    sequential: AtomicU64, // ordering: Relaxed (statistic; publishes no data)
+    bytes: AtomicU64,      // ordering: Relaxed (statistic; publishes no data)
+    last_end: AtomicU64,   // ordering: Relaxed (position hint for the statistic above)
+}
+
+struct WriteTracking {
     stats: DeviceStats,
-    last_read_end: u64,
     last_write_end: u64,
 }
 
@@ -242,9 +257,14 @@ impl FileDevice {
         Ok(FileDevice {
             file,
             len: AtomicU64::new(len),
-            inner: Mutex::new(FileTracking {
+            reads: ReadTracking {
+                random: AtomicU64::new(0),
+                sequential: AtomicU64::new(0),
+                bytes: AtomicU64::new(0),
+                last_end: AtomicU64::new(u64::MAX),
+            },
+            inner: Mutex::new(WriteTracking {
                 stats: DeviceStats::default(),
-                last_read_end: u64::MAX,
                 last_write_end: u64::MAX,
             }),
         })
@@ -255,14 +275,14 @@ impl Device for FileDevice {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
         self.file.read_exact_at(buf, offset)?;
-        let mut t = self.inner.lock();
-        if offset == t.last_read_end {
-            t.stats.sequential_reads += 1;
+        let r = &self.reads;
+        let end = offset + buf.len() as u64;
+        if r.last_end.swap(end, Ordering::Relaxed) == offset {
+            r.sequential.fetch_add(1, Ordering::Relaxed);
         } else {
-            t.stats.random_reads += 1;
+            r.random.fetch_add(1, Ordering::Relaxed);
         }
-        t.last_read_end = offset + buf.len() as u64;
-        t.stats.bytes_read += buf.len() as u64;
+        r.bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -293,7 +313,13 @@ impl Device for FileDevice {
     }
 
     fn stats(&self) -> DeviceStats {
-        self.inner.lock().stats
+        let r = &self.reads;
+        DeviceStats {
+            random_reads: r.random.load(Ordering::Relaxed),
+            sequential_reads: r.sequential.load(Ordering::Relaxed),
+            bytes_read: r.bytes.load(Ordering::Relaxed),
+            ..self.inner.lock().stats
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use crate::codec::crc32c;
+use crate::device::Device;
 use crate::error::{Result, StorageError};
 
 /// Page size in bytes. The paper opts for 4 KiB pages (§5.3, Appendix A),
@@ -157,39 +158,30 @@ impl Page {
     /// with [`StorageError::Corruption`] if the stored CRC does not
     /// match the page contents.
     pub fn from_bytes(bytes: &[u8], pid: PageId) -> Result<Page> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(StorageError::InvalidFormat(format!(
-                "page {pid} has length {}",
-                bytes.len()
-            )));
-        }
-        let stored = crate::codec::le_u32(&bytes[..4]);
-        let actual = crc32c(&bytes[4..]);
-        if stored != actual {
-            return Err(StorageError::corruption(
-                crate::error::ComponentId::Page,
-                Some(pid.offset()),
-                format!("page {pid} checksum mismatch: stored {stored:#x}, computed {actual:#x}"),
-            ));
-        }
+        check_image(bytes, pid)?;
         let mut buf = Box::new([0u8; PAGE_SIZE]);
         buf.copy_from_slice(bytes);
         Ok(Page { buf })
     }
+
+    /// Overwrites this page with the image stored at `pid` on `device`
+    /// and verifies its checksum where it landed: a cache miss reads into
+    /// a page buffer it already owns instead of copying a stack image
+    /// into a fresh one. On error the contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the device read fails, and with
+    /// [`StorageError::Corruption`] if the stored CRC does not match the
+    /// page contents.
+    pub(crate) fn read_from(&mut self, device: &dyn Device, pid: PageId) -> Result<()> {
+        device.read_at(pid.offset(), &mut self.buf[..])?;
+        check_image(&self.buf[..], pid)
+    }
 }
 
-/// Verifies a raw page image in place, without copying it into a `Page`.
-///
-/// Returns the page type on success. This is the zero-copy counterpart of
-/// [`Page::from_bytes`] for callers that keep the image inside a larger
-/// shared buffer (e.g. a prefetched chunk) and slice payloads out of it.
-///
-/// # Errors
-///
-/// Fails with [`StorageError::InvalidFormat`] on a length mismatch or an
-/// unknown page-type tag, and with [`StorageError::Corruption`] if the
-/// stored CRC does not match the page contents.
-pub fn verify_page_image(bytes: &[u8], pid: PageId) -> Result<PageType> {
+/// Checks a raw page image's length and stored CRC.
+fn check_image(bytes: &[u8], pid: PageId) -> Result<()> {
     if bytes.len() != PAGE_SIZE {
         return Err(StorageError::InvalidFormat(format!(
             "page {pid} has length {}",
@@ -205,6 +197,22 @@ pub fn verify_page_image(bytes: &[u8], pid: PageId) -> Result<PageType> {
             format!("page {pid} checksum mismatch: stored {stored:#x}, computed {actual:#x}"),
         ));
     }
+    Ok(())
+}
+
+/// Verifies a raw page image in place, without copying it into a `Page`.
+///
+/// Returns the page type on success. This is the zero-copy counterpart of
+/// [`Page::from_bytes`] for callers that keep the image inside a larger
+/// shared buffer (e.g. a prefetched chunk) and slice payloads out of it.
+///
+/// # Errors
+///
+/// Fails with [`StorageError::InvalidFormat`] on a length mismatch or an
+/// unknown page-type tag, and with [`StorageError::Corruption`] if the
+/// stored CRC does not match the page contents.
+pub fn verify_page_image(bytes: &[u8], pid: PageId) -> Result<PageType> {
+    check_image(bytes, pid)?;
     PageType::from_u8(bytes[4])
 }
 

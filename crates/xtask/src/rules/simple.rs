@@ -12,14 +12,16 @@ use crate::syntax::SourceFile;
 
 use super::{is_test_like, Finding};
 
-/// The sstable modules whose non-test code is the point-lookup / scan
-/// hot path, where the zero-copy invariant is enforced.
+/// The modules whose non-test code is the point-lookup / scan hot path,
+/// where the zero-copy invariant is enforced: the sstable read modules
+/// and the buffer pool, whose misses read into a page buffer in place.
 fn is_read_path_module(rel: &str) -> bool {
     matches!(
         rel,
         "crates/sstable/src/format.rs"
             | "crates/sstable/src/table.rs"
             | "crates/sstable/src/iter.rs"
+            | "crates/storage/src/buffer.rs"
     )
 }
 
@@ -87,7 +89,7 @@ pub fn check(rel: &str, sf: &SourceFile<'_>) -> Vec<Finding> {
         }
 
         // alloc-in-read-path: `copy_from_slice` or `.to_vec()` in the
-        // sstable read modules.
+        // read-path modules.
         if read_path {
             let what = if text == "copy_from_slice" {
                 Some("copy_from_slice")

@@ -102,3 +102,22 @@ fn destructured_guards_are_tracked() {
         "guard dropped before the merge call must not be flagged: {findings:?}"
     );
 }
+
+#[test]
+fn copies_in_the_buffer_pool_are_read_path_findings() {
+    // The pool's miss path is read path: a copy there is a finding, one
+    // in its test module is not, and other storage modules are exempt.
+    let src = "fn miss(dst: &mut [u8], src: &[u8]) { dst.copy_from_slice(src); }\n\
+               #[cfg(test)]\n\
+               mod tests { fn t(a: &mut [u8]) { a.copy_from_slice(&[0]); } }\n";
+    let read_path_fns = |rel: &str| -> Vec<String> {
+        analyze(&[(rel.to_string(), src.to_string())])
+            .findings
+            .into_iter()
+            .filter(|f| f.rule == "alloc-in-read-path")
+            .map(|f| f.function)
+            .collect()
+    };
+    assert_eq!(read_path_fns("crates/storage/src/buffer.rs"), ["miss"]);
+    assert!(read_path_fns("crates/storage/src/wal.rs").is_empty());
+}

@@ -298,3 +298,77 @@ fn four_writers_four_readers_no_lost_writes_monotone_seqnos() {
         }
     }
 }
+
+/// The buffer pool recycles an evicted page's buffer into its next miss
+/// only when no reader still holds that page (DESIGN.md §13). Holder
+/// threads keep a ring of pages alive across many evictions while churn
+/// threads force misses and drop their pages at once, so recycling runs
+/// constantly: every held page must keep the bytes stored at its pid.
+#[test]
+fn held_pool_pages_are_never_recycled_under_misses() {
+    use blsm_repro::blsm_storage::page::PageType;
+    use blsm_repro::blsm_storage::{BufferPool, Page, PageId};
+    use std::sync::Barrier;
+
+    const PAGES: u64 = 1024;
+    const HELD: usize = 24;
+    let stamp = |pid: u64| (pid % 251) as u8;
+    let device: SharedDevice = Arc::new(MemDevice::new());
+    for pid in 0..PAGES {
+        let mut page = Page::new(PageType::Data);
+        let payload = page.payload_mut();
+        payload.fill(stamp(pid));
+        payload[..8].copy_from_slice(&pid.to_le_bytes());
+        device
+            .write_at(PageId(pid).offset(), &page.to_bytes())
+            .unwrap();
+    }
+    // 16 pages a shard: a holder's ring outlives many evictions.
+    let pool = BufferPool::with_shards(device, 64, 4);
+    let check = |pid: u64, payload: &[u8]| {
+        assert_eq!(
+            payload[..8],
+            pid.to_le_bytes(),
+            "page {pid} holds another page"
+        );
+        assert_eq!(
+            payload[payload.len() - 1],
+            stamp(pid),
+            "page {pid} overwritten"
+        );
+    };
+    let start = Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (pool, start) = (&pool, &start);
+            s.spawn(move || {
+                let mut state = 0x5eed_0000 + t;
+                let mut held = std::collections::VecDeque::with_capacity(HELD);
+                start.wait();
+                for _ in 0..20_000 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let pid = (state >> 33) % PAGES;
+                    let page = pool.read(PageId(pid)).unwrap();
+                    check(pid, page.payload());
+                    if t < 2 {
+                        // Holder: keep the page through later misses.
+                        if held.len() == HELD {
+                            held.pop_front();
+                        }
+                        held.push_back((pid, page));
+                        for (pid, page) in &held {
+                            check(*pid, page.payload());
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let stats = pool.stats();
+    assert!(
+        stats.evictions > 40_000,
+        "misses must evict constantly: {stats:?}"
+    );
+}
